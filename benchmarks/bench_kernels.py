@@ -1,24 +1,38 @@
-"""Compare the numba-compiled move pass against the pure-Python fallback.
+"""Compare the move-pass kernel that loaded against the pure-Python reference.
 
 Usage: python3 benchmarks/bench_kernels.py [--n 2000] [--views 2] [--repeat 5]
 
-Times both a raw single sweep over a planted-partition graph and a full
-maximize() call, and checks that the two paths land on identical partitions.
+Times a raw single sweep over a planted-partition graph with each kernel, and
+a full maximize() call under each backend, and checks that both land on
+identical partitions. `mvmc._kernels.BACKEND` names the kernel that loaded
+("c", or "python" when the C build is unavailable or MVMC_KERNEL=python). The
+maximize() calls run in fresh interpreters, one per backend, chosen with
+MVMC_KERNEL, so no module global is swapped.
 """
 import argparse
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 
-from mvmc import ViewGraph, rb_modularity
-from mvmc._kernels import USE_NUMBA, _move_pass, move_pass
+from mvmc import rb_modularity
+from mvmc._kernels import BACKEND, _move_pass, move_pass
 from mvmc.modularity import maximize
 from mvmc.synth import planted_partition_views
 
 
+def planted(args):
+    graphs, _ = planted_partition_views(
+        args.n, 8, 20.0 / args.n, 2.0 / args.n, n_views=args.views, seed=0
+    )
+    return graphs
+
+
 def sweep_args(graphs, seed):
     n = graphs[0].n
-    nviews = len(graphs)
     m2 = np.array([2.0 * g.total_edge_weight() for g in graphs])
     adj = sum((g.adjacency() * (1.0 / m) for g, m in zip(graphs, m2))).tocsr()
     deg = np.stack([g.degrees() for g in graphs], axis=1)
@@ -33,10 +47,12 @@ def run_sweep(kernel, adj, deg, alpha, order):
     comm_tot = deg.copy()
     comm_size = np.ones(n, dtype=np.int64)
     empty_stack = np.empty(n, dtype=np.int64)
+    indptr = adj.indptr.astype(np.int64)
+    indices = adj.indices.astype(np.int64)
     t0 = time.perf_counter()
     gain, moves, _ = kernel(
-        adj.indptr,
-        adj.indices.astype(np.int64),
+        indptr,
+        indices,
         adj.data,
         deg,
         alpha,
@@ -51,55 +67,68 @@ def run_sweep(kernel, adj, deg, alpha, order):
     return time.perf_counter() - t0, gain, moves, comm
 
 
+def maximize_here(args):
+    """Time maximize() with this interpreter's kernel; print one JSON line."""
+    graphs = planted(args)
+    t0 = time.perf_counter()
+    part = maximize(graphs, seed=0)
+    dt = time.perf_counter() - t0
+    print(json.dumps({"backend": BACKEND, "seconds": dt, "labels": part.labels.tolist(),
+                      "q": rb_modularity(graphs, part)}))
+
+
+def maximize_with(kernel_env, args):
+    """maximize() in a fresh interpreter, with `kernel_env` added to this
+    one's environment."""
+    env = {**os.environ, **kernel_env}
+    cmd = [sys.executable, __file__, "--n", str(args.n), "--views", str(args.views),
+           "--maximize-here"]
+    out = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--n", type=int, default=2000)
     ap.add_argument("--views", type=int, default=2)
     ap.add_argument("--repeat", type=int, default=5)
+    ap.add_argument("--maximize-here", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.maximize_here:
+        maximize_here(args)
+        return
 
-    graphs, _ = planted_partition_views(
-        args.n, 8, 20.0 / args.n, 2.0 / args.n, n_views=args.views, seed=0
-    )
+    graphs = planted(args)
     edges = sum(len(g.edge_u) for g in graphs)
-    print(f"n={args.n}, views={args.views}, total edges={edges}")
-    if not USE_NUMBA:
-        print("note: MVMC_NUMBA=0, 'compiled' path is the fallback too")
+    print(f"n={args.n}, views={args.views}, total edges={edges}, backend={BACKEND}")
+    if BACKEND == "python":
+        print("note: the C kernel did not load, both paths are the Python reference")
 
     adj, deg, alpha, order = sweep_args(graphs, seed=1)
-    run_sweep(move_pass, adj, deg, alpha, order)  # trigger JIT compilation
-
-    for label, kernel in (("numba", move_pass), ("python", _move_pass)):
+    sweeps = {}
+    for label, kernel in ((BACKEND, move_pass), ("python", _move_pass)):
         times = []
         for _ in range(args.repeat):
             dt, gain, moves, comm = run_sweep(kernel, adj, deg, alpha, order)
             times.append(dt)
+        sweeps[label] = comm
         print(
             f"single sweep [{label:6}] best {min(times) * 1e3:8.2f} ms"
             f"  (gain={gain:.6f}, moves={moves})"
         )
 
     results = {}
-    for label, flag in (("numba", True), ("python", False)):
-        import mvmc._kernels as kmod
-
-        kmod_orig = kmod.move_pass
-        kmod.move_pass = move_pass if flag else _move_pass
-        import mvmc.modularity as mmod
-
-        mmod.move_pass = kmod.move_pass
-        t0 = time.perf_counter()
-        part = maximize(graphs, seed=0)
-        dt = time.perf_counter() - t0
-        results[label] = part
+    for label, kernel_env in ((BACKEND, {}), ("python", {"MVMC_KERNEL": "python"})):
+        res = maximize_with(kernel_env, args)
+        results[label] = res["labels"]
         print(
-            f"maximize     [{label:6}] {dt:8.2f} s"
-            f"  (clusters={part.n_clusters}, Q={rb_modularity(graphs, part):.4f})"
+            f"maximize     [{res['backend']:6}] {res['seconds']:8.2f} s"
+            f"  (clusters={len(set(res['labels']))}, Q={res['q']:.4f})"
         )
-        kmod.move_pass = kmod_orig
-        mmod.move_pass = kmod_orig
 
-    same = np.array_equal(results["numba"].labels, results["python"].labels)
+    same_sweep = np.array_equal(sweeps[BACKEND], sweeps["python"])
+    same = results[BACKEND] == results["python"]
+    print(f"paths agree on the single-sweep partition: {same_sweep}")
     print(f"paths agree on the final partition: {same}")
 
 

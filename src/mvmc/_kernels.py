@@ -1,16 +1,32 @@
-"""Hot inner loops for the modularity maximizer.
+"""The move-pass kernel of the modularity maximizer.
 
-The move pass is plain nested-loop code compiled with numba when available.
-Set MVMC_NUMBA=0 to force the pure-Python fallback (same function, not
-compiled); benchmarks/bench_kernels.py compares the two paths.
+`_move_pass` is the reference implementation, in plain Python. `_move_pass.c`
+is a line-for-line C port of it with the same floating-point operations in the
+same order, so both give identical partitions. At import the C source is built
+with the local C compiler into a per-user cache and loaded through ctypes;
+`move_pass` is then a checked wrapper around it. Without a compiler, when the
+build or load fails, or with MVMC_KERNEL=python, `move_pass` is `_move_pass`.
+`BACKEND` names the implementation that `move_pass` runs: "c" or "python".
+benchmarks/bench_kernels.py compares the two.
 """
 from __future__ import annotations
 
+import ctypes
+import hashlib
 import os
+import shutil
+import subprocess
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
-USE_NUMBA = os.environ.get("MVMC_NUMBA", "1") != "0"
+# No -ffast-math and no floating-point contraction: either could change the
+# rounding of a score and with it the partition. No -march=native, so a cached
+# build also runs on another machine that shares the home directory.
+CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+SOURCE = Path(__file__).with_name("_move_pass.c")
+_BAD_INDEX, _NO_MEMORY = -1, -2  # the C kernel's error returns
 
 
 def _move_pass(
@@ -105,12 +121,141 @@ def _move_pass(
     return total_gain, n_moves, n_empty
 
 
-if USE_NUMBA:
-    try:
-        import numba
+def _build_library() -> Path | None:
+    """Path of the compiled kernel, building it into the cache when missing.
 
-        move_pass = numba.njit(cache=True)(_move_pass)
-    except ImportError:  # pragma: no cover
-        move_pass = _move_pass
-else:
-    move_pass = _move_pass
+    The cache is $XDG_CACHE_HOME/mvmc, or ~/.cache/mvmc. The file name
+    carries the sha256 of the source and the flags, so a changed source gets
+    a new build. A build is written under a temporary name and moved into
+    place, so concurrent builds never expose a partial file. Returns None
+    when there is no compiler or the build fails.
+    """
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    if compiler is None:
+        return None
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    directory = Path(root) / "mvmc"
+    try:
+        source = SOURCE.read_bytes()
+        digest = hashlib.sha256(source + "\0".join(CFLAGS).encode()).hexdigest()
+        library = directory / f"move_pass-{digest}.so"
+        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
+        info = directory.stat()
+        if info.st_uid != os.getuid() or info.st_mode & 0o022:
+            return None  # others could plant a library here
+        if library.is_file():
+            return library
+        fd, tmp = tempfile.mkstemp(prefix=library.name, suffix=".tmp", dir=directory)
+        os.close(fd)
+        try:
+            subprocess.run(
+                [compiler, *CFLAGS, "-x", "c", "-", "-o", tmp],
+                input=source, capture_output=True, check=True, timeout=120,
+            )
+            os.replace(tmp, library)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return library
+
+
+def _load_c_kernel():
+    """A wrapper around the compiled kernel, or None when it is unavailable."""
+    library = _build_library()
+    if library is None:
+        return None
+    try:
+        kernel = ctypes.CDLL(str(library)).move_pass
+    except (OSError, AttributeError):
+        return None
+    i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+    kernel.restype = i64
+    kernel.argtypes = [
+        i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, f64,
+        ctypes.POINTER(f64), ctypes.POINTER(i64),
+    ]
+
+    def c_move_pass(
+        indptr,
+        indices,
+        data,
+        deg,
+        alpha,
+        comm,
+        comm_tot,
+        comm_size,
+        empty_stack,
+        n_empty,
+        order,
+        eps,
+    ):
+        """`_move_pass` run by the compiled kernel; same arguments and result.
+
+        Shapes and dtypes are checked before any pointer is passed. Read-only
+        inputs are converted when needed; the arrays updated in place must
+        already be C-contiguous with the exact dtype, because an update to a
+        converted copy would be lost. ctypes releases the GIL for the call.
+        """
+        n = len(comm)
+        nviews = len(alpha)
+        nnz = len(indices)
+        args = [
+            _input(indptr, np.int64, (n + 1,), "indptr"),
+            _input(indices, np.int64, (nnz,), "indices"),
+            _input(data, np.float64, (nnz,), "data"),
+            _input(deg, np.float64, (n, nviews), "deg"),
+            _input(alpha, np.float64, (nviews,), "alpha"),
+            _in_place(comm, np.int64, (n,), "comm"),
+            _in_place(comm_tot, np.float64, (n, nviews), "comm_tot"),
+            _in_place(comm_size, np.int64, (n,), "comm_size"),
+            _in_place(empty_stack, np.int64, (n,), "empty_stack"),
+        ]
+        if not 0 <= n_empty <= n:
+            raise ValueError(f"n_empty={n_empty} is outside [0, {n}]")
+        order = _input(order, np.int64, (n,), "order")
+        gain, moves = f64(), i64()
+        status = kernel(
+            n, nviews, nnz, *(a.ctypes.data for a in args), n_empty,
+            order.ctypes.data, eps, ctypes.byref(gain), ctypes.byref(moves),
+        )
+        if status == _NO_MEMORY:
+            raise MemoryError("move_pass: no memory for scratch buffers")
+        if status == _BAD_INDEX:
+            raise ValueError("move_pass: an index in the inputs is out of range")
+        return gain.value, moves.value, status
+
+    return c_move_pass
+
+
+def _input(a, dtype, shape, name):
+    """`a` as a C-contiguous `dtype` array of `shape`, converted if needed."""
+    a = np.ascontiguousarray(np.asarray(a).astype(dtype, casting="safe", copy=False))
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
+
+
+def _in_place(a, dtype, shape, name):
+    """`a` itself, once it is a writable C-contiguous `dtype` array of `shape`."""
+    if not (
+        isinstance(a, np.ndarray)
+        and a.dtype == dtype
+        and a.flags.c_contiguous
+        and a.flags.writeable
+    ):
+        raise ValueError(f"{name} must be a writable C-contiguous {np.dtype(dtype)} array")
+    if a.shape != shape:
+        raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
+    return a
+
+
+move_pass = _move_pass
+BACKEND = "python"
+if os.environ.get("MVMC_KERNEL") != "python":
+    _compiled = _load_c_kernel()
+    if _compiled is not None:
+        move_pass, BACKEND = _compiled, "c"

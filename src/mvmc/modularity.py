@@ -98,12 +98,13 @@ def _sweep_to_fixpoint(adj, deg, alpha, comm, rng, gain_epsilon):
     unused = np.flatnonzero(comm_size == 0)
     n_empty = len(unused)
     empty_stack[:n_empty] = unused
+    indptr = adj.indptr.astype(np.int64)
     indices = adj.indices.astype(np.int64)
     moved_any = False
     while True:
         order = rng.permutation(size).astype(np.int64)
         gain, n_moves, n_empty = move_pass(
-            adj.indptr,
+            indptr,
             indices,
             adj.data,
             deg,
@@ -145,10 +146,18 @@ def maximize(
         raise GraphUsageError("restarts must be positive")
     n = _check_views(graphs)
     w, gamma = _as_params(graphs, weights, resolutions)
+    # the combined graph and its null-model terms are the same for every restart
+    m2 = np.array([2.0 * g.total_edge_weight() for g in graphs])
+    edge_coeff = np.where(m2 > 0.0, w / np.where(m2 > 0.0, m2, 1.0), 0.0)
+    alpha = np.where(m2 > 0.0, w * gamma / np.where(m2 > 0.0, m2 * m2, 1.0), 0.0)
+    adj0 = _combined_csr([g.adjacency() for g in graphs], edge_coeff, n)
+    deg0 = np.zeros((n, len(graphs)), dtype=np.float64)
+    for v, g in enumerate(graphs):
+        deg0[:, v] = g.degrees()
     best = None
     best_q = -np.inf
     for r in range(restarts):
-        labels = _maximize_once(graphs, w, gamma, [seed, r], gain_epsilon)
+        labels = _maximize_once(adj0, deg0, alpha, [seed, r], gain_epsilon)
         q = rb_modularity(graphs, Clustering(labels), w, gamma)
         if q > best_q + gain_epsilon:
             best, best_q = labels, q
@@ -156,20 +165,10 @@ def maximize(
     return Clustering(best, meta=meta)
 
 
-def _maximize_once(graphs, w, gamma, seed, gain_epsilon):
-    n = graphs[0].n
-    nviews = len(graphs)
+def _maximize_once(adj0, deg0, alpha, seed, gain_epsilon):
+    n = adj0.shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64)
-
-    m2 = np.array([2.0 * g.total_edge_weight() for g in graphs])
-    edge_coeff = np.where(m2 > 0.0, w / np.where(m2 > 0.0, m2, 1.0), 0.0)
-    alpha = np.where(m2 > 0.0, w * gamma / np.where(m2 > 0.0, m2 * m2, 1.0), 0.0)
-
-    adj0 = _combined_csr([g.adjacency() for g in graphs], edge_coeff, n)
-    deg0 = np.zeros((n, nviews), dtype=np.float64)
-    for v, g in enumerate(graphs):
-        deg0[:, v] = g.degrees()
 
     rng = np.random.default_rng(seed)
     assignment = np.arange(n, dtype=np.int64)  # original node -> community

@@ -61,7 +61,7 @@ def report(capsys, name, ok, detail=""):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # trigger numba compilation outside the timed sections
+    # keep first-call set-up (lazy imports and the like) out of the timed sections
     g = ViewGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     maximize([g], seed=0)
 
