@@ -5,10 +5,10 @@ Exit codes: 0 ok, 2 input error, 3 output error.
 """
 from __future__ import annotations
 
+import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -37,15 +37,21 @@ from .views import ViewMatrix, knn_graph, tfidf
 EXIT_INPUT = 2
 EXIT_OUTPUT = 3
 
-DEFAULT_JOBS = int(os.environ.get("MVMC_JOBS", "1"))
-
 
 @contextmanager
 def atomic_write(path: Path):
-    """Write to a temp file and rename, so partial outputs never land."""
-    tmp = path.with_name(path.name + ".tmp")
-    yield tmp
-    os.replace(tmp, path)
+    """Write to a temp file and rename, so partial outputs never land.
+
+    The temp name carries the process id, and the temp file is removed when
+    the block or the rename raises.
+    """
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fail(code: int, message: str):
@@ -102,13 +108,6 @@ def _cluster_views(views, idf, k, cfg):
         graphs.append(knn_graph(weighted, k))
     clustering, trace = run_mvmc(graphs, cfg)
     return clustering, trace
-
-
-def _labels_to_clusters(lc: LabeledClustering) -> dict:
-    clusters: dict = {}
-    for obj in sorted(lc.assignments):
-        clusters.setdefault(lc.assignments[obj], []).append(obj)
-    return clusters
 
 
 @click.group()
@@ -394,20 +393,94 @@ def report(artifact_dir):
                 click.echo("  " + line.rstrip("\n").replace("\t", "  "))
 
 
-CONFIG_DEFAULTS = {
-    "seed": 0,
-    "idf": "ratio",
-    "url_mode": "exact",
-    "knn_k": None,
-    "max_iter": 20,
-    "resolution_tol": 0.3,
-    "weight_tol": 0.1,
-    "min_cluster_size": 5,
-    "meta_k": 5,
-    "top_user_fraction": 1 / 3,
-    "top_tokens": 20,
-    "jobs": DEFAULT_JOBS,
+def _real(value) -> float:
+    """A config number as float, NaN if it is none.
+
+    Takes ints, floats and any string float() reads, such as the exponent
+    forms YAML leaves as strings (1e-3) or a quoted "3"; never a bool.
+    """
+    if isinstance(value, bool):
+        return math.nan
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
+def _integer(low: int):
+    def parse(value) -> int:
+        number = _real(value)
+        if not (math.isfinite(number) and number.is_integer() and number >= low):
+            raise ValueError(f"expected an integer >= {low}")
+        return value if isinstance(value, int) else int(number)
+
+    return parse
+
+
+def _number(high: float = math.inf):
+    def parse(value) -> float:
+        number = _real(value)
+        if not (0 < number <= high and math.isfinite(number)):
+            bound = f"<= {high}" if high < math.inf else "finite"
+            raise ValueError(f"expected a number > 0 and {bound}")
+        return number
+
+    return parse
+
+
+def _choice(*options: str):
+    def parse(value) -> str:
+        if value not in options:
+            raise ValueError(f"expected one of {', '.join(options)}")
+        return value
+
+    return parse
+
+
+def _path(value) -> str:
+    if not isinstance(value, str):
+        raise ValueError("expected a path")
+    return value
+
+
+# key -> (default, parser); a parser returns the value or raises ValueError.
+CONFIG_KEYS = {
+    "input": (None, _path),
+    "output_dir": (None, _path),
+    "seed": (0, _integer(0)),
+    "idf": ("ratio", _choice("ratio", "log")),
+    "url_mode": ("exact", _choice("exact", "domain")),
+    "knn_k": (None, lambda v: v if v is None else _integer(1)(v)),
+    "max_iter": (20, _integer(1)),
+    "resolution_tol": (0.3, _number()),
+    "weight_tol": (0.1, _number()),
+    "min_cluster_size": (5, _integer(1)),
+    "meta_k": (5, _integer(1)),
+    "top_user_fraction": (1 / 3, _number(1.0)),
+    "top_tokens": (20, _integer(0)),
 }
+
+
+def _pipeline_params(cfg: dict) -> dict:
+    """Defaults filled in and every value checked; exits 2 on a bad config."""
+    unknown = sorted(set(cfg) - set(CONFIG_KEYS), key=str)
+    if unknown:
+        _fail(
+            EXIT_INPUT,
+            f"unknown config keys: {', '.join(map(str, unknown))}"
+            f" (known keys: {', '.join(CONFIG_KEYS)})",
+        )
+    missing = [k for k in ("input", "output_dir") if k not in cfg]
+    if missing:
+        _fail(EXIT_INPUT, f"config missing keys: {', '.join(missing)}")
+    params = {}
+    for key, (default, parse) in CONFIG_KEYS.items():
+        value = cfg.get(key, default)
+        try:
+            params[key] = parse(value)
+        except ValueError as exc:
+            _fail(EXIT_INPUT, f"config key {key}: {exc}, got {value!r}")
+    return params
 
 
 @main.command()
@@ -421,14 +494,12 @@ def pipeline(config_path, overrides):
         _fail(EXIT_INPUT, f"config not found: {cfg_path}")
     with open(cfg_path) as fh:
         cfg = yaml.safe_load(fh) or {}
+    if not isinstance(cfg, dict):
+        _fail(EXIT_INPUT, f"config must be a mapping of keys to values: {cfg_path}")
     for item in overrides:
         key, _, value = item.partition("=")
         cfg[key] = yaml.safe_load(value)
-    missing = [k for k in ("input", "output_dir") if k not in cfg]
-    if missing:
-        _fail(EXIT_INPUT, f"config missing keys: {', '.join(missing)}")
-    params = {**CONFIG_DEFAULTS, **cfg}
-    run_pipeline(params)
+    run_pipeline(_pipeline_params(cfg))
 
 
 def run_pipeline(params: dict):
@@ -440,10 +511,10 @@ def run_pipeline(params: dict):
         _fail(EXIT_OUTPUT, str(exc))
 
     mvmc_cfg = MvmcConfig(
-        max_iter=int(params["max_iter"]),
-        resolution_tol=float(params["resolution_tol"]),
-        weight_tol=float(params["weight_tol"]),
-        seed=int(params["seed"]),
+        max_iter=params["max_iter"],
+        resolution_tol=params["resolution_tol"],
+        weight_tol=params["weight_tol"],
+        seed=params["seed"],
     )
     days = group_by_day(posts)
     if not days:
@@ -457,13 +528,8 @@ def run_pipeline(params: dict):
         )
         return day, dv, clustering, trace
 
-    jobs = max(int(params["jobs"]), 1)
     try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(run_day, days.items()))
-        else:
-            results = [run_day(item) for item in days.items()]
+        results = [run_day(item) for item in days.items()]
     except GraphUsageError as exc:
         _fail(EXIT_INPUT, str(exc))
 
@@ -501,12 +567,12 @@ def run_pipeline(params: dict):
         return
 
     filtered = [
-        filter_small_clusters(lc, int(params["min_cluster_size"])) for lc in dailies
+        filter_small_clusters(lc, params["min_cluster_size"]) for lc in dailies
     ]
     leveled = cross_level(filtered)
     matrix = pairwise_ari_matrix(leveled)
     tags = [c.tag for c in leveled]
-    meta_k = min(int(params["meta_k"]), len(leveled))
+    meta_k = min(params["meta_k"], len(leveled))
     meta = agglomerative_meta_cluster(matrix, meta_k)
     try:
         with atomic_write(out / "ari_matrix.tsv") as tmp:
@@ -539,7 +605,7 @@ def run_pipeline(params: dict):
                         fh.write(f"{label}\t{day_tags}\t-\t-\t-\t-\n")
                         continue
                     members = [leveled[i] for i in idxs]
-                    consensus = ensemble_cluster(members, seed=int(params["seed"]))
+                    consensus = ensemble_cluster(members, seed=params["seed"])
                     with atomic_write(out / "consensus" / f"period_{label}.tsv") as t2:
                         consensus.write_tsv(t2)
                     sizes = np.array(
@@ -558,8 +624,8 @@ def run_pipeline(params: dict):
                         period_posts,
                         consensus,
                         out / "reports",
-                        float(params["top_user_fraction"]),
-                        int(params["top_tokens"]),
+                        params["top_user_fraction"],
+                        params["top_tokens"],
                         prefix=f"period_{label}_",
                     )
     except OSError as exc:

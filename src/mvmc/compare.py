@@ -1,10 +1,8 @@
 """Comparing clusterings across days: ARI, cross-leveling, meta-clustering."""
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 
@@ -26,11 +24,6 @@ class LabeledClustering:
     def objects(self) -> frozenset:
         return frozenset(self.assignments)
 
-    def relabeled(self, mapping: dict) -> "LabeledClustering":
-        return LabeledClustering(
-            {o: mapping[l] for o, l in self.assignments.items()}, self.tag
-        )
-
     def write_tsv(self, path) -> None:
         with open(path, "w") as fh:
             for obj in sorted(self.assignments):
@@ -49,8 +42,50 @@ class LabeledClustering:
         return LabeledClustering(assignments, tag)
 
 
-def _pair_sum(counts) -> int:
-    return sum(comb(c, 2) for c in counts)
+def _pair_sum(counts: np.ndarray) -> int:
+    """Exact sum of C(c, 2) over integer counts."""
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _encode(clusterings: list[LabeledClustering]) -> list[tuple[np.ndarray, int, int]]:
+    """(label codes, label count, pair sum) per clustering, one object order.
+
+    Codes follow the iteration order of the first clustering's objects, and
+    labels are told apart as dict keys are, so ARI sees the same partitions.
+    """
+    if not clusterings:
+        return []
+    order = list(clusterings[0].assignments)
+    keys = clusterings[0].assignments.keys()
+    encoded = []
+    for c in clusterings:
+        if c.assignments.keys() != keys:
+            raise GraphUsageError("clusterings must cover identical object sets")
+        index: dict = {}
+        codes = np.fromiter(
+            (index.setdefault(c.assignments[o], len(index)) for o in order),
+            dtype=np.int64,
+            count=len(order),
+        )
+        encoded.append((codes, len(index), _pair_sum(np.bincount(codes))))
+    return encoded
+
+
+def _ari(a: tuple[np.ndarray, int, int], b: tuple[np.ndarray, int, int]) -> float:
+    """Hubert-Arabie ARI of two encodings from one `_encode` call."""
+    codes_a, k_a, sum_a = a
+    codes_b, k_b, sum_b = b
+    n = len(codes_a)
+    # only occupied cells are counted, never a k_a x k_b table
+    sum_cells = _pair_sum(np.unique(codes_a * k_b + codes_b, return_counts=True)[1])
+    total = n * (n - 1) // 2
+    if total == 0:
+        return 1.0
+    expected = Fraction(sum_a * sum_b, total)
+    max_index = Fraction(sum_a + sum_b, 2)
+    if max_index == expected:
+        return 1.0
+    return float(Fraction(sum_cells) - expected) / float(max_index - expected)
 
 
 def adjusted_rand_index(a: LabeledClustering, b: LabeledClustering) -> float:
@@ -60,23 +95,7 @@ def adjusted_rand_index(a: LabeledClustering, b: LabeledClustering) -> float:
     Degenerate pairs where the correction denominator vanishes (e.g. both
     partitions trivial) return 1.
     """
-    if a.objects != b.objects:
-        raise GraphUsageError("clusterings must cover identical object sets")
-    n = len(a.assignments)
-    contingency = Counter(
-        (a.assignments[o], b.assignments[o]) for o in a.assignments
-    )
-    sum_cells = _pair_sum(contingency.values())
-    sum_a = _pair_sum(Counter(a.assignments.values()).values())
-    sum_b = _pair_sum(Counter(b.assignments.values()).values())
-    total = comb(n, 2)
-    if total == 0:
-        return 1.0
-    expected = Fraction(sum_a * sum_b, total)
-    max_index = Fraction(sum_a + sum_b, 2)
-    if max_index == expected:
-        return 1.0
-    return float(Fraction(sum_cells) - expected) / float(max_index - expected)
+    return _ari(*_encode([a, b]))
 
 
 def cross_level(clusterings: list[LabeledClustering]) -> list[LabeledClustering]:
@@ -97,13 +116,12 @@ def cross_level(clusterings: list[LabeledClustering]) -> list[LabeledClustering]
 
 def pairwise_ari_matrix(clusterings: list[LabeledClustering]) -> np.ndarray:
     """Symmetric ARI matrix with unit diagonal; inputs must be cross-leveled."""
-    k = len(clusterings)
+    encoded = _encode(clusterings)
+    k = len(encoded)
     matrix = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
-            matrix[i, j] = matrix[j, i] = adjusted_rand_index(
-                clusterings[i], clusterings[j]
-            )
+            matrix[i, j] = matrix[j, i] = _ari(encoded[i], encoded[j])
     return matrix
 
 

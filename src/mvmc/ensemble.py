@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 
-from .compare import DUMMY_LABEL, LabeledClustering, adjusted_rand_index
+from .compare import DUMMY_LABEL, LabeledClustering, pairwise_ari_matrix
 from .graph import GraphUsageError, ViewGraph, densify_labels
 from .modularity import maximize
 
@@ -76,9 +76,5 @@ def average_internal_ari(clusterings: list[LabeledClustering]) -> float:
     k = len(clusterings)
     if k < 2:
         raise GraphUsageError("need at least two clusterings")
-    vals = [
-        adjusted_rand_index(clusterings[i], clusterings[j])
-        for i in range(k)
-        for j in range(i + 1, k)
-    ]
-    return float(np.mean(vals))
+    matrix = pairwise_ari_matrix(clusterings)
+    return float(np.mean(matrix[np.triu_indices(k, 1)]))

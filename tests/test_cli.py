@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from mvmc.cli import main
+from mvmc.cli import atomic_write, main
 
 
 @pytest.fixture
@@ -161,8 +161,12 @@ def test_pipeline_set_override(tmp_path, runner, corpus):
     cfg = tmp_path / "cfg.yaml"
     out = tmp_path / "run"
     cfg.write_text(f"input: {corpus}\noutput_dir: {out}\n")
+    # 1e-1 reaches the config as a string (YAML wants a dot) and still
+    # parses; an integer key takes an integral float or a quoted integer
     result = runner.invoke(
-        main, ["pipeline", str(cfg), "--set", "meta_k=1", "--set", "seed=3"]
+        main,
+        ["pipeline", str(cfg), "--set", "meta_k=1.0", "--set", 'seed="3"',
+         "--set", "weight_tol=1e-1"],
     )
     assert result.exit_code == 0, result.output
     meta = (out / "meta_clusters.tsv").read_text().strip().split("\n")
@@ -174,6 +178,47 @@ def test_pipeline_missing_config_keys(tmp_path, runner):
     cfg.write_text("seed: 1\n")
     result = runner.invoke(main, ["pipeline", str(cfg)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("seed=abc", "config key seed: expected an integer >= 0, got 'abc'"),
+        ("seed=3.5", "config key seed: expected an integer >= 0, got 3.5"),
+        ("seed=true", "config key seed: expected an integer >= 0, got True"),
+        ("resolution_tol=.inf", "config key resolution_tol"),
+        ("idf=tf", "config key idf: expected one of ratio, log"),
+        ("knn-k=3", "unknown config keys: knn-k (known keys: input, output_dir, seed,"),
+        ("jobs=2", "unknown config keys: jobs"),
+    ],
+)
+def test_pipeline_bad_config_value_exits_2(tmp_path, runner, corpus, override, message):
+    cfg = tmp_path / "cfg.yaml"
+    out = tmp_path / "run"
+    cfg.write_text(f"input: {corpus}\noutput_dir: {out}\n")
+    result = runner.invoke(main, ["pipeline", str(cfg), "--set", override])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith("error: ")
+    assert message in result.output
+    assert not out.exists()
+
+
+def test_atomic_write_leaves_no_stray_file(tmp_path):
+    target = tmp_path / "out.tsv"
+    with pytest.raises(RuntimeError):
+        with atomic_write(target) as tmp:
+            tmp.write_text("partial")
+            raise RuntimeError("write failed")
+    assert list(tmp_path.iterdir()) == []
+    # the rename itself fails: the target is a non-empty directory
+    busy = tmp_path / "busy"
+    busy.mkdir()
+    (busy / "keep").write_text("")
+    with pytest.raises(OSError):
+        with atomic_write(busy) as tmp:
+            tmp.write_text("done")
+    assert [p.name for p in tmp_path.iterdir()] == ["busy"]
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 def test_pipeline_rerun_byte_identical(tmp_path, runner, corpus):

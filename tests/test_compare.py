@@ -49,6 +49,8 @@ def test_ari_object_mismatch_rejected():
     b = lc("b", {0: 0, 2: 0})
     with pytest.raises(GraphUsageError):
         adjusted_rand_index(a, b)
+    with pytest.raises(GraphUsageError):
+        pairwise_ari_matrix([a, lc("c", {1: 1, 0: 0}), b])
 
 
 def test_ari_matches_bruteforce_oracle():
@@ -62,6 +64,33 @@ def test_ari_matches_bruteforce_oracle():
         got = adjusted_rand_index(a, b)
         assert got == pytest.approx(brute_ari(la, lb), abs=1e-12)
         assert got <= 1.0
+    # the matrix path on cross-leveled days: dummy labels, mixed int and str
+    # labels, one label, all singletons, and a day with many labels
+    for _ in range(6):
+        universe = [f"o{i}" for i in range(int(rng.integers(5, 80)))]
+        mixed = [0, 1, "0", "a"]
+        draws = [
+            lambda i: int(rng.integers(0, 6)),
+            lambda i: mixed[int(rng.integers(0, 4))],
+            lambda i: "one",
+            lambda i: i,
+            lambda i: int(rng.integers(0, 20)),
+        ]
+        days = [
+            lc(f"d{d}", {o: draw(i) for i, o in enumerate(universe) if rng.random() < 0.8})
+            for d, draw in enumerate(draws)
+        ]
+        leveled = cross_level(days)
+        mat = pairwise_ari_matrix(leveled)
+        assert np.array_equal(mat, mat.T)
+        assert np.array_equal(np.diag(mat), np.ones(len(days)))
+        labels = [[c.assignments[o] for o in universe] for c in leveled]
+        for i in range(len(days)):
+            for j in range(i + 1, len(days)):
+                assert mat[i, j] == adjusted_rand_index(leveled[i], leveled[j])
+                assert mat[i, j] == pytest.approx(
+                    brute_ari(labels[i], labels[j]), abs=1e-12
+                )
 
 
 def test_ari_symmetry():
@@ -104,6 +133,8 @@ def test_pairwise_matrix_properties():
     assert mat.shape == (4, 4)
     np.testing.assert_allclose(np.diag(mat), 1.0)
     np.testing.assert_allclose(mat, mat.T)
+    assert pairwise_ari_matrix([]).shape == (0, 0)
+    assert pairwise_ari_matrix(clusterings[:1]).tolist() == [[1.0]]
 
 
 def test_ari_matrix_tsv(tmp_path):

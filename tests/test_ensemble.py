@@ -99,3 +99,11 @@ def test_average_internal_ari():
     assert average_internal_ari([a, b]) == pytest.approx(1.0)
     expected = (1.0 + adjusted_rand_index(a, c) * 2) / 3
     assert average_internal_ari([a, b, c]) == pytest.approx(expected)
+    rng = np.random.default_rng(42)
+    days = [block_clustering(f"d{t}", 40, 10, 0.3, rng) for t in range(5)]
+    pairs = [
+        adjusted_rand_index(days[i], days[j])
+        for i in range(5)
+        for j in range(i + 1, 5)
+    ]
+    assert average_internal_ari(days) == float(np.mean(pairs))
