@@ -33,12 +33,17 @@ class LabeledClustering:
     def read_tsv(path, tag: str = "") -> "LabeledClustering":
         assignments = {}
         with open(path) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                obj, label = line.split("\t")
-                assignments[obj] = label
+                fields = line.split("\t")
+                if len(fields) != 2:
+                    raise GraphUsageError(
+                        f"{path}:{lineno}: expected object<TAB>label,"
+                        f" got {len(fields)} field(s)"
+                    )
+                assignments[fields[0]] = fields[1]
         return LabeledClustering(assignments, tag)
 
 
@@ -173,12 +178,15 @@ def average_linkage_merges(distance: np.ndarray) -> list[tuple[int, int, int, fl
     return merges
 
 
-def agglomerative_meta_cluster(matrix: np.ndarray, k: int) -> np.ndarray:
-    """Cut average-linkage clustering of distance 1 - ARI at exactly k groups."""
-    n = len(matrix)
+def cut(merges: list[tuple[int, int, int, float]], k: int) -> np.ndarray:
+    """Labels of the len(merges) + 1 items after the first n - k merges.
+
+    `merges` is an `average_linkage_merges` result; labels count up from 0 in
+    order of each group's first item.
+    """
+    n = len(merges) + 1
     if not 1 <= k <= n:
         raise GraphUsageError(f"k={k} out of range for {n} clusterings")
-    merges = average_linkage_merges(1.0 - matrix)
     parent = list(range(2 * n - 1))
 
     def find(x):
@@ -197,6 +205,13 @@ def agglomerative_meta_cluster(matrix: np.ndarray, k: int) -> np.ndarray:
             roots[root] = len(roots)
         labels[i] = roots[root]
     return labels
+
+
+def agglomerative_meta_cluster(matrix: np.ndarray, k: int) -> np.ndarray:
+    """Cut average-linkage clustering of distance 1 - ARI at exactly k groups."""
+    if not 1 <= k <= len(matrix):
+        raise GraphUsageError(f"k={k} out of range for {len(matrix)} clusterings")
+    return cut(average_linkage_merges(1.0 - matrix), k)
 
 
 def write_dendrogram(merges, path) -> None:

@@ -72,13 +72,6 @@ class ViewGraph:
         deg += np.bincount(self.edge_v, weights=self.edge_w, minlength=self.n)
         return deg
 
-    def degree(self, i: int) -> float:
-        if not 0 <= i < self.n:
-            raise GraphUsageError(f"node {i} out of range for n={self.n}")
-        return float(
-            self.edge_w[self.edge_u == i].sum() + self.edge_w[self.edge_v == i].sum()
-        )
-
     def total_edge_weight(self) -> float:
         """Sum of edge weights; each undirected edge counted once."""
         return float(self.edge_w.sum())

@@ -231,3 +231,155 @@ def test_pipeline_rerun_byte_identical(tmp_path, runner, corpus):
         assert result.exit_code == 0, result.output
         outs.append(tree_bytes(out))
     assert outs[0] == outs[1]
+
+
+def invoke_ok(runner, *args):
+    result = runner.invoke(main, [str(a) for a in args])
+    assert result.exit_code == 0, result.output
+    return result
+
+
+def test_single_stage_commands_reproduce_pipeline(tmp_path, runner, corpus):
+    cfg = tmp_path / "cfg.yaml"
+    run = tmp_path / "run"
+    cfg.write_text(f"input: {corpus}\noutput_dir: {run}\nmeta_k: 2\n")
+    invoke_ok(runner, "pipeline", cfg)
+
+    stage = tmp_path / "stage"
+    invoke_ok(runner, "ingest", corpus, stage / "views")
+    days = sorted(d.name for d in (stage / "views").iterdir())
+    (stage / "clusters").mkdir()
+    (stage / "traces").mkdir()
+    for day in days:
+        day_out = tmp_path / "day" / day
+        invoke_ok(runner, "cluster", stage / "views" / day, day_out)
+        (day_out / "labels.tsv").rename(stage / "clusters" / f"{day}.tsv")
+        (day_out / "trace.tsv").rename(stage / "traces" / f"{day}.tsv")
+    invoke_ok(runner, "compare", stage / "clusters", stage, "--meta-k", "2")
+
+    meta = (stage / "meta_clusters.tsv").read_text().splitlines()
+    period_0 = [line.split("\t")[0] for line in meta if line.endswith("\t0")]
+    assert len(period_0) == 2
+    members = tmp_path / "period_0"
+    members.mkdir()
+    for day in period_0:
+        (members / f"{day}.tsv").write_bytes((stage / "clusters" / f"{day}.tsv").read_bytes())
+    consensus = stage / "consensus" / "period_0.tsv"
+    invoke_ok(runner, "ensemble", members, consensus)
+
+    posts = tmp_path / "period_0.jsonl"
+    posts.write_text("".join(
+        line for line in corpus.read_text().splitlines(keepends=True)
+        if json.loads(line)["timestamp"][:10] in period_0
+    ))
+    reports = tmp_path / "reports"
+    invoke_ok(runner, "analyze", posts, consensus, reports)
+    (stage / "reports").mkdir()
+    for path in reports.iterdir():
+        path.rename(stage / "reports" / f"period_0_{path.name}")
+
+    pipeline = tree_bytes(run)
+    del pipeline["daily_summary.tsv"], pipeline["period_summary.tsv"]
+    assert tree_bytes(stage) == pipeline
+
+
+def quiet_posts(day: str, hashtags: list, count: int) -> str:
+    return "".join(
+        json.dumps({
+            "post_id": f"quiet-{day}-{i}",
+            "timestamp": f"{day}T12:00:00+00:00",
+            "user_id": f"quiet_user{i}",
+            "text": "nothing much",
+            "hashtags": hashtags,
+            "urls": [],
+        }) + "\n"
+        for i in range(count)
+    )
+
+
+def run_pipeline_on(tmp_path, runner, name, posts_text):
+    posts = tmp_path / f"{name}.jsonl"
+    posts.write_text(posts_text)
+    cfg = tmp_path / f"{name}.yaml"
+    out = tmp_path / name
+    cfg.write_text(f"input: {posts}\noutput_dir: {out}\nmeta_k: 2\n")
+    return runner.invoke(main, ["pipeline", str(cfg)]), out
+
+
+def test_pipeline_skips_quiet_days(tmp_path, runner, corpus):
+    # 2020-03-04: its one hashtag is in 2 posts; 2020-03-05: one hashtag left
+    quiet = quiet_posts("2020-03-04", ["#rare"], 2) + quiet_posts(
+        "2020-03-05", ["#lone"], 3
+    ) + quiet_posts("2020-03-05", ["#rare"], 2)
+    plain, plain_out = run_pipeline_on(tmp_path, runner, "plain", corpus.read_text())
+    mixed, mixed_out = run_pipeline_on(tmp_path, runner, "mixed", corpus.read_text() + quiet)
+    assert plain.exit_code == 0, plain.output
+    assert mixed.exit_code == 0, mixed.output
+    assert "warning: 2020-03-04 skipped: 0 hashtag(s) in 3 or more posts, need 2" in mixed.stderr
+    assert "warning: 2020-03-05 skipped: 1 hashtag(s) in 3 or more posts, need 2" in mixed.stderr
+    # no views, clusters, trace or summary row for a skipped day
+    assert tree_bytes(mixed_out) == tree_bytes(plain_out)
+
+
+def test_pipeline_quiet_days_leave_one_or_no_day(tmp_path, runner, corpus):
+    first_day = "".join(
+        line for line in corpus.read_text().splitlines(keepends=True)
+        if '"2020-03-01' in line
+    )
+    quiet = quiet_posts("2020-03-04", ["#rare"], 2)
+    result, out = run_pipeline_on(tmp_path, runner, "one", first_day + quiet)
+    assert result.exit_code == 0, result.output
+    assert "single day: skipping temporal comparison" in result.output
+    assert sorted(p.name for p in (out / "clusters").iterdir()) == ["2020-03-01.tsv"]
+    result, out = run_pipeline_on(tmp_path, runner, "none", quiet)
+    assert result.exit_code == 2, result.output
+    assert "error: no day has 2 hashtags in 3 or more posts" in result.output
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("cluster", "--max-iter", "0"),
+        ("cluster", "--seed", "-1"),
+        ("cluster", "--resolution-tol", "-1"),
+        ("analyze", "--fraction", "2"),
+        ("analyze", "--top-tokens", "-1"),
+        ("compare", "--min-cluster-size", "0"),
+        ("synth", "--seed", "-1"),
+    ],
+)
+def test_bad_option_value_exits_2(tmp_path, runner, corpus, command, option, value):
+    views = tmp_path / "views"
+    invoke_ok(runner, "ingest", corpus, views)
+    clusters = tmp_path / "clusters"
+    clusters.mkdir()
+    for day in ("2020-03-01", "2020-03-02"):
+        (clusters / f"{day}.tsv").write_text("#a\t0\n#b\t0\n")
+    out = tmp_path / "out"
+    positional = {
+        "cluster": [views / "2020-03-01", out],
+        "analyze": [corpus, clusters / "2020-03-01.tsv", out],
+        "compare": [clusters, out],
+        "synth": [out],
+    }[command]
+    result = runner.invoke(main, [command, option, value, *map(str, positional)])
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{option}'" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+def test_malformed_clustering_tsv_exits_2(tmp_path, runner, corpus):
+    clusters = tmp_path / "clusters"
+    clusters.mkdir()
+    (clusters / "2020-03-01.tsv").write_text("#a\t0\n#b\t0\n")
+    (clusters / "2020-03-02.tsv").write_text("#a\t0\n#b 0\n")
+    bad = clusters / "2020-03-02.tsv"
+    for args in (
+        ["compare", clusters, tmp_path / "cmp", "--meta-k", "1"],
+        ["ensemble", clusters, tmp_path / "consensus.tsv"],
+        ["analyze", corpus, bad, tmp_path / "reports"],
+    ):
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {bad}:2: expected object<TAB>label")

@@ -13,6 +13,7 @@ from mvmc import (
     write_ari_matrix,
 )
 
+from mvmc.compare import cut
 from oracles import brute_ari
 
 
@@ -222,3 +223,27 @@ def test_labeled_clustering_tsv_roundtrip(tmp_path):
     back = LabeledClustering.read_tsv(path, tag="day1")
     assert back.assignments == {"apple": "0", "pear": "1", "plum": "0"}
     assert adjusted_rand_index(back, lc("x", back.assignments)) == 1.0
+
+
+def test_cut_of_one_merge_list_gives_every_k():
+    rng = np.random.default_rng(3)
+    sim = rng.uniform(-0.2, 1.0, (6, 6))
+    sim = (sim + sim.T) / 2
+    np.fill_diagonal(sim, 1.0)
+    merges = average_linkage_merges(1.0 - sim)
+    for k in range(1, 7):
+        labels = cut(merges, k)
+        assert labels.tolist() == agglomerative_meta_cluster(sim, k).tolist()
+        assert len(set(labels.tolist())) == k
+    with pytest.raises(GraphUsageError):
+        cut(merges, 7)
+
+
+def test_read_tsv_rejects_malformed_line(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_text("apple\t0\n\npear 1\n")
+    with pytest.raises(GraphUsageError, match=r"c\.tsv:3: expected object<TAB>label"):
+        LabeledClustering.read_tsv(path)
+    path.write_text("apple\t0\textra\n")
+    with pytest.raises(GraphUsageError, match=r"c\.tsv:1: .* got 3 field"):
+        LabeledClustering.read_tsv(path)

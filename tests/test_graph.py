@@ -8,25 +8,17 @@ TRIANGLE = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
 
 def test_degree_triangle():
     g = ViewGraph.from_edges(3, TRIANGLE)
-    assert g.degree(0) == g.degree(1) == g.degree(2) == 2.0
+    assert g.degrees().tolist() == [2.0, 2.0, 2.0]
 
 
 def test_degree_isolate():
     g = ViewGraph.from_edges(4, TRIANGLE)
-    assert g.degree(3) == 0.0
+    assert g.degrees()[3] == 0.0
 
 
 def test_degree_weighted_path():
     g = ViewGraph.from_edges(3, [(0, 1, 0.5), (1, 2, 1.5)])
-    assert g.degree(1) == 2.0
-
-
-def test_degree_out_of_range():
-    g = ViewGraph.from_edges(3, TRIANGLE)
-    with pytest.raises(GraphUsageError):
-        g.degree(3)
-    with pytest.raises(GraphUsageError):
-        g.degree(-1)
+    assert g.degrees()[1] == 2.0
 
 
 def test_total_edge_weight():

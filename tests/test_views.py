@@ -77,7 +77,7 @@ def test_knn_one_directional_edge_halved():
 
 def test_knn_zero_rows_become_isolates():
     g = knn_graph(vm([[1, 0], [1, 0], [0, 0]]), k=1)
-    assert g.degree(2) == 0.0
+    assert g.degrees()[2] == 0.0
 
 
 def test_knn_k_validation():
