@@ -2,12 +2,15 @@
 
 Usage: python3 benchmarks/bench_kernels.py [--n 2000] [--views 2] [--repeat 5]
 
-Times a raw single sweep over a planted-partition graph with each kernel, and
-a full maximize() call under each backend, and checks that both land on
-identical partitions. `mvmc._kernels.BACKEND` names the kernel that loaded
+Times a raw single sweep over a planted-partition graph with each kernel, the
+level aggregations of one maximize() call with `aggregate` and with the scipy
+reference `_aggregate` on the same level inputs, and a full maximize() call
+under each backend, and checks that both give identical sweeps, aggregated
+graphs and partitions. `mvmc._kernels.BACKEND` names the kernel that loaded
 ("c", or "python" when the C build is unavailable or MVMC_KERNEL=python). The
-maximize() calls run in fresh interpreters, one per backend, chosen with
-MVMC_KERNEL, so no module global is swapped.
+timed maximize() calls run in fresh interpreters, one per backend, chosen with
+MVMC_KERNEL, so no backend is swapped in; the level inputs are recorded by a
+pass-through wrapper around `modularity.aggregate` during one maximize() call.
 """
 import argparse
 import json
@@ -15,11 +18,12 @@ import os
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import numpy as np
 
-from mvmc import rb_modularity
-from mvmc._kernels import BACKEND, _move_pass, move_pass
+from mvmc import modularity, rb_modularity
+from mvmc._kernels import BACKEND, _aggregate, _move_pass, aggregate, move_pass
 from mvmc.modularity import maximize
 from mvmc.synth import planted_partition_views
 
@@ -65,6 +69,37 @@ def run_sweep(kernel, adj, deg, alpha, order):
         1e-9,
     )
     return time.perf_counter() - t0, gain, moves, comm
+
+
+def level_inputs(graphs):
+    """The arguments of every `aggregate` call one maximize() call makes."""
+    calls = []
+
+    def record(*level):
+        calls.append([a.copy() for a in level])
+        return aggregate(*level)
+
+    with mock.patch.object(modularity, "aggregate", record):
+        maximize(graphs, seed=0)
+    return calls
+
+
+def time_aggregation(kernel, calls, repeat):
+    """Best per-level time over `repeat` passes, and the last pass's results."""
+    best = np.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        results = [kernel(*level) for level in calls]
+        best = min(best, (time.perf_counter() - t0) / len(calls))
+    return best, results
+
+
+def same_aggregation(a, b):
+    """Equal community counts, and byte-identical label, CSR and degree arrays."""
+    return a[1] == b[1] and all(
+        x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in zip(a[:1] + a[2:], b[:1] + b[2:])
+    )
 
 
 def maximize_here(args):
@@ -117,6 +152,13 @@ def main():
             f"  (gain={gain:.6f}, moves={moves})"
         )
 
+    calls = level_inputs(graphs)
+    aggregated = {}
+    for label, kernel in ((BACKEND, aggregate), ("scipy", _aggregate)):
+        per_level, aggregated[label] = time_aggregation(kernel, calls, args.repeat)
+        print(f"aggregation  [{label:6}] {per_level * 1e6:8.1f} us per level"
+              f"  ({len(calls)} calls in one maximize)")
+
     results = {}
     for label, kernel_env in ((BACKEND, {}), ("python", {"MVMC_KERNEL": "python"})):
         res = maximize_with(kernel_env, args)
@@ -128,7 +170,9 @@ def main():
 
     same_sweep = np.array_equal(sweeps[BACKEND], sweeps["python"])
     same = results[BACKEND] == results["python"]
+    same_levels = all(map(same_aggregation, aggregated[BACKEND], aggregated["scipy"]))
     print(f"paths agree on the single-sweep partition: {same_sweep}")
+    print(f"paths agree on every aggregated level: {same_levels}")
     print(f"paths agree on the final partition: {same}")
 
 

@@ -1,13 +1,18 @@
-"""The move-pass kernel of the modularity maximizer.
+"""The two kernels of the modularity maximizer: the sweep and the aggregation.
 
-`_move_pass` is the reference implementation, in plain Python. `_move_pass.c`
-is a line-for-line C port of it with the same floating-point operations in the
-same order, so both give identical partitions. At import the C source is built
-with the local C compiler into a per-user cache and loaded through ctypes;
-`move_pass` is then a checked wrapper around it. Without a compiler, when the
-build or load fails, or with MVMC_KERNEL=python, `move_pass` is `_move_pass`.
-`BACKEND` names the implementation that `move_pass` runs: "c" or "python".
-benchmarks/bench_kernels.py compares the two.
+`move_pass` runs one sweep of local moves and `aggregate` one level of graph
+aggregation. Each has a reference implementation here: `_move_pass` in plain
+Python, and `_aggregate`, which gets the aggregated graph from scipy's sparse
+products. `_move_pass.c` holds a compiled routine for each: a line-for-line
+port of `_move_pass` with the same floating-point operations in the same
+order, and an aggregation that reproduces scipy's products entry for entry and
+bit for bit. So both backends give identical partitions. At import the C
+source is built with the local C compiler into a per-user cache and loaded
+through ctypes; `move_pass` and `aggregate` are then checked wrappers around
+it. Without a compiler, when the build or load fails, or with
+MVMC_KERNEL=python, they are `_move_pass` and `_aggregate`. `BACKEND` names
+the implementation that runs: "c" or "python". benchmarks/bench_kernels.py
+compares the two.
 """
 from __future__ import annotations
 
@@ -20,6 +25,9 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
+
+from .graph import densify_labels
 
 # No -ffast-math and no floating-point contraction: either could change the
 # rounding of a score and with it the partition. No -march=native, so a cached
@@ -121,6 +129,35 @@ def _move_pass(
     return total_gain, n_moves, n_empty
 
 
+def _aggregate(indptr, indices, data, deg, comm):
+    """One level of graph aggregation: every community becomes a super-node.
+
+    indptr/indices/data: the level graph's CSR adjacency, `size` nodes.
+    deg: (size, V) per-view degrees of its nodes.
+    comm: (size,) community of each node, ids in [0, size).
+
+    Returns (dense, k, agg_indptr, agg_indices, agg_data, agg_deg): each
+    node's community renumbered 0..k-1 in order of first appearance, the
+    number of communities, the aggregated CSR adjacency with int64 index
+    arrays (intra-community weight on the diagonal) and the (k, V) summed
+    degrees.
+    """
+    size = len(comm)
+    dense = densify_labels(comm)
+    k = int(dense.max()) + 1 if size else 0
+    adj = sparse.csr_matrix((data, indices, indptr), shape=(size, size))
+    sel = sparse.csr_matrix((np.ones(size), (dense, np.arange(size))), shape=(k, size))
+    agg = (sel @ adj @ sel.T).tocsr()
+    return (
+        dense,
+        k,
+        agg.indptr.astype(np.int64),
+        agg.indices.astype(np.int64),
+        agg.data,
+        np.asarray(sel @ deg),
+    )
+
+
 def _build_library() -> Path | None:
     """Path of the compiled kernel, building it into the cache when missing.
 
@@ -163,13 +200,15 @@ def _build_library() -> Path | None:
     return library
 
 
-def _load_c_kernel():
-    """A wrapper around the compiled kernel, or None when it is unavailable."""
+def _load_c_kernels():
+    """Wrappers (move_pass, aggregate) around the compiled routines, or None
+    when they are unavailable."""
     library = _build_library()
     if library is None:
         return None
     try:
-        kernel = ctypes.CDLL(str(library)).move_pass
+        compiled = ctypes.CDLL(str(library))
+        kernel, aggregator = compiled.move_pass, compiled.aggregate
     except (OSError, AttributeError):
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -178,6 +217,8 @@ def _load_c_kernel():
         i64, i64, i64, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr, i64, ptr, f64,
         ctypes.POINTER(f64), ctypes.POINTER(i64),
     ]
+    aggregator.restype = i64
+    aggregator.argtypes = [i64, i64, i64, *[ptr] * 10, ctypes.POINTER(i64)]
 
     def c_move_pass(
         indptr,
@@ -222,18 +263,58 @@ def _load_c_kernel():
             n, nviews, nnz, *(a.ctypes.data for a in args), n_empty,
             order.ctypes.data, eps, ctypes.byref(gain), ctypes.byref(moves),
         )
-        if status == _NO_MEMORY:
-            raise MemoryError("move_pass: no memory for scratch buffers")
-        if status == _BAD_INDEX:
-            raise ValueError("move_pass: an index in the inputs is out of range")
+        _check_status("move_pass", status)
         return gain.value, moves.value, status
 
-    return c_move_pass
+    def c_aggregate(indptr, indices, data, deg, comm):
+        """`_aggregate` run by the compiled routine; same arguments and result.
+
+        Inputs are checked and converted as in `c_move_pass`. The outputs are
+        allocated at their largest sizes (k <= size, aggregated nnz <= nnz)
+        and returned as views of their used parts.
+        """
+        size = len(comm)
+        nnz = len(indices)
+        deg = np.asarray(deg)
+        nviews = deg.shape[1] if deg.ndim == 2 else 0
+        args = [
+            _input(indptr, np.int64, (size + 1,), "indptr"),
+            _input(indices, np.int64, (nnz,), "indices"),
+            _input(data, np.float64, (nnz,), "data"),
+            _input(deg, np.float64, (size, nviews), "deg"),
+            _input(comm, np.int64, (size,), "comm"),
+        ]
+        dense = np.empty(size, dtype=np.int64)
+        agg_indptr = np.empty(size + 1, dtype=np.int64)
+        agg_indices = np.empty(nnz, dtype=np.int64)
+        agg_data = np.empty(nnz, dtype=np.float64)
+        agg_deg = np.empty((size, nviews), dtype=np.float64)
+        outputs = [dense, agg_indptr, agg_indices, agg_data, agg_deg]
+        agg_nnz = i64()
+        k = aggregator(
+            size, nviews, nnz, *(a.ctypes.data for a in args + outputs),
+            ctypes.byref(agg_nnz),
+        )
+        _check_status("aggregate", k)
+        m = agg_nnz.value
+        return dense, k, agg_indptr[: k + 1], agg_indices[:m], agg_data[:m], agg_deg[:k]
+
+    return c_move_pass, c_aggregate
+
+
+def _check_status(routine, status):
+    if status == _NO_MEMORY:
+        raise MemoryError(f"{routine}: no memory for scratch buffers")
+    if status == _BAD_INDEX:
+        raise ValueError(f"{routine}: an index in the inputs is out of range")
 
 
 def _input(a, dtype, shape, name):
     """`a` as a C-contiguous `dtype` array of `shape`, converted if needed."""
-    a = np.ascontiguousarray(np.asarray(a).astype(dtype, casting="safe", copy=False))
+    a = np.asarray(a)
+    if not np.can_cast(a.dtype, dtype, "safe"):
+        raise ValueError(f"{name} has dtype {a.dtype}, expected {np.dtype(dtype)}")
+    a = np.ascontiguousarray(a.astype(dtype, copy=False))
     if a.shape != shape:
         raise ValueError(f"{name} has shape {a.shape}, expected {shape}")
     return a
@@ -253,9 +334,9 @@ def _in_place(a, dtype, shape, name):
     return a
 
 
-move_pass = _move_pass
+move_pass, aggregate = _move_pass, _aggregate
 BACKEND = "python"
 if os.environ.get("MVMC_KERNEL") != "python":
-    _compiled = _load_c_kernel()
+    _compiled = _load_c_kernels()
     if _compiled is not None:
-        move_pass, BACKEND = _compiled, "c"
+        (move_pass, aggregate), BACKEND = _compiled, "c"

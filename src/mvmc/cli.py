@@ -32,7 +32,7 @@ from .compare import (
     write_dendrogram,
 )
 from .driver import MvmcConfig, run_mvmc
-from .ensemble import average_internal_ari, ensemble_cluster, filter_small_clusters
+from .ensemble import ensemble_cluster, filter_small_clusters
 from .graph import GraphUsageError
 from .ingest import (
     MIN_POSTS_PER_HASHTAG,
@@ -288,7 +288,8 @@ def _level(dailies, min_cluster_size: int) -> list[LabeledClustering]:
 
 def _compare(dailies, min_cluster_size: int, meta_k: int, out: Path):
     """ARI matrix, dendrogram and meta-clusters of the days, written to out;
-    returns the cross-leveled days and each day's meta-cluster."""
+    returns the cross-leveled days, the ARI matrix and each day's
+    meta-cluster."""
     leveled = _level(dailies, min_cluster_size)
     matrix = pairwise_ari_matrix(leveled)
     merges = average_linkage_merges(1.0 - matrix)
@@ -299,7 +300,7 @@ def _compare(dailies, min_cluster_size: int, meta_k: int, out: Path):
     with atomic_write(out / "dendrogram.tsv") as tmp:
         write_dendrogram(merges, tmp)
     _write_rows(out / "meta_clusters.tsv", zip(tags, meta))
-    return leveled, meta
+    return leveled, matrix, meta
 
 
 def _consensus(members, seed: int, path: Path) -> LabeledClustering:
@@ -563,7 +564,7 @@ def run_pipeline(params: dict):
         if len(days) < 2:
             click.echo("single day: skipping temporal comparison")
             return
-        leveled, meta = _compare(
+        leveled, matrix, meta = _compare(
             [lc for _posts, _dv, lc, _clustering, _trace in days],
             params["min_cluster_size"],
             min(params["meta_k"], len(days)),
@@ -587,8 +588,11 @@ def run_pipeline(params: dict):
             sizes = np.array(
                 list(Counter(consensus.assignments.values()).values()), dtype=float
             )
+            # the mean of the period's off-diagonal pairs, as average_internal_ari
+            block = matrix[np.ix_(idxs, idxs)]
+            internal_ari = float(np.mean(block[np.triu_indices(len(idxs), 1)]))
             rows.append((label, day_tags, len(sizes), f"{sizes.mean():.2f}",
-                         f"{sizes.std():.2f}", f"{average_internal_ari(members):.4f}"))
+                         f"{sizes.std():.2f}", f"{internal_ari:.4f}"))
             period_posts = [p for i in idxs for p in days[i][0]]
             _write_reports(
                 period_posts,

@@ -10,15 +10,17 @@ with the pair sum running over ordered pairs (each undirected edge twice)
 and including the diagonal null-model terms. Views with no edges contribute
 nothing. The maximizer is Louvain-style: sweeps of greedy single-node moves
 whose gains are aggregated across all views, followed by graph aggregation,
-repeated until no gain remains.
+repeated until no gain remains. The sweep (`move_pass`) and the aggregation
+of a level (`aggregate`) run in the compiled kernels of `_kernels`, or in
+their Python references there.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
 
-from ._kernels import move_pass
-from .graph import Clustering, GraphUsageError, ViewGraph, densify_labels
+from ._kernels import aggregate, move_pass
+from .graph import Clustering, GraphUsageError, ViewGraph
 
 GAIN_EPSILON = 1e-9
 MAX_LEVELS = 100
@@ -60,17 +62,22 @@ def rb_modularity(
     if len(labels) != n:
         raise GraphUsageError("clustering does not cover the node set")
     w, gamma = _as_params(graphs, weights, resolutions)
+    m2 = [2.0 * g.total_edge_weight() for g in graphs]
+    return _rb_sum(graphs, labels, w, gamma, m2, [g.degrees() for g in graphs])
+
+
+def _rb_sum(graphs, labels, w, gamma, m2, deg):
+    """`rb_modularity` given each view's doubled edge weight m2[v] and
+    degrees deg[v], which do not depend on the partition."""
     total = 0.0
     for v, g in enumerate(graphs):
-        m2 = 2.0 * g.total_edge_weight()
-        if m2 == 0.0:
+        if m2[v] == 0.0:
             continue
         same = labels[g.edge_u] == labels[g.edge_v]
         intra = 2.0 * float(g.edge_w[same].sum())
-        deg = g.degrees()
-        tot = np.bincount(labels, weights=deg)
+        tot = np.bincount(labels, weights=deg[v])
         null = float((tot * tot).sum())
-        total += w[v] / m2 * (intra - gamma[v] * null / m2)
+        total += w[v] / m2[v] * (intra - gamma[v] * null / m2[v])
     return total
 
 
@@ -83,13 +90,16 @@ def _combined_csr(adjs, coeffs, n):
     return acc.tocsr()
 
 
-def _sweep_to_fixpoint(adj, deg, alpha, comm, rng, gain_epsilon):
+def _sweep_to_fixpoint(graph, deg, alpha, comm, rng, gain_epsilon):
     """Repeat local-move sweeps on one graph until no node wants to move.
 
-    `comm` is updated in place and may start from any partition; community
-    ids must lie below adj.shape[0]. Returns True if any move happened.
+    `graph` is the CSR adjacency as int64 indptr and indices and float64
+    data. `comm` is updated in place and may start from any partition;
+    community ids must lie below the node count. Returns True if any move
+    happened.
     """
-    size = adj.shape[0]
+    indptr, indices, data = graph
+    size = len(indptr) - 1
     nviews = deg.shape[1]
     comm_tot = np.zeros((size, nviews), dtype=np.float64)
     np.add.at(comm_tot, comm, deg)
@@ -98,15 +108,13 @@ def _sweep_to_fixpoint(adj, deg, alpha, comm, rng, gain_epsilon):
     unused = np.flatnonzero(comm_size == 0)
     n_empty = len(unused)
     empty_stack[:n_empty] = unused
-    indptr = adj.indptr.astype(np.int64)
-    indices = adj.indices.astype(np.int64)
     moved_any = False
     while True:
-        order = rng.permutation(size).astype(np.int64)
+        order = rng.permutation(size)
         gain, n_moves, n_empty = move_pass(
             indptr,
             indices,
-            adj.data,
+            data,
             deg,
             alpha,
             comm,
@@ -146,27 +154,29 @@ def maximize(
         raise GraphUsageError("restarts must be positive")
     n = _check_views(graphs)
     w, gamma = _as_params(graphs, weights, resolutions)
-    # the combined graph and its null-model terms are the same for every restart
+    # the combined graph, its degrees and the null-model terms are the same
+    # for every restart
     m2 = np.array([2.0 * g.total_edge_weight() for g in graphs])
     edge_coeff = np.where(m2 > 0.0, w / np.where(m2 > 0.0, m2, 1.0), 0.0)
     alpha = np.where(m2 > 0.0, w * gamma / np.where(m2 > 0.0, m2 * m2, 1.0), 0.0)
     adj0 = _combined_csr([g.adjacency() for g in graphs], edge_coeff, n)
+    graph0 = (adj0.indptr.astype(np.int64), adj0.indices.astype(np.int64), adj0.data)
     deg0 = np.zeros((n, len(graphs)), dtype=np.float64)
     for v, g in enumerate(graphs):
         deg0[:, v] = g.degrees()
     best = None
     best_q = -np.inf
     for r in range(restarts):
-        labels = _maximize_once(adj0, deg0, alpha, [seed, r], gain_epsilon)
-        q = rb_modularity(graphs, Clustering(labels), w, gamma)
+        labels = _maximize_once(graph0, deg0, alpha, [seed, r], gain_epsilon)
+        q = _rb_sum(graphs, labels, w, gamma, m2, deg0.T)
         if q > best_q + gain_epsilon:
             best, best_q = labels, q
     meta = {"weights": w.tolist(), "resolutions": gamma.tolist(), "seed": seed}
     return Clustering(best, meta=meta)
 
 
-def _maximize_once(adj0, deg0, alpha, seed, gain_epsilon):
-    n = adj0.shape[0]
+def _maximize_once(graph0, deg0, alpha, seed, gain_epsilon):
+    n = len(deg0)
     if n == 0:
         return np.empty(0, dtype=np.int64)
 
@@ -177,26 +187,22 @@ def _maximize_once(adj0, deg0, alpha, seed, gain_epsilon):
         # refinement: single-node moves on the original graph, starting from
         # the current assignment (the identity partition on the first round)
         comm = assignment.copy()
-        if not _sweep_to_fixpoint(adj0, deg0, alpha, comm, rng, gain_epsilon):
+        if not _sweep_to_fixpoint(graph0, deg0, alpha, comm, rng, gain_epsilon):
             break
-        assignment = densify_labels(comm)
-        # multi-level coarsening until moves dry up at every scale
-        adj, deg = adj0, deg0
-        dense = assignment
+        # multi-level coarsening until moves dry up at every scale; each
+        # aggregation also renumbers the communities it was given densely
+        assignment, k, *graph, deg = aggregate(*graph0, deg0, comm)
+        size = n
         for _level in range(MAX_LEVELS):
-            size = adj.shape[0]
-            k = int(dense.max()) + 1
             if k == size:
                 break
-            sel = sparse.csr_matrix(
-                (np.ones(size), (dense, np.arange(size))), shape=(k, size)
-            )
-            adj = (sel @ adj @ sel.T).tocsr()
-            deg = np.asarray(sel @ deg)
+            size = k
             comm = np.arange(k, dtype=np.int64)
-            if not _sweep_to_fixpoint(adj, deg, alpha, comm, rng, gain_epsilon):
+            if not _sweep_to_fixpoint(graph, deg, alpha, comm, rng, gain_epsilon):
                 break
-            dense = densify_labels(comm)
+            dense, k, *graph, deg = aggregate(*graph, deg, comm)
             assignment = dense[assignment]
 
-    return densify_labels(assignment)
+    # dense in order of first appearance: each level's labels are, and
+    # composing them keeps that order
+    return assignment

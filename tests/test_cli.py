@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from mvmc import compare
 from mvmc.cli import atomic_write, main
+from mvmc.compare import LabeledClustering, cross_level
+from mvmc.ensemble import average_internal_ari, filter_small_clusters
 
 
 @pytest.fixture
@@ -283,6 +286,41 @@ def test_single_stage_commands_reproduce_pipeline(tmp_path, runner, corpus):
     assert tree_bytes(stage) == pipeline
 
 
+def test_pipeline_computes_each_ari_pair_once(tmp_path, runner, corpus, monkeypatch):
+    # six days: the seed-7 corpus on March 1-3 and a seed-8 one on March 11-13
+    later = tmp_path / "later"
+    result = runner.invoke(main, ["synth", "--mode", "corpus", "--seed", "8", str(later)])
+    assert result.exit_code == 0, result.output
+    shifted = (later / "posts.jsonl").read_text()
+    shifted = shifted.replace('"2020-03-0', '"2020-03-1').replace('id": "p', 'id": "q')
+    pairs = []
+    ari = compare._ari
+    monkeypatch.setattr(compare, "_ari", lambda a, b: pairs.append(1) or ari(a, b))
+    for meta_k in (1, 2):
+        pairs.clear()
+        result, out = run_pipeline_on(
+            tmp_path, runner, f"six-{meta_k}", corpus.read_text() + shifted, meta_k
+        )
+        assert result.exit_code == 0, result.output
+        assert len(pairs) == 6 * 5 // 2
+        check_internal_ari(out)
+
+
+def check_internal_ari(out):
+    """Each period's avg_internal_ari is average_internal_ari of its days."""
+    days = sorted((out / "clusters").glob("*.tsv"))
+    leveled = cross_level([
+        filter_small_clusters(LabeledClustering.read_tsv(f, f.stem), 5) for f in days
+    ])
+    by_tag = {c.tag: c for c in leveled}
+    rows = (out / "period_summary.tsv").read_text().splitlines()[1:]
+    periods = [row.split("\t") for row in rows if row.split("\t")[-1] != "-"]
+    assert periods
+    for _label, day_tags, *_sizes, value in periods:
+        members = [by_tag[tag] for tag in day_tags.split(",")]
+        assert value == f"{average_internal_ari(members):.4f}"
+
+
 def quiet_posts(day: str, hashtags: list, count: int) -> str:
     return "".join(
         json.dumps({
@@ -297,12 +335,12 @@ def quiet_posts(day: str, hashtags: list, count: int) -> str:
     )
 
 
-def run_pipeline_on(tmp_path, runner, name, posts_text):
+def run_pipeline_on(tmp_path, runner, name, posts_text, meta_k=2):
     posts = tmp_path / f"{name}.jsonl"
     posts.write_text(posts_text)
     cfg = tmp_path / f"{name}.yaml"
     out = tmp_path / name
-    cfg.write_text(f"input: {posts}\noutput_dir: {out}\nmeta_k: 2\n")
+    cfg.write_text(f"input: {posts}\noutput_dir: {out}\nmeta_k: {meta_k}\n")
     return runner.invoke(main, ["pipeline", str(cfg)]), out
 
 

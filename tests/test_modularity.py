@@ -17,7 +17,8 @@ from mvmc import (
     modularity,
     rb_modularity,
 )
-from mvmc._kernels import _move_pass, move_pass
+from mvmc._kernels import _move_pass, aggregate, move_pass
+from mvmc.graph import densify_labels
 from mvmc.synth import planted_partition_views
 
 from oracles import dense_q, exhaustive_best_q, is_local_optimum
@@ -90,8 +91,6 @@ def test_matches_dense_oracle():
         labels[rng.random(n) < 0.5] = 1
         if labels.max() == 0:
             labels[0] = 0
-        from mvmc.graph import densify_labels
-
         c = Clustering(densify_labels(labels))
         expected = dense_q([to_dense(g) for g in graphs], c.labels, w, gam)
         assert rb_modularity(graphs, c, w, gam) == pytest.approx(expected, rel=1e-9)
@@ -169,6 +168,30 @@ def test_reaches_global_optimum_on_small_graphs():
     assert hits >= 18
 
 
+def test_every_cluster_is_connected_in_its_positive_weight_views():
+    # Louvain can return a disconnected community (Traag et al. 2019)
+    rng = np.random.default_rng(14)
+    for trial in range(200):
+        n = int(rng.integers(4, 40))
+        if trial % 2:
+            graphs, _ = planted_partition_views(
+                n, int(rng.integers(2, 5)), 0.5, 0.05, 1 + trial % 3, trial % 4 // 2, trial
+            )
+        else:
+            graphs = [random_graph(rng, n, rng.uniform(0.05, 0.3)) for _ in range(1 + trial % 3)]
+        weights = rng.choice([0.0, 0.3, 1.0, 2.0], len(graphs))
+        resolutions = rng.uniform(0.2, 3.0, len(graphs))
+        labels = maximize(graphs, weights, resolutions, seed=trial).labels
+        assert np.array_equal(labels, densify_labels(labels))  # first-appearance order
+        inside = {
+            (u, v)
+            for g, w in zip(graphs, weights) if w > 0
+            for u, v in zip(g.edge_u.tolist(), g.edge_v.tolist()) if labels[u] == labels[v]
+        }
+        union = ViewGraph.from_edges(n, [(u, v, 1.0) for u, v in sorted(inside)])
+        assert len(union.connected_components()) == labels.max() + 1, trial
+
+
 requires_c = pytest.mark.skipif(
     _kernels.BACKEND != "c", reason="the compiled kernel did not load (no C compiler?)"
 )
@@ -232,19 +255,124 @@ def test_c_kernel_matches_python_reference():
     assert splits > 0
 
 
+def coarsening_depth(monkeypatch, graphs, **kwargs):
+    """Most levels one round of maximize() coarsened through."""
+    sizes = []
+    inner = modularity.aggregate
+
+    def record(indptr, indices, data, deg, comm):
+        result = inner(indptr, indices, data, deg, comm)
+        sizes.append((len(comm), result[1]))
+        return result
+
+    monkeypatch.setattr(modularity, "aggregate", record)
+    maximize(graphs, **kwargs)
+    monkeypatch.undo()
+    depth = deepest = 0
+    for size, k in sizes:
+        depth = 0 if size == graphs[0].n else depth  # a round starts on the original graph
+        depth += k < size
+        deepest = max(deepest, depth)
+    return deepest
+
+
 @requires_c
 def test_maximize_labels_identical_under_both_backends(monkeypatch):
-    graphs, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5)
-    for seed, weights, resolutions in [
-        (0, None, None),
-        (1, [1.0, 0.6, 0.1], [1.0, 1.4, 0.7]),
-        (2, None, [2.0, 2.0, 2.0]),
+    planted, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5)
+    # two cycles at a low resolution coarsen through several levels
+    cycles = [ViewGraph.from_edges(128, [(i, (i + step) % 128, 1.0) for i in range(128)])
+              for step in (1, 2)]
+    assert coarsening_depth(monkeypatch, cycles, resolutions=[0.3, 0.3], seed=3) >= 3
+    for graphs, seed, weights, resolutions in [
+        (planted, 0, None, None),
+        (planted, 1, [1.0, 0.6, 0.1], [1.0, 1.4, 0.7]),
+        (planted, 2, None, [2.0, 2.0, 2.0]),
+        (cycles, 3, None, [0.3, 0.3]),
     ]:
         compiled = maximize(graphs, weights, resolutions, seed=seed).labels
         monkeypatch.setattr(modularity, "move_pass", _kernels._move_pass)
+        monkeypatch.setattr(modularity, "aggregate", _kernels._aggregate)
         reference = maximize(graphs, weights, resolutions, seed=seed).labels
         monkeypatch.undo()
         assert np.array_equal(compiled, reference)
+
+
+def aggregate_args(rng, n_views):
+    """A level graph for `aggregate` and a partition of it. Half the cases
+    are an aggregated graph, with a diagonal and rows in the order aggregation
+    leaves them; the rest have each row's entries shuffled. A quarter carry
+    weights of +-1 and +-0.5, whose sums can cancel to exactly zero.
+    Partitions range from one community to all singletons, and may leave ids
+    unused."""
+    n = int(rng.integers(1, 30))
+    graphs = [random_graph(rng, n, rng.uniform(0.0, 0.4)) for _ in range(n_views)]
+    coeff = rng.uniform(0.1, 2.0, n_views)
+    adj = modularity._combined_csr([g.adjacency() for g in graphs], coeff, n)
+    indptr, indices, data = adj.indptr.astype(np.int64), adj.indices.astype(np.int64), adj.data
+    deg = np.stack([g.degrees() for g in graphs], axis=1)
+    if rng.random() < 0.5:
+        first = rng.integers(0, n, size=n)
+        _dense, n, indptr, indices, data, deg = _kernels._aggregate(
+            indptr, indices, data, deg, first
+        )
+    else:
+        order = np.concatenate([
+            indptr[i] + rng.permutation(indptr[i + 1] - indptr[i]) for i in range(n)
+        ]).astype(np.int64)
+        indices, data = indices[order], data[order]
+    if rng.random() < 0.25:
+        data = rng.choice([-1.0, -0.5, 0.5, 1.0], size=len(data))
+    kind = rng.integers(0, 4)
+    if kind == 0:
+        comm = np.zeros(n, dtype=np.int64)
+    elif kind == 1:
+        comm = rng.permutation(n).astype(np.int64)
+    else:
+        comm = rng.integers(0, int(rng.integers(1, n + 1)), size=n).astype(np.int64)
+    return [indptr, indices, data, deg, comm]
+
+
+def assert_same_aggregation(got, expected):
+    assert got[1] == expected[1]  # k
+    for a, b in zip(got[:1] + got[2:], expected[:1] + expected[2:]):
+        # the same dtype and shape, and floating-point sums equal bit for bit
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@requires_c
+def test_c_aggregate_matches_python_reference():
+    rng = np.random.default_rng(13)
+    kinds = set()
+    for trial in range(1200):
+        args = aggregate_args(rng, n_views=1 + trial % 3)
+        inputs = copied(args)
+        expected = _kernels._aggregate(*args)
+        assert_same_aggregation(aggregate(*args), expected)
+        for a, b in zip(args, inputs):
+            assert np.array_equal(a, b)  # inputs are left as they were
+        degrees = np.diff(args[0])
+        kinds.add(("isolated node", bool((degrees == 0).any())))
+        kinds.add(("one community", expected[1] == 1))
+        kinds.add(("all singletons", expected[1] == len(args[4])))
+        kinds.add(("unsorted row", any(
+            np.any(np.diff(args[1][lo:hi]) < 0) for lo, hi in zip(args[0], args[0][1:])
+        )))
+        rows = np.repeat(expected[0], degrees)
+        cells = len(set(zip(rows.tolist(), expected[0][args[1]].tolist())))
+        kinds.add(("zero sum dropped", len(expected[3]) < cells))
+    assert {kind for kind, seen in kinds if seen} == {
+        "isolated node", "one community", "all singletons", "unsorted row", "zero sum dropped"
+    }
+
+
+def test_aggregate_without_edges():
+    args = [np.zeros(4, np.int64), np.zeros(0, np.int64), np.zeros(0), np.ones((3, 2)),
+            np.array([2, 0, 2])]
+    got = aggregate(*args)
+    assert_same_aggregation(got, _kernels._aggregate(*args))
+    dense, k, indptr, _indices, _data, deg = got
+    assert dense.tolist() == [0, 1, 0] and k == 2
+    assert indptr.tolist() == [0, 0, 0] and deg.tolist() == [[2.0, 2.0], [1.0, 1.0]]
 
 
 def test_without_compiler_falls_back_to_python(tmp_path):
@@ -315,6 +443,38 @@ def test_c_kernel_rejects_bad_arguments(case):
         move_pass(*args)
 
 
+def first_negative(a):
+    a = a.copy()
+    a[0] = -1
+    return a
+
+
+BAD_AGGREGATE_ARGUMENTS = {
+    "community id equal to size": (4, lambda a: np.full_like(a, len(a))),
+    "negative neighbour index": (1, first_negative),
+    "indptr too short": (0, lambda a: a[:-1]),
+    "indptr past the entries": (0, lambda a: a + 100),
+    "data shorter than indices": (2, lambda a: a[:-1]),
+    "deg missing a row": (3, lambda a: a[:-1]),
+    "deg one-dimensional": (3, lambda a: a[:, 0]),
+    "comm as float": (4, lambda a: a.astype(np.float64)),
+    "indices as float": (1, lambda a: a.astype(np.float64)),
+}
+
+
+@requires_c
+@pytest.mark.parametrize("case", sorted(BAD_AGGREGATE_ARGUMENTS))
+def test_c_aggregate_rejects_bad_arguments(case):
+    position, spoil = BAD_AGGREGATE_ARGUMENTS[case]
+    rng = np.random.default_rng(4)
+    args = aggregate_args(rng, n_views=2)
+    while len(args[1]) == 0:
+        args = aggregate_args(rng, n_views=2)
+    args[position] = spoil(args[position])
+    with pytest.raises(ValueError):
+        aggregate(*args)
+
+
 def test_threads_share_the_kernel_safely():
     rng = np.random.default_rng(21)
     graphs = [[random_graph(rng, 30, 0.2)] for _ in range(8)]
@@ -335,6 +495,7 @@ def test_env_flag_selects_fallback():
         "import os; os.environ['MVMC_KERNEL']='python';"
         "from mvmc import _kernels;"
         "assert _kernels.move_pass is _kernels._move_pass;"
+        "assert _kernels.aggregate is _kernels._aggregate;"
         "assert _kernels.BACKEND == 'python';"
         "import numpy as np; from mvmc import ViewGraph, maximize;"
         "g = ViewGraph.from_edges(6, [(0,1,1),(1,2,1),(0,2,1),(3,4,1),(4,5,1),(3,5,1)]);"
