@@ -1,0 +1,104 @@
+"""Time the ingest layer on a near-paper-scale day against its references.
+
+Usage: PYTHONPATH=src python3 benchmarks/bench_ingest.py [--repeat 3] > BENCH_ingest.json
+
+Builds one day with the generator of `bench/corpus.py` (50 groups x 40
+hashtags, 10,000 posts of 20 words, seed 7) and times, best of `--repeat`:
+`preprocess_text` against the per-character reference
+`brute_preprocess_text`, and `build_daily_views` against the dict-of-tuples
+reference `brute_daily_views`, both from `tests/oracles.py`. It checks that
+each pair agrees token for token and entry for entry, and prints one JSON
+line with the times, the kernel backend, the CPU count and the
+Python/numpy/scipy versions.
+"""
+import argparse
+import importlib.util
+import json
+import os
+import platform
+import sys
+import time
+from datetime import date
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+from mvmc import _kernels
+from mvmc.ingest import build_daily_views, parse_json_record, preprocess_text
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tests"))
+from oracles import brute_daily_views, brute_preprocess_text  # noqa: E402
+
+
+def load_corpus_module():
+    spec = importlib.util.spec_from_file_location("bench_corpus", ROOT / "bench" / "corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def paper_day():
+    corpus = load_corpus_module()
+    spec = corpus.CorpusSpec(groups=50, tags_per_group=40, days=1, posts_per_day=10_000,
+                             words_per_post=20, churn=0.5, periods=1)
+    posts, _truth = corpus.generate(spec, seed=7)
+    return [parse_json_record(json.dumps(p)) for p in posts]
+
+
+def best_time(fn, repeat):
+    """Least wall time of `repeat` calls, and the last call's result."""
+    best = np.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result = fn()
+        best = min(best, time.perf_counter() - t0)
+    return best, result
+
+
+def same_views(views, reference) -> bool:
+    registry, expected = reference
+    return views.hashtags == registry and all(
+        view.col_names == cols
+        and all(np.array_equal(getattr(view.counts, a), getattr(counts, a))
+                for a in ("data", "indices", "indptr"))
+        for view, (cols, counts) in zip(views.as_list(), expected)
+    )
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--repeat", type=int, default=3)
+    args = ap.parse_args()
+    posts = paper_day()
+    day = posts[0].day
+    assert all(p.day == day for p in posts), "the generator put posts on several days"
+    texts = [p.text for p in posts]
+
+    tok_s, tokens = best_time(lambda: [preprocess_text(t) for t in texts], args.repeat)
+    brute_tok_s, brute_tokens = best_time(
+        lambda: [brute_preprocess_text(t) for t in texts], args.repeat)
+    views_s, views = best_time(lambda: build_daily_views(posts, day), args.repeat)
+    brute_views_s, reference = best_time(lambda: brute_daily_views(posts), args.repeat)
+
+    print(json.dumps({
+        "posts": len(posts),
+        "hashtags": len(views.hashtags),
+        "preprocess_text_s": tok_s,
+        "brute_preprocess_text_s": brute_tok_s,
+        "build_daily_views_s": views_s,
+        "brute_daily_views_s": brute_views_s,
+        "tokens_agree": tokens == brute_tokens,
+        "views_agree": same_views(views, reference),
+        "backend": _kernels.BACKEND,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+    }))
+
+
+if __name__ == "__main__":
+    main()

@@ -82,7 +82,7 @@ def _exits_on(error: type[Exception], code: int):
 
 def _write_rows(path: Path, rows, header: str = ""):
     """Atomically write one tab-separated line per row, after the header."""
-    with atomic_write(path) as tmp, open(tmp, "w") as fh:
+    with atomic_write(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         if header:
             fh.write(header + "\n")
         for row in rows:
@@ -231,7 +231,9 @@ def _read_day_views(day_dir: Path) -> list[ViewMatrix]:
     registry_path = day_dir / "registry.tsv"
     if not registry_path.is_file():
         _fail(EXIT_INPUT, f"missing registry: {registry_path}")
-    registry = tuple(line for line in registry_path.read_text().split("\n") if line)
+    registry = tuple(
+        line for line in registry_path.read_text(encoding="utf-8").split("\n") if line
+    )
     views = []
     for name in VIEW_NAMES:
         path = day_dir / f"{name}.triplets"
@@ -310,15 +312,15 @@ def _consensus(members, seed: int, path: Path) -> LabeledClustering:
     return consensus
 
 
-def _usage_tables(posts, hashtags: set):
-    """Per-hashtag user->count and token Counters over a set of posts."""
+def _usage_tables(posts, post_tokens, hashtags: set):
+    """Per-hashtag user->count and token Counters over a set of posts, given
+    each post's tokens."""
     usage: dict = {}
     tokens: dict = {}
-    for p in posts:
+    for p, toks in zip(posts, post_tokens):
         tags = [h for h in set(p.hashtags) if h in hashtags]
         if not tags:
             continue
-        toks = preprocess_text(p.text)
         for h in tags:
             users = usage.setdefault(h, {})
             users[p.user_id] = users.get(p.user_id, 0.0) + 1.0
@@ -326,8 +328,9 @@ def _usage_tables(posts, hashtags: set):
     return usage, tokens
 
 
-def _write_reports(posts, lc: LabeledClustering, out: Path, fraction, top_tokens, prefix=""):
-    usage, tokens = _usage_tables(posts, set(lc.assignments))
+def _write_reports(posts, post_tokens, lc: LabeledClustering, out: Path, fraction,
+                   top_tokens, prefix=""):
+    usage, tokens = _usage_tables(posts, post_tokens, set(lc.assignments))
     clusters = {}
     for obj in sorted(lc.assignments):
         clusters.setdefault(lc.assignments[obj], []).append(obj)
@@ -440,7 +443,8 @@ def analyze(input_path, clustering_path, out_dir, top_user_fraction, top_tokens)
     lc = _read_clustering(Path(clustering_path))
     out = Path(out_dir)
     with _exits_on(OSError, EXIT_OUTPUT):
-        _write_reports(posts, lc, out, top_user_fraction, top_tokens)
+        _write_reports(posts, [preprocess_text(p.text) for p in posts], lc, out,
+                       top_user_fraction, top_tokens)
     click.echo(f"reports written to {out}")
 
 
@@ -486,7 +490,7 @@ def synth(mode, n, blocks, views, noise_views, p_in, p_out, posts_per_day, seed,
 
 
 def _echo_table(path: Path):
-    for line in path.read_text().splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         click.echo("  " + line.replace("\t", "  "))
 
 
@@ -518,7 +522,7 @@ def pipeline(config_path, overrides):
     cfg_path = Path(config_path)
     if not cfg_path.is_file():
         _fail(EXIT_INPUT, f"config not found: {cfg_path}")
-    with open(cfg_path) as fh:
+    with open(cfg_path, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh) or {}
     if not isinstance(cfg, dict):
         _fail(EXIT_INPUT, f"config must be a mapping of keys to values: {cfg_path}")
@@ -593,9 +597,9 @@ def run_pipeline(params: dict):
             internal_ari = float(np.mean(block[np.triu_indices(len(idxs), 1)]))
             rows.append((label, day_tags, len(sizes), f"{sizes.mean():.2f}",
                          f"{sizes.std():.2f}", f"{internal_ari:.4f}"))
-            period_posts = [p for i in idxs for p in days[i][0]]
             _write_reports(
-                period_posts,
+                [p for i in idxs for p in days[i][0]],
+                [toks for i in idxs for toks in days[i][1].post_tokens],
                 consensus,
                 out / "reports",
                 params["top_user_fraction"],

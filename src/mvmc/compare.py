@@ -25,14 +25,14 @@ class LabeledClustering:
         return frozenset(self.assignments)
 
     def write_tsv(self, path) -> None:
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for obj in sorted(self.assignments):
                 fh.write(f"{obj}\t{self.assignments[obj]}\n")
 
     @staticmethod
     def read_tsv(path, tag: str = "") -> "LabeledClustering":
         assignments = {}
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 line = line.rstrip("\n")
                 if not line:
@@ -131,7 +131,7 @@ def pairwise_ari_matrix(clusterings: list[LabeledClustering]) -> np.ndarray:
 
 
 def write_ari_matrix(matrix: np.ndarray, tags: list[str], path) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t" + "\t".join(tags) + "\n")
         for tag, row in zip(tags, matrix):
             fh.write(tag + "\t" + "\t".join(repr(float(x)) for x in row) + "\n")
@@ -216,7 +216,7 @@ def agglomerative_meta_cluster(matrix: np.ndarray, k: int) -> np.ndarray:
 
 def write_dendrogram(merges, path) -> None:
     """Merge-list text format: step, left, right, height per row."""
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("step\tleft\tright\theight\n")
         for step, left, right, height in merges:
             fh.write(f"{step}\t{left}\t{right}\t{height!r}\n")

@@ -61,7 +61,7 @@ class MvmcTrace:
 
     def write(self, path) -> None:
         """One tab-separated line per iteration: iter, gammas, weights, Q, k."""
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for r in self.records:
                 gammas = "\t".join(repr(float(x)) for x in r.resolutions)
                 ws = "\t".join(repr(float(x)) for x in r.weights)

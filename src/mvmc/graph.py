@@ -106,14 +106,14 @@ class ViewGraph:
 
     def write_edge_list(self, path) -> None:
         """Debug format: header `#nodes=<n>`, then `i<TAB>j<TAB>weight` lines."""
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"#nodes={self.n}\n")
             for i, j, w in zip(self.edge_u, self.edge_v, self.edge_w):
                 fh.write(f"{i}\t{j}\t{float(w)!r}\n")
 
     @staticmethod
     def read_edge_list(path) -> "ViewGraph":
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             header = fh.readline().strip()
             if not header.startswith("#nodes="):
                 raise GraphUsageError(f"{path}: missing #nodes= header")

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import json
 import re
-import unicodedata
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from urllib.parse import urlparse
@@ -21,6 +20,8 @@ _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _HASHTAG_RE = re.compile(r"#\S+")
 _MENTION_RE = re.compile(r"@\w+")
 _RT_RE = re.compile(r"\bRT\b")
+# maximal runs of letters (L*) and numbers (N*): \w without the underscore
+_WORD_RE = re.compile(r"[^\W_]+")
 
 
 class RecordError(ValueError):
@@ -50,6 +51,7 @@ class DailyViews:
     user_view: ViewMatrix
     url_view: ViewMatrix
     cooccur_view: ViewMatrix
+    post_tokens: tuple[list[str], ...]  # each post's tokens, in post order
 
     def as_list(self) -> list[ViewMatrix]:
         return [self.text_view, self.user_view, self.url_view, self.cooccur_view]
@@ -63,20 +65,20 @@ VIEW_NAMES = ("text", "user", "url", "cooccur")
 
 
 def preprocess_text(raw: str) -> list[str]:
-    """Strip hashtags, URLs, mentions and retweet markers, then keep only
-    letter/number characters, lowercase, and split on whitespace."""
+    """Strip hashtags, URLs, mentions and retweet markers, then split into
+    maximal runs of letters and numbers, each lowercased.
+
+    Each character is lowercased on its own, so a token holding `Σ` skips the
+    final-sigma rule of `str.lower` and always gets `σ`.
+    """
     text = _URL_RE.sub(" ", raw)
     text = _HASHTAG_RE.sub(" ", text)
     text = _MENTION_RE.sub(" ", text)
     text = _RT_RE.sub(" ", text)
-    cleaned = []
-    for ch in text:
-        cat = unicodedata.category(ch)
-        if cat[0] in ("L", "N"):
-            cleaned.append(ch.lower())
-        else:
-            cleaned.append(" ")
-    return "".join(cleaned).split()
+    return [
+        tok.lower() if "Σ" not in tok else "".join(map(str.lower, tok))
+        for tok in _WORD_RE.findall(text)
+    ]
 
 
 def _parse_timestamp(value: str) -> datetime:
@@ -122,16 +124,26 @@ def parse_tsv_record(line: str) -> PostRecord:
         raise RecordError(f"bad record: {exc}") from exc
 
 
+def _check_utf8(line: str) -> None:
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise RecordError(f"not valid UTF-8 at column {exc.start + 1}") from None
+
+
 def read_posts(path, on_error=None) -> list[PostRecord]:
-    """Read a .jsonl or .tsv corpus; malformed lines go to on_error and are
-    skipped."""
+    """Read a UTF-8 .jsonl or .tsv corpus; malformed lines, and lines that
+    are not valid UTF-8, go to on_error and are skipped."""
     parse = parse_tsv_record if str(path).endswith(".tsv") else parse_json_record
     records = []
-    with open(path) as fh:
+    # surrogateescape keeps undecodable bytes as lone surrogates, so one bad
+    # line is reported on its own instead of failing the whole read
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
+                _check_utf8(line)
                 records.append(parse(line))
             except (RecordError, json.JSONDecodeError) as exc:
                 if on_error is not None:
@@ -151,71 +163,56 @@ def build_daily_views(
 ) -> DailyViews:
     """Aggregate one day's posts into the four hashtag views.
 
-    url_mode="domain" reduces URLs to their host before counting, for the
-    case where exact URLs almost never repeat.
+    Every post is tokenised once; its tokens are kept in `post_tokens`,
+    interned through the day's vocabulary. Hashtags, tokens, users and URLs
+    are coded as ints in first-appearance order, and each (hashtag, feature)
+    pair of a post counts 1. url_mode="domain" reduces URLs to their host
+    before counting, for the case where exact URLs almost never repeat.
     """
     if any(p.day != day for p in posts):
         raise RecordError("posts must all fall on the given day")
 
-    post_counts: dict[str, set[str]] = {}
-    for p in posts:
-        for h in set(p.hashtags):
-            post_counts.setdefault(h, set()).add(p.post_id)
-    surviving = []
-    seen = set()
+    post_ids: dict[str, set[str]] = {}
     for p in posts:
         for h in p.hashtags:
-            if h not in seen and len(post_counts.get(h, ())) >= MIN_POSTS_PER_HASHTAG:
-                seen.add(h)
-                surviving.append(h)
+            post_ids.setdefault(h, set()).add(p.post_id)
+    registry = tuple(h for h, ids in post_ids.items() if len(ids) >= MIN_POSTS_PER_HASHTAG)
+    row_code = {h: i for i, h in enumerate(registry)}
 
     def norm_url(u: str) -> str:
         if url_mode == "domain":
             return urlparse(u).netloc or u
         return u
 
-    text_triplets, user_triplets, url_triplets, co_triplets = [], [], [], []
-    text_acc: dict[tuple[str, str], float] = {}
-    user_acc: dict[tuple[str, str], float] = {}
-    url_acc: dict[tuple[str, str], float] = {}
-    co_acc: dict[tuple[str, str], float] = {}
+    vocab: dict[str, str] = {}
+    post_tokens = []
+    text_code, user_code, url_code = {}, {}, {}
+    text_r, text_c, user_r, user_c, url_r, url_c, co_r, co_c = ([] for _ in range(8))
     for p in posts:
-        tags_here = [h for h in dict.fromkeys(p.hashtags) if h in seen]
-        if not tags_here:
+        tokens = [vocab.setdefault(tok, tok) for tok in preprocess_text(p.text)]
+        post_tokens.append(tokens)
+        rows = [row_code[h] for h in dict.fromkeys(p.hashtags) if h in row_code]
+        if not rows:
             continue
-        tokens = preprocess_text(p.text)
-        for h in tags_here:
-            for tok in tokens:
-                text_acc[(h, tok)] = text_acc.get((h, tok), 0.0) + 1.0
-            user_acc[(h, p.user_id)] = user_acc.get((h, p.user_id), 0.0) + 1.0
-            for u in p.urls:
-                u = norm_url(u)
-                url_acc[(h, u)] = url_acc.get((h, u), 0.0) + 1.0
-            for other in tags_here:
-                if other != h:
-                    co_acc[(h, other)] = co_acc.get((h, other), 0.0) + 1.0
+        toks = [text_code.setdefault(tok, len(text_code)) for tok in tokens]
+        user = user_code.setdefault(p.user_id, len(user_code))
+        urls = [url_code.setdefault(norm_url(u), len(url_code)) for u in p.urls]
+        for r in rows:
+            text_r += [r] * len(toks)
+            text_c += toks
+            user_r.append(r)
+            user_c.append(user)
+            url_r += [r] * len(urls)
+            url_c += urls
+            others = [o for o in rows if o != r]
+            co_r += [r] * len(others)
+            co_c += others
 
-    for acc, trips in (
-        (text_acc, text_triplets),
-        (user_acc, user_triplets),
-        (url_acc, url_triplets),
-        (co_acc, co_triplets),
-    ):
-        trips.extend((r, c, v) for (r, c), v in acc.items())
-
-    registry = tuple(surviving)
-    views = []
-    for trips, cols in (
-        (text_triplets, None),
-        (user_triplets, None),
-        (url_triplets, None),
-        (co_triplets, registry),
-    ):
-        if cols is None:
-            # column registry in first-appearance order over posts
-            col_order: dict[str, int] = {}
-            for _r, c, _v in trips:
-                col_order.setdefault(c, len(col_order))
-            cols = tuple(col_order)
-        views.append(ViewMatrix.from_triplets(trips, registry, cols))
-    return DailyViews(day, *views)
+    return DailyViews(
+        day,
+        ViewMatrix.from_codes(text_r, text_c, registry, tuple(text_code)),
+        ViewMatrix.from_codes(user_r, user_c, registry, tuple(user_code)),
+        ViewMatrix.from_codes(url_r, url_c, registry, tuple(url_code)),
+        ViewMatrix.from_codes(co_r, co_c, registry, registry),
+        tuple(post_tokens),
+    )

@@ -37,6 +37,17 @@ class ViewMatrix:
         return self.counts.shape[0]
 
     @staticmethod
+    def from_codes(rows, cols, row_names, col_names) -> "ViewMatrix":
+        """Build from parallel row and column codes, each pair counting 1;
+        repeated pairs are summed."""
+        mat = sparse.csr_matrix(
+            (np.ones(len(rows)), (rows, cols)),
+            shape=(len(row_names), len(col_names)),
+            dtype=np.float64,
+        )
+        return ViewMatrix(mat, tuple(row_names), tuple(col_names))
+
+    @staticmethod
     def from_triplets(
         triplets, row_names=None, col_names=None
     ) -> "ViewMatrix":
@@ -69,14 +80,14 @@ class ViewMatrix:
         """Text format: `row_name<TAB>col_name<TAB>count` per nonzero."""
         coo = self.counts.tocoo()
         order = np.lexsort((coo.col, coo.row))
-        with open(path, "w") as fh:
+        with open(path, "w", encoding="utf-8") as fh:
             for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
                 fh.write(f"{self.row_names[r]}\t{self.col_names[c]}\t{float(v)!r}\n")
 
     @staticmethod
     def read_triplets(path, row_names=None, col_names=None) -> "ViewMatrix":
         def gen():
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 for line in fh:
                     line = line.rstrip("\n")
                     if not line:

@@ -6,9 +6,13 @@ and shares no code path with the package.
 from __future__ import annotations
 
 import math
+import re
+import unicodedata
 from functools import lru_cache
+from urllib.parse import urlparse
 
 import numpy as np
+from scipy import sparse
 
 
 def brute_tfidf(dense: np.ndarray) -> np.ndarray:
@@ -190,3 +194,67 @@ def is_local_optimum(adjs, labels, weights, gammas, eps=1e-9) -> bool:
                 return False
         labels[i] = original
     return True
+
+
+_MARKUP = [re.compile(p) for p in (r"(?:https?://|www\.)\S+", r"#\S+", r"@\w+", r"\bRT\b")]
+
+
+def brute_preprocess_text(raw: str) -> list[str]:
+    """Strip URLs, hashtags, mentions and retweet markers, then keep each
+    L*/N* character lowercased on its own and split on everything else."""
+    text = raw
+    for pattern in _MARKUP:
+        text = pattern.sub(" ", text)
+    cleaned = []
+    for ch in text:
+        if unicodedata.category(ch)[0] in ("L", "N"):
+            cleaned.append(ch.lower())
+        else:
+            cleaned.append(" ")
+    return "".join(cleaned).split()
+
+
+def brute_daily_views(posts, url_mode="exact", min_posts=3):
+    """One day's four views from dicts keyed by (hashtag, feature) pairs.
+
+    Returns the hashtag registry and, per view (text, user, url, cooccur),
+    its column registry and CSR count matrix. A hashtag survives when it is
+    in `min_posts` distinct post ids; every registry is in first-appearance
+    order over the posts.
+    """
+    post_ids = {}
+    for p in posts:
+        for h in set(p.hashtags):
+            post_ids.setdefault(h, set()).add(p.post_id)
+    registry, kept = [], set()
+    for p in posts:
+        for h in p.hashtags:
+            if h not in kept and len(post_ids[h]) >= min_posts:
+                kept.add(h)
+                registry.append(h)
+
+    accs = ({}, {}, {}, {})
+    for p in posts:
+        tags = [h for h in dict.fromkeys(p.hashtags) if h in kept]
+        if not tags:
+            continue
+        tokens = brute_preprocess_text(p.text)
+        urls = [urlparse(u).netloc or u if url_mode == "domain" else u for u in p.urls]
+        for h in tags:
+            features = (tokens, [p.user_id], urls, [o for o in tags if o != h])
+            for acc, feats in zip(accs, features):
+                for f in feats:
+                    acc[(h, f)] = acc.get((h, f), 0.0) + 1.0
+
+    row = {h: i for i, h in enumerate(registry)}
+    views = []
+    for i, acc in enumerate(accs):
+        cols = registry if i == 3 else list(dict.fromkeys(c for _h, c in acc))
+        col = {c: j for j, c in enumerate(cols)}
+        mat = sparse.csr_matrix(
+            (list(acc.values()), ([row[h] for h, _c in acc], [col[c] for _h, c in acc])),
+            shape=(len(registry), len(cols)),
+            dtype=np.float64,
+        )
+        views.append((tuple(cols), mat))
+    return tuple(registry), views

@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from mvmc import compare
+import mvmc
+from mvmc import cli, compare, ingest
 from mvmc.cli import atomic_write, main
 from mvmc.compare import LabeledClustering, cross_level
 from mvmc.ensemble import average_internal_ari, filter_small_clusters
@@ -304,6 +307,87 @@ def test_pipeline_computes_each_ari_pair_once(tmp_path, runner, corpus, monkeypa
         assert result.exit_code == 0, result.output
         assert len(pairs) == 6 * 5 // 2
         check_internal_ari(out)
+
+
+def post_line(post_id, day, hashtags, text, user):
+    return json.dumps({
+        "post_id": post_id,
+        "timestamp": f"{day}T12:00:00+00:00",
+        "user_id": user,
+        "text": text,
+        "hashtags": hashtags,
+        "urls": [],
+    }) + "\n"
+
+
+def test_pipeline_tokenises_each_post_once(tmp_path, runner, corpus, monkeypatch):
+    # tagChurn: 2 posts on March 1, under the floor there, and 4 on March 2
+    # next to group a's hashtags; both days form one period
+    churn = "".join(
+        [post_line(f"churn{i}", "2020-03-01", ["tagChurn"], "churning early", f"early{i}")
+         for i in range(2)]
+        + [post_line(f"churn{i}", "2020-03-02", ["tagChurn", "tagA0", "tagA1"],
+                     "health masks vaccine", "user_a1") for i in range(2, 6)]
+    )
+    posts_text = corpus.read_text() + churn
+    calls = []
+    tokenise = ingest.preprocess_text
+
+    def counting(text):
+        calls.append(text)
+        return tokenise(text)
+
+    monkeypatch.setattr(ingest, "preprocess_text", counting)
+    monkeypatch.setattr(cli, "preprocess_text", counting)
+    result, out = run_pipeline_on(tmp_path, runner, "churn", posts_text)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == len(posts_text.splitlines())
+
+    meta_rows = (out / "meta_clusters.tsv").read_text().splitlines()
+    meta = dict(line.split("\t") for line in meta_rows)
+    label = meta["2020-03-01"]
+    assert meta["2020-03-02"] == label
+    period = [day for day, lab in meta.items() if lab == label]
+    reports = out / "reports"
+    assert "tagChurn\t6.0\t" in (reports / f"period_{label}_hashtags.tsv").read_text()
+
+    period_posts = tmp_path / "period.jsonl"
+    period_posts.write_text("".join(
+        line for line in posts_text.splitlines(keepends=True)
+        if json.loads(line)["timestamp"][:10] in period
+    ))
+    analyzed = tmp_path / "analyzed"
+    invoke_ok(runner, "analyze", period_posts, out / "consensus" / f"period_{label}.tsv", analyzed)
+    for name in ("clusters.tsv", "hashtags.tsv", "tokens.tsv"):
+        assert (analyzed / name).read_bytes() == (reports / f"period_{label}_{name}").read_bytes()
+
+
+def test_pipeline_artifacts_are_utf8_in_an_ascii_locale(tmp_path, corpus):
+    records = [json.loads(line) for line in corpus.read_text().splitlines()]
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text("".join(
+        json.dumps({**r, "text": "café Été " + r["text"],
+                    "hashtags": [h.replace("tagA", "tagÉ") for h in r["hashtags"]]},
+                   ensure_ascii=False) + "\n"
+        for r in records
+    ), encoding="utf-8")
+    trees = []
+    for utf8 in ("0", "1"):
+        out = tmp_path / f"utf8_{utf8}"
+        cfg = tmp_path / f"utf8_{utf8}.yaml"
+        cfg.write_text(f"input: {posts}\noutput_dir: {out}\nmeta_k: 2\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(mvmc.__file__).parents[1]),
+               "PYTHONUTF8": utf8, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C"}
+        proc = subprocess.run(
+            [sys.executable, "-X", f"utf8={utf8}", "-c", "from mvmc.cli import main; main()",
+             "pipeline", str(cfg)],
+            env=env, capture_output=True,
+        )
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        trees.append(tree_bytes(out))
+    assert trees[0] == trees[1]
+    assert "tagÉ0\n".encode() in trees[0]["views/2020-03-01/registry.tsv"]
+    assert "\tcafé\t".encode() in trees[0]["reports/period_0_tokens.tsv"]
 
 
 def check_internal_ari(out):

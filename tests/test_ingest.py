@@ -2,6 +2,7 @@ from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
+from oracles import brute_daily_views, brute_preprocess_text
 
 from mvmc import PostRecord, build_daily_views, preprocess_text
 from mvmc.ingest import (
@@ -51,6 +52,38 @@ def test_preprocess_keeps_unicode_words_and_digits():
     ]
 
 
+def test_preprocess_lowers_sigma_per_character():
+    # whole-string lower() would end "ΟΔΟΣ" with the final sigma "ς"
+    assert preprocess_text("ΟΔΟΣ Σ ΣΑΣ") == ["οδοσ", "σ", "σασ"]
+    assert preprocess_text("İstanbul") == ["i̇stanbul"]
+
+
+def tokeniser_mismatches(strings):
+    """The first ten strings the tokeniser and its oracle split differently."""
+    bad = [s for s in strings if preprocess_text(s) != brute_preprocess_text(s)]
+    return [ascii(s) for s in bad[:10]]
+
+
+@pytest.mark.parametrize("template", ["{}", "a{}b"])
+def test_preprocess_matches_oracle_on_every_code_point(template):
+    assert not tokeniser_mismatches(template.format(chr(c)) for c in range(0x110000))
+
+
+def test_preprocess_matches_oracle_on_random_markup():
+    pieces = [
+        "http://x.co/a", "https://t.co/ΣΣ", "www.site.example", "#tag", "#Σ", "@user",
+        "@_u1", "RT", "rt", "xRT", "RT:", "Σ", "ς", "ΣΑΣ", "İ", "I", "ß", "0", "42",
+        "٣", "½", "_", "__", "a", "Café", "é", "\u0301", "\u20dd", "e\u0301", "\u200d",
+        "-", ".", ":", "/", "#", "@", "www.", " ", "  ", "\t", "\n", "\u00a0",
+    ]
+    rng = np.random.default_rng(2020)
+    strings = [
+        "".join(pieces[i] for i in rng.integers(len(pieces), size=rng.integers(1, 12)))
+        for _ in range(200_000)
+    ]
+    assert not tokeniser_mismatches(strings)
+
+
 def test_parse_json_record():
     rec = parse_json_record(
         '{"post_id": "1", "timestamp": "2020-03-01T12:00:00Z", "user_id": "u9",'
@@ -79,6 +112,22 @@ def test_read_posts_reports_bad_lines(tmp_path):
     records = read_posts(path, on_error=lambda ln, msg: errors.append(ln))
     assert len(records) == 1
     assert errors == [2]
+
+
+def test_read_posts_skips_lines_that_are_not_utf8(tmp_path):
+    good = (
+        '{"post_id": "%s", "timestamp": "2020-03-01T12:00:00Z", "user_id": "u",'
+        ' "text": "café", "hashtags": ["#été"], "urls": []}\n'
+    )
+    path = tmp_path / "posts.jsonl"
+    path.write_bytes((good % "1").encode() + b'{"post_id": "\xff\xfe"}\n' + (good % "3").encode())
+    errors = []
+    records = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
+    assert [(r.post_id, r.text, r.hashtags) for r in records] == [
+        ("1", "café", ("#été",)),
+        ("3", "café", ("#été",)),
+    ]
+    assert errors == [(2, "not valid UTF-8 at column 14")]
 
 
 def test_group_by_day_sorted():
@@ -158,3 +207,65 @@ def test_url_domain_mode():
 def test_wrong_day_rejected():
     with pytest.raises(RecordError):
         build_daily_views([post("1", ["#a"])], date(2020, 3, 2))
+
+
+def random_day(rng, n_posts):
+    """Posts of one day built to hit every accumulation case: repeated
+    hashtags and tokens in a post, duplicate post ids, hashtags under the
+    floor, posts with no surviving hashtag, repeated URLs."""
+    tags = ["#a", "#b", "#A", "#c", "#d", "#e", "#covid", "#Covid"]
+    words = ["stay", "home", "Stay", "HOME", "ΣΑΣ", "masks", "42", "N°5", "#x", "@who", "RT"]
+    urls = ["http://a.example/1", "http://a.example/2", "https://b.example/x", "www.c.example"]
+
+    def pick(pool, most):
+        return [pool[i] for i in rng.integers(len(pool), size=rng.integers(0, most + 1))]
+
+    return [
+        post(
+            f"p{rng.integers(n_posts + 2)}",
+            pick(tags, 4),
+            text=" ".join(pick(words, 8)),
+            user=f"u{rng.integers(4)}",
+            urls=pick(urls, 3),
+            hour=int(rng.integers(24)),
+        )
+        for _ in range(n_posts)
+    ]
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_views_match_dict_accumulator(seed):
+    rng = np.random.default_rng(seed)
+    posts = random_day(rng, int(rng.integers(0, 40)))
+    url_mode = ("exact", "domain")[seed % 2]
+    views = build_daily_views(posts, DAY, url_mode=url_mode)
+    registry, expected = brute_daily_views(posts, url_mode=url_mode)
+    assert views.hashtags == registry
+    for view, (cols, counts) in zip(views.as_list(), expected):
+        assert view.row_names == registry and view.col_names == cols
+        assert view.counts.shape == counts.shape
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(view.counts, attr), getattr(counts, attr)), attr
+    assert views.post_tokens == tuple(brute_preprocess_text(p.text) for p in posts)
+    # each distinct token is one string object, shared by every post using it
+    tokens = [tok for toks in views.post_tokens for tok in toks]
+    assert len({id(tok) for tok in tokens}) == len(set(tokens))
+
+
+def test_random_days_cover_every_case():
+    found = set()
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        posts = random_day(rng, int(rng.integers(0, 40)))
+        kept = set(build_daily_views(posts, DAY).hashtags)
+        ids = [p.post_id for p in posts]
+        tokens = [preprocess_text(p.text) for p in posts]
+        cases = {
+            "repeated hashtag": any(len(set(p.hashtags)) < len(p.hashtags) for p in posts),
+            "repeated token": any(len(set(toks)) < len(toks) for toks in tokens),
+            "duplicate post id": len(set(ids)) < len(ids),
+            "dropped hashtag": any(set(p.hashtags) - kept for p in posts),
+            "post without kept hashtag": any(not kept & set(p.hashtags) for p in posts),
+        }
+        found |= {case for case, hit in cases.items() if hit}
+    assert found == set(cases)
