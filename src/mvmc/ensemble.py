@@ -33,21 +33,19 @@ def build_object_cluster_graph(
     """Bipartite membership graph over objects plus (day, cluster) vertices."""
     index = {obj: i for i, obj in enumerate(universe)}
     cluster_vertex: dict[tuple[int, object], int] = {}
-    edges = []
-    next_id = len(universe)
+    objs, vertices = [], []
     for day, c in enumerate(clusterings):
-        if not c.objects <= set(index):
+        if not c.assignments.keys() <= index.keys():
             raise GraphUsageError("clusterings must be cross-leveled to the universe")
         for obj in sorted(c.assignments):
             label = c.assignments[obj]
             if label == DUMMY_LABEL:
                 continue
-            key = (day, label)
-            if key not in cluster_vertex:
-                cluster_vertex[key] = next_id
-                next_id += 1
-            edges.append((index[obj], cluster_vertex[key], 1.0))
-    return ViewGraph.from_edges(next_id, edges)
+            objs.append(index[obj])
+            vertices.append(cluster_vertex.setdefault(
+                (day, label), len(universe) + len(cluster_vertex)))
+    n = len(universe) + len(cluster_vertex)
+    return ViewGraph.from_arrays(n, objs, vertices, np.ones(len(objs)))
 
 
 def ensemble_cluster(

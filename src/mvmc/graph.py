@@ -30,37 +30,42 @@ class ViewGraph:
     edge_w: np.ndarray
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> "ViewGraph":
-        """Build a graph from an (i, j, weight) iterable.
+    def from_arrays(n: int, i, j, w) -> "ViewGraph":
+        """Build a graph from parallel endpoint and weight arrays.
 
-        Edges are canonicalized to u < v; self-loops, duplicate pairs,
-        and non-finite or non-positive weights are rejected.
-        """
+        Edges are stored as u < v, sorted, and dropped under WEIGHT_FLOOR.
+        Out-of-range ids, self-loops, non-finite or negative weights and
+        duplicate pairs raise, naming the first bad edge in input order."""
         if n < 0:
             raise GraphUsageError("node count must be nonnegative")
-        us, vs, ws = [], [], []
-        for i, j, w in edges:
-            if not (0 <= i < n and 0 <= j < n):
-                raise GraphUsageError(f"edge ({i},{j}) out of range for n={n}")
-            if i == j:
-                raise GraphUsageError(f"self-loop at node {i}")
-            if not np.isfinite(w) or w < 0:
-                raise GraphUsageError(f"bad weight {w} on edge ({i},{j})")
-            if w < WEIGHT_FLOOR:
-                continue
-            u, v = (i, j) if i < j else (j, i)
-            us.append(u)
-            vs.append(v)
-            ws.append(float(w))
-        u = np.asarray(us, dtype=np.int64)
-        v = np.asarray(vs, dtype=np.int64)
-        w = np.asarray(ws, dtype=np.float64)
+        i, j, w = np.asarray(i), np.asarray(j), np.asarray(w)
+        if i.ndim != 1 or not i.shape == j.shape == w.shape:
+            raise GraphUsageError("edge arrays must be 1-D and of one length")
+        out_of_range = (i < 0) | (i >= n) | (j < 0) | (j >= n)
+        loop = i == j
+        bad = np.flatnonzero(out_of_range | loop | ~np.isfinite(w) | (w < 0))
+        if len(bad):
+            k = bad[0]
+            if out_of_range[k]:
+                raise GraphUsageError(f"edge ({i[k]},{j[k]}) out of range for n={n}")
+            if loop[k]:
+                raise GraphUsageError(f"self-loop at node {i[k]}")
+            raise GraphUsageError(f"bad weight {w[k]} on edge ({i[k]},{j[k]})")
+        keep = w >= WEIGHT_FLOOR
+        u = np.minimum(i, j)[keep].astype(np.int64)
+        v = np.maximum(i, j)[keep].astype(np.int64)
         order = np.lexsort((v, u))
-        u, v, w = u[order], v[order], w[order]
-        if len(u) > 1 and np.any((u[1:] == u[:-1]) & (v[1:] == v[:-1])):
-            dup = np.flatnonzero((u[1:] == u[:-1]) & (v[1:] == v[:-1]))[0]
-            raise GraphUsageError(f"duplicate edge ({u[dup]},{v[dup]})")
+        u, v, w = u[order], v[order], w[keep][order].astype(np.float64)
+        dup = np.flatnonzero((u[1:] == u[:-1]) & (v[1:] == v[:-1]))
+        if len(dup):
+            raise GraphUsageError(f"duplicate edge ({u[dup[0]]},{v[dup[0]]})")
         return ViewGraph(n=n, edge_u=u, edge_v=v, edge_w=w)
+
+    @staticmethod
+    def from_edges(n: int, edges: Iterable[tuple[int, int, float]]) -> "ViewGraph":
+        """Build a graph from an (i, j, weight) iterable; see `from_arrays`."""
+        columns = tuple(zip(*edges)) or ((), (), ())
+        return ViewGraph.from_arrays(n, *columns)
 
     @property
     def edge_count(self) -> int:

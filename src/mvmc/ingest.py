@@ -22,6 +22,7 @@ _MENTION_RE = re.compile(r"@\w+")
 _RT_RE = re.compile(r"\bRT\b")
 # maximal runs of letters (L*) and numbers (N*): \w without the underscore
 _WORD_RE = re.compile(r"[^\W_]+")
+_SEPARATOR_RE = re.compile(r"[\t\n\r]")
 
 
 class RecordError(ValueError):
@@ -92,7 +93,7 @@ def parse_json_record(line: str) -> PostRecord:
     """One line-delimited JSON record with the PostRecord fields."""
     obj = json.loads(line)
     try:
-        return PostRecord(
+        record = PostRecord(
             post_id=str(obj["post_id"]),
             timestamp=_parse_timestamp(obj["timestamp"]),
             user_id=str(obj["user_id"]),
@@ -102,6 +103,11 @@ def parse_json_record(line: str) -> PostRecord:
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise RecordError(f"bad record: {exc}") from exc
+    # names are written one per line and tab-separated in the view files
+    for name in (record.user_id, *record.hashtags, *record.urls):
+        if _SEPARATOR_RE.search(str(name)):
+            raise RecordError(f"tab or line break in {name!r}")
+    return record
 
 
 def parse_tsv_record(line: str) -> PostRecord:

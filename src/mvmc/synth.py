@@ -12,15 +12,16 @@ from datetime import datetime, timezone
 def planted_partition_graph(
     labels: np.ndarray, p_in: float, p_out: float, rng: np.random.Generator
 ) -> ViewGraph:
-    """Sample an undirected unit-weight graph with block structure."""
+    """Sample an undirected unit-weight graph with block structure, drawing
+    one uniform per pair (i, j > i) in row-major order."""
     n = len(labels)
-    edges = []
+    hits = []
     for i in range(n):
-        for j in range(i + 1, n):
-            p = p_in if labels[i] == labels[j] else p_out
-            if rng.random() < p:
-                edges.append((i, j, 1.0))
-    return ViewGraph.from_edges(n, edges)
+        p = np.where(labels[i + 1:] == labels[i], p_in, p_out)
+        hits.append(i + 1 + np.flatnonzero(rng.random(n - 1 - i) < p))
+    rows = np.repeat(np.arange(n), [len(h) for h in hits])
+    cols = np.concatenate([np.zeros(0, np.int64), *hits])
+    return ViewGraph.from_arrays(n, rows, cols, np.ones(len(cols)))
 
 
 def planted_partition_views(
@@ -44,17 +45,8 @@ def planted_partition_views(
     # density-matched noise: uniform p equal to the informative views' mean
     p_noise = p_in / n_blocks + p_out * (1 - 1 / n_blocks)
     for _ in range(n_noise_views):
-        graphs.append(_uniform_graph(n, p_noise, rng))
+        graphs.append(planted_partition_graph(np.zeros(n), p_noise, p_noise, rng))
     return graphs, labels
-
-
-def _uniform_graph(n: int, p: float, rng: np.random.Generator) -> ViewGraph:
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                edges.append((i, j, 1.0))
-    return ViewGraph.from_edges(n, edges)
 
 
 def synthetic_corpus(seed: int = 0, posts_per_day: int = 70) -> list[PostRecord]:

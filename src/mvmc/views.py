@@ -47,35 +47,6 @@ class ViewMatrix:
         )
         return ViewMatrix(mat, tuple(row_names), tuple(col_names))
 
-    @staticmethod
-    def from_triplets(
-        triplets, row_names=None, col_names=None
-    ) -> "ViewMatrix":
-        """Build from (row_name, col_name, count) triplets.
-
-        Registries follow first-appearance order unless given explicitly.
-        """
-        rows = {name: i for i, name in enumerate(row_names)} if row_names else {}
-        cols = {name: i for i, name in enumerate(col_names)} if col_names else {}
-        fixed_rows, fixed_cols = row_names is not None, col_names is not None
-        ri, ci, vals = [], [], []
-        for r, c, v in triplets:
-            if r not in rows:
-                if fixed_rows:
-                    raise GraphUsageError(f"unknown row {r!r}")
-                rows[r] = len(rows)
-            if c not in cols:
-                if fixed_cols:
-                    raise GraphUsageError(f"unknown column {c!r}")
-                cols[c] = len(cols)
-            ri.append(rows[r])
-            ci.append(cols[c])
-            vals.append(float(v))
-        mat = sparse.csr_matrix(
-            (vals, (ri, ci)), shape=(len(rows), len(cols)), dtype=np.float64
-        )
-        return ViewMatrix(mat, tuple(rows), tuple(cols))
-
     def write_triplets(self, path) -> None:
         """Text format: `row_name<TAB>col_name<TAB>count` per nonzero."""
         coo = self.counts.tocoo()
@@ -86,16 +57,39 @@ class ViewMatrix:
 
     @staticmethod
     def read_triplets(path, row_names=None, col_names=None) -> "ViewMatrix":
-        def gen():
-            with open(path, encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.rstrip("\n")
-                    if not line:
-                        continue
-                    r, c, v = line.split("\t")
-                    yield r, c, float(v)
-
-        return ViewMatrix.from_triplets(gen(), row_names, col_names)
+        """Read the `write_triplets` format. Registries follow first-appearance
+        order unless given explicitly; a name outside a given one raises."""
+        rows = {name: i for i, name in enumerate(row_names or ())}
+        cols = {name: i for i, name in enumerate(col_names or ())}
+        ri, ci, vals = [], [], []
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                fields = line.rstrip("\n").split("\t")
+                if fields == [""]:
+                    continue
+                try:
+                    r, c, count = fields
+                    vals.append(float(count))
+                except ValueError:
+                    got = (f"count {fields[2]!r}" if len(fields) == 3
+                           else f"{len(fields)} field(s)")
+                    raise GraphUsageError(
+                        f"{path}:{lineno}: expected row<TAB>col<TAB>count, got {got}"
+                    ) from None
+                if r not in rows:
+                    if row_names is not None:
+                        raise GraphUsageError(f"{path}:{lineno}: unknown row {r!r}")
+                    rows[r] = len(rows)
+                if c not in cols:
+                    if col_names is not None:
+                        raise GraphUsageError(f"{path}:{lineno}: unknown column {c!r}")
+                    cols[c] = len(cols)
+                ri.append(rows[r])
+                ci.append(cols[c])
+        mat = sparse.csr_matrix(
+            (vals, (ri, ci)), shape=(len(rows), len(cols)), dtype=np.float64
+        )
+        return ViewMatrix(mat, tuple(rows), tuple(cols))
 
 
 def tfidf(m: ViewMatrix, mode: str = "ratio") -> ViewMatrix:
@@ -167,24 +161,19 @@ def knn_graph(m: ViewMatrix, k: int | None = None) -> ViewGraph:
     normed = _normalize_rows(m.counts).tocsr()
     sims = (normed @ normed.T).tocsr()
     sims.setdiag(0.0)
+    sims.data[~(sims.data > WEIGHT_FLOOR)] = 0.0  # never linked, NaN included
     sims.eliminate_zeros()
 
-    rows, cols, vals = [], [], []
+    # each row's picks, as positions into sims: ranked by -value then
+    # column, first k kept
     indptr, indices, data = sims.indptr, sims.indices, sims.data
+    picks = []
     for i in range(n):
         lo, hi = indptr[i], indptr[i + 1]
-        cand_cols = indices[lo:hi]
-        cand_vals = data[lo:hi]
-        keep = cand_vals > WEIGHT_FLOOR
-        cand_cols, cand_vals = cand_cols[keep], cand_vals[keep]
-        if len(cand_cols) == 0:
-            continue
-        order = np.lexsort((cand_cols, -cand_vals))[:k]
-        rows.extend([i] * len(order))
-        cols.extend(cand_cols[order])
-        vals.extend(cand_vals[order])
-
-    directed = sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        picks.append(lo + np.lexsort((indices[lo:hi], -data[lo:hi]))[:k])
+    rows = np.repeat(np.arange(n), [len(p) for p in picks])
+    pos = np.concatenate(picks)
+    directed = sparse.csr_matrix((data[pos], (rows, indices[pos])), shape=(n, n))
     sym = (directed + directed.T) * 0.5
     sym = sparse.triu(sym, k=1).tocoo()
-    return ViewGraph.from_edges(n, zip(sym.row, sym.col, sym.data))
+    return ViewGraph.from_arrays(n, sym.row, sym.col, sym.data)

@@ -258,3 +258,59 @@ def brute_daily_views(posts, url_mode="exact", min_posts=3):
         )
         views.append((tuple(cols), mat))
     return tuple(registry), views
+
+
+def brute_view_graph(n, edges):
+    """Per-edge construction of a canonical edge list: u < v, sorted by
+    (u, v), weights under 1e-12 dropped. Returns (u, v, w) arrays; raises
+    ValueError naming the first bad edge (range, then self-loop, then weight)
+    or, after that, the first duplicate pair in sorted order."""
+    if n < 0:
+        raise ValueError("node count must be nonnegative")
+    us, vs, ws = [], [], []
+    for i, j, w in edges:
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}) out of range for n={n}")
+        if i == j:
+            raise ValueError(f"self-loop at node {i}")
+        if not np.isfinite(w) or w < 0:
+            raise ValueError(f"bad weight {w} on edge ({i},{j})")
+        if w < 1e-12:
+            continue
+        u, v = (i, j) if i < j else (j, i)
+        us.append(u)
+        vs.append(v)
+        ws.append(float(w))
+    u = np.asarray(us, dtype=np.int64)
+    v = np.asarray(vs, dtype=np.int64)
+    w = np.asarray(ws, dtype=np.float64)
+    order = np.lexsort((v, u))
+    u, v, w = u[order], v[order], w[order]
+    for k in range(1, len(u)):
+        if u[k] == u[k - 1] and v[k] == v[k - 1]:
+            raise ValueError(f"duplicate edge ({u[k]},{v[k]})")
+    return u, v, w
+
+
+def brute_planted_partition_edges(labels, p_in, p_out, rng):
+    """One scalar draw per pair (i, j > i) in row-major order; an edge when
+    the draw is under p_in (same label) or p_out (different labels)."""
+    n = len(labels)
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            p = p_in if labels[i] == labels[j] else p_out
+            if rng.random() < p:
+                edges.append((i, j))
+    return edges
+
+
+def brute_planted_partition_views(n, n_blocks, p_in, p_out, n_views, n_noise_views, rng):
+    """Edge lists of the informative views, block labels i % n_blocks, then
+    of the noise views, each pair drawn at the blocks' mean density."""
+    labels = [i % n_blocks for i in range(n)]
+    views = [brute_planted_partition_edges(labels, p_in, p_out, rng) for _ in range(n_views)]
+    p_noise = p_in / n_blocks + p_out * (1 - 1 / n_blocks)
+    views += [brute_planted_partition_edges([0] * n, p_noise, p_noise, rng)
+              for _ in range(n_noise_views)]
+    return views

@@ -505,3 +505,55 @@ def test_malformed_clustering_tsv_exits_2(tmp_path, runner, corpus):
         result = runner.invoke(main, [str(a) for a in args])
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"error: {bad}:2: expected object<TAB>label")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("tagA0\thealth\t1.0\textra", "expected row<TAB>col<TAB>count, got 4 field(s)"),
+    ("tagA0 health 1.0", "expected row<TAB>col<TAB>count, got 1 field(s)"),
+    ("tagA0\thealth\tmany", "expected row<TAB>col<TAB>count, got count 'many'"),
+    ("tagZ9\thealth\t1.0", "unknown row 'tagZ9'"),
+])
+def test_malformed_triplets_line_exits_2(tmp_path, runner, corpus, line, message):
+    views = tmp_path / "views"
+    invoke_ok(runner, "ingest", corpus, views)
+    text = views / "2020-03-01" / "text.triplets"
+    lines = text.read_text().splitlines()
+    text.write_text("\n".join(lines[:2] + [line] + lines[2:]) + "\n")
+    result = runner.invoke(main, ["cluster", str(views / "2020-03-01"), str(tmp_path / "c")])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {text}:3: {message}\n"
+
+
+def test_names_with_tabs_or_line_breaks_are_skipped(tmp_path, runner, corpus):
+    bad = [post_line(f"tab{i}", "2020-03-01", ["a\tb", "tagA0"], "health masks", "user_a1")
+           for i in range(6)]
+    bad.append(post_line("nl", "2020-03-01", ["tagA0"], "health", "user\nx"))
+    bad.append(json.dumps({"post_id": "cr", "timestamp": "2020-03-01T12:00:00+00:00",
+                           "user_id": "user_a1", "text": "masks", "hashtags": ["tagA0"],
+                           "urls": ["https://example.org/\r"]}) + "\n")
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text(corpus.read_text() + "".join(bad))
+    plain, views = tmp_path / "plain", tmp_path / "views"
+    invoke_ok(runner, "ingest", corpus, plain)
+    result = runner.invoke(main, ["ingest", str(posts), str(views)])
+    assert result.exit_code == 0, result.output
+    first = len(corpus.read_text().splitlines()) + 1
+    names = ["a\tb"] * 6 + ["user\nx", "https://example.org/\r"]
+    for lineno, name in enumerate(names, first):
+        assert f"warning: line {lineno} skipped: tab or line break in {name!r}" in result.stderr
+    assert tree_bytes(views) == tree_bytes(plain)
+    invoke_ok(runner, "cluster", views / "2020-03-01", tmp_path / "c")
+
+
+def test_importing_the_cli_loads_no_heavy_scipy_subpackage():
+    # measured on `import mvmc.cli` (52.5 MB peak RSS): scipy.sparse.csgraph
+    # adds 10.5 MB and scipy.cluster.hierarchy 16 MB, a fifth of a small run
+    code = (
+        "import sys, mvmc.cli;"
+        "print(*sorted(m for m in sys.modules if m.startswith("
+        "('scipy.sparse.csgraph', 'scipy.cluster', 'scipy.spatial'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(mvmc.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.split() == []

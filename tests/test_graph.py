@@ -2,6 +2,13 @@ import numpy as np
 import pytest
 
 from mvmc import Clustering, GraphUsageError, ViewGraph
+from mvmc.synth import planted_partition_graph, planted_partition_views
+
+from oracles import (
+    brute_planted_partition_edges,
+    brute_planted_partition_views,
+    brute_view_graph,
+)
 
 TRIANGLE = [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]
 
@@ -91,3 +98,143 @@ def test_clustering_requires_dense_labels():
         Clustering(np.array([0, 2]))
     with pytest.raises(GraphUsageError):
         Clustering(np.array([1, 2]))
+
+
+def random_edge_list(rng) -> tuple[int, list]:
+    """A node count and an edge list over distinct random pairs, each edge
+    possibly reversed or replaced by one of the faults `from_arrays` handles."""
+    n = int(rng.integers(0, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rng.shuffle(pairs)
+    edges = []
+    for i, j in pairs[: int(rng.integers(0, len(pairs) + 1))]:
+        if rng.random() < 0.5:
+            i, j = j, i
+        w = float(rng.uniform(0.1, 2.0))
+        roll = rng.random()
+        if roll < 0.10 and edges:
+            # an earlier pair again, reversed or as it was
+            i, j = edges[int(rng.integers(len(edges)))][:2]
+            if roll < 0.05:
+                i, j = j, i
+        elif roll < 0.13:
+            w = 0.0
+        elif roll < 0.16:
+            w = float(rng.choice([1e-13, 9.99e-13, 1e-12, -0.0]))
+        elif roll < 0.17:
+            w = float("nan")
+        elif roll < 0.18:
+            w = float(rng.choice([np.inf, -np.inf]))
+        elif roll < 0.19:
+            w = -w
+        elif roll < 0.20:
+            j = i
+        elif roll < 0.21:
+            j = n + int(rng.integers(3))
+        elif roll < 0.22:
+            i = -1 - int(rng.integers(3))
+        edges.append((i, j, w))
+    return n, edges
+
+
+def outcome(build):
+    try:
+        g = build()
+    except GraphUsageError as exc:
+        return str(exc)
+    return arrays_outcome(g.edge_u, g.edge_v, g.edge_w)
+
+
+def arrays_outcome(u, v, w):
+    return u.tolist(), v.tolist(), w.tolist(), (u.dtype, v.dtype, w.dtype)
+
+
+def oracle_outcome(n, edges):
+    try:
+        u, v, w = brute_view_graph(n, edges)
+    except ValueError as exc:
+        return str(exc)
+    return arrays_outcome(u, v, w)
+
+
+def edge_columns(edges):
+    return (np.array([e[0] for e in edges], dtype=np.int64),
+            np.array([e[1] for e in edges], dtype=np.int64),
+            np.array([e[2] for e in edges], dtype=np.float64))
+
+
+def test_construction_matches_the_per_edge_oracle():
+    rng = np.random.default_rng(2024)
+    seen = {"built": 0, "multi_bad": 0}
+    for _ in range(3000):
+        n, edges = random_edge_list(rng)
+        expected = oracle_outcome(n, edges)
+        assert outcome(lambda: ViewGraph.from_edges(n, edges)) == expected, (n, edges)
+        assert outcome(lambda: ViewGraph.from_arrays(n, *edge_columns(edges))) == expected
+        if isinstance(expected, str):
+            seen[expected.split(" ")[0]] = seen.get(expected.split(" ")[0], 0) + 1
+        else:
+            seen["built"] += 1
+        bad = [e for e in edges if not (0 <= e[0] < n and 0 <= e[1] < n)
+               or e[0] == e[1] or not np.isfinite(e[2]) or e[2] < 0]
+        seen["multi_bad"] += len(bad) >= 2
+    # every fault is hit, as first fault, many times
+    assert set(seen) == {"built", "multi_bad", "edge", "self-loop", "bad", "duplicate"}
+    assert min(seen.values()) >= 50, seen
+
+
+def test_construction_edge_cases_match_the_oracle():
+    cases = [
+        (0, []),
+        (3, []),
+        (-1, []),
+        (0, [(0, 0, 1.0)]),
+        (3, [(2, 1, 0.5), (1, 2, 1e-13)]),  # the reversed pair falls under the floor
+        (3, [(2, 1, 0.5), (1, 2, 0.0)]),
+        (3, [(2, 1, 0.5), (1, 2, 0.25)]),
+        (4, [(0, 1, 1.0), (2, 2, float("nan")), (1, 9, -1.0)]),
+        (4, [(0, 1, float("-inf")), (5, 1, 1.0)]),
+        (4, [(-2, 1, 1.0), (3, 3, 1.0)]),
+    ]
+    for n, edges in cases:
+        expected = oracle_outcome(n, edges)
+        assert outcome(lambda: ViewGraph.from_edges(n, edges)) == expected, (n, edges)
+        assert outcome(lambda: ViewGraph.from_arrays(n, *edge_columns(edges))) == expected
+    with pytest.raises(GraphUsageError, match="edge arrays must be 1-D and of one length"):
+        ViewGraph.from_arrays(3, [0], [1, 2], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("n, blocks, p_in, p_out, noise, seed", [
+    (1, 1, 0.5, 0.0, 1, 0),
+    (2, 2, 1.0, 0.0, 0, 1),
+    (17, 3, 0.4, 0.1, 2, 2),
+    (48, 4, 0.25, 0.05, 1, 3),
+    (60, 1, 0.9, 0.3, 0, 4),
+])
+def test_sampler_matches_the_double_loop_oracle(monkeypatch, n, blocks, p_in, p_out,
+                                                noise, seed):
+    made = []
+    default_rng = np.random.default_rng
+
+    def recording_rng(s):
+        made.append(default_rng(s))
+        return made[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording_rng)
+    graphs, labels = planted_partition_views(n, blocks, p_in, p_out, 2, noise, seed)
+    monkeypatch.undo()
+    rng = np.random.default_rng(seed)
+    expected = brute_planted_partition_views(n, blocks, p_in, p_out, 2, noise, rng)
+    assert [list(zip(g.edge_u.tolist(), g.edge_v.tolist())) for g in graphs] == expected
+    assert all(g.n == n and np.all(g.edge_w == 1.0) for g in graphs)
+    assert made[0].bit_generator.state == rng.bit_generator.state
+
+
+def test_planted_partition_graph_leaves_the_generator_as_the_oracle_does():
+    labels = np.array([0, 1, 1, 0, 2, 2, 1, 0, 0, 2])
+    rng, ref = np.random.default_rng(9), np.random.default_rng(9)
+    for p_in, p_out in [(0.6, 0.2), (1.0, 0.0), (0.3, 0.3)]:
+        g = planted_partition_graph(labels, p_in, p_out, rng)
+        assert list(zip(g.edge_u.tolist(), g.edge_v.tolist())) == \
+            brute_planted_partition_edges(labels, p_in, p_out, ref)
+        assert rng.bit_generator.state == ref.bit_generator.state
