@@ -1,29 +1,37 @@
-"""Compare the move-pass kernel that loaded against the pure-Python reference.
+"""Compare the maximizer kernels that loaded against their references.
 
-Usage: python3 benchmarks/bench_kernels.py [--n 2000] [--views 2] [--repeat 5]
+Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 2000] [--views 2] [--repeat 5]
 
-Times a raw single sweep over a planted-partition graph with each kernel, the
+Times, on a planted-partition graph: a raw single sweep with each kernel; the
 level aggregations of one maximize() call with `aggregate` and with the scipy
-reference `_aggregate` on the same level inputs, and a full maximize() call
-under each backend, and checks that both give identical sweeps, aggregated
-graphs and partitions. `mvmc._kernels.BACKEND` names the kernel that loaded
-("c", or "python" when the C build is unavailable or MVMC_KERNEL=python). The
+reference `_aggregate` on the same level inputs; whole restarts with the
+compiled `run_restarts` and with the reference `modularity._restarts`, which
+drives each restart from Python one sweep and one level at a time through the
+loaded kernels; and a full maximize() call under each backend. It checks that
+both sides give identical sweeps, aggregated graphs, restarts (labels,
+counters and generator state) and partitions. The first line names
+`mvmc._kernels.BACKEND` ("c", or "python" when the C build is unavailable or
+MVMC_KERNEL=python), the CPU count and the Python/numpy/scipy versions. The
 timed maximize() calls run in fresh interpreters, one per backend, chosen with
-MVMC_KERNEL, so no backend is swapped in; the level inputs are recorded by a
-pass-through wrapper around `modularity.aggregate` during one maximize() call.
+MVMC_KERNEL, so no backend is swapped in. The level inputs are recorded by a
+pass-through wrapper around `modularity.aggregate` during one maximize() call
+under the reference restart, since the compiled one aggregates inside C.
 """
 import argparse
+import copy
 import json
 import os
+import platform
 import subprocess
 import sys
 import time
 from unittest import mock
 
 import numpy as np
+import scipy
 
 from mvmc import modularity, rb_modularity
-from mvmc._kernels import BACKEND, _aggregate, _move_pass, aggregate, move_pass
+from mvmc._kernels import BACKEND, _aggregate, _move_pass, aggregate, move_pass, run_restarts
 from mvmc.modularity import maximize
 from mvmc.synth import planted_partition_views
 
@@ -72,16 +80,52 @@ def run_sweep(kernel, adj, deg, alpha, order):
 
 
 def level_inputs(graphs):
-    """The arguments of every `aggregate` call one maximize() call makes."""
+    """The arguments of every `aggregate` call one maximize() call makes under
+    the reference restart."""
     calls = []
 
     def record(*level):
         calls.append([a.copy() for a in level])
         return aggregate(*level)
 
-    with mock.patch.object(modularity, "aggregate", record):
+    with mock.patch.object(modularity, "aggregate", record), \
+            mock.patch.object(modularity, "run_restarts", modularity._restarts):
         maximize(graphs, seed=0)
     return calls
+
+
+def restart_inputs(graphs):
+    """The (graph0, deg0, alpha, gain_epsilon) maximize() hands its restarts."""
+    seen = []
+
+    def record(graph0, deg0, alpha, rngs, eps):
+        seen.append((graph0, deg0, alpha, eps))
+        return modularity._restarts(graph0, deg0, alpha, rngs, eps)
+
+    with mock.patch.object(modularity, "run_restarts", record):
+        maximize(graphs, seed=0, restarts=1)
+    return seen[0]
+
+
+def time_restarts(runner, inputs, restarts, repeat):
+    """Best per-restart time over `repeat` passes of `restarts` restarts, the
+    last pass's results, and its generators' final states."""
+    graph0, deg0, alpha, eps = inputs
+    best = np.inf
+    for _ in range(repeat):
+        rngs = [np.random.default_rng([0, r]) for r in range(restarts)]
+        t0 = time.perf_counter()
+        results = runner(graph0, deg0, alpha, rngs, eps)
+        best = min(best, (time.perf_counter() - t0) / restarts)
+    return best, results, [copy.deepcopy(rng.bit_generator.state) for rng in rngs]
+
+
+def same_restarts(a, b):
+    """Equal labels and counters for every restart, and equal generator states."""
+    (results_a, states_a), (results_b, states_b) = a, b
+    return states_a == states_b and all(
+        np.array_equal(la, lb) and ca == cb for (la, ca), (lb, cb) in zip(results_a, results_b)
+    )
 
 
 def time_aggregation(kernel, calls, repeat):
@@ -135,6 +179,9 @@ def main():
 
     graphs = planted(args)
     edges = sum(len(g.edge_u) for g in graphs)
+    print(json.dumps({"backend": BACKEND, "cpu_count": os.cpu_count(),
+                      "python": platform.python_version(), "numpy": np.__version__,
+                      "scipy": scipy.__version__}))
     print(f"n={args.n}, views={args.views}, total edges={edges}, backend={BACKEND}")
     if BACKEND == "python":
         print("note: the C kernel did not load, both paths are the Python reference")
@@ -159,6 +206,19 @@ def main():
         print(f"aggregation  [{label:6}] {per_level * 1e6:8.1f} us per level"
               f"  ({len(calls)} calls in one maximize)")
 
+    inputs = restart_inputs(graphs)
+    restarts = {}
+    if run_restarts is None:
+        print("note: no compiled restart routine, skipping the restart timing")
+    else:
+        for label, runner in (("c", run_restarts), ("driven", modularity._restarts)):
+            per_restart, results, states = time_restarts(
+                runner, inputs, modularity.DEFAULT_RESTARTS, args.repeat)
+            restarts[label] = (results, states)
+            n_sweeps = sum(counts[0] for _labels, counts in results)
+            print(f"restart      [{label:6}] {per_restart * 1e3:8.2f} ms per restart"
+                  f"  ({len(results)} restarts, {n_sweeps} sweeps)")
+
     results = {}
     for label, kernel_env in ((BACKEND, {}), ("python", {"MVMC_KERNEL": "python"})):
         res = maximize_with(kernel_env, args)
@@ -173,6 +233,9 @@ def main():
     same_levels = all(map(same_aggregation, aggregated[BACKEND], aggregated["scipy"]))
     print(f"paths agree on the single-sweep partition: {same_sweep}")
     print(f"paths agree on every aggregated level: {same_levels}")
+    if restarts:
+        print(f"paths agree on every restart (labels, counters, generator state): "
+              f"{same_restarts(restarts['c'], restarts['driven'])}")
     print(f"paths agree on the final partition: {same}")
 
 

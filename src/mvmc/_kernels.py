@@ -1,4 +1,5 @@
-"""The two kernels of the modularity maximizer: the sweep and the aggregation.
+"""The kernels of the modularity maximizer: the sweep, the aggregation and
+the whole restart.
 
 `move_pass` runs one sweep of local moves and `aggregate` one level of graph
 aggregation. Each has a reference implementation here: `_move_pass` in plain
@@ -6,12 +7,28 @@ Python, and `_aggregate`, which gets the aggregated graph from scipy's sparse
 products. `_move_pass.c` holds a compiled routine for each: a line-for-line
 port of `_move_pass` with the same floating-point operations in the same
 order, and an aggregation that reproduces scipy's products entry for entry and
-bit for bit. So both backends give identical partitions. At import the C
-source is built with the local C compiler into a per-user cache and loaded
-through ctypes; `move_pass` and `aggregate` are then checked wrappers around
-it. Without a compiler, when the build or load fails, or with
-MVMC_KERNEL=python, they are `_move_pass` and `_aggregate`. `BACKEND` names
-the implementation that runs: "c" or "python". benchmarks/bench_kernels.py
+bit for bit. So both backends give identical partitions.
+
+The third compiled routine, `maximize_once`, runs one whole restart of the
+maximizer in one call: it is `modularity._maximize_once`, the reference, which
+drives the two kernels from Python one sweep and one level at a time.
+`run_restarts` is its checked wrapper. Each sweep's order must be what the
+reference draws, `rng.permutation(size)`: the C routine shuffles `arange(size)`
+with numpy's Fisher-Yates (for i from size-1 down to 1, swap i with
+j = random_interval(i), which masks `next_uint32` to the smallest all-ones
+mask >= i and draws again while the value exceeds i), taking its bits from
+the restart's own Generator through `rng.bit_generator.ctypes`, under the bit
+generator's lock. That contract rests on numpy internals, so at load the
+compiled draw (`draw_order`) is compared with `Generator.permutation` for a
+fixed seed at a few sizes; on any difference none of the compiled routines
+is used.
+
+At import the C source is built with the local C compiler into a per-user
+cache and loaded through ctypes; `move_pass` and `aggregate` are then checked
+wrappers around it. Without a compiler, when the build or load fails, when the
+draw differs, or with MVMC_KERNEL=python, they are `_move_pass` and
+`_aggregate`, and `run_restarts` and `draw_order` are None. `BACKEND` names the
+implementation that runs: "c" or "python". benchmarks/bench_kernels.py
 compares the two.
 """
 from __future__ import annotations
@@ -35,6 +52,9 @@ from .graph import densify_labels
 CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 SOURCE = Path(__file__).with_name("_move_pass.c")
 _BAD_INDEX, _NO_MEMORY = -1, -2  # the C kernel's error returns
+MAX_LEVELS = 100  # rounds of a restart, and coarsening levels of a round
+# the load-time check of the compiled draw against Generator.permutation
+DRAW_CHECK_SEED, DRAW_CHECK_SIZES = 20200803, (1, 2, 17, 1000)
 
 
 def _move_pass(
@@ -201,14 +221,16 @@ def _build_library() -> Path | None:
 
 
 def _load_c_kernels():
-    """Wrappers (move_pass, aggregate) around the compiled routines, or None
-    when they are unavailable."""
+    """Wrappers (move_pass, aggregate, draw_order, run_restarts) around the
+    compiled routines, or None when they are unavailable or the compiled draw
+    differs from numpy's."""
     library = _build_library()
     if library is None:
         return None
     try:
         compiled = ctypes.CDLL(str(library))
         kernel, aggregator = compiled.move_pass, compiled.aggregate
+        drawer, restart = compiled.draw_order, compiled.maximize_once
     except (OSError, AttributeError):
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -219,6 +241,10 @@ def _load_c_kernels():
     ]
     aggregator.restype = i64
     aggregator.argtypes = [i64, i64, i64, *[ptr] * 10, ctypes.POINTER(i64)]
+    drawer.restype = i64
+    drawer.argtypes = [i64, ptr, ptr, ptr]
+    restart.restype = i64
+    restart.argtypes = [i64, i64, i64, *[ptr] * 5, f64, i64, ptr, ptr, ptr, ptr]
 
     def c_move_pass(
         indptr,
@@ -299,7 +325,75 @@ def _load_c_kernels():
         m = agg_nnz.value
         return dense, k, agg_indptr[: k + 1], agg_indices[:m], agg_data[:m], agg_deg[:k]
 
-    return c_move_pass, c_aggregate
+    def c_draw_order(rng, n):
+        """`rng.permutation(n)`, drawn by the compiled routine from rng's bit
+        generator, which advances as under `permutation`."""
+        bits = _bit_generator(rng)
+        order = np.empty(n, dtype=np.int64)
+        interface = bits.ctypes
+        with bits.lock:  # ctypes releases the GIL for the call
+            status = drawer(n, interface.state_address, interface.next_uint32, order.ctypes.data)
+        _check_status("draw_order", status)
+        return order
+
+    def c_run_restarts(graph0, deg0, alpha, rngs, eps):
+        """`modularity._restarts` run by the compiled routine, one call per
+        restart; same arguments and result.
+
+        The graph, degrees and alpha are checked and converted once, for all
+        restarts, as in `c_move_pass`. Each call holds its generator's lock,
+        because ctypes releases the GIL and the routine advances the
+        generator's state.
+        """
+        indptr, indices, data = graph0
+        deg0 = np.asarray(deg0)
+        n = len(deg0)
+        nviews = len(alpha)
+        nnz = len(indices)
+        args = [
+            _input(indptr, np.int64, (n + 1,), "indptr"),
+            _input(indices, np.int64, (nnz,), "indices"),
+            _input(data, np.float64, (nnz,), "data"),
+            _input(deg0, np.float64, (n, nviews), "deg"),
+            _input(alpha, np.float64, (nviews,), "alpha"),
+        ]
+        pointers = [a.ctypes.data for a in args]
+        results = []
+        for rng in rngs:
+            bits = _bit_generator(rng)
+            labels = np.empty(n, dtype=np.int64)
+            counts = np.zeros(3, dtype=np.int64)
+            interface = bits.ctypes
+            with bits.lock:
+                status = restart(
+                    n, nviews, nnz, *pointers, eps, MAX_LEVELS, interface.state_address,
+                    interface.next_uint32, labels.ctypes.data, counts.ctypes.data,
+                )
+            _check_status("maximize_once", status)
+            results.append((labels, tuple(counts.tolist())))
+        return results
+
+    if not _draws_match(c_draw_order):
+        return None
+    return c_move_pass, c_aggregate, c_draw_order, c_run_restarts
+
+
+def _bit_generator(rng):
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"expected a numpy Generator, got {type(rng).__name__}")
+    return rng.bit_generator
+
+
+def _draws_match(draw_order):
+    """True if draw_order(rng, n) gives what `Generator.permutation(n)` does,
+    and leaves the generator in the same state, for one fixed seed at each
+    of DRAW_CHECK_SIZES."""
+    ours = np.random.default_rng(DRAW_CHECK_SEED)
+    numpys = np.random.default_rng(DRAW_CHECK_SEED)
+    for n in DRAW_CHECK_SIZES:
+        if not np.array_equal(draw_order(ours, n), numpys.permutation(n)):
+            return False
+    return ours.bit_generator.state == numpys.bit_generator.state
 
 
 def _check_status(routine, status):
@@ -335,8 +429,9 @@ def _in_place(a, dtype, shape, name):
 
 
 move_pass, aggregate = _move_pass, _aggregate
+draw_order = run_restarts = None  # compiled only
 BACKEND = "python"
 if os.environ.get("MVMC_KERNEL") != "python":
     _compiled = _load_c_kernels()
     if _compiled is not None:
-        (move_pass, aggregate), BACKEND = _compiled, "c"
+        (move_pass, aggregate, draw_order, run_restarts), BACKEND = _compiled, "c"

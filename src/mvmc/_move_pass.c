@@ -1,4 +1,4 @@
-/* The two compiled routines of the multi-view modularity maximizer.
+/* The compiled routines of the multi-view modularity maximizer.
  *
  * move_pass: one sweep of local moves. A line-for-line port of
  * mvmc._kernels._move_pass, which is the reference: same loop order, same
@@ -11,6 +11,13 @@
  * first-appearance dense labels, sel @ adj @ sel.T and sel @ deg, where sel
  * is the (k, size) community indicator matrix.
  *
+ * maximize_once: one whole restart of the maximizer, the port of
+ * mvmc.modularity._maximize_once and _sweep_to_fixpoint: refinement sweeps
+ * to a fixpoint on the original graph, then coarsening levels, each a
+ * fixpoint and an aggregation, built from the two routines above. Each
+ * sweep's order is numpy's Generator.permutation(size), drawn here from the
+ * caller's bit generator (see draw_order).
+ *
  * Arrays are C-contiguous; deg, comm_tot and agg_deg are row-major
  * (rows, nviews). The caller checks shapes and dtypes; this file checks every
  * index it reads from an array before using it.
@@ -21,11 +28,53 @@
 #define MOVE_PASS_BAD_INDEX (-1)
 #define MOVE_PASS_NO_MEMORY (-2)
 
-/* Returns the new n_empty, or MOVE_PASS_BAD_INDEX if an index read from the
- * inputs lies out of range, or MOVE_PASS_NO_MEMORY if scratch allocation
- * fails. *gain_out and *moves_out receive the total gain and move count.
+/* A numpy bit generator's next_uint32, called with its state_address. */
+typedef uint32_t (*next_uint32_fn)(void *state);
+
+/* numpy's random_interval for max < 2**32: a uniform draw from [0, max],
+ * masking 32-bit draws to the smallest all-ones mask >= max and drawing
+ * again while the value exceeds max. */
+static uint64_t random_interval(next_uint32_fn next_uint32, void *state, uint64_t max)
+{
+    if (max == 0)
+        return 0;
+    uint64_t mask = max;
+    mask |= mask >> 1;
+    mask |= mask >> 2;
+    mask |= mask >> 4;
+    mask |= mask >> 8;
+    mask |= mask >> 16;
+    uint64_t value;
+    while ((value = (next_uint32(state) & mask)) > max)
+        ;
+    return value;
+}
+
+/* order (n) receives what Generator.permutation(n) returns for the generator
+ * whose state and next_uint32 are given, and the generator advances as it
+ * would: arange(n) shuffled by numpy's Fisher-Yates, which swaps each i from
+ * n-1 down to 1 with j = random_interval(i). Returns 0, or
+ * MOVE_PASS_BAD_INDEX if n is negative or needs 64-bit draws (n > 2**32),
+ * for which numpy draws differently.
  */
-int64_t move_pass(
+int64_t draw_order(int64_t n, void *state, next_uint32_fn next_uint32, int64_t *order)
+{
+    if (n < 0 || (uint64_t)n > (uint64_t)UINT32_MAX + 1)
+        return MOVE_PASS_BAD_INDEX;
+    for (int64_t i = 0; i < n; i++)
+        order[i] = i;
+    for (int64_t i = n - 1; i >= 1; i--) {
+        int64_t j = (int64_t)random_interval(next_uint32, state, (uint64_t)i);
+        int64_t tmp = order[i];
+        order[i] = order[j];
+        order[j] = tmp;
+    }
+    return 0;
+}
+
+/* One sweep; move_pass without its allocation. link (n) must be all zero on
+ * entry and is left so on a normal return; touched (n) is scratch. */
+static int64_t sweep(
     int64_t n,
     int64_t nviews,
     int64_t nnz,
@@ -41,18 +90,14 @@ int64_t move_pass(
     int64_t n_empty,
     const int64_t *order,
     double eps,
+    double *link,
+    int64_t *touched,
     double *gain_out,
     int64_t *moves_out)
 {
     int64_t status = MOVE_PASS_BAD_INDEX;
     double total_gain = 0.0;
     int64_t n_moves = 0;
-    double *link = calloc(n > 0 ? (size_t)n : 1, sizeof(double));
-    int64_t *touched = malloc((n > 0 ? (size_t)n : 1) * sizeof(int64_t));
-    if (link == NULL || touched == NULL) {
-        status = MOVE_PASS_NO_MEMORY;
-        goto done;
-    }
     for (int64_t oi = 0; oi < n; oi++) {
         int64_t i = order[oi];
         if (i < 0 || i >= n)
@@ -134,32 +179,52 @@ int64_t move_pass(
     }
     status = n_empty;
 done:
-    free(link);
-    free(touched);
     *gain_out = total_gain;
     *moves_out = n_moves;
     return status;
 }
 
-/* Aggregates the level graph (indptr, indices, data) of `size` nodes with
- * per-view degrees deg (size, nviews) by the communities in comm, whose ids
- * lie in [0, size).
- *
- * dense (size) receives each node's community renumbered in order of first
- * appearance; the return value is their count k. Community c's super-node
- * has row c of the aggregated graph, in agg_indptr (k + 1), agg_indices and
- * agg_data (*nnz_out entries, at most nnz), and agg_deg row c (k, nviews).
- *
- * The arithmetic is scipy's: the product sel @ adj @ sel.T runs as two
- * csr_matmat passes. Row c of the first product sums the rows of c's members
- * in ascending node order, entries in stored order; its columns form a list
- * linked in order of first touch and are read back newest first, and exact
- * zero sums are dropped. The second pass folds those columns into
- * communities the same way. Degrees are summed from 0.0 in ascending node
- * order, as csr_matvecs does. Returns MOVE_PASS_BAD_INDEX or
- * MOVE_PASS_NO_MEMORY as move_pass does.
+/* Returns the new n_empty, or MOVE_PASS_BAD_INDEX if an index read from the
+ * inputs lies out of range, or MOVE_PASS_NO_MEMORY if scratch allocation
+ * fails. *gain_out and *moves_out receive the total gain and move count.
  */
-int64_t aggregate(
+int64_t move_pass(
+    int64_t n,
+    int64_t nviews,
+    int64_t nnz,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const double *data,
+    const double *deg,
+    const double *alpha,
+    int64_t *comm,
+    double *comm_tot,
+    int64_t *comm_size,
+    int64_t *empty_stack,
+    int64_t n_empty,
+    const int64_t *order,
+    double eps,
+    double *gain_out,
+    int64_t *moves_out)
+{
+    int64_t status = MOVE_PASS_NO_MEMORY;
+    double *link = calloc(n > 0 ? (size_t)n : 1, sizeof(double));
+    int64_t *touched = malloc((n > 0 ? (size_t)n : 1) * sizeof(int64_t));
+    *gain_out = 0.0;
+    *moves_out = 0;
+    if (link != NULL && touched != NULL)
+        status = sweep(n, nviews, nnz, indptr, indices, data, deg, alpha, comm,
+                       comm_tot, comm_size, empty_stack, n_empty, order, eps, link,
+                       touched, gain_out, moves_out);
+    free(link);
+    free(touched);
+    return status;
+}
+
+/* One aggregation; aggregate without its allocation. iwork holds 5 * size
+ * int64 and dwork 2 * size doubles of scratch; dwork must be all zero on
+ * entry and is left so on a normal return. */
+static int64_t aggregate_level(
     int64_t size,
     int64_t nviews,
     int64_t nnz,
@@ -173,23 +238,19 @@ int64_t aggregate(
     int64_t *agg_indices,
     double *agg_data,
     double *agg_deg,
-    int64_t *nnz_out)
+    int64_t *nnz_out,
+    int64_t *iwork,
+    double *dwork)
 {
     int64_t status = MOVE_PASS_BAD_INDEX;
     int64_t k = 0, out = 0;
-    size_t cells = size > 0 ? (size_t)size : 1;
-    int64_t *label = malloc(cells * sizeof(int64_t));  /* comm id -> dense */
-    int64_t *first = malloc(cells * sizeof(int64_t));  /* first member */
-    int64_t *member_next = malloc(cells * sizeof(int64_t));
-    int64_t *node_next = malloc(cells * sizeof(int64_t));
-    int64_t *comm_next = malloc(cells * sizeof(int64_t));
-    double *node_sum = calloc(cells, sizeof(double));
-    double *comm_sum = calloc(cells, sizeof(double));
-    if (label == NULL || first == NULL || member_next == NULL || node_next == NULL
-        || comm_next == NULL || node_sum == NULL || comm_sum == NULL) {
-        status = MOVE_PASS_NO_MEMORY;
-        goto done;
-    }
+    int64_t *label = iwork;  /* comm id -> dense */
+    int64_t *first = iwork + size;  /* first member */
+    int64_t *member_next = iwork + 2 * size;
+    int64_t *node_next = iwork + 3 * size;
+    int64_t *comm_next = iwork + 4 * size;
+    double *node_sum = dwork;
+    double *comm_sum = dwork + size;
     for (int64_t i = 0; i < size; i++) {
         label[i] = -1;
         first[i] = -1;
@@ -267,13 +328,255 @@ int64_t aggregate(
     }
     status = k;
 done:
-    free(label);
-    free(first);
-    free(member_next);
-    free(node_next);
-    free(comm_next);
-    free(node_sum);
-    free(comm_sum);
     *nnz_out = out;
+    return status;
+}
+
+/* Aggregates the level graph (indptr, indices, data) of `size` nodes with
+ * per-view degrees deg (size, nviews) by the communities in comm, whose ids
+ * lie in [0, size).
+ *
+ * dense (size) receives each node's community renumbered in order of first
+ * appearance; the return value is their count k. Community c's super-node
+ * has row c of the aggregated graph, in agg_indptr (k + 1), agg_indices and
+ * agg_data (*nnz_out entries, at most nnz), and agg_deg row c (k, nviews).
+ *
+ * The arithmetic is scipy's: the product sel @ adj @ sel.T runs as two
+ * csr_matmat passes. Row c of the first product sums the rows of c's members
+ * in ascending node order, entries in stored order; its columns form a list
+ * linked in order of first touch and are read back newest first, and exact
+ * zero sums are dropped. The second pass folds those columns into
+ * communities the same way. Degrees are summed from 0.0 in ascending node
+ * order, as csr_matvecs does. Returns MOVE_PASS_BAD_INDEX or
+ * MOVE_PASS_NO_MEMORY as move_pass does.
+ */
+int64_t aggregate(
+    int64_t size,
+    int64_t nviews,
+    int64_t nnz,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const double *data,
+    const double *deg,
+    const int64_t *comm,
+    int64_t *dense,
+    int64_t *agg_indptr,
+    int64_t *agg_indices,
+    double *agg_data,
+    double *agg_deg,
+    int64_t *nnz_out)
+{
+    int64_t status = MOVE_PASS_NO_MEMORY;
+    size_t cells = size > 0 ? (size_t)size : 1;
+    int64_t *iwork = malloc(5 * cells * sizeof(int64_t));
+    double *dwork = calloc(2 * cells, sizeof(double));
+    *nnz_out = 0;
+    if (iwork != NULL && dwork != NULL)
+        status = aggregate_level(size, nviews, nnz, indptr, indices, data, deg, comm,
+                                 dense, agg_indptr, agg_indices, agg_data, agg_deg,
+                                 nnz_out, iwork, dwork);
+    free(iwork);
+    free(dwork);
+    return status;
+}
+
+/* Scratch of one maximize_once call, sized for the original graph: every
+ * level graph has at most its n nodes and nnz entries. */
+struct restart_work {
+    int64_t *comm, *comm_size, *empty_stack, *order, *touched, *dense, *iwork;
+    double *comm_tot, *link, *dwork;
+    next_uint32_fn next_uint32;
+    void *state;
+    double eps;
+    int64_t *counts;  /* sweeps, moves, levels */
+};
+
+/* _sweep_to_fixpoint: sweeps over the level graph of `size` nodes, from the
+ * partition in w->comm, until a sweep moves nothing or gains at most eps.
+ * Returns 1 if any sweep got past that test, 0 if none did, or an error. */
+static int64_t sweep_to_fixpoint(
+    struct restart_work *w,
+    int64_t size,
+    int64_t nviews,
+    int64_t nnz,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const double *data,
+    const double *deg,
+    const double *alpha)
+{
+    int64_t *comm = w->comm;
+    /* comm_tot summed from zero in ascending node order, as np.add.at does */
+    for (int64_t c = 0; c < size; c++) {
+        w->comm_size[c] = 0;
+        for (int64_t v = 0; v < nviews; v++)
+            w->comm_tot[c * nviews + v] = 0.0;
+    }
+    for (int64_t i = 0; i < size; i++) {
+        int64_t c = comm[i];
+        if (c < 0 || c >= size)
+            return MOVE_PASS_BAD_INDEX;
+        w->comm_size[c] += 1;
+        for (int64_t v = 0; v < nviews; v++)
+            w->comm_tot[c * nviews + v] += deg[i * nviews + v];
+    }
+    int64_t n_empty = 0;
+    for (int64_t c = 0; c < size; c++)
+        if (w->comm_size[c] == 0)
+            w->empty_stack[n_empty++] = c;
+    int64_t moved_any = 0;
+    for (;;) {
+        double gain;
+        int64_t n_moves;
+        if (draw_order(size, w->state, w->next_uint32, w->order) < 0)
+            return MOVE_PASS_BAD_INDEX;
+        n_empty = sweep(size, nviews, nnz, indptr, indices, data, deg, alpha,
+                        comm, w->comm_tot, w->comm_size, w->empty_stack, n_empty,
+                        w->order, w->eps, w->link, w->touched, &gain, &n_moves);
+        if (n_empty < 0)
+            return n_empty;
+        w->counts[0] += 1;
+        w->counts[1] += n_moves;
+        if (n_moves == 0 || gain <= w->eps)
+            return moved_any;
+        moved_any = 1;
+    }
+}
+
+/* One restart on the graph of n nodes (indptr, indices, data; nnz entries)
+ * with degrees deg (n, nviews) and null-model coefficients alpha (nviews).
+ * labels (n) receives the partition, dense in order of first appearance.
+ * Sweep orders are drawn from the bit generator (state, next_uint32), which
+ * the caller must hold for the whole call. counts (3) receives the sweeps,
+ * the moves and the levels aggregated. Returns 0, or MOVE_PASS_BAD_INDEX or
+ * MOVE_PASS_NO_MEMORY as move_pass does.
+ */
+int64_t maximize_once(
+    int64_t n,
+    int64_t nviews,
+    int64_t nnz,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const double *data,
+    const double *deg,
+    const double *alpha,
+    double eps,
+    int64_t max_levels,
+    void *state,
+    next_uint32_fn next_uint32,
+    int64_t *labels,
+    int64_t *counts)
+{
+    int64_t status = MOVE_PASS_NO_MEMORY;
+    size_t rows = n > 0 ? (size_t)n : 1, entries = nnz > 0 ? (size_t)nnz : 1;
+    size_t cells = rows * (nviews > 0 ? (size_t)nviews : 1);
+    struct restart_work w = {
+        .comm = malloc(rows * sizeof(int64_t)),
+        .comm_size = malloc(rows * sizeof(int64_t)),
+        .empty_stack = malloc(rows * sizeof(int64_t)),
+        .order = malloc(rows * sizeof(int64_t)),
+        .touched = malloc(rows * sizeof(int64_t)),
+        .dense = malloc(rows * sizeof(int64_t)),
+        .iwork = malloc(5 * rows * sizeof(int64_t)),
+        .comm_tot = malloc(cells * sizeof(double)),
+        .link = calloc(rows, sizeof(double)),
+        .dwork = calloc(2 * rows, sizeof(double)),
+        .next_uint32 = next_uint32,
+        .state = state,
+        .eps = eps,
+        .counts = counts,
+    };
+    /* two level graphs: each aggregation reads one and writes the other */
+    int64_t *lvl_indptr[2] = {malloc((rows + 1) * sizeof(int64_t)),
+                              malloc((rows + 1) * sizeof(int64_t))};
+    int64_t *lvl_indices[2] = {malloc(entries * sizeof(int64_t)),
+                               malloc(entries * sizeof(int64_t))};
+    double *lvl_data[2] = {malloc(entries * sizeof(double)),
+                           malloc(entries * sizeof(double))};
+    double *lvl_deg[2] = {malloc(cells * sizeof(double)), malloc(cells * sizeof(double))};
+    counts[0] = counts[1] = counts[2] = 0;
+    if (w.comm == NULL || w.comm_size == NULL || w.empty_stack == NULL || w.order == NULL
+        || w.touched == NULL || w.dense == NULL || w.iwork == NULL || w.comm_tot == NULL
+        || w.link == NULL || w.dwork == NULL)
+        goto done;
+    for (int b = 0; b < 2; b++)
+        if (lvl_indptr[b] == NULL || lvl_indices[b] == NULL || lvl_data[b] == NULL
+            || lvl_deg[b] == NULL)
+            goto done;
+
+    int64_t *assignment = labels;  /* original node -> community */
+    for (int64_t i = 0; i < n; i++)
+        assignment[i] = i;
+    for (int64_t round = 0; n > 0 && round < max_levels; round++) {
+        /* refinement: single-node moves on the original graph, starting from
+         * the current assignment (the identity partition on the first round) */
+        for (int64_t i = 0; i < n; i++)
+            w.comm[i] = assignment[i];
+        int64_t moved = sweep_to_fixpoint(&w, n, nviews, nnz, indptr, indices, data, deg, alpha);
+        if (moved < 0) {
+            status = moved;
+            goto done;
+        }
+        if (!moved)
+            break;
+        /* multi-level coarsening until moves dry up at every scale; each
+         * aggregation also renumbers the communities it was given densely */
+        int64_t cur = 0, agg_nnz;
+        int64_t k = aggregate_level(n, nviews, nnz, indptr, indices, data, deg, w.comm,
+                                    assignment, lvl_indptr[cur], lvl_indices[cur],
+                                    lvl_data[cur], lvl_deg[cur], &agg_nnz, w.iwork, w.dwork);
+        if (k < 0) {
+            status = k;
+            goto done;
+        }
+        counts[2] += 1;
+        int64_t size = n;
+        for (int64_t level = 0; level < max_levels; level++) {
+            if (k == size)
+                break;
+            size = k;
+            for (int64_t c = 0; c < k; c++)
+                w.comm[c] = c;
+            moved = sweep_to_fixpoint(&w, size, nviews, agg_nnz, lvl_indptr[cur], lvl_indices[cur],
+                                      lvl_data[cur], lvl_deg[cur], alpha);
+            if (moved < 0) {
+                status = moved;
+                goto done;
+            }
+            if (!moved)
+                break;
+            int64_t next = 1 - cur;
+            k = aggregate_level(size, nviews, agg_nnz, lvl_indptr[cur], lvl_indices[cur],
+                                lvl_data[cur], lvl_deg[cur], w.comm, w.dense,
+                                lvl_indptr[next], lvl_indices[next], lvl_data[next],
+                                lvl_deg[next], &agg_nnz, w.iwork, w.dwork);
+            if (k < 0) {
+                status = k;
+                goto done;
+            }
+            counts[2] += 1;
+            cur = next;
+            for (int64_t i = 0; i < n; i++)
+                assignment[i] = w.dense[assignment[i]];
+        }
+    }
+    status = 0;
+done:
+    free(w.comm);
+    free(w.comm_size);
+    free(w.empty_stack);
+    free(w.order);
+    free(w.touched);
+    free(w.dense);
+    free(w.iwork);
+    free(w.comm_tot);
+    free(w.link);
+    free(w.dwork);
+    for (int b = 0; b < 2; b++) {
+        free(lvl_indptr[b]);
+        free(lvl_indices[b]);
+        free(lvl_data[b]);
+        free(lvl_deg[b]);
+    }
     return status;
 }

@@ -72,10 +72,17 @@ def preprocess_text(raw: str) -> list[str]:
     Each character is lowercased on its own, so a token holding `Σ` skips the
     final-sigma rule of `str.lower` and always gets `σ`.
     """
-    text = _URL_RE.sub(" ", raw)
-    text = _HASHTAG_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
-    text = _RT_RE.sub(" ", text)
+    # each pass runs only when its marker occurs; a pass leaves a space where
+    # it removes text, so it never makes a marker for a later pass
+    text = raw
+    if "http" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    if "#" in text:
+        text = _HASHTAG_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
+    if "RT" in text:
+        text = _RT_RE.sub(" ", text)
     return [
         tok.lower() if "Σ" not in tok else "".join(map(str.lower, tok))
         for tok in _WORD_RE.findall(text)

@@ -10,20 +10,23 @@ with the pair sum running over ordered pairs (each undirected edge twice)
 and including the diagonal null-model terms. Views with no edges contribute
 nothing. The maximizer is Louvain-style: sweeps of greedy single-node moves
 whose gains are aggregated across all views, followed by graph aggregation,
-repeated until no gain remains. The sweep (`move_pass`) and the aggregation
-of a level (`aggregate`) run in the compiled kernels of `_kernels`, or in
-their Python references there.
+repeated until no gain remains. Each restart runs in one call of the
+compiled routine `_kernels.run_restarts`; without it, `_maximize_once` drives
+the restart from Python, calling the sweep (`move_pass`) and the aggregation
+of a level (`aggregate`), the compiled kernels of `_kernels` or their Python
+references there. `_maximize_once` is the reference of the compiled restart.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy import sparse
 
-from ._kernels import aggregate, move_pass
+from . import _kernels
+from ._kernels import MAX_LEVELS, aggregate, move_pass
+from ._kernels import run_restarts as _compiled_restarts
 from .graph import Clustering, GraphUsageError, ViewGraph
 
 GAIN_EPSILON = 1e-9
-MAX_LEVELS = 100
 
 
 def _check_views(graphs: list[ViewGraph]) -> int:
@@ -90,13 +93,13 @@ def _combined_csr(adjs, coeffs, n):
     return acc.tocsr()
 
 
-def _sweep_to_fixpoint(graph, deg, alpha, comm, rng, gain_epsilon):
+def _sweep_to_fixpoint(graph, deg, alpha, comm, rng, gain_epsilon, counts):
     """Repeat local-move sweeps on one graph until no node wants to move.
 
     `graph` is the CSR adjacency as int64 indptr and indices and float64
     data. `comm` is updated in place and may start from any partition;
-    community ids must lie below the node count. Returns True if any move
-    happened.
+    community ids must lie below the node count. Adds the sweeps and moves
+    made to counts[0] and counts[1]. Returns True if any move happened.
     """
     indptr, indices, data = graph
     size = len(indptr) - 1
@@ -125,6 +128,8 @@ def _sweep_to_fixpoint(graph, deg, alpha, comm, rng, gain_epsilon):
             order,
             gain_epsilon,
         )
+        counts[0] += 1
+        counts[1] += n_moves
         if n_moves == 0 or gain <= gain_epsilon:
             break
         moved_any = True
@@ -148,7 +153,8 @@ def maximize(
     replays local moves on the original graph, so the returned partition is
     stable against every single-node move (including splitting off a
     singleton). Restarts differ only in sweep order; the highest-modularity
-    partition wins, earliest run on ties.
+    partition wins, earliest run on ties. The result's meta holds the sweeps,
+    moves and levels summed over the restarts, and the winning restart.
     """
     if restarts < 1:
         raise GraphUsageError("restarts must be positive")
@@ -164,45 +170,76 @@ def maximize(
     deg0 = np.zeros((n, len(graphs)), dtype=np.float64)
     for v, g in enumerate(graphs):
         deg0[:, v] = g.degrees()
+    rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
+    # While a kernel binding here is wrapped (by a tracer or a profiler), the
+    # first restart is driven from Python through the bindings, so the wrapper
+    # still sees one restart's sweeps and levels per call.
+    wrapped = move_pass is not _kernels.move_pass or aggregate is not _kernels.aggregate
+    head = 1 if wrapped else 0
+    runs = _restarts(graph0, deg0, alpha, rngs[:head], gain_epsilon) + run_restarts(
+        graph0, deg0, alpha, rngs[head:], gain_epsilon
+    )
     best = None
     best_q = -np.inf
-    for r in range(restarts):
-        labels = _maximize_once(graph0, deg0, alpha, [seed, r], gain_epsilon)
+    best_r = 0
+    for r, (labels, _counts) in enumerate(runs):
         q = _rb_sum(graphs, labels, w, gamma, m2, deg0.T)
         if q > best_q + gain_epsilon:
-            best, best_q = labels, q
-    meta = {"weights": w.tolist(), "resolutions": gamma.tolist(), "seed": seed}
+            best, best_q, best_r = labels, q, r
+    sweeps, moves, levels = map(sum, zip(*(counts for _labels, counts in runs)))
+    meta = {
+        "weights": w.tolist(),
+        "resolutions": gamma.tolist(),
+        "seed": seed,
+        "sweeps": sweeps,
+        "moves": moves,
+        "levels": levels,
+        "best_restart": best_r,
+    }
     return Clustering(best, meta=meta)
 
 
-def _maximize_once(graph0, deg0, alpha, seed, gain_epsilon):
-    n = len(deg0)
-    if n == 0:
-        return np.empty(0, dtype=np.int64)
+def _restarts(graph0, deg0, alpha, rngs, gain_epsilon):
+    """(labels, (sweeps, moves, levels)) of one `_maximize_once` per generator."""
+    return [_maximize_once(graph0, deg0, alpha, rng, gain_epsilon) for rng in rngs]
 
-    rng = np.random.default_rng(seed)
+
+# one compiled call per restart, or each restart driven from Python
+run_restarts = _compiled_restarts or _restarts
+
+
+def _maximize_once(graph0, deg0, alpha, rng, gain_epsilon):
+    """One restart: its dense labels, and the sweeps, moves and levels
+    (aggregations) it made."""
+    n = len(deg0)
+    counts = [0, 0, 0]
+    if n == 0:
+        return np.empty(0, dtype=np.int64), tuple(counts)
+
     assignment = np.arange(n, dtype=np.int64)  # original node -> community
 
     for _round in range(MAX_LEVELS):
         # refinement: single-node moves on the original graph, starting from
         # the current assignment (the identity partition on the first round)
         comm = assignment.copy()
-        if not _sweep_to_fixpoint(graph0, deg0, alpha, comm, rng, gain_epsilon):
+        if not _sweep_to_fixpoint(graph0, deg0, alpha, comm, rng, gain_epsilon, counts):
             break
         # multi-level coarsening until moves dry up at every scale; each
         # aggregation also renumbers the communities it was given densely
         assignment, k, *graph, deg = aggregate(*graph0, deg0, comm)
+        counts[2] += 1
         size = n
         for _level in range(MAX_LEVELS):
             if k == size:
                 break
             size = k
             comm = np.arange(k, dtype=np.int64)
-            if not _sweep_to_fixpoint(graph, deg, alpha, comm, rng, gain_epsilon):
+            if not _sweep_to_fixpoint(graph, deg, alpha, comm, rng, gain_epsilon, counts):
                 break
             dense, k, *graph, deg = aggregate(*graph, deg, comm)
+            counts[2] += 1
             assignment = dense[assignment]
 
     # dense in order of first appearance: each level's labels are, and
     # composing them keeps that order
-    return assignment
+    return assignment, tuple(counts)

@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -7,6 +9,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.csgraph import connected_components
 
 from mvmc import (
     Clustering,
@@ -255,9 +259,19 @@ def test_c_kernel_matches_python_reference():
     assert splits > 0
 
 
-def coarsening_depth(monkeypatch, graphs, **kwargs):
-    """Most levels one round of maximize() coarsened through."""
-    sizes = []
+def deepest_level(sizes, n):
+    """Most levels one round coarsened through, from the (size, k) of each
+    `aggregate` call of a restart on an n-node graph."""
+    depth = deepest = 0
+    for size, k in sizes:
+        depth = 0 if size == n else depth  # a round starts on the original graph
+        depth += k < size
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def recording_aggregate(monkeypatch, sizes):
+    """Make `modularity.aggregate` append (size, k) of each call to sizes."""
     inner = modularity.aggregate
 
     def record(indptr, indices, data, deg, comm):
@@ -266,14 +280,17 @@ def coarsening_depth(monkeypatch, graphs, **kwargs):
         return result
 
     monkeypatch.setattr(modularity, "aggregate", record)
+
+
+def coarsening_depth(monkeypatch, graphs, **kwargs):
+    """Most levels one round of maximize() coarsened through, seen under the
+    Python-driven restart, which calls `aggregate` once per level."""
+    sizes = []
+    monkeypatch.setattr(modularity, "run_restarts", modularity._restarts)
+    recording_aggregate(monkeypatch, sizes)
     maximize(graphs, **kwargs)
     monkeypatch.undo()
-    depth = deepest = 0
-    for size, k in sizes:
-        depth = 0 if size == graphs[0].n else depth  # a round starts on the original graph
-        depth += k < size
-        deepest = max(deepest, depth)
-    return deepest
+    return deepest_level(sizes, graphs[0].n)
 
 
 @requires_c
@@ -289,12 +306,156 @@ def test_maximize_labels_identical_under_both_backends(monkeypatch):
         (planted, 2, None, [2.0, 2.0, 2.0]),
         (cycles, 3, None, [0.3, 0.3]),
     ]:
-        compiled = maximize(graphs, weights, resolutions, seed=seed).labels
+        compiled = maximize(graphs, weights, resolutions, seed=seed)
+        # the reference: each restart driven from Python through the Python
+        # sweep and the scipy aggregation
+        monkeypatch.setattr(modularity, "run_restarts", modularity._restarts)
         monkeypatch.setattr(modularity, "move_pass", _kernels._move_pass)
         monkeypatch.setattr(modularity, "aggregate", _kernels._aggregate)
-        reference = maximize(graphs, weights, resolutions, seed=seed).labels
+        reference = maximize(graphs, weights, resolutions, seed=seed)
         monkeypatch.undo()
-        assert np.array_equal(compiled, reference)
+        assert np.array_equal(compiled.labels, reference.labels)
+        assert compiled.meta == reference.meta  # sweeps, moves, levels, winning restart
+
+
+@requires_c
+def test_a_wrapped_kernel_sees_the_first_restart(monkeypatch):
+    graphs, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5)
+    plain = maximize(graphs, seed=4)
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[5]))  # the sweep's node count
+        return move_pass(*args)
+
+    monkeypatch.setattr(modularity, "move_pass", counting)
+    wrapped = maximize(graphs, seed=4)
+    monkeypatch.undo()
+    first = maximize(graphs, seed=4, restarts=1)  # the same first restart, alone
+    assert np.array_equal(plain.labels, wrapped.labels) and plain.meta == wrapped.meta
+    assert 0 < len(calls) == first.meta["sweeps"] < plain.meta["sweeps"]
+
+
+def restart_graphs(rng, trial):
+    """Views of one random instance of 0-400 nodes: sparse random views,
+    some of them empty, with isolated nodes and several components; planted
+    partitions with a noise view; cycles, which coarsen through several
+    levels at the low resolutions `restart_case` gives them; and graphs of
+    at most 3 nodes."""
+    kind = trial % 4
+    n_views = 1 + trial // 4 % 4
+    if kind == 0:
+        n = int(rng.integers(0, 401))
+        graphs = []
+        for _ in range(n_views):
+            m = int(n * rng.choice([0.0, 0.3, 1.0, 3.0]))
+            i, j = rng.integers(0, max(n, 1), size=(2, m))
+            pairs = np.unique(np.stack([np.minimum(i, j), np.maximum(i, j)])[:, i != j], axis=1)
+            graphs.append(ViewGraph.from_arrays(n, *pairs, rng.uniform(0.1, 2.0, pairs.shape[1])))
+        return graphs
+    if kind == 1:
+        n = int(rng.integers(8, 401))
+        return planted_partition_views(
+            n, int(rng.integers(2, 9)), 0.3, 0.02, n_views, int(rng.integers(0, 2)), trial
+        )[0]
+    if kind == 2:
+        n = int(rng.integers(16, 401))
+        return [ViewGraph.from_edges(n, [(i, (i + step) % n, 1.0) for i in range(n)])
+                for step in range(1, n_views + 1)]
+    n = int(rng.integers(0, 4))
+    return [random_graph(rng, n, 0.5) for _ in range(n_views)]
+
+
+@requires_c
+def test_c_restart_matches_python_reference(monkeypatch):
+    """The compiled restart against `_maximize_once` (which drives the C sweep
+    and aggregation, each checked against its Python reference above): the
+    same labels, sweeps, moves and levels, and the same generator state."""
+    rng = np.random.default_rng(15)
+    seen = set()
+    for trial in range(240):
+        graphs = restart_graphs(rng, trial)
+        weights = rng.choice([0.0, 0.5, 1.0, 2.0], len(graphs))
+        resolutions = (rng.uniform(0.05, 0.4, len(graphs)) if trial % 4 == 2
+                       else rng.uniform(0.2, 3.0, len(graphs)))
+        cases = []
+
+        def both(graph0, deg0, alpha, rngs, eps):
+            [generator] = rngs
+            twin = copy.deepcopy(generator)
+            [compiled] = _kernels.run_restarts(graph0, deg0, alpha, [generator], eps)
+            sizes = []
+            with pytest.MonkeyPatch.context() as patch:
+                recording_aggregate(patch, sizes)
+                reference = modularity._maximize_once(graph0, deg0, alpha, twin, eps)
+            cases.append((compiled, reference, generator.bit_generator.state,
+                          twin.bit_generator.state, deepest_level(sizes, len(deg0))))
+            return [compiled]
+
+        monkeypatch.setattr(modularity, "run_restarts", both)
+        maximize(graphs, weights, resolutions, seed=trial, restarts=1)
+        monkeypatch.undo()
+        [((labels, counts), (ref_labels, ref_counts), state, ref_state, depth)] = cases
+        assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels), trial
+        assert counts == ref_counts, trial
+        assert state == ref_state, trial
+        n = graphs[0].n
+        union = sum((g.adjacency() for g in graphs), sparse.csr_matrix((n, n)))
+        isolated = int((union.getnnz(axis=1) == 0).sum())
+        seen.add(("empty graph", n == 0))
+        seen.add(("empty view", n > 3 and any(g.edge_count == 0 for g in graphs)))
+        seen.add(("isolated node", n > 3 and isolated > 0))
+        seen.add(("disconnected", connected_components(union)[0] - isolated > 1))
+        seen.add(("three levels", depth >= 3))
+        seen.add(("four views", len(graphs) == 4))
+    assert {kind for kind, hit in seen if hit} == {
+        "empty graph", "empty view", "isolated node", "disconnected", "three levels", "four views"
+    }
+
+
+@requires_c
+def test_c_draw_is_numpys_permutation():
+    for n in range(2001):
+        ours, numpys = np.random.default_rng(n), np.random.default_rng(n)
+        for _ in range(2):  # the second draw starts where the first left the state
+            assert np.array_equal(_kernels.draw_order(ours, n), numpys.permutation(n)), n
+        assert ours.bit_generator.state == numpys.bit_generator.state, n
+
+
+def test_draw_check_rejects_a_wrong_draw():
+    assert _kernels._draws_match(lambda rng, n: rng.permutation(n))
+    assert not _kernels._draws_match(lambda rng, n: rng.permutation(n)[::-1])
+    # the right orders, but a generator left in another state
+    assert not _kernels._draws_match(lambda rng, n: (rng.random(), rng.permutation(n))[1])
+
+
+@requires_c
+def test_wrong_compiled_draw_loads_no_c_routine(tmp_path):
+    """A library whose draw differs from numpy's, cached under the real
+    source's name, is refused at load: every kernel is the Python one."""
+    source = _kernels.SOURCE.read_bytes()
+    wrong = source.replace(b"order[i] = i;", b"order[i] = n - 1 - i;")
+    assert wrong != source
+    digest = hashlib.sha256(source + "\0".join(_kernels.CFLAGS).encode()).hexdigest()
+    cache = tmp_path / "mvmc"
+    cache.mkdir(mode=0o700)
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    subprocess.run(
+        [compiler, *_kernels.CFLAGS, "-x", "c", "-", "-o", str(cache / f"move_pass-{digest}.so")],
+        input=wrong, capture_output=True, check=True,
+    )
+    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+    env.pop("MVMC_KERNEL", None)
+    code = (
+        "from mvmc import _kernels, modularity;"
+        "print(_kernels.BACKEND, _kernels.move_pass is _kernels._move_pass,"
+        " _kernels.aggregate is _kernels._aggregate, _kernels.run_restarts,"
+        " modularity.run_restarts is modularity._restarts)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out == ["python", "True", "True", "None", "True"]
 
 
 def aggregate_args(rng, n_views):
@@ -475,6 +636,42 @@ def test_c_aggregate_rejects_bad_arguments(case):
         aggregate(*args)
 
 
+def restart_args():
+    """The maximize inputs of a planted instance, and one generator, as a list:
+    indptr, indices, data, deg0, alpha, rng."""
+    graphs, _ = planted_partition_views(30, 3, 0.4, 0.05, 2)
+    m2 = np.array([2.0 * g.total_edge_weight() for g in graphs])
+    adj = modularity._combined_csr([g.adjacency() for g in graphs], 1.0 / m2, 30)
+    deg = np.stack([g.degrees() for g in graphs], axis=1)
+    return [adj.indptr.astype(np.int64), adj.indices.astype(np.int64), adj.data, deg,
+            1.0 / m2**2, np.random.default_rng(0)]
+
+
+BAD_RESTART_ARGUMENTS = {
+    "indptr too short": (0, lambda a: a[:-1]),
+    "indptr past the entries": (0, lambda a: a + 100),
+    "negative neighbour index": (1, first_negative),
+    "neighbour index out of range": (1, lambda a: a + 100),
+    "indices as float": (1, lambda a: a.astype(np.float64)),
+    "data shorter than indices": (2, lambda a: a[:-1]),
+    "deg missing a row": (3, lambda a: a[:-1]),
+    "deg one-dimensional": (3, lambda a: a[:, 0]),
+    "alpha with an entry too many": (4, lambda a: np.append(a, 1.0)),
+    "a legacy RandomState": (5, lambda a: np.random.RandomState(0)),
+}
+
+
+@requires_c
+@pytest.mark.parametrize("case", sorted(BAD_RESTART_ARGUMENTS))
+def test_c_restart_rejects_bad_arguments(case):
+    position, spoil = BAD_RESTART_ARGUMENTS[case]
+    args = restart_args()
+    args[position] = spoil(args[position])
+    indptr, indices, data, deg, alpha, rng = args
+    with pytest.raises(ValueError):
+        _kernels.run_restarts((indptr, indices, data), deg, alpha, [rng], 1e-9)
+
+
 def test_threads_share_the_kernel_safely():
     rng = np.random.default_rng(21)
     graphs = [[random_graph(rng, 30, 0.2)] for _ in range(8)]
@@ -496,7 +693,10 @@ def test_env_flag_selects_fallback():
         "from mvmc import _kernels;"
         "assert _kernels.move_pass is _kernels._move_pass;"
         "assert _kernels.aggregate is _kernels._aggregate;"
+        "assert _kernels.run_restarts is None;"
         "assert _kernels.BACKEND == 'python';"
+        "from mvmc import modularity;"
+        "assert modularity.run_restarts is modularity._restarts;"
         "import numpy as np; from mvmc import ViewGraph, maximize;"
         "g = ViewGraph.from_edges(6, [(0,1,1),(1,2,1),(0,2,1),(3,4,1),(4,5,1),(3,5,1)]);"
         "p = maximize([g], seed=0);"
