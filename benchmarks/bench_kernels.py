@@ -1,21 +1,25 @@
 """Compare the maximizer kernels that loaded against their references.
 
-Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 2000] [--views 2] [--repeat 5]
+Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 2000] [--views 2] [--repeat 5] \
+           > BENCH_kernels.json
 
 Times, on a planted-partition graph: a raw single sweep with each kernel; the
 level aggregations of one maximize() call with `aggregate` and with the scipy
 reference `_aggregate` on the same level inputs; whole restarts with the
 compiled `run_restarts` and with the reference `modularity._restarts`, which
 drives each restart from Python one sweep and one level at a time through the
-loaded kernels; and a full maximize() call under each backend. It checks that
-both sides give identical sweeps, aggregated graphs, restarts (labels,
-counters and generator state) and partitions. The first line names
+loaded kernels; a full maximize() call and a full run_mvmc() call (the driver:
+its time per iteration and its iteration count) under each backend. It checks
+that both sides give identical sweeps, aggregated graphs, restarts (labels,
+counters and generator state) and partitions. A readable report goes to
+stderr; stdout gets one JSON line with every timing, the agreement flags,
 `mvmc._kernels.BACKEND` ("c", or "python" when the C build is unavailable or
 MVMC_KERNEL=python), the CPU count and the Python/numpy/scipy versions. The
-timed maximize() calls run in fresh interpreters, one per backend, chosen with
-MVMC_KERNEL, so no backend is swapped in. The level inputs are recorded by a
-pass-through wrapper around `modularity.aggregate` during one maximize() call
-under the reference restart, since the compiled one aggregates inside C.
+timed maximize() and run_mvmc() calls run in fresh interpreters, one per
+backend, chosen with MVMC_KERNEL, so no backend is swapped in. The level
+inputs are recorded by a pass-through wrapper around `modularity.aggregate`
+during one maximize() call under the reference restart, since the compiled
+one aggregates inside C.
 """
 import argparse
 import copy
@@ -30,7 +34,7 @@ from unittest import mock
 import numpy as np
 import scipy
 
-from mvmc import modularity, rb_modularity
+from mvmc import MvmcConfig, modularity, rb_modularity, run_mvmc
 from mvmc._kernels import BACKEND, _aggregate, _move_pass, aggregate, move_pass, run_restarts
 from mvmc.modularity import maximize
 from mvmc.synth import planted_partition_views
@@ -146,24 +150,33 @@ def same_aggregation(a, b):
     )
 
 
-def maximize_here(args):
-    """Time maximize() with this interpreter's kernel; print one JSON line."""
+def whole_calls_here(args):
+    """Time maximize() and run_mvmc() with this interpreter's kernel; print
+    one JSON line."""
     graphs = planted(args)
     t0 = time.perf_counter()
     part = maximize(graphs, seed=0)
-    dt = time.perf_counter() - t0
-    print(json.dumps({"backend": BACKEND, "seconds": dt, "labels": part.labels.tolist(),
-                      "q": rb_modularity(graphs, part)}))
+    t1 = time.perf_counter()
+    final, _trace = run_mvmc(graphs, MvmcConfig(seed=0))
+    t2 = time.perf_counter()
+    print(json.dumps({"backend": BACKEND, "seconds": t1 - t0, "labels": part.labels.tolist(),
+                      "q": rb_modularity(graphs, part), "driver_seconds": t2 - t1,
+                      "driver_iterations": final.meta["iterations"],
+                      "driver_labels": final.labels.tolist()}))
 
 
-def maximize_with(kernel_env, args):
-    """maximize() in a fresh interpreter, with `kernel_env` added to this
-    one's environment."""
+def whole_calls_with(kernel_env, args):
+    """maximize() and run_mvmc() in a fresh interpreter, with `kernel_env`
+    added to this one's environment."""
     env = {**os.environ, **kernel_env}
     cmd = [sys.executable, __file__, "--n", str(args.n), "--views", str(args.views),
-           "--maximize-here"]
+           "--whole-calls-here"]
     out = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def report(line):
+    print(line, file=sys.stderr)
 
 
 def main():
@@ -171,20 +184,18 @@ def main():
     ap.add_argument("--n", type=int, default=2000)
     ap.add_argument("--views", type=int, default=2)
     ap.add_argument("--repeat", type=int, default=5)
-    ap.add_argument("--maximize-here", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--whole-calls-here", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    if args.maximize_here:
-        maximize_here(args)
+    if args.whole_calls_here:
+        whole_calls_here(args)
         return
 
     graphs = planted(args)
     edges = sum(len(g.edge_u) for g in graphs)
-    print(json.dumps({"backend": BACKEND, "cpu_count": os.cpu_count(),
-                      "python": platform.python_version(), "numpy": np.__version__,
-                      "scipy": scipy.__version__}))
-    print(f"n={args.n}, views={args.views}, total edges={edges}, backend={BACKEND}")
+    result = {"n": args.n, "views": args.views, "edges": edges, "repeat": args.repeat}
+    report(f"n={args.n}, views={args.views}, total edges={edges}, backend={BACKEND}")
     if BACKEND == "python":
-        print("note: the C kernel did not load, both paths are the Python reference")
+        report("note: the C kernel did not load, both paths are the Python reference")
 
     adj, deg, alpha, order = sweep_args(graphs, seed=1)
     sweeps = {}
@@ -194,7 +205,8 @@ def main():
             dt, gain, moves, comm = run_sweep(kernel, adj, deg, alpha, order)
             times.append(dt)
         sweeps[label] = comm
-        print(
+        result[f"sweep_{label}_s"] = min(times)
+        report(
             f"single sweep [{label:6}] best {min(times) * 1e3:8.2f} ms"
             f"  (gain={gain:.6f}, moves={moves})"
         )
@@ -203,40 +215,60 @@ def main():
     aggregated = {}
     for label, kernel in ((BACKEND, aggregate), ("scipy", _aggregate)):
         per_level, aggregated[label] = time_aggregation(kernel, calls, args.repeat)
-        print(f"aggregation  [{label:6}] {per_level * 1e6:8.1f} us per level"
-              f"  ({len(calls)} calls in one maximize)")
+        result[f"aggregate_{label}_s_per_level"] = per_level
+        report(f"aggregation  [{label:6}] {per_level * 1e6:8.1f} us per level"
+               f"  ({len(calls)} calls in one maximize)")
+    result["levels_in_one_maximize"] = len(calls)
 
     inputs = restart_inputs(graphs)
     restarts = {}
     if run_restarts is None:
-        print("note: no compiled restart routine, skipping the restart timing")
+        report("note: no compiled restart routine, skipping the restart timing")
     else:
         for label, runner in (("c", run_restarts), ("driven", modularity._restarts)):
             per_restart, results, states = time_restarts(
                 runner, inputs, modularity.DEFAULT_RESTARTS, args.repeat)
             restarts[label] = (results, states)
             n_sweeps = sum(counts[0] for _labels, counts in results)
-            print(f"restart      [{label:6}] {per_restart * 1e3:8.2f} ms per restart"
-                  f"  ({len(results)} restarts, {n_sweeps} sweeps)")
+            result[f"restart_{label}_s_per_restart"] = per_restart
+            report(f"restart      [{label:6}] {per_restart * 1e3:8.2f} ms per restart"
+                   f"  ({len(results)} restarts, {n_sweeps} sweeps)")
 
-    results = {}
+    whole = {}
     for label, kernel_env in ((BACKEND, {}), ("python", {"MVMC_KERNEL": "python"})):
-        res = maximize_with(kernel_env, args)
-        results[label] = res["labels"]
-        print(
+        res = whole_calls_with(kernel_env, args)
+        whole[label] = res
+        per_iteration = res["driver_seconds"] / res["driver_iterations"]
+        result[f"maximize_{label}_s"] = res["seconds"]
+        result[f"driver_{label}_s"] = res["driver_seconds"]
+        result[f"driver_{label}_s_per_iteration"] = per_iteration
+        result[f"driver_{label}_iterations"] = res["driver_iterations"]
+        report(
             f"maximize     [{res['backend']:6}] {res['seconds']:8.2f} s"
             f"  (clusters={len(set(res['labels']))}, Q={res['q']:.4f})"
         )
+        report(
+            f"driver       [{res['backend']:6}] {per_iteration:8.2f} s per iteration"
+            f"  ({res['driver_iterations']} iterations, {res['driver_seconds']:.2f} s)"
+        )
 
-    same_sweep = np.array_equal(sweeps[BACKEND], sweeps["python"])
-    same = results[BACKEND] == results["python"]
-    same_levels = all(map(same_aggregation, aggregated[BACKEND], aggregated["scipy"]))
-    print(f"paths agree on the single-sweep partition: {same_sweep}")
-    print(f"paths agree on every aggregated level: {same_levels}")
+    result["sweeps_agree"] = bool(np.array_equal(sweeps[BACKEND], sweeps["python"]))
+    result["levels_agree"] = all(map(same_aggregation, aggregated[BACKEND], aggregated["scipy"]))
     if restarts:
-        print(f"paths agree on every restart (labels, counters, generator state): "
-              f"{same_restarts(restarts['c'], restarts['driven'])}")
-    print(f"paths agree on the final partition: {same}")
+        result["restarts_agree"] = same_restarts(restarts["c"], restarts["driven"])
+    result["maximize_agrees"] = whole[BACKEND]["labels"] == whole["python"]["labels"]
+    result["driver_agrees"] = all(whole[BACKEND][key] == whole["python"][key]
+                                  for key in ("driver_labels", "driver_iterations"))
+    report(f"paths agree on the single-sweep partition: {result['sweeps_agree']}")
+    report(f"paths agree on every aggregated level: {result['levels_agree']}")
+    if restarts:
+        report(f"paths agree on every restart (labels, counters, generator state): "
+               f"{result['restarts_agree']}")
+    report(f"paths agree on the final partition: {result['maximize_agrees']}")
+    report(f"paths agree on the driver's partition and iterations: {result['driver_agrees']}")
+    print(json.dumps({**result, "backend": BACKEND, "cpu_count": os.cpu_count(),
+                      "python": platform.python_version(), "numpy": np.__version__,
+                      "scipy": scipy.__version__}))
 
 
 if __name__ == "__main__":

@@ -290,8 +290,7 @@ def _level(dailies, min_cluster_size: int) -> list[LabeledClustering]:
 
 def _compare(dailies, min_cluster_size: int, meta_k: int, out: Path):
     """ARI matrix, dendrogram and meta-clusters of the days, written to out;
-    returns the cross-leveled days, the ARI matrix and each day's
-    meta-cluster."""
+    returns the ARI matrix and each day's meta-cluster."""
     leveled = _level(dailies, min_cluster_size)
     matrix = pairwise_ari_matrix(leveled)
     merges = average_linkage_merges(1.0 - matrix)
@@ -302,7 +301,7 @@ def _compare(dailies, min_cluster_size: int, meta_k: int, out: Path):
     with atomic_write(out / "dendrogram.tsv") as tmp:
         write_dendrogram(merges, tmp)
     _write_rows(out / "meta_clusters.tsv", zip(tags, meta))
-    return leveled, matrix, meta
+    return matrix, meta
 
 
 def _consensus(members, seed: int, path: Path) -> LabeledClustering:
@@ -568,26 +567,29 @@ def run_pipeline(params: dict):
         if len(days) < 2:
             click.echo("single day: skipping temporal comparison")
             return
-        leveled, matrix, meta = _compare(
+        matrix, meta = _compare(
             [lc for _posts, _dv, lc, _clustering, _trace in days],
             params["min_cluster_size"],
             min(params["meta_k"], len(days)),
             out,
         )
 
-        # periods = meta-clusters; ensemble and report each period with >= 2 days
+        # periods = meta-clusters; ensemble and report each period with >= 2
+        # days, leveled over the period's own days as `ensemble` does
         periods: dict[int, list[int]] = {}
         for idx, label in enumerate(meta):
             periods.setdefault(int(label), []).append(idx)
         rows = []
         for label, idxs in sorted(periods.items()):
-            members = [leveled[i] for i in idxs]
-            day_tags = ",".join(c.tag for c in members)
-            if len(members) < 2:
+            dailies = [days[i][2] for i in idxs]
+            day_tags = ",".join(c.tag for c in dailies)
+            if len(dailies) < 2:
                 rows.append((label, day_tags, "-", "-", "-", "-"))
                 continue
             consensus = _consensus(
-                members, params["seed"], out / "consensus" / f"period_{label}.tsv"
+                _level(dailies, params["min_cluster_size"]),
+                params["seed"],
+                out / "consensus" / f"period_{label}.tsv",
             )
             sizes = np.array(
                 list(Counter(consensus.assignments.values()).values()), dtype=float

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import Clustering, GraphUsageError, ViewGraph
-from .modularity import _check_views, maximize, rb_modularity
+from .modularity import _check_views, _view_sums, maximize
 
 # Below this gap the log-mean formula is numerically degenerate and the
 # analytic limit (theta_in itself) is used instead.
@@ -24,8 +24,6 @@ class MvmcConfig:
     max_iter: int = 20
     resolution_tol: float = 0.3
     weight_tol: float = 0.1
-    init_resolutions: tuple[float, ...] | None = None
-    init_weights: tuple[float, ...] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -90,10 +88,8 @@ def edge_propensities(graphs: list[ViewGraph], clustering: Clustering) -> Propen
         if m == 0.0:
             t_in[v] = t_out[v] = 1.0
             continue
-        same = labels[g.edge_u] == labels[g.edge_v]
-        e_in = float(g.edge_w[same].sum())
-        kappa = np.bincount(labels, weights=g.degrees())
-        null_in = float((kappa * kappa).sum()) / (4.0 * m)
+        e_in, kappa2 = _view_sums(g, labels, g.degrees())
+        null_in = kappa2 / (4.0 * m)
         small = 1.0 / g.edge_count
         t_in[v] = small if e_in == 0.0 else e_in / null_in
         t_out[v] = small if e_in == m else (m - e_in) / (m - null_in)
@@ -128,36 +124,27 @@ def update_weights(p: Propensities) -> np.ndarray:
 def run_mvmc(graphs: list[ViewGraph], cfg: MvmcConfig) -> tuple[Clustering, MvmcTrace]:
     """Cluster all views jointly, re-estimating resolutions and weights.
 
-    Converges when both parameter vectors move less than their tolerances
-    (max-norm); otherwise returns the iteration with highest modularity.
-    Anti-community views (negative learned weight) are clamped to 0 and the
-    clamp is noted in the trace.
+    Starts from unit resolutions and weights. Converges when both parameter
+    vectors move less than their tolerances (max-norm); otherwise returns the
+    iteration with highest modularity. Anti-community views (negative learned
+    weight) are clamped to 0 and the clamp is noted in the trace.
+
+    The result is the chosen iteration's `maximize` result. Its meta adds
+    `iterations` and `converged`, and its `sweeps`, `moves` and `levels` are
+    summed over all iterations.
     """
-    nviews = len(graphs)
-    _check_views(graphs)
-    gammas = (
-        np.full(nviews, 1.0)
-        if cfg.init_resolutions is None
-        else np.asarray(cfg.init_resolutions, dtype=np.float64)
-    )
-    weights = (
-        np.full(nviews, 1.0)
-        if cfg.init_weights is None
-        else np.asarray(cfg.init_weights, dtype=np.float64)
-    )
-    if len(gammas) != nviews or len(weights) != nviews:
-        raise GraphUsageError("initial parameters must have one entry per view")
+    gammas = np.full(len(graphs), 1.0)
+    weights = np.full(len(graphs), 1.0)
 
     trace = MvmcTrace()
     clusterings: list[Clustering] = []
     for it in range(1, cfg.max_iter + 1):
         clustering = maximize(graphs, weights, gammas, seed=cfg.seed)
-        q = rb_modularity(graphs, clustering, weights, gammas)
         record = IterationRecord(
             iteration=it,
-            weights=weights.copy(),
-            resolutions=gammas.copy(),
-            modularity=q,
+            weights=weights,
+            resolutions=gammas,
+            modularity=clustering.meta["modularity"],
             n_clusters=clustering.n_clusters,
         )
         trace.records.append(record)
@@ -183,15 +170,7 @@ def run_mvmc(graphs: list[ViewGraph], cfg: MvmcConfig) -> tuple[Clustering, Mvmc
         trace.chosen_iteration = best + 1
 
     chosen = clusterings[trace.chosen_iteration - 1]
-    rec = trace.records[trace.chosen_iteration - 1]
-    final = Clustering(
-        chosen.labels,
-        meta={
-            "weights": rec.weights.tolist(),
-            "resolutions": rec.resolutions.tolist(),
-            "modularity": rec.modularity,
-            "iterations": len(trace.records),
-            "converged": trace.converged,
-        },
-    )
-    return final, trace
+    for key in ("sweeps", "moves", "levels"):
+        chosen.meta[key] = sum(c.meta[key] for c in clusterings)
+    chosen.meta.update(iterations=len(trace.records), converged=trace.converged)
+    return chosen, trace

@@ -48,19 +48,12 @@ def build_object_cluster_graph(
     return ViewGraph.from_arrays(n, objs, vertices, np.ones(len(objs)))
 
 
-def ensemble_cluster(
-    clusterings: list[LabeledClustering],
-    universe: list[str] | None = None,
-    seed: int = 0,
-) -> LabeledClustering:
-    """Consensus clustering of >= 2 cross-leveled clusterings."""
+def ensemble_cluster(clusterings: list[LabeledClustering], seed: int = 0) -> LabeledClustering:
+    """Consensus clustering of >= 2 cross-leveled clusterings, over the
+    sorted union of their objects."""
     if len(clusterings) < 2:
         raise GraphUsageError("ensembling needs at least two clusterings")
-    if universe is None:
-        objs: set = set()
-        for c in clusterings:
-            objs |= c.objects
-        universe = sorted(objs)
+    universe = sorted(set().union(*(c.objects for c in clusterings)))
     graph = build_object_cluster_graph(clusterings, universe)
     partition = maximize([graph], seed=seed)
     labels = densify_labels(partition.labels[: len(universe)])

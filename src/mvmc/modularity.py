@@ -69,6 +69,14 @@ def rb_modularity(
     return _rb_sum(graphs, labels, w, gamma, m2, [g.degrees() for g in graphs])
 
 
+def _view_sums(graph: ViewGraph, labels: np.ndarray, deg: np.ndarray) -> tuple[float, float]:
+    """The intra-cluster edge weight of one view (each edge once) and the sum
+    over clusters of the squared degree sums, given the view's degrees."""
+    same = labels[graph.edge_u] == labels[graph.edge_v]
+    tot = np.bincount(labels, weights=deg)
+    return float(graph.edge_w[same].sum()), float((tot * tot).sum())
+
+
 def _rb_sum(graphs, labels, w, gamma, m2, deg):
     """`rb_modularity` given each view's doubled edge weight m2[v] and
     degrees deg[v], which do not depend on the partition."""
@@ -76,11 +84,8 @@ def _rb_sum(graphs, labels, w, gamma, m2, deg):
     for v, g in enumerate(graphs):
         if m2[v] == 0.0:
             continue
-        same = labels[g.edge_u] == labels[g.edge_v]
-        intra = 2.0 * float(g.edge_w[same].sum())
-        tot = np.bincount(labels, weights=deg[v])
-        null = float((tot * tot).sum())
-        total += w[v] / m2[v] * (intra - gamma[v] * null / m2[v])
+        intra, null = _view_sums(g, labels, deg[v])
+        total += w[v] / m2[v] * (2.0 * intra - gamma[v] * null / m2[v])
     return total
 
 
@@ -144,7 +149,6 @@ def maximize(
     weights=None,
     resolutions=None,
     seed: int = 0,
-    gain_epsilon: float = GAIN_EPSILON,
     restarts: int = DEFAULT_RESTARTS,
 ) -> Clustering:
     """Best of `restarts` Louvain-style runs, deterministic per seed.
@@ -153,8 +157,9 @@ def maximize(
     replays local moves on the original graph, so the returned partition is
     stable against every single-node move (including splitting off a
     singleton). Restarts differ only in sweep order; the highest-modularity
-    partition wins, earliest run on ties. The result's meta holds the sweeps,
-    moves and levels summed over the restarts, and the winning restart.
+    partition wins, earliest run on ties. The result's meta holds the weights,
+    resolutions and seed used, the winning partition's `modularity`, the
+    sweeps, moves and levels summed over the restarts, and the winning restart.
     """
     if restarts < 1:
         raise GraphUsageError("restarts must be positive")
@@ -176,21 +181,22 @@ def maximize(
     # still sees one restart's sweeps and levels per call.
     wrapped = move_pass is not _kernels.move_pass or aggregate is not _kernels.aggregate
     head = 1 if wrapped else 0
-    runs = _restarts(graph0, deg0, alpha, rngs[:head], gain_epsilon) + run_restarts(
-        graph0, deg0, alpha, rngs[head:], gain_epsilon
+    runs = _restarts(graph0, deg0, alpha, rngs[:head], GAIN_EPSILON) + run_restarts(
+        graph0, deg0, alpha, rngs[head:], GAIN_EPSILON
     )
     best = None
     best_q = -np.inf
     best_r = 0
     for r, (labels, _counts) in enumerate(runs):
         q = _rb_sum(graphs, labels, w, gamma, m2, deg0.T)
-        if q > best_q + gain_epsilon:
+        if q > best_q + GAIN_EPSILON:
             best, best_q, best_r = labels, q, r
     sweeps, moves, levels = map(sum, zip(*(counts for _labels, counts in runs)))
     meta = {
         "weights": w.tolist(),
         "resolutions": gamma.tolist(),
         "seed": seed,
+        "modularity": best_q,
         "sweeps": sweeps,
         "moves": moves,
         "levels": levels,

@@ -289,6 +289,44 @@ def test_single_stage_commands_reproduce_pipeline(tmp_path, runner, corpus):
     assert tree_bytes(stage) == pipeline
 
 
+def test_pipeline_periods_match_ensemble_on_their_own_days(tmp_path, runner, corpus):
+    # six days: the seed-7 corpus on March 1-3, and a seed-8 one on March 11-13
+    # whose hashtags are all new, so no hashtag is used in both periods
+    later = tmp_path / "later"
+    invoke_ok(runner, "synth", "--mode", "corpus", "--seed", "8", later)
+    churned = (later / "posts.jsonl").read_text().replace('"tag', '"new').replace("#tag", "#new")
+    churned = churned.replace('"2020-03-0', '"2020-03-1').replace('id": "p', 'id": "q')
+    result, run = run_pipeline_on(tmp_path, runner, "churn", corpus.read_text() + churned)
+    assert result.exit_code == 0, result.output
+
+    rows = (run / "period_summary.tsv").read_text().splitlines()[1:]
+    periods = [row.split("\t")[:3] for row in rows if row.split("\t")[2] != "-"]
+    assert periods
+    for label, day_tags, clusters in periods:
+        days = day_tags.split(",")
+        members = tmp_path / f"period_{label}"
+        members.mkdir()
+        for day in days:
+            (members / f"{day}.tsv").write_bytes((run / "clusters" / f"{day}.tsv").read_bytes())
+        consensus = tmp_path / f"consensus_{label}.tsv"
+        invoke_ok(runner, "ensemble", members, consensus)
+        assert consensus.read_bytes() == (run / "consensus" / f"period_{label}.tsv").read_bytes()
+        assert int(clusters) == len({line.split("\t")[1] for line in
+                                     consensus.read_text().splitlines()})
+
+        posts = tmp_path / f"period_{label}.jsonl"
+        posts.write_text("".join(
+            line for line in (tmp_path / "churn.jsonl").read_text().splitlines(keepends=True)
+            if json.loads(line)["timestamp"][:10] in days
+        ))
+        reports = tmp_path / f"reports_{label}"
+        invoke_ok(runner, "analyze", posts, consensus, reports)
+        for path in reports.iterdir():
+            pipeline = run / "reports" / f"period_{label}_{path.name}"
+            assert path.read_bytes() == pipeline.read_bytes()
+    check_internal_ari(run)
+
+
 def test_pipeline_computes_each_ari_pair_once(tmp_path, runner, corpus, monkeypatch):
     # six days: the seed-7 corpus on March 1-3 and a seed-8 one on March 11-13
     later = tmp_path / "later"

@@ -5,10 +5,15 @@ import pytest
 
 from mvmc import (
     Clustering,
+    GraphUsageError,
     MvmcConfig,
     Propensities,
     ViewGraph,
+    _kernels,
+    driver,
     edge_propensities,
+    modularity,
+    rb_modularity,
     run_mvmc,
     update_resolution,
     update_weights,
@@ -156,6 +161,13 @@ def test_run_mvmc_deterministic():
     assert [r.modularity for r in t1.records] == [r.modularity for r in t2.records]
 
 
+def test_run_mvmc_rejects_bad_view_sets():
+    with pytest.raises(GraphUsageError, match="at least one view"):
+        run_mvmc([], MvmcConfig())
+    with pytest.raises(GraphUsageError, match="share the node count"):
+        run_mvmc([TWO_TRIANGLES, ViewGraph.from_edges(4, [])], MvmcConfig())
+
+
 def test_trace_export(tmp_path):
     graphs, _ = planted_partition_views(30, 2, 0.5, 0.05, n_views=2, seed=6)
     _, trace = run_mvmc(graphs, MvmcConfig(seed=6))
@@ -179,3 +191,74 @@ def test_degenerate_partitions_keep_updates_finite():
             w = update_weights(p)
             assert np.all(np.isfinite(gamma)) and np.all(gamma > 0)
             assert np.all(np.isfinite(w))
+
+
+# (n, blocks, p_in, p_out, views, noise views, seed, max_iter, tolerance); the
+# last runs out of iterations, so the chosen one is the best, not the last
+PLANTED = [
+    (40, 2, 0.5, 0.05, 2, 0, 11, 20, 0.05),
+    (60, 3, 0.4, 0.04, 2, 1, 12, 20, 0.05),
+    (48, 3, 0.3, 0.06, 1, 1, 13, 20, 0.05),
+    (50, 4, 0.2, 0.1, 2, 1, 14, 4, 1e-9),
+]
+
+
+def spied_runs(monkeypatch):
+    """run_mvmc on each planted instance, with every `maximize` call the
+    driver makes: its weights, resolutions, labels and a copy of its meta."""
+    runs = []
+    for n, blocks, p_in, p_out, views, noise, seed, max_iter, tol in PLANTED:
+        graphs, _ = planted_partition_views(n, blocks, p_in, p_out, views, noise, seed)
+        calls = []
+
+        def spy(graphs, weights, resolutions, **kwargs):
+            result = modularity.maximize(graphs, weights, resolutions, **kwargs)
+            calls.append((weights, resolutions, result.labels, dict(result.meta)))
+            return result
+
+        monkeypatch.setattr(driver, "maximize", spy)
+        cfg = MvmcConfig(max_iter=max_iter, resolution_tol=tol, weight_tol=tol, seed=seed)
+        runs.append((graphs, *run_mvmc(graphs, cfg), calls))
+    return runs
+
+
+def test_trace_modularity_is_the_maximizers_score(monkeypatch):
+    runs = spied_runs(monkeypatch)
+    assert any(trace.chosen_iteration < len(trace.records) for _g, _c, trace, _calls in runs)
+    for graphs, _clustering, trace, calls in runs:
+        assert len(trace.records) == len(calls)
+        for record, (weights, resolutions, labels, _meta) in zip(trace.records, calls):
+            assert np.array_equal(record.weights, weights)
+            assert np.array_equal(record.resolutions, resolutions)
+            q = rb_modularity(graphs, Clustering(labels), weights, resolutions)
+            assert repr(record.modularity) == repr(q)
+
+
+def test_result_counters_sum_over_the_iterations(monkeypatch):
+    for _graphs, clustering, trace, calls in spied_runs(monkeypatch):
+        labels, meta = calls[trace.chosen_iteration - 1][2:]
+        chosen = trace.records[trace.chosen_iteration - 1]
+        assert np.array_equal(clustering.labels, labels)
+        assert clustering.meta == {
+            **meta,
+            "sweeps": sum(m["sweeps"] for *_x, m in calls),
+            "moves": sum(m["moves"] for *_x, m in calls),
+            "levels": sum(m["levels"] for *_x, m in calls),
+            "iterations": len(calls),
+            "converged": trace.converged,
+        }
+        assert clustering.meta["modularity"] == chosen.modularity
+
+
+def test_driver_results_identical_under_both_backends(monkeypatch):
+    loaded = spied_runs(monkeypatch)
+    # the reference: each restart driven from Python through the Python sweep
+    # and the scipy aggregation
+    monkeypatch.setattr(modularity, "run_restarts", modularity._restarts)
+    monkeypatch.setattr(modularity, "move_pass", _kernels._move_pass)
+    monkeypatch.setattr(modularity, "aggregate", _kernels._aggregate)
+    reference = spied_runs(monkeypatch)
+    for (_g, c1, t1, calls1), (_g2, c2, t2, calls2) in zip(loaded, reference):
+        assert np.array_equal(c1.labels, c2.labels) and c1.meta == c2.meta
+        assert [repr(r.modularity) for r in t1.records] == [repr(r.modularity) for r in t2.records]
+        assert [m for *_x, m in calls1] == [m for *_x, m in calls2]
