@@ -1,4 +1,5 @@
-"""Time the ingest layer on a near-paper-scale day against its references.
+"""Time the ingest and k-NN layers on a near-paper-scale day against their
+references.
 
 Usage: PYTHONPATH=src python3 benchmarks/bench_ingest.py [--repeat 3] > BENCH_ingest.json
 
@@ -6,10 +7,13 @@ Builds one day with the generator of `bench/corpus.py` (50 groups x 40
 hashtags, 10,000 posts of 20 words, seed 7) and times, best of `--repeat`:
 `preprocess_text` against the per-character reference
 `brute_preprocess_text`, and `build_daily_views` against the dict-of-tuples
-reference `brute_daily_views`, both from `tests/oracles.py`. It checks that
-each pair agrees token for token and entry for entry, and prints one JSON
-line with the times, the kernel backend, the CPU count and the
-Python/numpy/scipy versions.
+reference `brute_daily_views`, both from `tests/oracles.py`. For each of the
+day's four views it then times `tfidf`, and `knn_graph` on the weighted view
+with `_kernels.knn_edges` (the compiled routine, when it loaded) against the
+same call with the scipy reference `_kernels._knn_edges`. It checks that
+each pair agrees token for token, entry for entry and edge for edge, and
+prints one JSON line with the times, the kernel backend, the CPU count and
+the Python/numpy/scipy versions.
 """
 import argparse
 import importlib.util
@@ -26,6 +30,7 @@ import scipy
 
 from mvmc import _kernels
 from mvmc.ingest import build_daily_views, parse_json_record, preprocess_text
+from mvmc.views import knn_graph, tfidf
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
@@ -68,6 +73,34 @@ def same_views(views, reference) -> bool:
     )
 
 
+def knn_layer(views, repeat):
+    """Per view: its size, the `tfidf` time, and the `knn_graph` time with the
+    bound `_kernels.knn_edges` and with the reference, which `knn_graph`
+    picks up from the module at call time; `agree` compares their edges."""
+    bound = _kernels.knn_edges
+    layer = {}
+    for name, view in zip(("text", "user", "url", "cooccur"), views.as_list()):
+        tfidf_s, weighted = best_time(lambda: tfidf(view), repeat)
+        knn_s, graph = best_time(lambda: knn_graph(weighted), repeat)
+        _kernels.knn_edges = _kernels._knn_edges
+        try:
+            reference_s, reference = best_time(lambda: knn_graph(weighted), repeat)
+        finally:
+            _kernels.knn_edges = bound
+        layer[name] = {
+            "rows": view.n_rows,
+            "cols": len(view.col_names),
+            "nnz": int(view.counts.nnz),
+            "edges": graph.edge_count,
+            "tfidf_s": tfidf_s,
+            "knn_graph_s": knn_s,
+            "reference_knn_graph_s": reference_s,
+            "agree": all(np.array_equal(getattr(graph, a), getattr(reference, a))
+                         for a in ("edge_u", "edge_v", "edge_w")),
+        }
+    return layer
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
@@ -92,6 +125,7 @@ def main():
         "brute_daily_views_s": brute_views_s,
         "tokens_agree": tokens == brute_tokens,
         "views_agree": same_views(views, reference),
+        "knn": knn_layer(views, args.repeat),
         "backend": _kernels.BACKEND,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),

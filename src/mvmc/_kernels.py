@@ -1,5 +1,5 @@
-"""The kernels of the modularity maximizer: the sweep, the aggregation and
-the whole restart.
+"""The compiled kernels: the sweep, the aggregation and the whole restart of
+the modularity maximizer, and the k-NN graph of a view.
 
 `move_pass` runs one sweep of local moves and `aggregate` one level of graph
 aggregation. Each has a reference implementation here: `_move_pass` in plain
@@ -23,13 +23,24 @@ compiled draw (`draw_order`) is compared with `Generator.permutation` for a
 fixed seed at a few sizes; on any difference none of the compiled routines
 is used.
 
+The fourth, `knn_edges`, builds the symmetric k-NN graph of a row-normalised
+view; its reference `_knn_edges` is scipy's sparse product followed by a
+per-row lexsort. The compiled routine keeps the product's order of
+operations: row i's entries are walked from last to first (the order in
+which scipy's `diags(inv) @ counts` leaves them), each column's rows in
+ascending order, and each similarity starts from 0.0 and is summed with +=.
+It then drops the diagonal and values not above WEIGHT_FLOOR, keeps each
+row's k best by -value and then the lower column, and averages the picks
+with their transpose, so both give the same edges bit for bit.
+
 At import the C source is built with the local C compiler into a per-user
-cache and loaded through ctypes; `move_pass` and `aggregate` are then checked
-wrappers around it. Without a compiler, when the build or load fails, when the
-draw differs, or with MVMC_KERNEL=python, they are `_move_pass` and
-`_aggregate`, and `run_restarts` and `draw_order` are None. `BACKEND` names the
-implementation that runs: "c" or "python". benchmarks/bench_kernels.py
-compares the two.
+cache and loaded through ctypes; `move_pass`, `aggregate` and `knn_edges` are
+then checked wrappers around it. Without a compiler, when the build or load
+fails, when the draw differs, or with MVMC_KERNEL=python, they are
+`_move_pass`, `_aggregate` and `_knn_edges`, and `run_restarts` and
+`draw_order` are None. `BACKEND` names the implementation that runs: "c" or
+"python". benchmarks/bench_kernels.py and benchmarks/bench_ingest.py compare
+the two.
 """
 from __future__ import annotations
 
@@ -44,7 +55,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .graph import densify_labels
+from .graph import WEIGHT_FLOOR, densify_labels
 
 # No -ffast-math and no floating-point contraction: either could change the
 # rounding of a score and with it the partition. No -march=native, so a cached
@@ -178,6 +189,44 @@ def _aggregate(indptr, indices, data, deg, comm):
     )
 
 
+def _knn_edges(indptr, indices, data, ncols, k):
+    """The symmetric k-NN edges of the rows of a row-normalised CSR matrix.
+
+    indptr/indices/data: n rows over ncols columns, canonical (columns
+        ascending and distinct within each row).
+    k: the neighbours each row picks, 1 <= k < n.
+
+    Row similarities are the sparse product normed @ normed.T, with each row
+    of normed in reverse stored order, the order scipy's `diags(inv) @ counts`
+    gives; the product sums in that order, and keeping it keeps the edge
+    weights of graphs built that way bit for bit. Each row picks its k best other rows, dropping values not
+    above WEIGHT_FLOOR (NaN included) and ranking by -value, then by the
+    lower column. Returns (u, v, w): each pair u < v picked in either
+    direction once, in ascending (u, v) order, weighted (d_uv + d_vu) * 0.5,
+    or d * 0.5 when picked one way only.
+    """
+    indptr = np.asarray(indptr)
+    n = len(indptr) - 1
+    lengths = np.diff(indptr)
+    rev = np.repeat(indptr[:-1] + indptr[1:] - 1, lengths) - np.arange(len(indices))
+    normed = sparse.csr_matrix((data[rev], indices[rev], indptr), shape=(n, ncols))
+    sims = (normed @ normed.T).tocsr()
+    sims.setdiag(0.0)
+    sims.data[~(sims.data > WEIGHT_FLOOR)] = 0.0  # never linked, NaN included
+    sims.eliminate_zeros()
+
+    # each row's picks, as positions into sims: ranked by -value then
+    # column, first k kept
+    s_indptr, s_indices, s_data = sims.indptr, sims.indices, sims.data
+    picks = [lo + np.lexsort((s_indices[lo:hi], -s_data[lo:hi]))[:k]
+             for lo, hi in zip(s_indptr[:-1], s_indptr[1:])]
+    rows = np.repeat(np.arange(n), [len(p) for p in picks])
+    pos = np.concatenate(picks)
+    directed = sparse.csr_matrix((s_data[pos], (rows, s_indices[pos])), shape=(n, n))
+    sym = sparse.triu((directed + directed.T) * 0.5, k=1).tocoo()
+    return sym.row.astype(np.int64), sym.col.astype(np.int64), sym.data
+
+
 def _build_library() -> Path | None:
     """Path of the compiled kernel, building it into the cache when missing.
 
@@ -221,9 +270,9 @@ def _build_library() -> Path | None:
 
 
 def _load_c_kernels():
-    """Wrappers (move_pass, aggregate, draw_order, run_restarts) around the
-    compiled routines, or None when they are unavailable or the compiled draw
-    differs from numpy's."""
+    """Wrappers (move_pass, aggregate, draw_order, run_restarts, knn_edges)
+    around the compiled routines, or None when they are unavailable or the
+    compiled draw differs from numpy's."""
     library = _build_library()
     if library is None:
         return None
@@ -231,6 +280,7 @@ def _load_c_kernels():
         compiled = ctypes.CDLL(str(library))
         kernel, aggregator = compiled.move_pass, compiled.aggregate
         drawer, restart = compiled.draw_order, compiled.maximize_once
+        neighbours = compiled.knn_edges
     except (OSError, AttributeError):
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -245,6 +295,8 @@ def _load_c_kernels():
     drawer.argtypes = [i64, ptr, ptr, ptr]
     restart.restype = i64
     restart.argtypes = [i64, i64, i64, *[ptr] * 5, f64, i64, ptr, ptr, ptr, ptr]
+    neighbours.restype = i64
+    neighbours.argtypes = [i64, i64, i64, ptr, ptr, ptr, i64, f64, ptr, ptr, ptr]
 
     def c_move_pass(
         indptr,
@@ -373,9 +425,35 @@ def _load_c_kernels():
             results.append((labels, tuple(counts.tolist())))
         return results
 
+    def c_knn_edges(indptr, indices, data, ncols, k):
+        """`_knn_edges` run by the compiled routine; same arguments and result.
+
+        Inputs are checked and converted as in `c_move_pass`. The outputs are
+        allocated for n * k edges, the most the picks can give, and returned
+        as views of their used parts.
+        """
+        n = len(indptr) - 1
+        nnz = len(indices)
+        if not 0 < k < n:
+            raise ValueError(f"k={k} is outside [1, {n})")
+        args = [
+            _input(indptr, np.int64, (n + 1,), "indptr"),
+            _input(indices, np.int64, (nnz,), "indices"),
+            _input(data, np.float64, (nnz,), "data"),
+        ]
+        edge_u = np.empty(n * k, dtype=np.int64)
+        edge_v = np.empty(n * k, dtype=np.int64)
+        edge_w = np.empty(n * k, dtype=np.float64)
+        m = neighbours(
+            n, ncols, nnz, *(a.ctypes.data for a in args), k, WEIGHT_FLOOR,
+            edge_u.ctypes.data, edge_v.ctypes.data, edge_w.ctypes.data,
+        )
+        _check_status("knn_edges", m)
+        return edge_u[:m], edge_v[:m], edge_w[:m]
+
     if not _draws_match(c_draw_order):
         return None
-    return c_move_pass, c_aggregate, c_draw_order, c_run_restarts
+    return c_move_pass, c_aggregate, c_draw_order, c_run_restarts, c_knn_edges
 
 
 def _bit_generator(rng):
@@ -428,10 +506,10 @@ def _in_place(a, dtype, shape, name):
     return a
 
 
-move_pass, aggregate = _move_pass, _aggregate
+move_pass, aggregate, knn_edges = _move_pass, _aggregate, _knn_edges
 draw_order = run_restarts = None  # compiled only
 BACKEND = "python"
 if os.environ.get("MVMC_KERNEL") != "python":
     _compiled = _load_c_kernels()
     if _compiled is not None:
-        (move_pass, aggregate, draw_order, run_restarts), BACKEND = _compiled, "c"
+        (move_pass, aggregate, draw_order, run_restarts, knn_edges), BACKEND = _compiled, "c"

@@ -18,6 +18,11 @@
  * sweep's order is numpy's Generator.permutation(size), drawn here from the
  * caller's bit generator (see draw_order).
  *
+ * knn_edges: the symmetric k-NN graph of a row-normalised view. It gives,
+ * edge for edge and bit for bit, what the reference mvmc._kernels._knn_edges
+ * gets from scipy: the similarities summed in the order of scipy's sparse
+ * product, the same picks per row, and the same averaged weights.
+ *
  * Arrays are C-contiguous; deg, comm_tot and agg_deg are row-major
  * (rows, nviews). The caller checks shapes and dtypes; this file checks every
  * index it reads from an array before using it.
@@ -578,5 +583,225 @@ done:
         free(lvl_data[b]);
         free(lvl_deg[b]);
     }
+    return status;
+}
+
+/* True if similarity (a, column ca) ranks below (b, column cb): a lower value,
+ * or an equal value at a higher column. */
+static int ranks_below(double a, int64_t ca, double b, int64_t cb)
+{
+    return a < b || (a == b && ca > cb);
+}
+
+/* Restores the heap (heap_val, heap_col; size entries) below slot t, where
+ * every parent ranks below its children, so the root is the lowest kept. */
+static void sift_down(double *heap_val, int64_t *heap_col, int64_t size, int64_t t)
+{
+    double val = heap_val[t];
+    int64_t col = heap_col[t];
+    for (;;) {
+        int64_t child = 2 * t + 1;
+        if (child >= size)
+            break;
+        if (child + 1 < size
+            && ranks_below(heap_val[child + 1], heap_col[child + 1], heap_val[child],
+                           heap_col[child]))
+            child++;
+        if (!ranks_below(heap_val[child], heap_col[child], val, col))
+            break;
+        heap_val[t] = heap_val[child];
+        heap_col[t] = heap_col[child];
+        t = child;
+    }
+    heap_val[t] = val;
+    heap_col[t] = col;
+}
+
+/* dst (m) receives the ids src[0..m), or 0..m-1 when src is NULL, stably
+ * ordered by key[id], which lies in [0, nkeys). count holds nkeys + 1 int64
+ * of scratch. */
+static void sort_by_key(int64_t m, int64_t nkeys, const int64_t *key, const int64_t *src,
+                        int64_t *dst, int64_t *count)
+{
+    for (int64_t c = 0; c <= nkeys; c++)
+        count[c] = 0;
+    for (int64_t t = 0; t < m; t++)
+        count[key[t] + 1]++;
+    for (int64_t c = 0; c < nkeys; c++)
+        count[c + 1] += count[c];
+    for (int64_t t = 0; t < m; t++) {
+        int64_t id = src != NULL ? src[t] : t;
+        dst[count[key[id]]++] = id;
+    }
+}
+
+/* The symmetric k-NN graph of the n rows of a row-normalised CSR matrix
+ * (indptr, indices, data; ncols columns, nnz entries, canonical: columns
+ * ascending and distinct within each row).
+ *
+ * Row i's similarities are those of scipy's csr_matmat for normed @ normed.T,
+ * where normed holds each row's entries in reverse stored order, as
+ * diags(inv) @ counts leaves them: the entries of row i are walked from last
+ * to first, each column's rows in ascending order, and each similarity
+ * starts from 0.0 and is summed with +=. The diagonal and every
+ * value not > floor (NaN included) are dropped, and the k best that remain
+ * are kept, ranked by -value and then by the lower column. Each pair u < v
+ * picked in one direction or both is written once, in ascending (u, v)
+ * order, to edge_u, edge_v and edge_w (at least n * k entries each), weighted
+ * (d_uv + d_vu) * 0.5, or d * 0.5 when only one direction was picked.
+ *
+ * Returns the edge count, or MOVE_PASS_BAD_INDEX if k is outside [1, n) or
+ * the CSR arrays are malformed, or MOVE_PASS_NO_MEMORY if scratch allocation
+ * fails.
+ */
+int64_t knn_edges(
+    int64_t n,
+    int64_t ncols,
+    int64_t nnz,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const double *data,
+    int64_t k,
+    double floor,
+    int64_t *edge_u,
+    int64_t *edge_v,
+    double *edge_w)
+{
+    if (n < 2 || k < 1 || k >= n || ncols < 0 || nnz < 0 || indptr[0] != 0
+        || indptr[n] != nnz)
+        return MOVE_PASS_BAD_INDEX;
+    for (int64_t i = 0; i < n; i++)
+        if (indptr[i] > indptr[i + 1])
+            return MOVE_PASS_BAD_INDEX;
+    for (int64_t p = 0; p < nnz; p++)
+        if (indices[p] < 0 || indices[p] >= ncols)
+            return MOVE_PASS_BAD_INDEX;
+
+    int64_t status = MOVE_PASS_NO_MEMORY;
+    size_t entries = nnz > 0 ? (size_t)nnz : 1, picks_max = (size_t)n * (size_t)k;
+    int64_t *col_ptr = malloc(((size_t)ncols + 1) * sizeof(int64_t));
+    int64_t *col_row = malloc(entries * sizeof(int64_t));  /* the transpose */
+    double *col_val = malloc(entries * sizeof(double));
+    double *sums = malloc((size_t)n * sizeof(double));
+    int64_t *stamp = malloc((size_t)n * sizeof(int64_t));  /* row that last touched */
+    int64_t *touched = malloc(((size_t)n + 1) * sizeof(int64_t));
+    double *heap_val = malloc((size_t)k * sizeof(double));
+    int64_t *heap_col = malloc((size_t)k * sizeof(int64_t));
+    int64_t *pick_lo = malloc(picks_max * sizeof(int64_t));  /* min(i, j) */
+    int64_t *pick_hi = malloc(picks_max * sizeof(int64_t));  /* max(i, j) */
+    double *pick_val = malloc(picks_max * sizeof(double));
+    int64_t *by_hi = malloc(picks_max * sizeof(int64_t));
+    int64_t *by_pair = malloc(picks_max * sizeof(int64_t));
+    int64_t *count = malloc(((size_t)n + 1) * sizeof(int64_t));
+    if (col_ptr == NULL || col_row == NULL || col_val == NULL || sums == NULL
+        || stamp == NULL || touched == NULL || heap_val == NULL || heap_col == NULL
+        || pick_lo == NULL || pick_hi == NULL || pick_val == NULL || by_hi == NULL
+        || by_pair == NULL || count == NULL)
+        goto done;
+
+    /* column-major transpose by counting sort; rows ascending in each column */
+    for (int64_t c = 0; c <= ncols; c++)
+        col_ptr[c] = 0;
+    for (int64_t p = 0; p < nnz; p++)
+        col_ptr[indices[p] + 1]++;
+    for (int64_t c = 0; c < ncols; c++)
+        col_ptr[c + 1] += col_ptr[c];
+    for (int64_t i = 0; i < n; i++)
+        for (int64_t p = indptr[i]; p < indptr[i + 1]; p++) {
+            int64_t q = col_ptr[indices[p]]++;
+            col_row[q] = i;
+            col_val[q] = data[p];
+        }
+    for (int64_t c = ncols; c > 0; c--)  /* undo the shift of the fill */
+        col_ptr[c] = col_ptr[c - 1];
+    col_ptr[0] = 0;
+
+    for (int64_t i = 0; i < n; i++) {
+        stamp[i] = -1;
+        sums[i] = 0.0;  /* and reset after each row */
+    }
+    int64_t n_picks = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t n_touched = 0;
+        for (int64_t p = indptr[i + 1] - 1; p >= indptr[i]; p--) {
+            int64_t j = indices[p];
+            double v = data[p];
+            for (int64_t q = col_ptr[j]; q < col_ptr[j + 1]; q++) {
+                int64_t r = col_row[q];
+                sums[r] += v * col_val[q];
+                touched[n_touched] = r;  /* kept on first touch only */
+                n_touched += stamp[r] != i;
+                stamp[r] = i;
+            }
+        }
+        int64_t kept = 0;
+        for (int64_t t = 0; t < n_touched; t++) {
+            int64_t r = touched[t];
+            double s = sums[r];
+            sums[r] = 0.0;
+            if (r == i || !(s > floor))
+                continue;
+            if (kept < k) {  /* sift up */
+                int64_t slot = kept++;
+                while (slot > 0) {
+                    int64_t parent = (slot - 1) / 2;
+                    if (!ranks_below(s, r, heap_val[parent], heap_col[parent]))
+                        break;
+                    heap_val[slot] = heap_val[parent];
+                    heap_col[slot] = heap_col[parent];
+                    slot = parent;
+                }
+                heap_val[slot] = s;
+                heap_col[slot] = r;
+            } else if (ranks_below(heap_val[0], heap_col[0], s, r)) {
+                heap_val[0] = s;
+                heap_col[0] = r;
+                sift_down(heap_val, heap_col, kept, 0);
+            }
+        }
+        for (int64_t t = 0; t < kept; t++) {
+            int64_t j = heap_col[t];
+            pick_lo[n_picks] = i < j ? i : j;
+            pick_hi[n_picks] = i < j ? j : i;
+            pick_val[n_picks] = heap_val[t];
+            n_picks++;
+        }
+    }
+
+    /* picks in ascending (lo, hi) order; a pair picked both ways is adjacent */
+    sort_by_key(n_picks, n, pick_hi, NULL, by_hi, count);
+    sort_by_key(n_picks, n, pick_lo, by_hi, by_pair, count);
+    int64_t m = 0;
+    for (int64_t t = 0; t < n_picks; t++) {
+        int64_t a = by_pair[t];
+        double w = pick_val[a];
+        if (t + 1 < n_picks) {
+            int64_t b = by_pair[t + 1];
+            if (pick_lo[b] == pick_lo[a] && pick_hi[b] == pick_hi[a]) {
+                w += pick_val[b];
+                t++;
+            }
+        }
+        edge_u[m] = pick_lo[a];
+        edge_v[m] = pick_hi[a];
+        edge_w[m] = w * 0.5;
+        m++;
+    }
+    status = m;
+done:
+    free(col_ptr);
+    free(col_row);
+    free(col_val);
+    free(sums);
+    free(stamp);
+    free(touched);
+    free(heap_val);
+    free(heap_col);
+    free(pick_lo);
+    free(pick_hi);
+    free(pick_val);
+    free(by_hi);
+    free(by_pair);
+    free(count);
     return status;
 }

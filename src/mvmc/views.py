@@ -12,19 +12,25 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .graph import GraphUsageError, ViewGraph, WEIGHT_FLOOR
+from . import _kernels
+from .graph import GraphUsageError, ViewGraph
 
 
 @dataclass(frozen=True)
 class ViewMatrix:
-    """Sparse count matrix plus name registries for rows and columns."""
+    """Sparse count matrix plus name registries for rows and columns.
+
+    The matrix is stored as a canonical CSR copy of the one given: columns
+    ascending within each row, duplicate entries summed, zeros dropped.
+    """
 
     counts: sparse.csr_matrix
     row_names: tuple[str, ...]
     col_names: tuple[str, ...]
 
     def __post_init__(self):
-        mat = sparse.csr_matrix(self.counts, dtype=np.float64)
+        mat = sparse.csr_matrix(self.counts, dtype=np.float64, copy=True)
+        mat.sum_duplicates()
         mat.eliminate_zeros()
         if mat.nnz and (not np.all(np.isfinite(mat.data)) or mat.data.min() < 0):
             raise GraphUsageError("view entries must be nonnegative and finite")
@@ -40,20 +46,31 @@ class ViewMatrix:
     def from_codes(rows, cols, row_names, col_names) -> "ViewMatrix":
         """Build from parallel row and column codes, each pair counting 1;
         repeated pairs are summed."""
+        n, ncols = len(row_names), len(col_names)
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        if len(rows) and (rows.min() < 0 or rows.max() >= n
+                          or cols.min() < 0 or cols.max() >= ncols):
+            raise GraphUsageError("row or column code out of range")
+        # each distinct (row, col) key once, ascending: canonical CSR order
+        keys, counts = np.unique(rows * ncols + cols, return_counts=True)
+        indptr = np.searchsorted(keys, np.arange(n + 1) * ncols)
+        indices = keys - np.repeat(np.arange(n) * ncols, np.diff(indptr))
         mat = sparse.csr_matrix(
-            (np.ones(len(rows)), (rows, cols)),
-            shape=(len(row_names), len(col_names)),
-            dtype=np.float64,
+            (counts.astype(np.float64), indices, indptr), shape=(n, ncols)
         )
         return ViewMatrix(mat, tuple(row_names), tuple(col_names))
 
     def write_triplets(self, path) -> None:
-        """Text format: `row_name<TAB>col_name<TAB>count` per nonzero."""
-        coo = self.counts.tocoo()
-        order = np.lexsort((coo.col, coo.row))
+        """Text format: `row_name<TAB>col_name<TAB>count` per nonzero, in
+        (row, col) order, which is the canonical CSR storage order."""
+        indptr = self.counts.indptr.tolist()
+        cols, vals = self.counts.indices.tolist(), self.counts.data.tolist()
+        col_names = self.col_names
         with open(path, "w", encoding="utf-8") as fh:
-            for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-                fh.write(f"{self.row_names[r]}\t{self.col_names[c]}\t{float(v)!r}\n")
+            for r, name in enumerate(self.row_names):  # one write per row
+                lo, hi = indptr[r], indptr[r + 1]
+                fh.write("".join(f"{name}\t{col_names[c]}\t{v!r}\n"
+                                 for c, v in zip(cols[lo:hi], vals[lo:hi])))
 
     @staticmethod
     def read_triplets(path, row_names=None, col_names=None) -> "ViewMatrix":
@@ -102,7 +119,7 @@ def tfidf(m: ViewMatrix, mode: str = "ratio") -> ViewMatrix:
     if m.n_rows < 1:
         raise GraphUsageError("tfidf needs at least one row")
     counts = m.counts
-    df = np.diff(counts.tocsc().indptr).astype(np.float64)
+    df = np.bincount(counts.indices, minlength=counts.shape[1]).astype(np.float64)
     factor = np.zeros_like(df)
     nz = df > 0
     if mode == "ratio":
@@ -111,7 +128,10 @@ def tfidf(m: ViewMatrix, mode: str = "ratio") -> ViewMatrix:
         factor[nz] = np.log(m.n_rows / df[nz]) + 1.0
     else:
         raise GraphUsageError(f"unknown idf mode {mode!r}")
-    out = counts.multiply(factor[np.newaxis, :]).tocsr()
+    out = sparse.csr_matrix(
+        (counts.data * factor[counts.indices], counts.indices, counts.indptr),
+        shape=counts.shape,
+    )
     return ViewMatrix(out, m.row_names, m.col_names)
 
 
@@ -129,12 +149,28 @@ def cosine_similarity(m: ViewMatrix, i: int, j: int) -> float:
     return float(ra.multiply(rb).sum() / (na * nb))
 
 
-def _normalize_rows(mat: sparse.csr_matrix) -> sparse.csr_matrix:
-    norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
-    inv = np.zeros_like(norms)
+def _unit_rows(mat: sparse.csr_matrix) -> np.ndarray:
+    """`mat.data` with each row scaled to unit Euclidean norm; all-zero rows
+    stay zero. The values are bit for bit scipy's `diags(inv) @ mat`, with
+    inv = 1 / sqrt(mat.multiply(mat).sum(axis=1)), which defines the edge
+    weights of every stored graph: the elementwise product drops squares
+    that underflow to 0, and the sum adds each non-empty row with
+    np.add.reduceat."""
+    n = mat.shape[0]
+    lengths = np.diff(mat.indptr)
+    sq = mat.data * mat.data
+    if not sq.all():
+        keep = sq != 0
+        lengths = np.bincount(np.repeat(np.arange(n), lengths)[keep], minlength=n)
+        sq = sq[keep]
+    sums = np.zeros(n)
+    filled = lengths > 0
+    sums[filled] = np.add.reduceat(sq, (np.cumsum(lengths) - lengths)[filled])
+    norms = np.sqrt(sums)
+    inv = np.zeros(n)
     nz = norms > 0
     inv[nz] = 1.0 / norms[nz]
-    return sparse.diags(inv) @ mat
+    return np.repeat(inv, np.diff(mat.indptr)) * mat.data
 
 
 def auto_k(n: int) -> int:
@@ -148,7 +184,8 @@ def knn_graph(m: ViewMatrix, k: int | None = None) -> ViewGraph:
     Each row links to its k most cosine-similar other rows (zero-similarity
     candidates are never linked; ties broken by lower row index), then the
     directed adjacency is averaged with its transpose. All-zero rows become
-    isolates.
+    isolates. The rows are normalised here and the rest runs in
+    `_kernels.knn_edges`.
     """
     n = m.n_rows
     if n < 2:
@@ -158,22 +195,8 @@ def knn_graph(m: ViewMatrix, k: int | None = None) -> ViewGraph:
     if k <= 0 or k >= n:
         raise GraphUsageError(f"k={k} out of range for n={n}")
 
-    normed = _normalize_rows(m.counts).tocsr()
-    sims = (normed @ normed.T).tocsr()
-    sims.setdiag(0.0)
-    sims.data[~(sims.data > WEIGHT_FLOOR)] = 0.0  # never linked, NaN included
-    sims.eliminate_zeros()
-
-    # each row's picks, as positions into sims: ranked by -value then
-    # column, first k kept
-    indptr, indices, data = sims.indptr, sims.indices, sims.data
-    picks = []
-    for i in range(n):
-        lo, hi = indptr[i], indptr[i + 1]
-        picks.append(lo + np.lexsort((indices[lo:hi], -data[lo:hi]))[:k])
-    rows = np.repeat(np.arange(n), [len(p) for p in picks])
-    pos = np.concatenate(picks)
-    directed = sparse.csr_matrix((data[pos], (rows, indices[pos])), shape=(n, n))
-    sym = (directed + directed.T) * 0.5
-    sym = sparse.triu(sym, k=1).tocoo()
-    return ViewGraph.from_arrays(n, sym.row, sym.col, sym.data)
+    counts = m.counts
+    u, v, w = _kernels.knn_edges(
+        counts.indptr, counts.indices, _unit_rows(counts), counts.shape[1], k
+    )
+    return ViewGraph.from_arrays(n, u, v, w)

@@ -260,6 +260,26 @@ def brute_daily_views(posts, url_mode="exact", min_posts=3):
     return tuple(registry), views
 
 
+def brute_from_codes(rows, cols, shape):
+    """A view's count matrix built by scipy from (row, col) code pairs, each
+    pair counting 1, repeated pairs summed."""
+    mat = sparse.csr_matrix(
+        (np.ones(len(rows)), (rows, cols)), shape=shape, dtype=np.float64
+    )
+    mat.eliminate_zeros()
+    return mat
+
+
+def brute_write_triplets(view, path):
+    """A view's nonzeros as `row<TAB>col<TAB>count` lines, sorted by (row,
+    col) with a lexsort and written one line at a time."""
+    coo = view.counts.tocoo()
+    order = np.lexsort((coo.col, coo.row))
+    with open(path, "w", encoding="utf-8") as fh:
+        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
+            fh.write(f"{view.row_names[r]}\t{view.col_names[c]}\t{float(v)!r}\n")
+
+
 def brute_view_graph(n, edges):
     """Per-edge construction of a canonical edge list: u < v, sorted by
     (u, v), weights under 1e-12 dropped. Returns (u, v, w) arrays; raises

@@ -694,12 +694,17 @@ def test_env_flag_selects_fallback():
         "assert _kernels.move_pass is _kernels._move_pass;"
         "assert _kernels.aggregate is _kernels._aggregate;"
         "assert _kernels.run_restarts is None;"
+        "assert _kernels.knn_edges is _kernels._knn_edges;"
         "assert _kernels.BACKEND == 'python';"
         "from mvmc import modularity;"
         "assert modularity.run_restarts is modularity._restarts;"
         "import numpy as np; from mvmc import ViewGraph, maximize;"
         "g = ViewGraph.from_edges(6, [(0,1,1),(1,2,1),(0,2,1),(3,4,1),(4,5,1),(3,5,1)]);"
         "p = maximize([g], seed=0);"
-        "assert p.n_clusters == 2"
+        "assert p.n_clusters == 2;"
+        "from mvmc import ViewMatrix, knn_graph;"
+        "from scipy import sparse;"
+        "m = ViewMatrix(sparse.csr_matrix([[1., 0.], [1., 0.], [0., 1.]]), ('a', 'b', 'c'), ('x', 'y'));"
+        "assert knn_graph(m, k=1).edge_count == 1"
     )
     subprocess.run([sys.executable, "-c", code], check=True)

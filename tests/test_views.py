@@ -3,8 +3,20 @@ import pytest
 from scipy import sparse
 
 from mvmc import GraphUsageError, ViewMatrix, auto_k, cosine_similarity, knn_graph, tfidf
+from mvmc import _kernels
+from mvmc.views import _unit_rows
 
-from oracles import brute_cosine, brute_knn_edges, brute_tfidf
+from oracles import (
+    brute_cosine,
+    brute_from_codes,
+    brute_knn_edges,
+    brute_tfidf,
+    brute_write_triplets,
+)
+
+requires_c = pytest.mark.skipif(
+    _kernels.BACKEND != "c", reason="the compiled kernel did not load (no C compiler?)"
+)
 
 
 def vm(dense):
@@ -146,3 +158,200 @@ def test_tfidf_cosine_invariant_to_uniform_row_scaling():
             assert cosine_similarity(a, i, j) == pytest.approx(
                 cosine_similarity(b, i, j), abs=1e-12
             )
+
+
+def names(prefix, count):
+    return tuple(f"{prefix}{i}" for i in range(count))
+
+
+def test_view_matrix_copies_the_callers_matrix():
+    counts = sparse.csr_matrix(
+        (np.array([1.0, 0.0, 2.0]), np.array([0, 1, 0]), np.array([0, 2, 3])), shape=(2, 2)
+    )
+    view = ViewMatrix(counts, ("a", "b"), ("x", "y"))
+    assert counts.nnz == 3  # the explicit zero is still the caller's
+    assert view.counts.nnz == 2
+    assert not np.shares_memory(view.counts.data, counts.data)
+
+
+def test_tfidf_counts_a_duplicated_entry_once():
+    # dense [[2, 0], [0, 1]], with (0, 0) stored as two entries of 1
+    counts = sparse.csr_matrix(
+        (np.array([1.0, 1.0, 1.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2)
+    )
+    out = tfidf(ViewMatrix(counts, ("a", "b"), ("x", "y")))
+    assert out.counts.toarray().tolist() == [[4.0, 0.0], [0.0, 2.0]]
+
+
+def test_from_codes_matches_scipy_construction():
+    rng = np.random.default_rng(11)
+    for trial in range(60):
+        n, f = int(rng.integers(0, 30)), int(rng.integers(0, 40))
+        pairs = int(rng.integers(0, 300)) if n and f else 0
+        rows, cols = rng.integers(0, max(n, 1), pairs), rng.integers(0, max(f, 1), pairs)
+        got = ViewMatrix.from_codes(rows.tolist(), cols.tolist(), names("r", n), names("c", f))
+        want = brute_from_codes(rows, cols, (n, f))
+        assert got.counts.shape == want.shape
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got.counts, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (trial, attr)
+
+
+def test_from_codes_rejects_codes_out_of_range():
+    with pytest.raises(GraphUsageError):
+        ViewMatrix.from_codes([0, 2], [0, 0], ("a", "b"), ("x",))
+    with pytest.raises(GraphUsageError):
+        ViewMatrix.from_codes([0], [-1], ("a",), ("x",))
+
+
+def test_write_triplets_matches_the_lexsort_writer(tmp_path):
+    rng = np.random.default_rng(12)
+    for trial in range(40):
+        n, f = int(rng.integers(1, 25)), int(rng.integers(1, 30))
+        dense = rng.integers(1, 5, size=(n, f)) * (rng.random((n, f)) < rng.uniform(0, 0.6))
+        view = vm(dense)
+        if trial % 2:  # non-integer counts
+            view = tfidf(view, mode=("ratio", "log")[trial % 4 // 2])
+        ours, theirs = tmp_path / "ours.triplets", tmp_path / "theirs.triplets"
+        view.write_triplets(ours)
+        brute_write_triplets(view, theirs)
+        assert ours.read_bytes() == theirs.read_bytes(), trial
+        back = ViewMatrix.read_triplets(ours, row_names=view.row_names,
+                                        col_names=view.col_names)
+        assert np.array_equal(back.counts.toarray(), view.counts.toarray())
+
+
+def test_unit_rows_match_scipys_normalisation():
+    # rows of 0-40 entries, some of 1e-170 whose squares underflow to 0
+    rng = np.random.default_rng(13)
+    dense = rng.uniform(0, 3, size=(200, 40)) * (rng.random((200, 40)) < rng.random((200, 1)))
+    dense[rng.random(dense.shape) < 0.05] = 1e-170
+    mat = sparse.csr_matrix(dense)
+    norms = np.sqrt(np.asarray(mat.multiply(mat).sum(axis=1)).ravel())
+    inv = np.zeros_like(norms)
+    inv[norms > 0] = 1.0 / norms[norms > 0]
+    want = (sparse.diags(inv) @ mat).toarray()
+    got = sparse.csr_matrix((_unit_rows(mat), mat.indices, mat.indptr), shape=mat.shape)
+    assert np.array_equal(got.toarray(), want)
+
+
+def knn_cases():
+    """Seeded cases for the compiled k-NN routine: (view, idf mode, k, the
+    case kinds the view covers).
+
+    Views have 2-3000 rows of 1-8 entries on average, with integer or
+    uniform counts; some have duplicated rows (tied similarities), all-zero
+    rows, all-zero columns or a column scaled by 1e-7 (similarities under
+    WEIGHT_FLOOR), and one is a near-dense 1500 x 200 view at 20% density. k cycles through auto, 1, 7 and n - 1, which is used only up to
+    300 rows, where the n * k picks stay small.
+    """
+    rng = np.random.default_rng(20)
+    cases = []
+    for trial in range(320):
+        if trial == 0:
+            n, f, per_row = 1500, 200, 40.0
+        else:
+            n = int(rng.integers(2, (60, 600, 3001)[trial % 16 // 7]))
+            f = int(rng.integers(1, 300))
+            per_row = rng.uniform(1, 8)
+        present = rng.random((n, f)) < min(per_row / f, 1.0)
+        if trial % 2:
+            dense = (rng.integers(1, 5, size=(n, f)) * present).astype(float)
+        else:
+            dense = rng.uniform(0, 3, size=(n, f)) * present
+        if trial % 5 == 1 and n > 2:
+            dense[rng.integers(0, n, n // 3 + 1)] = dense[rng.integers(0, n)]
+        if trial % 7 == 2:
+            dense[rng.integers(0, n, n // 4 + 1)] = 0
+        if trial % 3 == 0:
+            dense[:, rng.integers(0, f, f // 5 + 1)] = 0
+        if trial % 11 == 3:  # rows that share only this column are linked at ~1e-14
+            dense[:, rng.integers(0, f)] *= 1e-7
+        kind = ("auto", 1, 7, "n-1")[trial % 4]
+        if kind == "n-1" and n > 300:
+            kind = "auto"
+        k = {"auto": auto_k(n), 1: 1, 7: min(7, n - 1), "n-1": n - 1}[kind]
+        mode = ("ratio", "log")[trial // 4 % 2]
+        nonzero_rows = np.unique(dense[dense.any(axis=1)], axis=0, return_counts=True)[1]
+        tiny = False
+        if n <= 600:
+            weighted = tfidf(vm(dense), mode=mode).counts.toarray()
+            norms = np.linalg.norm(weighted, axis=1)
+            unit = weighted / np.where(norms > 0, norms, 1.0)[:, None]
+            sims = unit @ unit.T
+            np.fill_diagonal(sims, 0.0)
+            tiny = ((sims > 0) & (sims <= 1e-12)).any()
+        kinds = {f"k={kind}", f"idf={mode}"} | {name for name, hit in (
+            ("near-dense", trial == 0),
+            ("similarities at or under the floor", tiny),
+            ("duplicate rows", (nonzero_rows > 1).any()),
+            ("all-zero rows", (~dense.any(axis=1)).any()),
+            ("all-zero columns", (~dense.any(axis=0)).any()),
+            ("2 rows", n == 2),
+            (">= 2000 rows", n >= 2000),
+        ) if hit}
+        cases.append((vm(dense), mode, k, kinds))
+    return cases
+
+
+@requires_c
+def test_c_knn_edges_matches_python_reference():
+    cases = knn_cases()
+    for case, (view, mode, k, _kinds) in enumerate(cases):
+        counts = tfidf(view, mode=mode).counts
+        args = (counts.indptr, counts.indices, _unit_rows(counts), counts.shape[1], k)
+        got, want = _kernels.knn_edges(*args), _kernels._knn_edges(*args)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b), (case, view.n_rows, k)
+    assert len(cases) >= 300
+    assert set().union(*(kinds for *_, kinds in cases)) == {
+        "k=auto", "k=1", "k=7", "k=n-1", "idf=ratio", "idf=log", "near-dense",
+        "duplicate rows", "all-zero rows", "all-zero columns", "2 rows", ">= 2000 rows",
+        "similarities at or under the floor",
+    }
+
+
+def knn_args():
+    """knn_edges inputs of a small view, as a list: indptr, indices, data,
+    ncols, k."""
+    rng = np.random.default_rng(21)
+    dense = rng.integers(1, 4, size=(12, 6)) * (rng.random((12, 6)) < 0.5)
+    counts = tfidf(vm(dense)).counts
+    return [counts.indptr.astype(np.int64), counts.indices.astype(np.int64),
+            _unit_rows(counts), 6, 3]
+
+
+def decreasing(a):
+    a = a.copy()
+    a[1], a[2] = a[2] + 1, a[1]
+    return a
+
+
+def first_negative(a):
+    a = a.copy()
+    a[0] = -1
+    return a
+
+
+BAD_KNN_ARGUMENTS = {
+    "indptr too short": (0, lambda a: a[:-1]),
+    "indptr past the entries": (0, lambda a: a + 100),
+    "indptr decreasing": (0, decreasing),
+    "negative column index": (1, first_negative),
+    "column index equal to ncols": (1, lambda a: np.full_like(a, 6)),
+    "indices as float": (1, lambda a: a.astype(np.float64)),
+    "data shorter than indices": (2, lambda a: a[:-1]),
+    "negative ncols": (3, lambda a: -1),
+    "k of zero": (4, lambda a: 0),
+    "k equal to n": (4, lambda a: 12),
+}
+
+
+@requires_c
+@pytest.mark.parametrize("case", sorted(BAD_KNN_ARGUMENTS))
+def test_c_knn_edges_rejects_bad_arguments(case):
+    position, spoil = BAD_KNN_ARGUMENTS[case]
+    args = knn_args()
+    args[position] = spoil(args[position])
+    with pytest.raises(ValueError):
+        _kernels.knn_edges(*args)
