@@ -20,15 +20,22 @@ backend, chosen with MVMC_KERNEL, so no backend is swapped in. The level
 inputs are recorded by a pass-through wrapper around `modularity.aggregate`
 during one maximize() call under the reference restart, since the compiled
 one aggregates inside C.
+
+The `startup` block holds, for the benchmark's setup probe (start, import
+mvmc, one tiny maximize()) and for `import mvmc.cli`, the median wall time
+over STARTUP_RUNS fresh interpreters and the scipy and numpy.ma modules the
+code loaded.
 """
 import argparse
 import copy
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -38,6 +45,39 @@ from mvmc import MvmcConfig, modularity, rb_modularity, run_mvmc
 from mvmc._kernels import BACKEND, _aggregate, _move_pass, aggregate, move_pass, run_restarts
 from mvmc.modularity import maximize
 from mvmc.synth import planted_partition_views
+
+
+STARTUP_RUNS = 11
+STARTUP_CODE = {
+    "setup_probe": "from mvmc import ViewGraph, maximize; "
+                   "maximize([ViewGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])])",
+    "import_cli": "import mvmc.cli",
+}
+LIST_MODULES = ("; import sys; print(*sorted(m for m in sys.modules if m == 'numpy.ma'"
+                " or m.startswith(('numpy.ma.', 'scipy.')) or m == 'scipy'))")
+
+
+def startup():
+    """Per STARTUP_CODE entry: the median wall seconds of running it in a
+    fresh interpreter, and the scipy and numpy.ma modules it loads (listed
+    in one more run, so the listing is not timed)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    result = {}
+    for name, code in STARTUP_CODE.items():
+        times = []
+        for _ in range(STARTUP_RUNS):
+            t0 = time.perf_counter()
+            subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                           stdout=subprocess.DEVNULL)
+            times.append(time.perf_counter() - t0)
+        listed = subprocess.run([sys.executable, "-c", code + LIST_MODULES], env=env,
+                                check=True, stdout=subprocess.PIPE, text=True)
+        modules = listed.stdout.split()
+        result[name] = {"median_s": statistics.median(times), "runs": STARTUP_RUNS,
+                        "modules": modules}
+        report(f"startup      [{name:11}] median {statistics.median(times) * 1e3:6.1f} ms"
+               f" over {STARTUP_RUNS} interpreters; {len(modules)} scipy/numpy.ma modules")
+    return result
 
 
 def planted(args):
@@ -252,6 +292,7 @@ def main():
             f"  ({res['driver_iterations']} iterations, {res['driver_seconds']:.2f} s)"
         )
 
+    result["startup"] = startup()
     result["sweeps_agree"] = bool(np.array_equal(sweeps[BACKEND], sweeps["python"]))
     result["levels_agree"] = all(map(same_aggregation, aggregated[BACKEND], aggregated["scipy"]))
     if restarts:

@@ -48,12 +48,9 @@ import ctypes
 import hashlib
 import os
 import shutil
-import subprocess
-import tempfile
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .graph import WEIGHT_FLOOR, densify_labels
 
@@ -173,6 +170,8 @@ def _aggregate(indptr, indices, data, deg, comm):
     arrays (intra-community weight on the diagonal) and the (k, V) summed
     degrees.
     """
+    from scipy import sparse
+
     size = len(comm)
     dense = densify_labels(comm)
     k = int(dense.max()) + 1 if size else 0
@@ -205,6 +204,8 @@ def _knn_edges(indptr, indices, data, ncols, k):
     direction once, in ascending (u, v) order, weighted (d_uv + d_vu) * 0.5,
     or d * 0.5 when picked one way only.
     """
+    from scipy import sparse
+
     indptr = np.asarray(indptr)
     n = len(indptr) - 1
     lengths = np.diff(indptr)
@@ -253,6 +254,13 @@ def _build_library() -> Path | None:
             return None  # others could plant a library here
         if library.is_file():
             return library
+    except OSError:
+        return None
+    # only a build needs these: subprocess alone adds ~2-3 ms to every start
+    import subprocess
+    import tempfile
+
+    try:
         fd, tmp = tempfile.mkstemp(prefix=library.name, suffix=".tmp", dir=directory)
         os.close(fd)
         try:

@@ -6,10 +6,12 @@ identifiers (hashtags) are kept in registries at the ingestion layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 # Edges with weight below this are dropped at construction; near-zero cosine
 # weights are indistinguishable from absent edges in modularity.
@@ -83,6 +85,8 @@ class ViewGraph:
 
     def adjacency(self) -> sparse.csr_matrix:
         """Symmetric CSR adjacency (each edge present in both directions)."""
+        from scipy import sparse
+
         rows = np.concatenate([self.edge_u, self.edge_v])
         cols = np.concatenate([self.edge_v, self.edge_u])
         data = np.concatenate([self.edge_w, self.edge_w])
@@ -143,8 +147,9 @@ class Clustering:
     def __post_init__(self):
         labels = np.asarray(self.labels, dtype=np.int64)
         object.__setattr__(self, "labels", labels)
-        if len(labels) and (labels.min() < 0 or not np.array_equal(
-                np.unique(labels), np.arange(labels.max() + 1))):
+        # dense: every label in [0, len(labels)), and each of 0..max used
+        if len(labels) and not (labels.min() >= 0 and labels.max() < len(labels)
+                                and np.bincount(labels).all()):
             raise GraphUsageError("cluster labels must be dense 0..k-1")
 
     @property

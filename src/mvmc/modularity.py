@@ -15,11 +15,14 @@ compiled routine `_kernels.run_restarts`; without it, `_maximize_once` drives
 the restart from Python, calling the sweep (`move_pass`) and the aggregation
 of a level (`aggregate`), the compiled kernels of `_kernels` or their Python
 references there. `_maximize_once` is the reference of the compiled restart.
+
+The restarts share one combined graph, the views' adjacencies scaled by
+w_v/(2 m_v) and summed, which `_combined_graph` builds from the views' edge
+arrays with numpy alone, so the clusterer needs no scipy.sparse.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
 
 from . import _kernels
 from ._kernels import MAX_LEVELS, aggregate, move_pass
@@ -89,13 +92,34 @@ def _rb_sum(graphs, labels, w, gamma, m2, deg):
     return total
 
 
-def _combined_csr(adjs, coeffs, n):
-    """Sum of per-view adjacencies scaled by w_v/(2 m_v)."""
-    acc = sparse.csr_matrix((n, n))
-    for adj, c in zip(adjs, coeffs):
+def _combined_graph(graphs, coeffs):
+    """The CSR arrays (int64 indptr and indices, float64 data) of the sum over
+    views of coeffs[v] times the view's symmetric adjacency.
+
+    Bit for bit scipy's `acc = acc + g.adjacency() * c` from an empty matrix,
+    over the views with c != 0 in view order: entries in (row, column) order,
+    each the sum ((c_1 w_1 + c_2 w_2) + c_3 w_3) + ... in view order, and
+    exact zeros (a cancelled sum, or a product that underflows) dropped.
+    The views are added one at a time because np.add.reduceat's pairwise
+    inner loop rounds differently once three views share an entry.
+    """
+    n = graphs[0].n
+    keys, values = [], []
+    for g, c in zip(graphs, coeffs):
         if c != 0.0:
-            acc = acc + adj * c
-    return acc.tocsr()
+            keys.append(np.concatenate([g.edge_u * n + g.edge_v, g.edge_v * n + g.edge_u]))
+            x = g.edge_w * c
+            values.append(np.concatenate([x, x]))
+    union = np.sort(np.concatenate(keys)) if keys else np.empty(0, dtype=np.int64)
+    union = union[np.diff(union, prepend=-1) != 0]  # each key once; keys are >= 0
+    acc = np.zeros(len(union))
+    for k, x in zip(keys, values):
+        pos = np.searchsorted(union, k)
+        acc[pos] = acc[pos] + x
+    keep = acc != 0.0
+    union, data = union[keep], acc[keep]
+    indptr = np.searchsorted(union, np.arange(n + 1) * n)
+    return indptr, union - np.repeat(np.arange(n) * n, np.diff(indptr)), data
 
 
 def _sweep_to_fixpoint(graph, deg, alpha, comm, rng, gain_epsilon, counts):
@@ -170,8 +194,7 @@ def maximize(
     m2 = np.array([2.0 * g.total_edge_weight() for g in graphs])
     edge_coeff = np.where(m2 > 0.0, w / np.where(m2 > 0.0, m2, 1.0), 0.0)
     alpha = np.where(m2 > 0.0, w * gamma / np.where(m2 > 0.0, m2 * m2, 1.0), 0.0)
-    adj0 = _combined_csr([g.adjacency() for g in graphs], edge_coeff, n)
-    graph0 = (adj0.indptr.astype(np.int64), adj0.indices.astype(np.int64), adj0.data)
+    graph0 = _combined_graph(graphs, edge_coeff)
     deg0 = np.zeros((n, len(graphs)), dtype=np.float64)
     for v, g in enumerate(graphs):
         deg0[:, v] = g.degrees()

@@ -8,12 +8,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from . import _kernels
 from .graph import GraphUsageError, ViewGraph
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 @dataclass(frozen=True)
@@ -29,14 +32,39 @@ class ViewMatrix:
     col_names: tuple[str, ...]
 
     def __post_init__(self):
+        from scipy import sparse
+
         mat = sparse.csr_matrix(self.counts, dtype=np.float64, copy=True)
         mat.sum_duplicates()
         mat.eliminate_zeros()
+        object.__setattr__(self, "counts", mat)
+        self._check()
+
+    def _check(self):
+        """Raise unless the entries are nonnegative and finite and the
+        registries match the shape."""
+        mat = self.counts
         if mat.nnz and (not np.all(np.isfinite(mat.data)) or mat.data.min() < 0):
             raise GraphUsageError("view entries must be nonnegative and finite")
-        object.__setattr__(self, "counts", mat)
         if mat.shape != (len(self.row_names), len(self.col_names)):
             raise GraphUsageError("registry sizes do not match matrix shape")
+
+    @classmethod
+    def _from_canonical(cls, data, indices, indptr, row_names, col_names) -> "ViewMatrix":
+        """Wrap CSR arrays that are already canonical (columns ascending and
+        distinct within each row, no zeros, float64 data) without the copy
+        and canonicalisation of the public constructor. The view takes the
+        arrays over, so the caller must not change them. The entries and the
+        shape are still checked."""
+        from scipy import sparse
+
+        view = object.__new__(cls)
+        mat = sparse.csr_matrix((data, indices, indptr), shape=(len(row_names), len(col_names)))
+        for name, value in (("counts", mat), ("row_names", tuple(row_names)),
+                            ("col_names", tuple(col_names))):
+            object.__setattr__(view, name, value)
+        view._check()
+        return view
 
     @property
     def n_rows(self) -> int:
@@ -55,10 +83,9 @@ class ViewMatrix:
         keys, counts = np.unique(rows * ncols + cols, return_counts=True)
         indptr = np.searchsorted(keys, np.arange(n + 1) * ncols)
         indices = keys - np.repeat(np.arange(n) * ncols, np.diff(indptr))
-        mat = sparse.csr_matrix(
-            (counts.astype(np.float64), indices, indptr), shape=(n, ncols)
+        return ViewMatrix._from_canonical(
+            counts.astype(np.float64), indices, indptr, row_names, col_names
         )
-        return ViewMatrix(mat, tuple(row_names), tuple(col_names))
 
     def write_triplets(self, path) -> None:
         """Text format: `row_name<TAB>col_name<TAB>count` per nonzero, in
@@ -76,6 +103,8 @@ class ViewMatrix:
     def read_triplets(path, row_names=None, col_names=None) -> "ViewMatrix":
         """Read the `write_triplets` format. Registries follow first-appearance
         order unless given explicitly; a name outside a given one raises."""
+        from scipy import sparse
+
         rows = {name: i for i, name in enumerate(row_names or ())}
         cols = {name: i for i, name in enumerate(col_names or ())}
         ri, ci, vals = [], [], []
@@ -128,11 +157,11 @@ def tfidf(m: ViewMatrix, mode: str = "ratio") -> ViewMatrix:
         factor[nz] = np.log(m.n_rows / df[nz]) + 1.0
     else:
         raise GraphUsageError(f"unknown idf mode {mode!r}")
-    out = sparse.csr_matrix(
-        (counts.data * factor[counts.indices], counts.indices, counts.indptr),
-        shape=counts.shape,
+    # a positive count times a factor >= 1 stays nonzero: still canonical
+    return ViewMatrix._from_canonical(
+        counts.data * factor[counts.indices], counts.indices.copy(), counts.indptr.copy(),
+        m.row_names, m.col_names,
     )
-    return ViewMatrix(out, m.row_names, m.col_names)
 
 
 def cosine_similarity(m: ViewMatrix, i: int, j: int) -> float:

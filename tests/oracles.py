@@ -160,6 +160,17 @@ def dense_q(adjs, labels, weights, gammas) -> float:
     return q
 
 
+def combined_csr(adjs, coeffs, n):
+    """scipy's sum of the views' adjacencies scaled by their coefficients,
+    skipping zero coefficients: the combined graph `maximize` hands its
+    restarts."""
+    acc = sparse.csr_matrix((n, n))
+    for adj, c in zip(adjs, coeffs):
+        if c != 0.0:
+            acc = acc + adj * c
+    return acc.tocsr()
+
+
 def exhaustive_best_q(adjs, weights, gammas) -> tuple[float, np.ndarray]:
     """Global optimum of dense_q over every partition (vectorized)."""
     n = adjs[0].shape[0]

@@ -93,11 +93,11 @@ def test_edge_list_roundtrip(tmp_path):
 
 
 def test_clustering_requires_dense_labels():
-    Clustering(np.array([0, 1, 0, 2]))
-    with pytest.raises(GraphUsageError):
-        Clustering(np.array([0, 2]))
-    with pytest.raises(GraphUsageError):
-        Clustering(np.array([1, 2]))
+    for labels in ([0, 1, 0, 2], [], [0, 0, 1]):
+        Clustering(np.array(labels))
+    for labels in ([0, 2], [1, 2], [1, 1], [-1, 0]):
+        with pytest.raises(GraphUsageError):
+            Clustering(np.array(labels))
 
 
 def random_edge_list(rng) -> tuple[int, list]:

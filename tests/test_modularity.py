@@ -5,6 +5,7 @@ import shutil
 import stat
 import subprocess
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -22,10 +23,10 @@ from mvmc import (
     rb_modularity,
 )
 from mvmc._kernels import _move_pass, aggregate, move_pass
-from mvmc.graph import densify_labels
+from mvmc.graph import WEIGHT_FLOOR, densify_labels
 from mvmc.synth import planted_partition_views
 
-from oracles import dense_q, exhaustive_best_q, is_local_optimum
+from oracles import combined_csr, dense_q, exhaustive_best_q, is_local_optimum
 
 TWO_TRIANGLES = ViewGraph.from_edges(
     6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)]
@@ -145,6 +146,75 @@ def test_aggregation_invariance():
     deg = agg.sum(axis=1)
     q_agg = (np.trace(agg) - (deg**2).sum() / m2) / m2
     assert rb_modularity([g], part) == pytest.approx(q_agg, abs=1e-9)
+
+
+def combined_graph_case(rng):
+    """Views over 0-200 nodes and one coefficient per view, for
+    `_combined_graph`. In a third of the cases 3-4 views share every edge,
+    with weights of their own, so the order of the additions shows; in a
+    tenth, two views with the same edges and weights get coefficients c and
+    -c, so every sum cancels. Otherwise 1-5 views, some of them empty. Any
+    coefficient may be 0 or 5e-324 (whose products underflow to 0), and in a
+    twentieth of the cases all are 0."""
+    n = int(rng.choice([0, 1, 2, rng.integers(3, 30), rng.integers(30, 201)],
+                       p=[0.05, 0.05, 0.05, 0.4, 0.45]))
+    u, v = np.triu_indices(n, 1)
+    density = rng.uniform(0.0, min(0.5, 12.0 / max(n, 1)))
+    mode = rng.choice(["shared", "cancel", "random"], p=[0.3, 0.1, 0.6])
+    n_views = {"shared": rng.integers(3, 5), "cancel": 2, "random": rng.integers(1, 6)}[mode]
+    coeffs = rng.uniform(0.1, 2.0, n_views) * 10.0 ** rng.integers(-3, 4, n_views)
+    if mode == "cancel":
+        coeffs[1] = -coeffs[0]
+    else:
+        coeffs[rng.random(n_views) < 0.15] = 0.0
+        coeffs[rng.random(n_views) < 0.1] = 5e-324
+    if rng.random() < 0.05:
+        coeffs[:] = 0.0
+    present = rng.random(len(u)) < density
+    weights = rng.uniform(WEIGHT_FLOOR, 2.0, len(u))
+    graphs = []
+    for _view in range(n_views):
+        if mode == "random":  # edges of its own, none in 15% of the views
+            present = rng.random(len(u)) < density * (rng.random() > 0.15)
+        if mode != "cancel":
+            weights = rng.uniform(WEIGHT_FLOOR, 2.0, len(u))
+        graphs.append(ViewGraph.from_arrays(n, u[present], v[present], weights[present]))
+    return mode, graphs, coeffs
+
+
+def test_combined_graph_matches_scipy_bit_for_bit():
+    rng = np.random.default_rng(1103)
+    seen = Counter()
+    for trial in range(600):
+        mode, graphs, coeffs = combined_graph_case(rng)
+        n = graphs[0].n
+        adjs = [g.adjacency() for g in graphs]
+        indptr, indices, data = modularity._combined_graph(graphs, coeffs)
+        ref = combined_csr(adjs, coeffs, n)
+        assert indptr.dtype == indices.dtype == np.int64 and data.dtype == np.float64
+        assert np.array_equal(indptr, ref.indptr), trial
+        assert np.array_equal(indices, ref.indices), trial
+        assert data.tobytes() == ref.data.tobytes(), trial
+        used = coeffs != 0.0
+        products = [(g, g.edge_w * c) for g, c in zip(graphs, coeffs) if c != 0.0]
+        pairs = np.unique(np.concatenate(
+            [g.edge_u[x != 0.0] * n + g.edge_v[x != 0.0] for g, x in products] or [[]]))
+        seen[f"{len(graphs)} views"] += 1
+        seen["no nodes"] += n == 0
+        seen["over 100 nodes"] += n > 100
+        seen["empty view"] += n > 2 and any(g.edge_count == 0 for g in graphs)
+        seen["a zero coefficient"] += 0 < used.sum() < len(graphs)
+        seen["all coefficients zero"] += not used.any()
+        seen["a product underflows"] += any((x == 0.0).any() for _g, x in products)
+        seen["a sum cancels"] += len(data) < 2 * len(pairs)
+        seen["order of additions shows"] += mode == "shared" and data.tobytes() != (
+            combined_csr(adjs[::-1], coeffs[::-1], n).data.tobytes())
+    assert min(seen[f"{k} views"] for k in range(1, 6)) > 0, seen
+    assert all(seen[case] > 0 for case in (
+        "no nodes", "over 100 nodes", "empty view", "a zero coefficient",
+        "all coefficients zero", "a product underflows", "a sum cancels",
+        "order of additions shows",
+    )), seen
 
 
 def test_determinism():
@@ -468,7 +538,7 @@ def aggregate_args(rng, n_views):
     n = int(rng.integers(1, 30))
     graphs = [random_graph(rng, n, rng.uniform(0.0, 0.4)) for _ in range(n_views)]
     coeff = rng.uniform(0.1, 2.0, n_views)
-    adj = modularity._combined_csr([g.adjacency() for g in graphs], coeff, n)
+    adj = combined_csr([g.adjacency() for g in graphs], coeff, n)
     indptr, indices, data = adj.indptr.astype(np.int64), adj.indices.astype(np.int64), adj.data
     deg = np.stack([g.degrees() for g in graphs], axis=1)
     if rng.random() < 0.5:
@@ -641,7 +711,7 @@ def restart_args():
     indptr, indices, data, deg0, alpha, rng."""
     graphs, _ = planted_partition_views(30, 3, 0.4, 0.05, 2)
     m2 = np.array([2.0 * g.total_edge_weight() for g in graphs])
-    adj = modularity._combined_csr([g.adjacency() for g in graphs], 1.0 / m2, 30)
+    adj = combined_csr([g.adjacency() for g in graphs], 1.0 / m2, 30)
     deg = np.stack([g.degrees() for g in graphs], axis=1)
     return [adj.indptr.astype(np.int64), adj.indices.astype(np.int64), adj.data, deg,
             1.0 / m2**2, np.random.default_rng(0)]

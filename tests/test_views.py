@@ -4,6 +4,8 @@ from scipy import sparse
 
 from mvmc import GraphUsageError, ViewMatrix, auto_k, cosine_similarity, knn_graph, tfidf
 from mvmc import _kernels
+from mvmc.ingest import build_daily_views, group_by_day
+from mvmc.synth import synthetic_corpus
 from mvmc.views import _unit_rows
 
 from oracles import (
@@ -172,6 +174,19 @@ def test_view_matrix_copies_the_callers_matrix():
     assert counts.nnz == 3  # the explicit zero is still the caller's
     assert view.counts.nnz == 2
     assert not np.shares_memory(view.counts.data, counts.data)
+
+
+def test_from_codes_and_tfidf_build_what_the_public_constructor_would():
+    # both skip the public constructor's copy and canonicalisation
+    posts = synthetic_corpus(seed=101)
+    for day, day_posts in group_by_day(posts).items():
+        for view in build_daily_views(day_posts, day).as_list():
+            for built in (view, tfidf(view), tfidf(view, mode="log")):
+                again = ViewMatrix(built.counts, built.row_names, built.col_names)
+                assert built.counts.shape == again.counts.shape
+                for attr in ("data", "indices", "indptr"):
+                    a, b = getattr(built.counts, attr), getattr(again.counts, attr)
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (day, attr)
 
 
 def test_tfidf_counts_a_duplicated_entry_once():
