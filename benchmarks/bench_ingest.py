@@ -7,20 +7,25 @@ Builds one day with the generator of `bench/corpus.py` (50 groups x 40
 hashtags, 10,000 posts of 20 words, seed 7) and times, best of `--repeat`:
 `preprocess_text` against the per-character reference
 `brute_preprocess_text`, and `build_daily_views` against the dict-of-tuples
-reference `brute_daily_views`, both from `tests/oracles.py`. For each of the
-day's four views it then times `tfidf`, and `knn_graph` on the weighted view
-with `_kernels.knn_edges` (the compiled routine, when it loaded) against the
-same call with the scipy reference `_kernels._knn_edges`. It checks that
-each pair agrees token for token, entry for entry and edge for edge, and
-prints one JSON line with the times, the kernel backend, the CPU count and
-the Python/numpy/scipy versions.
+reference `brute_daily_views`, both from `tests/oracles.py`. It times the
+period report tables of the day, `analytics.usage_tables` on the day's codes
+with the planted groups of its registry as clusters, against the per-post
+reference `brute_usage_tables`. For each of the day's four views it then
+times `tfidf`, and `knn_graph` on the weighted view with `_kernels.knn_edges`
+(the compiled routine, when it loaded) against the same call with the scipy
+reference `_kernels._knn_edges`. It checks that each pair agrees token for
+token, entry for entry, count for count and edge for edge, and prints one
+JSON line with the times, the peak RSS of the process, the kernel backend,
+the CPU count and the Python/numpy/scipy versions.
 """
 import argparse
 import importlib.util
 import json
 import os
 import platform
+import resource
 import sys
+from collections import Counter
 import time
 from datetime import date
 from pathlib import Path
@@ -29,12 +34,17 @@ import numpy as np
 import scipy
 
 from mvmc import _kernels
+from mvmc.analytics import usage_tables
 from mvmc.ingest import build_daily_views, parse_json_record, preprocess_text
 from mvmc.views import knn_graph, tfidf
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "tests"))
-from oracles import brute_daily_views, brute_preprocess_text  # noqa: E402
+from oracles import (  # noqa: E402
+    brute_daily_views,
+    brute_preprocess_text,
+    brute_usage_tables,
+)
 
 
 def load_corpus_module():
@@ -49,8 +59,9 @@ def paper_day():
     corpus = load_corpus_module()
     spec = corpus.CorpusSpec(groups=50, tags_per_group=40, days=1, posts_per_day=10_000,
                              words_per_post=20, churn=0.5, periods=1)
-    posts, _truth = corpus.generate(spec, seed=7)
-    return [parse_json_record(json.dumps(p)) for p in posts]
+    posts, truth = corpus.generate(spec, seed=7)
+    (groups,) = truth.values()
+    return [parse_json_record(json.dumps(p)) for p in posts], groups
 
 
 def best_time(fn, repeat):
@@ -71,6 +82,26 @@ def same_views(views, reference) -> bool:
                 for a in ("data", "indices", "indptr"))
         for view, (cols, counts) in zip(views.as_list(), expected)
     )
+
+
+def report_tables(posts, views, groups, repeat):
+    """`usage_tables` on the day's codes against `brute_usage_tables` on its
+    posts, with the registry's planted groups as the clusters."""
+    clusters = {}
+    for h in views.hashtags:
+        clusters.setdefault(groups[h], []).append(h)
+    tables_s, (usage, tokens) = best_time(lambda: usage_tables([views.codes], clusters), repeat)
+    brute_s, (brute_usage, brute_tokens) = best_time(
+        lambda: brute_usage_tables(posts, set(views.hashtags)), repeat)
+    brute_clusters = {
+        label: dict(sum((brute_tokens.get(h, Counter()) for h in hs), Counter()))
+        for label, hs in clusters.items()
+    }
+    return {
+        "usage_tables_s": tables_s,
+        "brute_usage_tables_s": brute_s,
+        "tables_agree": usage == brute_usage and tokens == brute_clusters,
+    }
 
 
 def knn_layer(views, repeat):
@@ -105,7 +136,7 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
     args = ap.parse_args()
-    posts = paper_day()
+    posts, groups = paper_day()
     day = posts[0].day
     assert all(p.day == day for p in posts), "the generator put posts on several days"
     texts = [p.text for p in posts]
@@ -125,7 +156,9 @@ def main():
         "brute_daily_views_s": brute_views_s,
         "tokens_agree": tokens == brute_tokens,
         "views_agree": same_views(views, reference),
+        **report_tables(posts, views, groups, args.repeat),
         "knn": knn_layer(views, args.repeat),
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "backend": _kernels.BACKEND,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),

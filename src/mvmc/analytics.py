@@ -1,8 +1,10 @@
 """Per-cluster and per-hashtag user-base metrics."""
 from __future__ import annotations
 
+import heapq
 import math
-from collections import Counter
+
+import numpy as np
 
 from .graph import GraphUsageError
 
@@ -78,15 +80,73 @@ def hashtag_report_rows(
     return rows
 
 
-def token_frequencies(
-    hashtags: list[str], token_counts: dict[str, Counter], top_n: int = 20
-) -> list[tuple[str, float]]:
-    """Most frequent text tokens across a cluster's hashtags.
+def token_frequencies(token_counts: dict[str, int], top_n: int = 20) -> list[tuple[str, int]]:
+    """The top_n most frequent text tokens of one cluster's totals, ties
+    broken by token.
 
     Plain-text substitute for word-map figures.
     """
-    total: Counter = Counter()
-    for h in hashtags:
-        total.update(token_counts.get(h, Counter()))
-    ranked = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:top_n]
+    return heapq.nsmallest(top_n, token_counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def _recode(index: dict, names) -> np.ndarray:
+    """Codes in `index` of a day's distinct names; new names are added."""
+    return np.fromiter((index.setdefault(name, len(index)) for name in names),
+                       np.int64, len(names))
+
+
+def _row_dicts(mat, names: tuple, cast) -> list[dict]:
+    """Each row of a CSR matrix as {column name: cast(value)}."""
+    mat.sum_duplicates()
+    indptr, indices = mat.indptr.tolist(), mat.indices.tolist()
+    values = list(map(cast, mat.data.tolist()))
+    return [
+        dict(zip(map(names.__getitem__, indices[lo:hi]), values[lo:hi]))
+        for lo, hi in zip(indptr, indptr[1:])
+    ]
+
+
+def usage_tables(days, clusters: dict) -> tuple[dict[str, dict[str, float]], dict]:
+    """User and token counts of clustered hashtags over a period, from each
+    day's `PostCodes`.
+
+    Every post holding hashtag h counts 1 for (h, the post's user), and 1
+    per occurrence of each of its tokens for h's cluster. Returns `usage`,
+    {hashtag: {user: float count}} for each hashtag of the clusters that
+    some post holds, and {cluster label: {token: int count}}.
+    """
+    from scipy import sparse
+
+    labels = list(clusters)
+    hashtags = [h for label in labels for h in clusters[label]]
+    row_of = dict(zip(hashtags, range(len(hashtags))))
+    cluster_of = np.repeat(np.arange(len(labels)), [len(clusters[lab]) for lab in labels])
+    # period codes of each day's users and tokens, one lookup per distinct name
+    user_index: dict = {}
+    token_index: dict = {}
+    day_maps = [(_recode(user_index, d.users), _recode(token_index, d.tokens)) for d in days]
+    # (hashtag, user) pairs are few, one per post holding the hashtag, and
+    # are counted at the end; token counts are summed day by day as
+    # (cluster x post) @ (post x token) products
+    user_rows, user_cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+    tokens = sparse.csr_matrix((len(labels), len(token_index)))
+    for d, (user_of, token_of) in zip(days, day_maps):
+        pair_row = np.fromiter((row_of.get(h, -1) for h in d.hashtags), np.int64,
+                               len(d.hashtags))[d.tag_code]
+        held = pair_row >= 0
+        rows, posts = pair_row[held], d.tag_post[held]
+        user_rows.append(rows)
+        user_cols.append(user_of[d.user_code[posts]])
+        post_tokens = sparse.csr_matrix(
+            (np.ones(len(d.token_code)), token_of[d.token_code],
+             np.concatenate(([0], np.cumsum(d.token_len, dtype=np.int64)))),
+            shape=(len(d.user_code), len(token_index)))
+        tokens = tokens + sparse.csr_matrix(
+            (np.ones(len(rows)), (cluster_of[rows], posts)),
+            shape=(len(labels), len(d.user_code))) @ post_tokens
+    rows = np.concatenate(user_rows)
+    users = sparse.csr_matrix((np.ones(len(rows)), (rows, np.concatenate(user_cols))),
+                              shape=(len(hashtags), len(user_index)))
+    usage = {h: counts for h, counts in zip(hashtags, _row_dicts(users, tuple(user_index), float))
+             if counts}
+    return usage, dict(zip(labels, _row_dicts(tokens, tuple(token_index), int)))

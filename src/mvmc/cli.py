@@ -38,8 +38,9 @@ from .ingest import (
     MIN_POSTS_PER_HASHTAG,
     VIEW_NAMES,
     build_daily_views,
+    code_posts,
     group_by_day,
-    preprocess_text,
+    preprocess_text,  # noqa: F401  (kept importable from mvmc.cli)
     read_posts,
 )
 from .synth import planted_partition_views, synthetic_corpus
@@ -311,29 +312,14 @@ def _consensus(members, seed: int, path: Path) -> LabeledClustering:
     return consensus
 
 
-def _usage_tables(posts, post_tokens, hashtags: set):
-    """Per-hashtag user->count and token Counters over a set of posts, given
-    each post's tokens."""
-    usage: dict = {}
-    tokens: dict = {}
-    for p, toks in zip(posts, post_tokens):
-        tags = [h for h in set(p.hashtags) if h in hashtags]
-        if not tags:
-            continue
-        for h in tags:
-            users = usage.setdefault(h, {})
-            users[p.user_id] = users.get(p.user_id, 0.0) + 1.0
-            tokens.setdefault(h, Counter()).update(toks)
-    return usage, tokens
-
-
-def _write_reports(posts, post_tokens, lc: LabeledClustering, out: Path, fraction,
-                   top_tokens, prefix=""):
-    usage, tokens = _usage_tables(posts, post_tokens, set(lc.assignments))
+def _write_reports(days, lc: LabeledClustering, out: Path, fraction, top_tokens, prefix=""):
+    """User-base and token reports of a clustering over the posts of `days`,
+    each day's posts as `PostCodes`."""
     clusters = {}
     for obj in sorted(lc.assignments):
         clusters.setdefault(lc.assignments[obj], []).append(obj)
     clusters = {i: v for i, (_k, v) in enumerate(sorted(clusters.items(), key=lambda kv: str(kv[0])))}
+    usage, tokens = analytics.usage_tables(days, clusters)
     _write_rows(
         out / f"{prefix}clusters.tsv",
         analytics.cluster_report_rows(clusters, usage, fraction),
@@ -349,7 +335,7 @@ def _write_reports(posts, post_tokens, lc: LabeledClustering, out: Path, fractio
         (
             (label, tok, count)
             for label in sorted(clusters)
-            for tok, count in analytics.token_frequencies(clusters[label], tokens, top_tokens)
+            for tok, count in analytics.token_frequencies(tokens[label], top_tokens)
         ),
         "cluster\ttoken\tcount",
     )
@@ -438,12 +424,11 @@ def ensemble(clusters_dir, out_path, min_cluster_size, seed):
 @_option("--top-tokens")
 def analyze(input_path, clustering_path, out_dir, top_user_fraction, top_tokens):
     """User-base and token reports for a clustering of hashtags."""
-    posts = _load_posts(input_path)
+    days = [code_posts(day_posts) for day_posts in group_by_day(_load_posts(input_path)).values()]
     lc = _read_clustering(Path(clustering_path))
     out = Path(out_dir)
     with _exits_on(OSError, EXIT_OUTPUT):
-        _write_reports(posts, [preprocess_text(p.text) for p in posts], lc, out,
-                       top_user_fraction, top_tokens)
+        _write_reports(days, lc, out, top_user_fraction, top_tokens)
     click.echo(f"reports written to {out}")
 
 
@@ -532,15 +517,16 @@ def pipeline(config_path, overrides):
 
 
 def run_pipeline(params: dict):
-    posts = _load_posts(params["input"])
+    posts_by_day = group_by_day(_load_posts(params["input"]))
     out = Path(params["output_dir"])
     with _exits_on(OSError, EXIT_OUTPUT):
         out.mkdir(parents=True, exist_ok=True)
 
-    days = []  # (posts, views, labeled clustering, clustering, trace) per kept day
+    days = []  # (views, labeled clustering, clustering, trace) per kept day
     with _exits_on(GraphUsageError, EXIT_INPUT):
-        for day, day_posts in group_by_day(posts).items():
-            dv = build_daily_views(day_posts, day, url_mode=params["url_mode"])
+        for day in list(posts_by_day):
+            # a day's posts are dropped once its views and codes are built
+            dv = build_daily_views(posts_by_day.pop(day), day, url_mode=params["url_mode"])
             if len(dv.hashtags) < 2:
                 click.echo(
                     f"warning: {day} skipped: {len(dv.hashtags)} hashtag(s) in"
@@ -548,13 +534,13 @@ def run_pipeline(params: dict):
                     err=True,
                 )
                 continue
-            days.append((day_posts, dv, *_cluster_day(dv.as_list(), params, day.isoformat())))
+            days.append((dv, *_cluster_day(dv.as_list(), params, day.isoformat())))
     if not days:
         _fail(EXIT_INPUT, f"no day has 2 hashtags in {MIN_POSTS_PER_HASHTAG} or more posts")
 
     with _exits_on(OSError, EXIT_OUTPUT):
         summary = []
-        for _posts, dv, lc, clustering, trace in days:
+        for dv, lc, clustering, trace in days:
             _write_day_views(dv, out / "views")
             _write_clustering(
                 lc, trace, out / "clusters" / f"{lc.tag}.tsv", out / "traces" / f"{lc.tag}.tsv"
@@ -568,7 +554,7 @@ def run_pipeline(params: dict):
             click.echo("single day: skipping temporal comparison")
             return
         matrix, meta = _compare(
-            [lc for _posts, _dv, lc, _clustering, _trace in days],
+            [lc for _dv, lc, _clustering, _trace in days],
             params["min_cluster_size"],
             min(params["meta_k"], len(days)),
             out,
@@ -581,7 +567,7 @@ def run_pipeline(params: dict):
             periods.setdefault(int(label), []).append(idx)
         rows = []
         for label, idxs in sorted(periods.items()):
-            dailies = [days[i][2] for i in idxs]
+            dailies = [days[i][1] for i in idxs]
             day_tags = ",".join(c.tag for c in dailies)
             if len(dailies) < 2:
                 rows.append((label, day_tags, "-", "-", "-", "-"))
@@ -600,8 +586,7 @@ def run_pipeline(params: dict):
             rows.append((label, day_tags, len(sizes), f"{sizes.mean():.2f}",
                          f"{sizes.std():.2f}", f"{internal_ari:.4f}"))
             _write_reports(
-                [p for i in idxs for p in days[i][0]],
-                [toks for i in idxs for toks in days[i][1].post_tokens],
+                [days[i][0].codes for i in idxs],
                 consensus,
                 out / "reports",
                 params["top_user_fraction"],

@@ -10,7 +10,10 @@ import json
 import re
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from itertools import chain
 from urllib.parse import urlparse
+
+import numpy as np
 
 from .views import ViewMatrix
 
@@ -44,15 +47,38 @@ class PostRecord:
 
 
 @dataclass(frozen=True)
+class PostCodes:
+    """One day's posts as int codes, in post order: what the views and the
+    period reports count.
+
+    The hashtags of the registry (those in `MIN_POSTS_PER_HASHTAG` or more
+    distinct posts) come first. Users and tokens are coded in first-appearance
+    order among the posts that hold a registry hashtag, then among the other
+    posts, so each view's column names are a prefix of its code list.
+    """
+
+    hashtags: tuple[str, ...]
+    n_registry: int
+    tag_post: np.ndarray  # the post of each distinct (post, hashtag) pair
+    tag_code: np.ndarray  # the hashtag of each pair
+    users: tuple[str, ...]
+    user_code: np.ndarray  # the user of each post
+    tokens: tuple[str, ...]
+    token_code: np.ndarray  # every post's tokens, one post after another
+    token_len: np.ndarray  # the number of tokens of each post
+
+
+@dataclass(frozen=True)
 class DailyViews:
-    """The four views of one day, sharing a single hashtag row registry."""
+    """The four views of one day, sharing a single hashtag row registry, and
+    the day's posts as codes for the period reports."""
 
     day: date
     text_view: ViewMatrix
     user_view: ViewMatrix
     url_view: ViewMatrix
     cooccur_view: ViewMatrix
-    post_tokens: tuple[list[str], ...]  # each post's tokens, in post order
+    codes: PostCodes
 
     def as_list(self) -> list[ViewMatrix]:
         return [self.text_view, self.user_view, self.url_view, self.cooccur_view]
@@ -83,6 +109,8 @@ def preprocess_text(raw: str) -> list[str]:
         text = _MENTION_RE.sub(" ", text)
     if "RT" in text:
         text = _RT_RE.sub(" ", text)
+    if text.isascii():  # lowering ASCII moves no token boundary
+        return _WORD_RE.findall(text.lower())
     return [
         tok.lower() if "Σ" not in tok else "".join(map(str.lower, tok))
         for tok in _WORD_RE.findall(text)
@@ -171,61 +199,104 @@ def group_by_day(posts: list[PostRecord]) -> dict[date, list[PostRecord]]:
     return dict(sorted(days.items()))
 
 
+def _code(items: list, order=None) -> tuple[tuple, np.ndarray]:
+    """The distinct items in first-appearance order, within `order` when given
+    (the same items in another order), and each item's int32 code."""
+    names = tuple(dict.fromkeys(items if order is None else order))
+    index = dict(zip(names, range(len(names))))
+    return names, np.fromiter(map(index.__getitem__, items), np.int32, len(items))
+
+
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The ranges [start, start + len), one after another."""
+    ends = np.cumsum(lens, dtype=np.int64)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - ends + lens, lens) + np.arange(total)
+
+
+def _width(col_codes: np.ndarray) -> int:
+    """The number of column names that first-appearance codes use."""
+    return int(col_codes.max()) + 1 if len(col_codes) else 0
+
+
+def code_posts(posts: list[PostRecord]) -> PostCodes:
+    """Tokenise each post once and code its hashtags, user and tokens; a
+    hashtag repeated in a post counts once there."""
+    n = len(posts)
+    post_tags = [dict.fromkeys(p.hashtags) for p in posts]
+    names, tag_code = _code(list(chain.from_iterable(post_tags)))
+    tag_post = np.repeat(np.arange(n, dtype=np.int32), np.fromiter(map(len, post_tags), np.int64, n))
+    # the registry: hashtags in enough distinct post ids, moved ahead of the
+    # others, each part in first-appearance order
+    _ids, id_code = _code([p.post_id for p in posts])
+    base = max(n, 1)
+    pairs = np.unique(tag_code.astype(np.int64) * base + id_code[tag_post])
+    kept = np.bincount(pairs // base, minlength=len(names)) >= MIN_POSTS_PER_HASHTAG
+    order = np.concatenate([np.flatnonzero(kept), np.flatnonzero(~kept)])
+    recode = np.empty(len(names), np.int32)
+    recode[order] = np.arange(len(names))
+    tag_code = recode[tag_code]
+    n_registry = int(kept.sum())
+    holds = np.zeros(n, bool)
+    holds[tag_post[tag_code < n_registry]] = True
+    first = np.concatenate([np.flatnonzero(holds), np.flatnonzero(~holds)]).tolist()
+
+    post_tokens = list(map(preprocess_text, (p.text for p in posts)))
+    tokens, token_code = _code(
+        list(chain.from_iterable(post_tokens)),
+        chain.from_iterable(map(post_tokens.__getitem__, first)),
+    )
+    user_ids = [p.user_id for p in posts]
+    users, user_code = _code(user_ids, map(user_ids.__getitem__, first))
+    return PostCodes(
+        tuple(map(names.__getitem__, order.tolist())), n_registry, tag_post, tag_code,
+        users, user_code, tokens, token_code,
+        np.fromiter(map(len, post_tokens), np.int32, n),
+    )
+
+
 def build_daily_views(
     posts: list[PostRecord], day: date, url_mode: str = "exact"
 ) -> DailyViews:
     """Aggregate one day's posts into the four hashtag views.
 
-    Every post is tokenised once; its tokens are kept in `post_tokens`,
-    interned through the day's vocabulary. Hashtags, tokens, users and URLs
-    are coded as ints in first-appearance order, and each (hashtag, feature)
-    pair of a post counts 1. url_mode="domain" reduces URLs to their host
-    before counting, for the case where exact URLs almost never repeat.
+    The posts are coded once by `code_posts`, and each view is built from
+    the codes: every (registry hashtag, feature) pair of a post counts 1.
+    url_mode="domain" reduces URLs to their host before counting, for the
+    case where exact URLs almost never repeat.
     """
     if any(p.day != day for p in posts):
         raise RecordError("posts must all fall on the given day")
 
-    post_ids: dict[str, set[str]] = {}
-    for p in posts:
-        for h in p.hashtags:
-            post_ids.setdefault(h, set()).add(p.post_id)
-    registry = tuple(h for h, ids in post_ids.items() if len(ids) >= MIN_POSTS_PER_HASHTAG)
-    row_code = {h: i for i, h in enumerate(registry)}
+    codes = code_posts(posts)
+    registry = codes.hashtags[:codes.n_registry]
+    in_registry = codes.tag_code < codes.n_registry
+    post, row = codes.tag_post[in_registry], codes.tag_code[in_registry]
 
-    def norm_url(u: str) -> str:
-        if url_mode == "domain":
-            return urlparse(u).netloc or u
-        return u
+    def expand(values, lens):
+        """Each pair's row, with every value of its post as the column."""
+        take = lens[post]
+        starts = np.cumsum(lens, dtype=np.int64) - lens
+        return np.repeat(row, take), values[_ranges(starts[post], take)]
 
-    vocab: dict[str, str] = {}
-    post_tokens = []
-    text_code, user_code, url_code = {}, {}, {}
-    text_r, text_c, user_r, user_c, url_r, url_c, co_r, co_c = ([] for _ in range(8))
-    for p in posts:
-        tokens = [vocab.setdefault(tok, tok) for tok in preprocess_text(p.text)]
-        post_tokens.append(tokens)
-        rows = [row_code[h] for h in dict.fromkeys(p.hashtags) if h in row_code]
-        if not rows:
-            continue
-        toks = [text_code.setdefault(tok, len(text_code)) for tok in tokens]
-        user = user_code.setdefault(p.user_id, len(user_code))
-        urls = [url_code.setdefault(norm_url(u), len(url_code)) for u in p.urls]
-        for r in rows:
-            text_r += [r] * len(toks)
-            text_c += toks
-            user_r.append(r)
-            user_c.append(user)
-            url_r += [r] * len(urls)
-            url_c += urls
-            others = [o for o in rows if o != r]
-            co_r += [r] * len(others)
-            co_c += others
+    holds = np.zeros(len(posts), bool)
+    holds[post] = True
+    post_urls = [p.urls if h else () for p, h in zip(posts, holds.tolist())]
+    if url_mode == "domain":
+        post_urls = [tuple(urlparse(u).netloc or u for u in us) for us in post_urls]
+    url_names, url_code = _code(list(chain.from_iterable(post_urls)))
 
+    text_r, text_c = expand(codes.token_code, codes.token_len)
+    user_c = codes.user_code[post]
+    url_r, url_c = expand(url_code, np.fromiter(map(len, post_urls), np.int64, len(posts)))
+    co_r, co_c = expand(row, np.bincount(post, minlength=len(posts)))
+    other = co_r != co_c
     return DailyViews(
         day,
-        ViewMatrix.from_codes(text_r, text_c, registry, tuple(text_code)),
-        ViewMatrix.from_codes(user_r, user_c, registry, tuple(user_code)),
-        ViewMatrix.from_codes(url_r, url_c, registry, tuple(url_code)),
-        ViewMatrix.from_codes(co_r, co_c, registry, registry),
-        tuple(post_tokens),
+        ViewMatrix.from_codes(text_r, text_c, registry, codes.tokens[:_width(text_c)]),
+        ViewMatrix.from_codes(row, user_c, registry, codes.users[:_width(user_c)]),
+        ViewMatrix.from_codes(url_r, url_c, registry, url_names),
+        ViewMatrix.from_codes(co_r[other], co_c[other], registry, registry),
+        codes,
     )
+

@@ -210,7 +210,14 @@ def maximize(
     best = None
     best_q = -np.inf
     best_r = 0
+    # restarts often return the same partition; a repeat scores what its first
+    # copy scored, so it never wins by GAIN_EPSILON and is scored once
+    scored = set()
     for r, (labels, _counts) in enumerate(runs):
+        key = labels.tobytes()
+        if key in scored:
+            continue
+        scored.add(key)
         q = _rb_sum(graphs, labels, w, gamma, m2, deg0.T)
         if q > best_q + GAIN_EPSILON:
             best, best_q, best_r = labels, q, r

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 import re
 import unicodedata
+from collections import Counter
 from functools import lru_cache
 from urllib.parse import urlparse
 
@@ -269,6 +270,23 @@ def brute_daily_views(posts, url_mode="exact", min_posts=3):
         )
         views.append((tuple(cols), mat))
     return tuple(registry), views
+
+
+def brute_usage_tables(posts, hashtags: set):
+    """Per-hashtag user->count dicts and token Counters over a set of posts:
+    every post holding hashtag h counts 1.0 for (h, its user) and 1 per
+    occurrence of each of its tokens for h."""
+    usage, tokens = {}, {}
+    for p in posts:
+        tags = [h for h in set(p.hashtags) if h in hashtags]
+        if not tags:
+            continue
+        toks = brute_preprocess_text(p.text)
+        for h in tags:
+            users = usage.setdefault(h, {})
+            users[p.user_id] = users.get(p.user_id, 0.0) + 1.0
+            tokens.setdefault(h, Counter()).update(toks)
+    return usage, tokens
 
 
 def brute_from_codes(rows, cols, shape):

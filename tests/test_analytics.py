@@ -1,12 +1,22 @@
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from mvmc import top_user_score, top_users, unique_user_ratio
-from mvmc.analytics import cluster_report_rows, hashtag_report_rows, token_frequencies
+from mvmc.analytics import (
+    cluster_report_rows,
+    hashtag_report_rows,
+    token_frequencies,
+    usage_tables,
+)
+from mvmc.cli import _write_reports, _write_rows
+from mvmc.compare import LabeledClustering
 from mvmc.graph import GraphUsageError
+from mvmc.ingest import MIN_POSTS_PER_HASHTAG, code_posts
 
-from oracles import brute_top_user_score
+from oracles import brute_preprocess_text, brute_top_user_score, brute_usage_tables
+from test_ingest import random_day
 
 
 def test_top_users_takes_ceil_third():
@@ -77,10 +87,87 @@ def test_hashtag_report_rows():
 
 
 def test_token_frequencies():
-    counts = {
-        "#a": Counter({"mask": 3, "stay": 1}),
-        "#b": Counter({"mask": 2, "home": 2}),
-    }
-    ranked = token_frequencies(["#a", "#b"], counts, top_n=2)
-    assert ranked == [("mask", 5), ("home", 2)]
-    assert token_frequencies(["#zz"], counts) == []
+    # one cluster's totals: #a {mask: 3, stay: 1} plus #b {mask: 2, home: 2, bay: 1}
+    totals = {"mask": 5, "stay": 1, "home": 2, "bay": 1}
+    assert token_frequencies(totals, top_n=2) == [("mask", 5), ("home", 2)]
+    assert token_frequencies(totals) == [("mask", 5), ("home", 2), ("bay", 1), ("stay", 1)]
+    assert token_frequencies(totals, top_n=0) == []
+    assert token_frequencies({}) == []
+
+
+REPORTS = ("clusters.tsv", "hashtags.tsv", "tokens.tsv")
+
+
+def brute_reports(posts, lc, out, fraction, top_tokens):
+    """The three report files from the brute-force tables of all the posts."""
+    usage, tokens = brute_usage_tables(posts, set(lc.assignments))
+    by_label = {}
+    for h in sorted(lc.assignments):
+        by_label.setdefault(lc.assignments[h], []).append(h)
+    clusters = dict(enumerate(v for _k, v in sorted(by_label.items(), key=lambda kv: str(kv[0]))))
+    ranked = {}
+    for label, hashtags in clusters.items():
+        total = sum((tokens.get(h, Counter()) for h in hashtags), Counter())
+        ranked[label] = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))[:top_tokens]
+    _write_rows(out / "clusters.tsv", cluster_report_rows(clusters, usage, fraction),
+                "cluster\tsize\tunique_top_users\ttop_user_score")
+    _write_rows(out / "hashtags.tsv", hashtag_report_rows(usage),
+                "hashtag\tuses\tunique_users\tunique_user_ratio")
+    _write_rows(out / "tokens.tsv",
+                ((label, tok, n) for label in sorted(ranked) for tok, n in ranked[label]),
+                "cluster\ttoken\tcount")
+    return usage, tokens, ranked
+
+
+def random_period(rng):
+    """2-4 days of `random_day` posts, and a clustering of some of their
+    hashtags plus one that no post holds."""
+    days = [random_day(rng, int(rng.integers(0, 40))) for _ in range(int(rng.integers(2, 5)))]
+    seen = sorted({h for day in days for p in day for h in p.hashtags})
+    clustered = [h for h in seen if rng.random() < 0.8] + ["#unused"]
+    labels = rng.integers(0, 3, size=len(clustered)).tolist()
+    return days, LabeledClustering(dict(zip(clustered, labels)))
+
+
+def test_report_tables_match_brute_force(tmp_path):
+    cases = Counter()
+    for seed in range(120):
+        rng = np.random.default_rng(seed)
+        days, lc = random_period(rng)
+        posts = [p for day in days for p in day]
+        codes = [code_posts(day) for day in days]
+        fraction = (1 / 3, 0.5, 1.0)[seed % 3]
+        top_tokens = (0, 1, 3, 20)[seed % 4]
+
+        # per-hashtag tables: each clustered hashtag as a cluster of its own
+        usage, tokens = usage_tables(codes, {h: [h] for h in lc.assignments})
+        brute_usage, brute_tokens = brute_usage_tables(posts, set(lc.assignments))
+        assert usage == brute_usage
+        assert {h: c for h, c in tokens.items() if c} == {
+            h: dict(c) for h, c in brute_tokens.items() if c}
+        assert all(type(n) is int for c in tokens.values() for n in c.values())
+
+        got, want = tmp_path / f"got{seed}", tmp_path / f"want{seed}"
+        _write_reports(codes, lc, got, fraction, top_tokens)
+        _, _, ranked = brute_reports(posts, lc, want, fraction, top_tokens)
+        for name in REPORTS:
+            assert (got / name).read_bytes() == (want / name).read_bytes(), (seed, name)
+
+        def distinct_posts(day, h):
+            return len({p.post_id for p in day if h in p.hashtags})
+
+        cases["floor crossed between days"] += any(
+            0 < distinct_posts(a, h) < MIN_POSTS_PER_HASHTAG <= distinct_posts(b, h)
+            for h in lc.assignments for a in days for b in days)
+        cases["hashtag repeated in a post"] += any(
+            len(set(p.hashtags)) < len(p.hashtags) for p in posts)
+        cases["duplicate post id"] += any(
+            len({p.post_id for p in day}) < len(day) for day in days)
+        cases["post without hashtags"] += any(not p.hashtags for p in posts)
+        cases["tie in user counts"] += any(
+            len(set(counts.values())) < len(counts) for counts in brute_usage.values())
+        cases["tie in token counts"] += any(
+            len({n for _tok, n in rows}) < len(rows) for rows in ranked.values())
+        cases["non-ASCII token"] += any(
+            not tok.isascii() for p in posts for tok in brute_preprocess_text(p.text))
+    assert len(cases) == 7 and min(cases.values()) > 0, cases

@@ -246,10 +246,16 @@ def test_views_match_dict_accumulator(seed):
         assert view.counts.shape == counts.shape
         for attr in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(view.counts, attr), getattr(counts, attr)), attr
-    assert views.post_tokens == tuple(brute_preprocess_text(p.text) for p in posts)
-    # each distinct token is one string object, shared by every post using it
-    tokens = [tok for toks in views.post_tokens for tok in toks]
-    assert len({id(tok) for tok in tokens}) == len(set(tokens))
+    # the day's codes decode to each post's tokens, user and hashtags, in post order
+    codes = views.codes
+    ends = np.cumsum(codes.token_len)
+    decoded = [[codes.tokens[c] for c in codes.token_code[lo:hi]]
+               for lo, hi in zip(ends - codes.token_len, ends)]
+    assert decoded == [brute_preprocess_text(p.text) for p in posts]
+    assert [codes.users[c] for c in codes.user_code] == [p.user_id for p in posts]
+    pairs = [(int(i), codes.hashtags[c]) for i, c in zip(codes.tag_post, codes.tag_code)]
+    assert pairs == [(i, h) for i, p in enumerate(posts) for h in dict.fromkeys(p.hashtags)]
+    assert codes.hashtags[:codes.n_registry] == registry
 
 
 def test_random_days_cover_every_case():

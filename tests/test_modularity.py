@@ -388,6 +388,49 @@ def test_maximize_labels_identical_under_both_backends(monkeypatch):
         assert compiled.meta == reference.meta  # sweeps, moves, levels, winning restart
 
 
+def test_maximize_scores_each_distinct_partition_once(monkeypatch):
+    """The winner, its score and `meta` equal those of scoring every restart,
+    and `_rb_sum` runs once per distinct restart partition."""
+    rb_sum, restarts = modularity._rb_sum, modularity.run_restarts
+    scored, runs = [], []
+
+    def spy(*args):
+        scored.append(args)
+        return rb_sum(*args)
+
+    def recording(*args):
+        runs.extend(restarts(*args))
+        return runs[len(runs) - len(args[3]):]
+
+    monkeypatch.setattr(modularity, "_rb_sum", spy)
+    monkeypatch.setattr(modularity, "run_restarts", recording)
+    differing = 0
+    rng = np.random.default_rng(12)
+    for trial in range(60):
+        graphs, _ = planted_partition_views(
+            int(rng.integers(12, 80)), int(rng.integers(2, 5)), float(rng.uniform(0.15, 0.5)),
+            float(rng.uniform(0.02, 0.12)), int(rng.integers(1, 4)), int(rng.integers(0, 2)),
+            trial,
+        )
+        resolutions = None if trial % 2 else rng.uniform(0.5, 2.0, len(graphs)).tolist()
+        scored.clear()
+        runs.clear()
+        got = maximize(graphs, resolutions=resolutions, seed=trial)
+        distinct = {labels.tobytes() for labels, _counts in runs}
+        assert len(scored) == len(distinct)
+        differing += len(distinct) > 1
+        # the unmemoised loop: every restart scored, first best by GAIN_EPSILON
+        _graphs, _labels, *params = scored[0]
+        best_q, best_r = -np.inf, 0
+        for r, (labels, _counts) in enumerate(runs):
+            q = rb_sum(graphs, labels, *params)
+            if q > best_q + modularity.GAIN_EPSILON:
+                best_q, best_r = q, r
+        assert np.array_equal(got.labels, runs[best_r][0])
+        assert (got.meta["best_restart"], got.meta["modularity"]) == (best_r, best_q)
+    assert differing >= 10
+
+
 @requires_c
 def test_a_wrapped_kernel_sees_the_first_restart(monkeypatch):
     graphs, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5)
