@@ -25,7 +25,7 @@ from . import analytics
 from .compare import (
     LabeledClustering,
     average_linkage_merges,
-    cross_level,
+    cross_level,  # noqa: F401  (kept importable from mvmc.cli; no stage calls it)
     cut,
     pairwise_ari_matrix,
     write_ari_matrix,
@@ -284,19 +284,19 @@ def _read_dailies(clusters_dir: str) -> list[LabeledClustering]:
     return [_read_clustering(f, tag=f.stem) for f in files]
 
 
-def _level(dailies, min_cluster_size: int) -> list[LabeledClustering]:
-    """Each day without its small clusters, extended to the union of hashtags."""
-    return cross_level([filter_small_clusters(lc, min_cluster_size) for lc in dailies])
+def _filtered(dailies, min_cluster_size: int) -> list[LabeledClustering]:
+    """Each day without its small clusters."""
+    return [filter_small_clusters(lc, min_cluster_size) for lc in dailies]
 
 
 def _compare(dailies, min_cluster_size: int, meta_k: int, out: Path):
     """ARI matrix, dendrogram and meta-clusters of the days, written to out;
     returns the ARI matrix and each day's meta-cluster."""
-    leveled = _level(dailies, min_cluster_size)
-    matrix = pairwise_ari_matrix(leveled)
+    filtered = _filtered(dailies, min_cluster_size)
+    matrix = pairwise_ari_matrix(filtered)
     merges = average_linkage_merges(1.0 - matrix)
     meta = cut(merges, meta_k)
-    tags = [c.tag for c in leveled]
+    tags = [c.tag for c in filtered]
     with atomic_write(out / "ari_matrix.tsv") as tmp:
         write_ari_matrix(matrix, tags, tmp)
     with atomic_write(out / "dendrogram.tsv") as tmp:
@@ -410,9 +410,9 @@ def compare(clusters_dir, out_dir, meta_k, min_cluster_size):
 @_option("--seed")
 def ensemble(clusters_dir, out_path, min_cluster_size, seed):
     """Consensus clustering of the daily clusterings in a directory."""
-    leveled = _level(_read_dailies(clusters_dir), min_cluster_size)
+    filtered = _filtered(_read_dailies(clusters_dir), min_cluster_size)
     with _exits_on(OSError, EXIT_OUTPUT):
-        consensus = _consensus(leveled, seed, Path(out_path))
+        consensus = _consensus(filtered, seed, Path(out_path))
     click.echo(f"consensus: {len(set(consensus.assignments.values()))} clusters")
 
 
@@ -561,7 +561,7 @@ def run_pipeline(params: dict):
         )
 
         # periods = meta-clusters; ensemble and report each period with >= 2
-        # days, leveled over the period's own days as `ensemble` does
+        # days, over the period's own days as `ensemble` does
         periods: dict[int, list[int]] = {}
         for idx, label in enumerate(meta):
             periods.setdefault(int(label), []).append(idx)
@@ -573,7 +573,7 @@ def run_pipeline(params: dict):
                 rows.append((label, day_tags, "-", "-", "-", "-"))
                 continue
             consensus = _consensus(
-                _level(dailies, params["min_cluster_size"]),
+                _filtered(dailies, params["min_cluster_size"]),
                 params["seed"],
                 out / "consensus" / f"period_{label}.tsv",
             )

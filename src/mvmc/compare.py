@@ -2,14 +2,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .graph import GraphUsageError
 
-# Label given to objects absent from a day after cross-leveling. Labels are
-# never compared across clusterings, so one reserved constant suffices.
+# Label of a day's group of absent objects: `cross_level` gives it to them,
+# and `pairwise_ari_matrix` puts entries that carry it in that group. Labels
+# are never compared across clusterings, so one reserved constant suffices.
 DUMMY_LABEL = "__absent__"
 
 
@@ -47,50 +47,38 @@ class LabeledClustering:
         return LabeledClustering(assignments, tag)
 
 
-def _pair_sum(counts: np.ndarray) -> int:
-    """Exact sum of C(c, 2) over integer counts."""
-    return int((counts * (counts - 1) // 2).sum())
+def _pairs(counts: np.ndarray) -> np.ndarray:
+    """C(c, 2) of each integer count."""
+    return counts * (counts - 1) // 2
 
 
-def _encode(clusterings: list[LabeledClustering]) -> list[tuple[np.ndarray, int, int]]:
-    """(label codes, label count, pair sum) per clustering, one object order.
+def _runs(ordered: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in a sorted array."""
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    return np.flatnonzero(starts)
 
-    Codes follow the iteration order of the first clustering's objects, and
-    labels are told apart as dict keys are, so ARI sees the same partitions.
+
+def _run_sums(starts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Sum of `weights` over each run that begins at `starts`."""
+    cumulative = np.concatenate(([0], np.cumsum(weights)))
+    return np.diff(cumulative[np.append(starts, len(weights))])
+
+
+def _ari(sum_cells: int, sum_a: int, sum_b: int, total: int) -> float:
+    """Hubert-Arabie ARI from exact pair sums, in Python ints.
+
+    int / int true division is correctly rounded, so the index and its
+    correction round as `float(Fraction)` would.
     """
-    if not clusterings:
-        return []
-    order = list(clusterings[0].assignments)
-    keys = clusterings[0].assignments.keys()
-    encoded = []
-    for c in clusterings:
-        if c.assignments.keys() != keys:
-            raise GraphUsageError("clusterings must cover identical object sets")
-        index: dict = {}
-        codes = np.fromiter(
-            (index.setdefault(c.assignments[o], len(index)) for o in order),
-            dtype=np.int64,
-            count=len(order),
-        )
-        encoded.append((codes, len(index), _pair_sum(np.bincount(codes))))
-    return encoded
-
-
-def _ari(a: tuple[np.ndarray, int, int], b: tuple[np.ndarray, int, int]) -> float:
-    """Hubert-Arabie ARI of two encodings from one `_encode` call."""
-    codes_a, k_a, sum_a = a
-    codes_b, k_b, sum_b = b
-    n = len(codes_a)
-    # only occupied cells are counted, never a k_a x k_b table
-    sum_cells = _pair_sum(np.unique(codes_a * k_b + codes_b, return_counts=True)[1])
-    total = n * (n - 1) // 2
     if total == 0:
         return 1.0
-    expected = Fraction(sum_a * sum_b, total)
-    max_index = Fraction(sum_a + sum_b, 2)
-    if max_index == expected:
+    expected = sum_a * sum_b
+    spread = (sum_a + sum_b) * total - 2 * expected
+    if spread == 0:
         return 1.0
-    return float(Fraction(sum_cells) - expected) / float(max_index - expected)
+    return ((sum_cells * total - expected) / total) / (spread / (2 * total))
 
 
 def adjusted_rand_index(a: LabeledClustering, b: LabeledClustering) -> float:
@@ -100,7 +88,9 @@ def adjusted_rand_index(a: LabeledClustering, b: LabeledClustering) -> float:
     Degenerate pairs where the correction denominator vanishes (e.g. both
     partitions trivial) return 1.
     """
-    return _ari(*_encode([a, b]))
+    if a.assignments.keys() != b.assignments.keys():
+        raise GraphUsageError("clusterings must cover identical object sets")
+    return float(pairwise_ari_matrix([a, b])[0, 1])
 
 
 def cross_level(clusterings: list[LabeledClustering]) -> list[LabeledClustering]:
@@ -120,13 +110,82 @@ def cross_level(clusterings: list[LabeledClustering]) -> list[LabeledClustering]
 
 
 def pairwise_ari_matrix(clusterings: list[LabeledClustering]) -> np.ndarray:
-    """Symmetric ARI matrix with unit diagonal; inputs must be cross-leveled."""
-    encoded = _encode(clusterings)
-    k = len(encoded)
+    """Symmetric ARI matrix with unit diagonal, over the union of the objects.
+
+    In each clustering, the objects it lacks and its entries labelled
+    DUMMY_LABEL form one dummy group, so the matrix equals that of the
+    cross-leveled clusterings. Labels are told apart as dict keys are. Only
+    (object, clustering, label) incidences that exist are counted: the
+    real x real cells of every pair's contingency table come from one sort of
+    the label pairs of objects present in both, and the cells of the dummy
+    groups from label sizes and per-(label, other clustering) overlaps.
+    """
+    k = len(clusterings)
+    if k < 2:
+        return np.eye(k)
+    index: dict = {}
+    objs, labels, first_label = [], [], [0]
+    for c in clusterings:
+        codes = {DUMMY_LABEL: -1}
+        count = len(c.assignments)
+        obj = np.fromiter((index.setdefault(o, len(index)) for o in c.assignments),
+                          dtype=np.int64, count=count)
+        label = np.fromiter(
+            (codes.setdefault(lab, len(codes) - 1) for lab in c.assignments.values()),
+            dtype=np.int64, count=count)
+        real = label >= 0
+        objs.append(obj[real])
+        labels.append(label[real] + first_label[-1])
+        first_label.append(first_label[-1] + len(codes) - 1)
+    n = len(index)
+    n_labels = first_label[-1]
+    label_day = np.repeat(np.arange(k), np.diff(first_label))
+    present = np.array([len(o) for o in objs])
+    obj, label = np.concatenate(objs), np.concatenate(labels)
+    sizes = np.bincount(label, minlength=n_labels)
+    real_sums = _run_sums(np.array(first_label[:-1]), _pairs(sizes))
+
+    # label pairs of each object's (earlier day, later day) incidences
+    order = np.argsort(obj, kind="stable")  # days stay in order
+    obj, label = obj[order], label[order]
+    bounds = np.append(_runs(obj), len(obj))
+    ends = np.repeat(bounds[1:], np.diff(bounds))
+    later = ends - np.arange(len(obj)) - 1
+    first = np.repeat(np.arange(len(obj)), later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
+    keys = np.sort(label[first] * n_labels + label[second])
+    cells = _runs(keys)
+    counts = np.diff(np.append(cells, len(keys)))
+    label_a, label_b = np.divmod(keys[cells], n_labels)
+    day_a, day_b = label_day[label_a], label_day[label_b]
+    real_cells = np.zeros((k, k), dtype=np.int64)
+    shared = np.zeros((k, k), dtype=np.int64)
+    np.add.at(real_cells, (day_a, day_b), _pairs(counts))
+    np.add.at(shared, (day_a, day_b), counts)
+
+    # a real label's dummy cell against another day is its size less its overlap
+    overlap_key = np.concatenate((label_a * k + day_b, label_b * k + day_a))
+    by_key = np.argsort(overlap_key, kind="stable")
+    overlap_key = overlap_key[by_key]
+    runs = _runs(overlap_key)
+    overlap = _run_sums(runs, np.concatenate((counts, counts))[by_key])
+    own, other = np.divmod(overlap_key[runs], k)
+    dummy_cells = np.zeros((k, k), dtype=np.int64)
+    np.add.at(dummy_cells, (label_day[own], other),
+              _pairs(sizes[own] - overlap) - _pairs(sizes[own]))
+
+    shared = shared + shared.T
+    sum_cells = (
+        real_cells + real_cells.T + dummy_cells + dummy_cells.T
+        + real_sums[:, None] + real_sums[None, :]
+        + _pairs(n - present[:, None] - present[None, :] + shared)
+    ).tolist()
+    sums = (real_sums + _pairs(n - present)).tolist()
+    total = n * (n - 1) // 2
     matrix = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
-            matrix[i, j] = matrix[j, i] = _ari(encoded[i], encoded[j])
+            matrix[i, j] = matrix[j, i] = _ari(sum_cells[i][j], sums[i], sums[j], total)
     return matrix
 
 
@@ -141,40 +200,36 @@ def average_linkage_merges(distance: np.ndarray) -> list[tuple[int, int, int, fl
     """Full average-linkage merge sequence on a symmetric distance matrix.
 
     Returns (step, left_id, right_id, height) rows; original items are ids
-    0..n-1, the cluster created at step s gets id n+s. Ties are broken by
-    the smallest (i, j) pair of cluster ids.
+    0..n-1, the cluster created at step s gets id n+s and keeps the lower
+    row of its two parts. Pairs of rows are scanned in row-major order, and a
+    pair replaces the best one so far only when it is more than 1e-15 below
+    it. Only the upper triangle of `distance` is read.
     """
     n = len(distance)
-    dist = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist[(i, j)] = float(distance[i, j])
-    active = {i: (i, 1) for i in range(n)}  # slot -> (cluster id, size)
+    dist = np.array(distance, dtype=float)
+    upper = np.triu_indices(n, 1)
+    dist[upper[1], upper[0]] = dist[upper]
+    ids, sizes = list(range(n)), [1] * n
+    active = np.arange(n)
     merges = []
     for step in range(n - 1):
-        best = None
-        for i in sorted(active):
-            for j in sorted(active):
-                if j <= i:
-                    continue
-                d = dist[(i, j)]
-                if best is None or d < best[0] - 1e-15:
-                    best = (d, i, j)
-        d, i, j = best
-        id_i, size_i = active[i]
-        id_j, size_j = active[j]
-        merges.append((step, id_i, id_j, d))
+        rows, cols = np.triu_indices(len(active), 1)
+        vals = dist[active[rows], active[cols]]
+        # jump from record to record of the sequential scan
+        pos = 0
+        while True:
+            below = np.flatnonzero(vals[pos + 1:] < vals[pos] - 1e-15)
+            if not len(below):
+                break
+            pos += 1 + int(below[0])
+        i, j = int(active[rows[pos]]), int(active[cols[pos]])
+        merges.append((step, ids[i], ids[j], float(vals[pos])))
+        active = active[active != j]
+        others = active[active != i]
         # average linkage: distance to the merged cluster is the size-weighted mean
-        for k in sorted(active):
-            if k in (i, j):
-                continue
-            di = dist[tuple(sorted((i, k)))]
-            dj = dist[tuple(sorted((j, k)))]
-            dist[tuple(sorted((i, k)))] = (size_i * di + size_j * dj) / (
-                size_i + size_j
-            )
-        del active[j]
-        active[i] = (n + step, size_i + size_j)
+        merged = (sizes[i] * dist[i, others] + sizes[j] * dist[j, others]) / (sizes[i] + sizes[j])
+        dist[i, others] = dist[others, i] = merged
+        ids[i], sizes[i] = n + step, sizes[i] + sizes[j]
     return merges
 
 

@@ -2,8 +2,9 @@
 
 Builds the bipartite object-by-cluster membership graph and partitions it
 with the single-view modularity maximizer; an object's consensus label is
-its community. Dummy-labeled groups (objects absent on a day) carry no
-similarity signal and are excluded from cluster vertices.
+its community. Each day is joined to the objects it holds; entries labelled
+DUMMY_LABEL carry no similarity signal and get no cluster vertex, so a day
+needs no entries for the objects it lacks.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ def build_object_cluster_graph(
     objs, vertices = [], []
     for day, c in enumerate(clusterings):
         if not c.assignments.keys() <= index.keys():
-            raise GraphUsageError("clusterings must be cross-leveled to the universe")
+            raise GraphUsageError("clusterings may hold only objects of the universe")
         for obj in sorted(c.assignments):
             label = c.assignments[obj]
             if label == DUMMY_LABEL:
@@ -49,8 +50,8 @@ def build_object_cluster_graph(
 
 
 def ensemble_cluster(clusterings: list[LabeledClustering], seed: int = 0) -> LabeledClustering:
-    """Consensus clustering of >= 2 cross-leveled clusterings, over the
-    sorted union of their objects."""
+    """Consensus clustering of >= 2 clusterings, over the sorted union of
+    their objects."""
     if len(clusterings) < 2:
         raise GraphUsageError("ensembling needs at least two clusterings")
     universe = sorted(set().union(*(c.objects for c in clusterings)))

@@ -9,6 +9,7 @@ import math
 import re
 import unicodedata
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from urllib.parse import urlparse
 
@@ -84,6 +85,97 @@ def brute_ari(labels_a, labels_b) -> float:
     if max_index == expected:
         return 1.0
     return (n11 - expected) / (max_index - expected)
+
+
+def _pair_sum(counts: np.ndarray) -> int:
+    """Exact sum of C(c, 2) over integer counts."""
+    return int((counts * (counts - 1) // 2).sum())
+
+
+def _encode_labels(clusterings) -> list[tuple[np.ndarray, int, int]]:
+    """(label codes, label count, pair sum) per clustering, one object order.
+
+    Labels are told apart as dict keys are.
+    """
+    if not clusterings:
+        return []
+    order = list(clusterings[0].assignments)
+    keys = clusterings[0].assignments.keys()
+    encoded = []
+    for c in clusterings:
+        if c.assignments.keys() != keys:
+            raise ValueError("clusterings must cover identical object sets")
+        index: dict = {}
+        codes = np.fromiter(
+            (index.setdefault(c.assignments[o], len(index)) for o in order),
+            dtype=np.int64,
+            count=len(order),
+        )
+        encoded.append((codes, len(index), _pair_sum(np.bincount(codes))))
+    return encoded
+
+
+def _encoded_ari(a, b) -> float:
+    """Hubert-Arabie ARI of two encodings, with Fraction arithmetic."""
+    codes_a, k_a, sum_a = a
+    codes_b, k_b, sum_b = b
+    n = len(codes_a)
+    sum_cells = _pair_sum(np.unique(codes_a * k_b + codes_b, return_counts=True)[1])
+    total = n * (n - 1) // 2
+    if total == 0:
+        return 1.0
+    expected = Fraction(sum_a * sum_b, total)
+    max_index = Fraction(sum_a + sum_b, 2)
+    if max_index == expected:
+        return 1.0
+    return float(Fraction(sum_cells) - expected) / float(max_index - expected)
+
+
+def brute_ari_matrix(leveled) -> np.ndarray:
+    """ARI matrix of clusterings that cover one object set (cross-leveled),
+    one contingency table per pair."""
+    encoded = _encode_labels(leveled)
+    k = len(encoded)
+    matrix = np.eye(k)
+    for i in range(k):
+        for j in range(i + 1, k):
+            matrix[i, j] = matrix[j, i] = _encoded_ari(encoded[i], encoded[j])
+    return matrix
+
+
+def brute_average_linkage(distance) -> list[tuple[int, int, int, float]]:
+    """Average linkage by a sequential scan of a pair dict per merge."""
+    n = len(distance)
+    dist = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[(i, j)] = float(distance[i, j])
+    active = {i: (i, 1) for i in range(n)}  # slot -> (cluster id, size)
+    merges = []
+    for step in range(n - 1):
+        best = None
+        for i in sorted(active):
+            for j in sorted(active):
+                if j <= i:
+                    continue
+                d = dist[(i, j)]
+                if best is None or d < best[0] - 1e-15:
+                    best = (d, i, j)
+        d, i, j = best
+        id_i, size_i = active[i]
+        id_j, size_j = active[j]
+        merges.append((step, id_i, id_j, d))
+        for k in sorted(active):
+            if k in (i, j):
+                continue
+            di = dist[tuple(sorted((i, k)))]
+            dj = dist[tuple(sorted((j, k)))]
+            dist[tuple(sorted((i, k)))] = (size_i * di + size_j * dj) / (
+                size_i + size_j
+            )
+        del active[j]
+        active[i] = (n + step, size_i + size_j)
+    return merges
 
 
 def brute_thetas(edges, n, labels):

@@ -10,8 +10,9 @@ from click.testing import CliRunner
 import mvmc
 from mvmc import cli, compare, ingest
 from mvmc.cli import atomic_write, main
-from mvmc.compare import LabeledClustering, cross_level
+from mvmc.compare import DUMMY_LABEL, LabeledClustering, cross_level, write_ari_matrix
 from mvmc.ensemble import average_internal_ari, filter_small_clusters
+from oracles import brute_ari_matrix
 
 
 @pytest.fixture
@@ -115,6 +116,34 @@ def test_compare_and_ensemble(tmp_path, runner):
     assert len(rows) == 18
     # same structure as the inputs: hashtags of one block share a label
     assert len({rows[f"#h{i}"] for i in range(6)}) == 1
+
+
+def test_compare_puts_an_absent_label_in_the_group_of_absent_hashtags(tmp_path, runner):
+    cdir = tmp_path / "clusters"
+    cdir.mkdir()
+    days = {
+        "2020-03-01": {f"#h{i}": i // 6 for i in range(18)},
+        "2020-03-02": {**{f"#h{i}": i % 3 for i in range(6, 24)},
+                       **{f"#x{i}": DUMMY_LABEL for i in range(6)}},
+        "2020-03-03": {f"#h{i}": DUMMY_LABEL if i < 12 else i // 6 for i in range(24)},
+    }
+    for day, labels in days.items():
+        (cdir / f"{day}.tsv").write_text(
+            "".join(f"{h}\t{l}\n" for h, l in sorted(labels.items())))
+    out = tmp_path / "cmp"
+    invoke_ok(runner, "compare", cdir, out, "--meta-k", "2")
+
+    def oracle_tsv(dailies, path):
+        leveled = cross_level([filter_small_clusters(c, 5) for c in dailies])
+        write_ari_matrix(brute_ari_matrix(leveled), list(days), path)
+        return path.read_bytes()
+
+    read = [LabeledClustering.read_tsv(cdir / f"{day}.tsv", day) for day in days]
+    assert (out / "ari_matrix.tsv").read_bytes() == oracle_tsv(read, tmp_path / "merged.tsv")
+    # the label counts: as a label of its own it would give another matrix
+    renamed = [LabeledClustering({h: "own" if l == DUMMY_LABEL else l
+                                  for h, l in c.assignments.items()}, c.tag) for c in read]
+    assert (out / "ari_matrix.tsv").read_bytes() != oracle_tsv(renamed, tmp_path / "own.tsv")
 
 
 def test_compare_needs_two_clusterings(tmp_path, runner):
@@ -336,7 +365,7 @@ def test_pipeline_computes_each_ari_pair_once(tmp_path, runner, corpus, monkeypa
     shifted = shifted.replace('"2020-03-0', '"2020-03-1').replace('id": "p', 'id": "q')
     pairs = []
     ari = compare._ari
-    monkeypatch.setattr(compare, "_ari", lambda a, b: pairs.append(1) or ari(a, b))
+    monkeypatch.setattr(compare, "_ari", lambda *sums: pairs.append(1) or ari(*sums))
     for meta_k in (1, 2):
         pairs.clear()
         result, out = run_pipeline_on(
@@ -601,8 +630,9 @@ def test_the_clusterer_runs_without_scipy_sparse_and_the_views_load_it():
     # scipy.sparse was ~110 ms of a 174 ms `import mvmc`; numpy.ma ~9 ms
     code = """
 import sys, mvmc, mvmc.cli
-from mvmc import (LabeledClustering, MvmcConfig, ViewGraph, ViewMatrix, ensemble_cluster,
-                  knn_graph, maximize, pairwise_ari_matrix, run_mvmc, tfidf)
+from mvmc import (LabeledClustering, MvmcConfig, ViewGraph, ViewMatrix,
+                  average_linkage_merges, ensemble_cluster, knn_graph, maximize,
+                  pairwise_ari_matrix, run_mvmc, tfidf)
 from mvmc.synth import planted_partition_views
 
 def loaded():
@@ -612,8 +642,9 @@ def loaded():
 print(mvmc._kernels.BACKEND)
 maximize([ViewGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])])
 run_mvmc(planted_partition_views(12, 2, 0.6, 0.1)[0], MvmcConfig(max_iter=3))
-days = [LabeledClustering(dict(zip("abcd", labels))) for labels in ([0, 0, 1, 1], [0, 1, 1, 1])]
-pairwise_ari_matrix(days)
+days = [LabeledClustering(dict(zip(objects, labels))) for objects, labels in
+        (("abcd", [0, 0, 1, 1]), ("abcd", [0, 1, 1, 1]), ("cdef", [0, 0, 1, 1]))]
+average_linkage_merges(1.0 - pairwise_ari_matrix(days))
 ensemble_cluster(days)
 print(*loaded() or ["-"])
 knn_graph(tfidf(ViewMatrix.from_codes([0, 1, 2, 2], [0, 0, 1, 2], "abc", "xyz")), 1)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,8 @@ from mvmc import (
 )
 
 from mvmc.compare import cut
-from oracles import brute_ari
+from mvmc.ensemble import filter_small_clusters
+from oracles import brute_ari, brute_ari_matrix, brute_average_linkage
 
 
 def lc(tag, mapping):
@@ -50,8 +53,9 @@ def test_ari_object_mismatch_rejected():
     b = lc("b", {0: 0, 2: 0})
     with pytest.raises(GraphUsageError):
         adjusted_rand_index(a, b)
-    with pytest.raises(GraphUsageError):
-        pairwise_ari_matrix([a, lc("c", {1: 1, 0: 0}), b])
+    # the matrix compares clusterings over the union of their objects
+    days = [a, lc("c", {1: 1, 0: 0}), b]
+    assert pairwise_ari_matrix(days).tobytes() == brute_ari_matrix(cross_level(days)).tobytes()
 
 
 def test_ari_matches_bruteforce_oracle():
@@ -92,6 +96,93 @@ def test_ari_matches_bruteforce_oracle():
                 assert mat[i, j] == pytest.approx(
                     brute_ari(labels[i], labels[j]), abs=1e-12
                 )
+
+
+MATRIX_CASES = ("overlapping", "disjoint", "emptied", "mixed_labels", "single_object",
+                "identical", "leveled", "dummy_label")
+
+
+def matrix_case(kind, rng):
+    """Days of one seeded case of `kind` for the ARI matrix."""
+    n_days = int(rng.integers(2, 7))
+    size = int(rng.integers(2, 40))
+    n_labels = int(rng.integers(1, 6))
+    if kind == "disjoint":
+        return [lc(f"d{d}", {f"o{d}_{i}": int(rng.integers(0, n_labels)) for i in range(size)})
+                for d in range(n_days)]
+    universe = [f"o{i}" if i % 3 else i for i in range(size)]
+    if kind == "mixed_labels":
+        # 0 and "0" are two labels; 1, True and 1.0 are one
+        keys = [0, "0", 1, True, 1.0, "a", 2.5]
+        draw = lambda: keys[int(rng.integers(0, len(keys)))]  # noqa: E731
+    elif kind == "dummy_label":
+        draw = lambda: [0, 1, DUMMY_LABEL][int(rng.integers(0, 3))]  # noqa: E731
+    else:
+        draw = lambda: int(rng.integers(0, n_labels))  # noqa: E731
+    keep = rng.uniform(0.3, 1.0)
+    days = [lc(f"d{d}", {o: draw() for o in universe if rng.random() < keep})
+            for d in range(n_days)]
+    if kind == "emptied":
+        # all singletons: the size filter leaves the day empty
+        days[int(rng.integers(0, n_days))] = lc("lonely", {o: i for i, o in enumerate(universe)})
+        days = [filter_small_clusters(c, 2) for c in days]
+    elif kind == "single_object":
+        days[int(rng.integers(0, n_days))] = lc("one", {universe[0]: draw()})
+    elif kind == "identical":
+        days.append(days[int(rng.integers(0, n_days))])
+    elif kind == "leveled":
+        days = cross_level(days)
+    return days
+
+
+def case_properties(days):
+    """Which of MATRIX_CASES a list of days shows."""
+    objects = [c.objects for c in days]
+    labels = [set(c.assignments.values()) for c in days]
+    found = {
+        "overlapping": len(set().union(*objects)) < sum(map(len, objects)),
+        "disjoint": sum(map(bool, objects)) >= 2
+                    and len(set().union(*objects)) == sum(map(len, objects)),
+        "emptied": not all(objects),
+        "mixed_labels": any({0, "0", True} <= keys for keys in labels),
+        "single_object": any(len(o) == 1 for o in objects),
+        "identical": any(a.assignments == b.assignments
+                         for i, a in enumerate(days) for b in days[i + 1:]),
+        "leveled": all(o == objects[0] for o in objects),
+        "dummy_label": any(DUMMY_LABEL in c.assignments.values() for c in days),
+    }
+    return [name for name, shown in found.items() if shown]
+
+
+def test_ari_matrix_matches_the_per_pair_oracle_bit_for_bit():
+    rng = np.random.default_rng(34)
+    seen = Counter()
+    for t in range(240):
+        days = matrix_case(MATRIX_CASES[t % len(MATRIX_CASES)], rng)
+        seen.update(case_properties(days))
+        got = pairwise_ari_matrix(days)
+        assert got.tobytes() == brute_ari_matrix(cross_level(days)).tobytes(), t
+    assert min(seen[kind] for kind in MATRIX_CASES) >= 20, seen
+    # dict-key semantics of labels: 1, True and 1.0 together, 0 apart from "0"
+    keys = lc("keys", {"a": 1, "b": True, "c": 1.0, "d": 0, "e": "0"})
+    named = lc("named", {"a": "x", "b": "x", "c": "x", "d": "y", "e": "z"})
+    assert pairwise_ari_matrix([keys, named])[0, 1] == 1.0
+
+
+def test_ari_matrix_pair_sums_exceed_int64():
+    # 121,000 objects in two halves on both days: the pair-sum products, and
+    # the ARI numerator between them, pass 2**63, so they must be Python ints
+    flip = np.random.default_rng(35).random(121_000) < 0.01
+    a = lc("a", {f"h{i}": i % 2 for i in range(120_000)})
+    b = lc("b", {f"h{i}": int(i % 2 ^ flip[i]) for i in range(1_000, 121_000)})
+    leveled = cross_level([a, b])
+    assert len(leveled[0].assignments) > 80_000
+    sum_a, sum_b = (sum(m * (m - 1) // 2 for m in Counter(c.assignments.values()).values())
+                    for c in leveled)
+    assert sum_a * sum_b > 2**63
+    got = pairwise_ari_matrix([a, b])
+    assert got.tobytes() == brute_ari_matrix(leveled).tobytes()
+    assert got[0, 1] > 0.9
 
 
 def test_ari_symmetry():
@@ -181,6 +272,31 @@ def test_average_linkage_tie_break_deterministic():
     d = 1.0 - np.eye(4)  # all pairwise distances equal
     merges = average_linkage_merges(d)
     assert merges[0][1:3] == (0, 1)
+
+
+def test_average_linkage_matches_the_sequential_scan_oracle():
+    rng = np.random.default_rng(36)
+    # exact ties, and gaps below the 1e-15 tie tolerance
+    levels = np.array([0.2, 0.5, 0.5 + 4e-16, 0.5 - 4e-16, 0.5 - 9e-16, 0.5 - 1.6e-15, 0.7, 1.0])
+    for t in range(300):
+        n = int(rng.integers(1, 16))
+        if t % 3 == 2:
+            d = rng.uniform(0.0, 1.5, (n, n))
+        else:
+            d = levels[rng.integers(0, len(levels), (n, n))]
+        d = np.triu(d, 1)
+        d = d + d.T
+        assert average_linkage_merges(d) == brute_average_linkage(d), t
+
+
+def test_average_linkage_keeps_the_sequential_tie_rule():
+    # in scan order 0.5, 0.5 - 0.8e-15, 0.5 - 1.6e-15: the second is within
+    # 1e-15 of the first and never replaces it, the third does
+    d = np.zeros((3, 3))
+    d[0, 1] = d[1, 0] = 0.5
+    d[0, 2] = d[2, 0] = 0.5 - 0.8e-15
+    d[1, 2] = d[2, 1] = 0.5 - 1.6e-15
+    assert average_linkage_merges(d)[0][1:3] == (1, 2)
 
 
 def test_meta_cluster_recovers_blocks():
