@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -11,6 +12,9 @@ from .graph import GraphUsageError
 # and `pairwise_ari_matrix` puts entries that carry it in that group. Labels
 # are never compared across clusterings, so one reserved constant suffices.
 DUMMY_LABEL = "__absent__"
+
+# Most (earlier, later) incidence pairs `pairwise_ari_matrix` holds at once.
+PAIR_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,31 @@ def cross_level(clusterings: list[LabeledClustering]) -> list[LabeledClustering]
     return out
 
 
+def _tally(keys: np.ndarray, size: int, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of `keys` (each in range(size)), ascending, as int64,
+    with the number of times each occurs, or the sum of its positive integer
+    weights.
+
+    Counts by bincount when the key range is small next to the keys, else
+    by one sort (of int32 copies when they fit, which sort twice as fast);
+    both give the same exact result.
+    """
+    if size <= 4 * len(keys):
+        sums = np.bincount(keys, weights, minlength=size)
+        distinct = np.flatnonzero(sums)
+        return distinct, sums[distinct].astype(np.int64)
+    if size <= 1 << 31:
+        keys = keys.astype(np.int32)
+    if weights is None:
+        keys = np.sort(keys)
+        starts = _runs(keys)
+        return keys[starts].astype(np.int64), np.diff(np.append(starts, len(keys)))
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = _runs(keys)
+    return keys[starts].astype(np.int64), _run_sums(starts, weights[order])
+
+
 def pairwise_ari_matrix(clusterings: list[LabeledClustering]) -> np.ndarray:
     """Symmetric ARI matrix with unit diagonal, over the union of the objects.
 
@@ -116,63 +145,91 @@ def pairwise_ari_matrix(clusterings: list[LabeledClustering]) -> np.ndarray:
     DUMMY_LABEL form one dummy group, so the matrix equals that of the
     cross-leveled clusterings. Labels are told apart as dict keys are. Only
     (object, clustering, label) incidences that exist are counted: the
-    real x real cells of every pair's contingency table come from one sort of
-    the label pairs of objects present in both, and the cells of the dummy
-    groups from label sizes and per-(label, other clustering) overlaps.
+    real x real cells of every pair's contingency table come from the label
+    pairs of objects present in both, and the cells of the dummy groups from
+    label sizes and per-(label, other clustering) overlaps. The work grows
+    with the sum over objects of the square of the number of clusterings
+    holding them; the label pairs are counted in blocks of consecutive
+    earlier clusterings of at most PAIR_BLOCK pairs (or one clustering), so
+    memory stays bounded when objects persist through many clusterings.
     """
     k = len(clusterings)
     if k < 2:
         return np.eye(k)
-    index: dict = {}
+    index = {o: i for i, o in enumerate(dict.fromkeys(
+        chain.from_iterable(c.assignments for c in clusterings)))}
     objs, labels, first_label = [], [], [0]
     for c in clusterings:
-        codes = {DUMMY_LABEL: -1}
+        distinct = dict.fromkeys(c.assignments.values())
+        distinct.pop(DUMMY_LABEL, None)
+        codes = {lab: i for i, lab in enumerate(distinct)}
+        codes[DUMMY_LABEL] = -1
         count = len(c.assignments)
-        obj = np.fromiter((index.setdefault(o, len(index)) for o in c.assignments),
-                          dtype=np.int64, count=count)
-        label = np.fromiter(
-            (codes.setdefault(lab, len(codes) - 1) for lab in c.assignments.values()),
-            dtype=np.int64, count=count)
+        obj = np.fromiter(map(index.__getitem__, c.assignments), dtype=np.int64, count=count)
+        label = np.fromiter(map(codes.__getitem__, c.assignments.values()),
+                            dtype=np.int64, count=count)
         real = label >= 0
         objs.append(obj[real])
         labels.append(label[real] + first_label[-1])
-        first_label.append(first_label[-1] + len(codes) - 1)
+        first_label.append(first_label[-1] + len(distinct))
     n = len(index)
     n_labels = first_label[-1]
     label_day = np.repeat(np.arange(k), np.diff(first_label))
     present = np.array([len(o) for o in objs])
+    day_start = np.concatenate(([0], np.cumsum(present)))
     obj, label = np.concatenate(objs), np.concatenate(labels)
     sizes = np.bincount(label, minlength=n_labels)
     real_sums = _run_sums(np.array(first_label[:-1]), _pairs(sizes))
 
-    # label pairs of each object's (earlier day, later day) incidences
-    order = np.argsort(obj, kind="stable")  # days stay in order
-    obj, label = obj[order], label[order]
-    bounds = np.append(_runs(obj), len(obj))
-    ends = np.repeat(bounds[1:], np.diff(bounds))
-    later = ends - np.arange(len(obj)) - 1
-    first = np.repeat(np.arange(len(obj)), later)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later)
-    keys = np.sort(label[first] * n_labels + label[second])
-    cells = _runs(keys)
-    counts = np.diff(np.append(cells, len(keys)))
-    label_a, label_b = np.divmod(keys[cells], n_labels)
-    day_a, day_b = label_day[label_a], label_day[label_b]
+    # each incidence's place among its object's incidences, which stay in day order
+    order = np.argsort(obj, kind="stable")
+    by_obj = label[order]
+    bounds = np.append(_runs(obj[order]), len(obj))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    later = (np.repeat(bounds[1:], np.diff(bounds)) - 1 - np.arange(len(obj)))[position]
+    pairs_before = np.concatenate(([0], np.cumsum(later)))[day_start]
+
     real_cells = np.zeros((k, k), dtype=np.int64)
     shared = np.zeros((k, k), dtype=np.int64)
-    np.add.at(real_cells, (day_a, day_b), _pairs(counts))
-    np.add.at(shared, (day_a, day_b), counts)
-
-    # a real label's dummy cell against another day is its size less its overlap
-    overlap_key = np.concatenate((label_a * k + day_b, label_b * k + day_a))
-    by_key = np.argsort(overlap_key, kind="stable")
-    overlap_key = overlap_key[by_key]
-    runs = _runs(overlap_key)
-    overlap = _run_sums(runs, np.concatenate((counts, counts))[by_key])
-    own, other = np.divmod(overlap_key[runs], k)
     dummy_cells = np.zeros((k, k), dtype=np.int64)
-    np.add.at(dummy_cells, (label_day[own], other),
-              _pairs(sizes[own] - overlap) - _pairs(sizes[own]))
+    real_flat, shared_flat, dummy_flat = real_cells.ravel(), shared.ravel(), dummy_cells.ravel()
+
+    def add_dummy_cells(own, other, overlap):
+        # a real label's dummy cell against another day is its size less its overlap
+        np.add.at(dummy_flat, label_day[own] * k + other,
+                  _pairs(sizes[own] - overlap) - _pairs(sizes[own]))
+
+    a0 = 0
+    while pairs_before[a0] < pairs_before[-1]:
+        # label pairs of each (earlier day in [a0, a1), later day) incidence pair,
+        # keyed by the earlier label's offset in the high bits, the later one's in the low
+        a1 = max(a0 + 1, int(np.searchsorted(
+            pairs_before, pairs_before[a0] + PAIR_BLOCK, side="right")) - 1)
+        counts = later[day_start[a0]:day_start[a1]]
+        starts = position[day_start[a0]:day_start[a1]]
+        a_first, b_first = first_label[a0], first_label[a0 + 1]
+        shift = int(n_labels - b_first - 1).bit_length()
+        second = np.arange(pairs_before[a1] - pairs_before[a0])
+        second += np.repeat(starts + 1 - (np.cumsum(counts) - counts), counts)
+        keys = np.repeat(((by_obj[starts] - a_first) << shift) - b_first, counts)
+        keys += by_obj[second]
+        cells, counts = _tally(keys, (first_label[a1] - a_first) << shift)
+        label_a = (cells >> shift) + a_first
+        label_b = (cells & ((1 << shift) - 1)) + b_first
+        day_a, day_b = label_day[label_a], label_day[label_b]
+        # the cells are sorted by earlier label, then by later day
+        runs = _runs(label_a * k + day_b)
+        own, other, overlap = label_a[runs], day_b[runs], _run_sums(runs, counts)
+        day_pair = label_day[own] * k + other
+        np.add.at(real_flat, day_pair, _run_sums(runs, _pairs(counts)))
+        np.add.at(shared_flat, day_pair, overlap)
+        add_dummy_cells(own, other, overlap)
+        shift = int(a1 - a0 - 1).bit_length()
+        keys, overlap = _tally(((label_b - b_first) << shift) + day_a - a0,
+                               (n_labels - b_first) << shift, counts)
+        add_dummy_cells((keys >> shift) + b_first, (keys & ((1 << shift) - 1)) + a0, overlap)
+        a0 = a1
 
     shared = shared + shared.T
     sum_cells = (

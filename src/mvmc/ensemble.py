@@ -64,7 +64,12 @@ def ensemble_cluster(clusterings: list[LabeledClustering], seed: int = 0) -> Lab
 
 
 def average_internal_ari(clusterings: list[LabeledClustering]) -> float:
-    """Mean off-diagonal pairwise ARI among a period's daily clusterings."""
+    """Mean off-diagonal pairwise ARI among a period's daily clusterings.
+
+    The days may hold different objects: they are compared over the union of
+    their objects, the ones a day lacks forming that day's dummy group, as
+    `pairwise_ari_matrix` does.
+    """
     k = len(clusterings)
     if k < 2:
         raise GraphUsageError("need at least two clusterings")

@@ -15,6 +15,7 @@ from mvmc import (
     write_ari_matrix,
 )
 
+from mvmc import compare
 from mvmc.compare import cut
 from mvmc.ensemble import filter_small_clusters
 from oracles import brute_ari, brute_ari_matrix, brute_average_linkage
@@ -167,6 +168,47 @@ def test_ari_matrix_matches_the_per_pair_oracle_bit_for_bit():
     keys = lc("keys", {"a": 1, "b": True, "c": 1.0, "d": 0, "e": "0"})
     named = lc("named", {"a": "x", "b": "x", "c": "x", "d": "y", "e": "z"})
     assert pairwise_ari_matrix([keys, named])[0, 1] == 1.0
+
+
+def test_ari_matrix_has_the_same_bytes_for_any_block_of_label_pairs(monkeypatch):
+    # the label pairs are counted in blocks of earlier days: one day per block,
+    # several days per block and one block for all give the oracle's bytes,
+    # and the counting takes both of its routes, with and without weights
+    routes, calls = Counter(), Counter()
+    tally = compare._tally
+
+    def spy(keys, size, weights=None):
+        routes[size <= 4 * len(keys), weights is None] += 1
+        calls[compare.PAIR_BLOCK] += 1
+        return tally(keys, size, weights)
+
+    monkeypatch.setattr(compare, "_tally", spy)
+    rng = np.random.default_rng(36)
+    merged = 0
+    for t in range(120):
+        days = matrix_case(MATRIX_CASES[t % len(MATRIX_CASES)], rng)
+        expected = brute_ari_matrix(cross_level(days)).tobytes()
+        calls.clear()
+        for block in (0, 1, 7, 60, compare.PAIR_BLOCK):
+            monkeypatch.setattr(compare, "PAIR_BLOCK", block)
+            assert pairwise_ari_matrix(days).tobytes() == expected, (t, block)
+        merged += calls[60] < calls[0]
+    assert merged >= 20, merged
+    assert len(routes) == 4 and min(routes.values()) >= 20, routes
+
+
+def test_ari_matrix_sorts_label_pair_keys_past_int32(monkeypatch):
+    # 40,000 labels on one day and 39,000 on the next: the (earlier label,
+    # later label) keys range past 2**31, so they are sorted as int64
+    sizes = []
+    tally = compare._tally
+    monkeypatch.setattr(compare, "_tally", lambda keys, size, weights=None: (
+        sizes.append(size), tally(keys, size, weights))[1])
+    a = lc("a", {f"h{i}": i for i in range(40_000)})
+    b = lc("b", {f"h{i}": i % 39_000 for i in range(20_000, 60_000)})
+    got = pairwise_ari_matrix([a, b])
+    assert max(sizes) > 2**31
+    assert got.tobytes() == brute_ari_matrix(cross_level([a, b])).tobytes()
 
 
 def test_ari_matrix_pair_sums_exceed_int64():

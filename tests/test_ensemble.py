@@ -7,12 +7,13 @@ from mvmc import (
     adjusted_rand_index,
     average_internal_ari,
     build_object_cluster_graph,
+    cross_level,
     ensemble_cluster,
     filter_small_clusters,
 )
 from mvmc.ensemble import MIN_CLUSTER_SIZE
 
-from oracles import brute_ari
+from oracles import brute_ari, brute_ari_matrix
 
 
 def lc(tag, mapping):
@@ -107,3 +108,9 @@ def test_average_internal_ari():
         for j in range(i + 1, 5)
     ]
     assert average_internal_ari(days) == float(np.mean(pairs))
+    # days over different hashtags compare over their union, the hashtags a
+    # day lacks forming its dummy group
+    days = [lc(f"d{t}", {f"h{i}": int(rng.integers(0, 3)) for i in range(t * 10, t * 10 + 30)})
+            for t in range(4)]
+    matrix = brute_ari_matrix(cross_level(days))
+    assert average_internal_ari(days) == float(np.mean(matrix[np.triu_indices(4, 1)]))
