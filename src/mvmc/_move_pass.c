@@ -29,12 +29,25 @@
  */
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 #define MOVE_PASS_BAD_INDEX (-1)
 #define MOVE_PASS_NO_MEMORY (-2)
 
 /* A numpy bit generator's next_uint32, called with its state_address. */
 typedef uint32_t (*next_uint32_fn)(void *state);
+
+/* The next count 8-byte slots of a routine's one scratch block, as a double
+ * or an int64 array, and *cursor moved past them. Each routine allocates the
+ * block once, takes its doubles first and its int64s after them, and frees
+ * it once. */
+_Static_assert(sizeof(double) == 8 && sizeof(int64_t) == 8, "scratch slots are 8 bytes");
+static void *take(double **cursor, size_t count)
+{
+    void *slots = *cursor;
+    *cursor += count;
+    return slots;
+}
 
 /* numpy's random_interval for max < 2**32: a uniform draw from [0, max],
  * masking 32-bit draws to the smallest all-ones mask >= max and drawing
@@ -212,17 +225,17 @@ int64_t move_pass(
     double *gain_out,
     int64_t *moves_out)
 {
-    int64_t status = MOVE_PASS_NO_MEMORY;
-    double *link = calloc(n > 0 ? (size_t)n : 1, sizeof(double));
-    int64_t *touched = malloc((n > 0 ? (size_t)n : 1) * sizeof(int64_t));
+    size_t rows = n > 0 ? (size_t)n : 1;
+    double *link = malloc(rows * (sizeof(double) + sizeof(int64_t)));
     *gain_out = 0.0;
     *moves_out = 0;
-    if (link != NULL && touched != NULL)
-        status = sweep(n, nviews, nnz, indptr, indices, data, deg, alpha, comm,
-                       comm_tot, comm_size, empty_stack, n_empty, order, eps, link,
-                       touched, gain_out, moves_out);
+    if (link == NULL)
+        return MOVE_PASS_NO_MEMORY;
+    memset(link, 0, rows * sizeof(double));
+    int64_t status = sweep(n, nviews, nnz, indptr, indices, data, deg, alpha, comm,
+                           comm_tot, comm_size, empty_stack, n_empty, order, eps, link,
+                           (int64_t *)(link + rows), gain_out, moves_out);
     free(link);
-    free(touched);
     return status;
 }
 
@@ -371,16 +384,15 @@ int64_t aggregate(
     double *agg_deg,
     int64_t *nnz_out)
 {
-    int64_t status = MOVE_PASS_NO_MEMORY;
     size_t cells = size > 0 ? (size_t)size : 1;
-    int64_t *iwork = malloc(5 * cells * sizeof(int64_t));
-    double *dwork = calloc(2 * cells, sizeof(double));
+    double *dwork = malloc(cells * (2 * sizeof(double) + 5 * sizeof(int64_t)));
     *nnz_out = 0;
-    if (iwork != NULL && dwork != NULL)
-        status = aggregate_level(size, nviews, nnz, indptr, indices, data, deg, comm,
-                                 dense, agg_indptr, agg_indices, agg_data, agg_deg,
-                                 nnz_out, iwork, dwork);
-    free(iwork);
+    if (dwork == NULL)
+        return MOVE_PASS_NO_MEMORY;
+    memset(dwork, 0, 2 * cells * sizeof(double));
+    int64_t status = aggregate_level(size, nviews, nnz, indptr, indices, data, deg, comm,
+                                     dense, agg_indptr, agg_indices, agg_data, agg_deg,
+                                     nnz_out, (int64_t *)(dwork + 2 * cells), dwork);
     free(dwork);
     return status;
 }
@@ -472,42 +484,40 @@ int64_t maximize_once(
     int64_t *labels,
     int64_t *counts)
 {
-    int64_t status = MOVE_PASS_NO_MEMORY;
+    int64_t status = 0;
     size_t rows = n > 0 ? (size_t)n : 1, entries = nnz > 0 ? (size_t)nnz : 1;
     size_t cells = rows * (nviews > 0 ? (size_t)nviews : 1);
+    double *block = malloc((3 * rows + 3 * cells + 2 * entries) * sizeof(double)
+                           + (13 * rows + 2 + 2 * entries) * sizeof(int64_t));
+    counts[0] = counts[1] = counts[2] = 0;
+    if (block == NULL)
+        return MOVE_PASS_NO_MEMORY;
     struct restart_work w = {
-        .comm = malloc(rows * sizeof(int64_t)),
-        .comm_size = malloc(rows * sizeof(int64_t)),
-        .empty_stack = malloc(rows * sizeof(int64_t)),
-        .order = malloc(rows * sizeof(int64_t)),
-        .touched = malloc(rows * sizeof(int64_t)),
-        .dense = malloc(rows * sizeof(int64_t)),
-        .iwork = malloc(5 * rows * sizeof(int64_t)),
-        .comm_tot = malloc(cells * sizeof(double)),
-        .link = calloc(rows, sizeof(double)),
-        .dwork = calloc(2 * rows, sizeof(double)),
-        .next_uint32 = next_uint32,
-        .state = state,
-        .eps = eps,
-        .counts = counts,
+        .next_uint32 = next_uint32, .state = state, .eps = eps, .counts = counts,
     };
     /* two level graphs: each aggregation reads one and writes the other */
-    int64_t *lvl_indptr[2] = {malloc((rows + 1) * sizeof(int64_t)),
-                              malloc((rows + 1) * sizeof(int64_t))};
-    int64_t *lvl_indices[2] = {malloc(entries * sizeof(int64_t)),
-                               malloc(entries * sizeof(int64_t))};
-    double *lvl_data[2] = {malloc(entries * sizeof(double)),
-                           malloc(entries * sizeof(double))};
-    double *lvl_deg[2] = {malloc(cells * sizeof(double)), malloc(cells * sizeof(double))};
-    counts[0] = counts[1] = counts[2] = 0;
-    if (w.comm == NULL || w.comm_size == NULL || w.empty_stack == NULL || w.order == NULL
-        || w.touched == NULL || w.dense == NULL || w.iwork == NULL || w.comm_tot == NULL
-        || w.link == NULL || w.dwork == NULL)
-        goto done;
-    for (int b = 0; b < 2; b++)
-        if (lvl_indptr[b] == NULL || lvl_indices[b] == NULL || lvl_data[b] == NULL
-            || lvl_deg[b] == NULL)
-            goto done;
+    int64_t *lvl_indptr[2], *lvl_indices[2];
+    double *lvl_data[2], *lvl_deg[2];
+    double *cursor = block;
+    w.link = take(&cursor, rows);  /* link and dwork must start at zero */
+    w.dwork = take(&cursor, 2 * rows);
+    memset(block, 0, 3 * rows * sizeof(double));
+    w.comm_tot = take(&cursor, cells);
+    for (int b = 0; b < 2; b++) {
+        lvl_data[b] = take(&cursor, entries);
+        lvl_deg[b] = take(&cursor, cells);
+    }
+    w.comm = take(&cursor, rows);
+    w.comm_size = take(&cursor, rows);
+    w.empty_stack = take(&cursor, rows);
+    w.order = take(&cursor, rows);
+    w.touched = take(&cursor, rows);
+    w.dense = take(&cursor, rows);
+    w.iwork = take(&cursor, 5 * rows);
+    for (int b = 0; b < 2; b++) {
+        lvl_indptr[b] = take(&cursor, rows + 1);
+        lvl_indices[b] = take(&cursor, entries);
+    }
 
     int64_t *assignment = labels;  /* original node -> community */
     for (int64_t i = 0; i < n; i++)
@@ -565,24 +575,8 @@ int64_t maximize_once(
                 assignment[i] = w.dense[assignment[i]];
         }
     }
-    status = 0;
 done:
-    free(w.comm);
-    free(w.comm_size);
-    free(w.empty_stack);
-    free(w.order);
-    free(w.touched);
-    free(w.dense);
-    free(w.iwork);
-    free(w.comm_tot);
-    free(w.link);
-    free(w.dwork);
-    for (int b = 0; b < 2; b++) {
-        free(lvl_indptr[b]);
-        free(lvl_indices[b]);
-        free(lvl_data[b]);
-        free(lvl_deg[b]);
-    }
+    free(block);
     return status;
 }
 
@@ -677,27 +671,28 @@ int64_t knn_edges(
         if (indices[p] < 0 || indices[p] >= ncols)
             return MOVE_PASS_BAD_INDEX;
 
-    int64_t status = MOVE_PASS_NO_MEMORY;
     size_t entries = nnz > 0 ? (size_t)nnz : 1, picks_max = (size_t)n * (size_t)k;
-    int64_t *col_ptr = malloc(((size_t)ncols + 1) * sizeof(int64_t));
-    int64_t *col_row = malloc(entries * sizeof(int64_t));  /* the transpose */
-    double *col_val = malloc(entries * sizeof(double));
-    double *sums = malloc((size_t)n * sizeof(double));
-    int64_t *stamp = malloc((size_t)n * sizeof(int64_t));  /* row that last touched */
-    int64_t *touched = malloc(((size_t)n + 1) * sizeof(int64_t));
-    double *heap_val = malloc((size_t)k * sizeof(double));
-    int64_t *heap_col = malloc((size_t)k * sizeof(int64_t));
-    int64_t *pick_lo = malloc(picks_max * sizeof(int64_t));  /* min(i, j) */
-    int64_t *pick_hi = malloc(picks_max * sizeof(int64_t));  /* max(i, j) */
-    double *pick_val = malloc(picks_max * sizeof(double));
-    int64_t *by_hi = malloc(picks_max * sizeof(int64_t));
-    int64_t *by_pair = malloc(picks_max * sizeof(int64_t));
-    int64_t *count = malloc(((size_t)n + 1) * sizeof(int64_t));
-    if (col_ptr == NULL || col_row == NULL || col_val == NULL || sums == NULL
-        || stamp == NULL || touched == NULL || heap_val == NULL || heap_col == NULL
-        || pick_lo == NULL || pick_hi == NULL || pick_val == NULL || by_hi == NULL
-        || by_pair == NULL || count == NULL)
-        goto done;
+    size_t rows = (size_t)n, heap = (size_t)k;
+    double *block = malloc((entries + rows + heap + picks_max) * sizeof(double)
+                           + ((size_t)ncols + entries + 3 * rows + heap + 4 * picks_max + 3)
+                                 * sizeof(int64_t));
+    if (block == NULL)
+        return MOVE_PASS_NO_MEMORY;
+    double *cursor = block;
+    double *col_val = take(&cursor, entries);
+    double *sums = take(&cursor, rows);
+    double *heap_val = take(&cursor, heap);
+    double *pick_val = take(&cursor, picks_max);
+    int64_t *col_ptr = take(&cursor, (size_t)ncols + 1);
+    int64_t *col_row = take(&cursor, entries);  /* the transpose */
+    int64_t *stamp = take(&cursor, rows);  /* row that last touched */
+    int64_t *touched = take(&cursor, rows + 1);
+    int64_t *heap_col = take(&cursor, heap);
+    int64_t *pick_lo = take(&cursor, picks_max);  /* min(i, j) */
+    int64_t *pick_hi = take(&cursor, picks_max);  /* max(i, j) */
+    int64_t *by_hi = take(&cursor, picks_max);
+    int64_t *by_pair = take(&cursor, picks_max);
+    int64_t *count = take(&cursor, rows + 1);
 
     /* column-major transpose by counting sort; rows ascending in each column */
     for (int64_t c = 0; c <= ncols; c++)
@@ -787,21 +782,6 @@ int64_t knn_edges(
         edge_w[m] = w * 0.5;
         m++;
     }
-    status = m;
-done:
-    free(col_ptr);
-    free(col_row);
-    free(col_val);
-    free(sums);
-    free(stamp);
-    free(touched);
-    free(heap_val);
-    free(heap_col);
-    free(pick_lo);
-    free(pick_hi);
-    free(pick_val);
-    free(by_hi);
-    free(by_pair);
-    free(count);
-    return status;
+    free(block);
+    return m;
 }
