@@ -571,6 +571,105 @@ def test_wrong_compiled_draw_loads_no_c_routine(tmp_path):
     assert out == ["python", "True", "True", "None", "True"]
 
 
+@pytest.mark.skipif(
+    not (shutil.which("cc") or shutil.which("gcc")), reason="no C compiler"
+)
+def test_kernel_source_compiles_without_warnings(tmp_path):
+    compiler = shutil.which("cc") or shutil.which("gcc")
+    build = subprocess.run(
+        [compiler, *_kernels.CFLAGS, "-Wall", "-Wextra", "-Werror", "-x", "c",
+         str(_kernels.SOURCE), "-o", str(tmp_path / "kernel.so")],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert build.returncode == 0, build.stderr
+
+
+SCRATCH_CHECK = """
+import numpy as np
+from scipy import sparse
+from mvmc import ViewGraph, _kernels, maximize, modularity
+from mvmc.synth import planted_partition_views
+from mvmc.views import _unit_rows
+
+assert _kernels.BACKEND == "c"
+compiled = modularity.run_restarts
+
+
+def restarts(graphs, kernels=None):
+    # maximize's labels and meta, and each restart's labels and counts: from
+    # the compiled restart, or from _restarts driving the given sweep and
+    # aggregation
+    runs = []
+
+    def run(*args):
+        if kernels is None:
+            runs.extend(compiled(*args))
+            return runs
+        modularity.move_pass, modularity.aggregate = kernels
+        try:
+            runs.extend(modularity._restarts(*args))
+        finally:
+            modularity.move_pass, modularity.aggregate = _kernels.move_pass, _kernels.aggregate
+        return runs
+
+    modularity.run_restarts = run
+    try:
+        clustering = maximize(graphs, seed=5)
+    finally:
+        modularity.run_restarts = compiled
+    return clustering.labels.tolist(), clustering.meta, [(l.tolist(), c) for l, c in runs]
+
+
+def graph(n, edges):
+    return ViewGraph.from_edges(n, [(i, j, 1.0) for i, j in edges])
+
+
+triangles = graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+planted = planted_partition_views(30, 3, 0.5, 0.05, 2, 1, 7)[0]
+for graphs in ([graph(0, [])], [graph(1, [])], [graph(2, [(0, 1)])],
+               [graph(6, []), triangles], planted):
+    want = restarts(graphs, (_kernels._move_pass, _kernels._aggregate))
+    assert restarts(graphs) == want, graphs[0].n
+    assert restarts(graphs, (_kernels.move_pass, _kernels.aggregate)) == want, graphs[0].n
+assert restarts(planted)[1]["levels"] >= 16  # every restart coarsens
+
+views = [
+    (sparse.csr_matrix([[1.0, 0.0], [2.0, 1.0]]), 1),  # n = 2
+    (sparse.csr_matrix([[1.0, 0.0, 2.0], [0.0, 1.0, 1.0], [1.0, 1.0, 0.0]]), 2),  # k = n - 1
+    (sparse.csr_matrix((4, 3)), 2),  # all-zero rows: nnz = 0
+    (sparse.csr_matrix((3, 0)), 1),  # no columns
+]
+for counts, k in views:
+    args = (counts.indptr, counts.indices, _unit_rows(counts), counts.shape[1], k)
+    got, want = _kernels.knn_edges(*args), _kernels._knn_edges(*args)
+    assert [(a.dtype, a.tolist()) for a in got] == [(a.dtype, a.tolist()) for a in want], k
+print("ok")
+"""
+
+
+@requires_c
+@pytest.mark.parametrize("perturb", ["165", "63"])
+def test_compiled_scratch_is_written_before_it_is_read(perturb):
+    """The four compiled routines against their Python references at the sizes
+    their carved scratch must handle, in a process where glibc fills each
+    allocation with a non-zero byte (MALLOC_PERTURB_), so a scratch slot read
+    before it is written shows up. A restart whose link or dwork slots start
+    non-zero can loop forever, hence the timeout.
+
+    glibc fills fresh memory with the byte's complement and freed memory
+    with the byte, and recycled memory keeps the latter. As a double, 0xA5...
+    (165) is about -1e-127, too small to change a sum of similarities, so
+    the check runs again with 63: 0x3F... is about 3e-4, and 0xC0... -8.6e3."""
+    env = {**os.environ, "MALLOC_PERTURB_": perturb}
+    env.pop("MVMC_KERNEL", None)
+    out = subprocess.run(
+        [sys.executable, "-c", SCRATCH_CHECK], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["ok"]
+
+
 def aggregate_args(rng, n_views):
     """A level graph for `aggregate` and a partition of it. Half the cases
     are an aggregated graph, with a diagonal and rows in the order aggregation
