@@ -50,10 +50,10 @@ def unique_user_ratio(usage: dict[str, float]) -> float:
 
 
 def cluster_report_rows(
-    clusters: dict[int, list[str]],
+    clusters: dict[str, list[str]],
     usage: dict[str, dict[str, float]],
     fraction: float = 1 / 3,
-) -> list[tuple[int, int, int, float]]:
+) -> list[tuple[str, int, int, float]]:
     """(cluster, size, unique top users, top_user_score) per cluster."""
     tops = {h: top_users(usage.get(h, {}), fraction) for hs in clusters.values() for h in hs}
     rows = []

@@ -314,11 +314,11 @@ def _consensus(members, seed: int, path: Path) -> LabeledClustering:
 
 def _write_reports(days, lc: LabeledClustering, out: Path, fraction, top_tokens, prefix=""):
     """User-base and token reports of a clustering over the posts of `days`,
-    each day's posts as `PostCodes`."""
+    each day's posts as `PostCodes`. A row's cluster is the clustering's own
+    label; the rows follow the labels' string order."""
     clusters = {}
     for obj in sorted(lc.assignments):
-        clusters.setdefault(lc.assignments[obj], []).append(obj)
-    clusters = {i: v for i, (_k, v) in enumerate(sorted(clusters.items(), key=lambda kv: str(kv[0])))}
+        clusters.setdefault(str(lc.assignments[obj]), []).append(obj)
     usage, tokens = analytics.usage_tables(days, clusters)
     _write_rows(
         out / f"{prefix}clusters.tsv",
@@ -522,21 +522,23 @@ def run_pipeline(params: dict):
     with _exits_on(OSError, EXIT_OUTPUT):
         out.mkdir(parents=True, exist_ok=True)
 
+    # a day's k-NN graphs need 2 hashtags, and more than knn_k (>= 1) when set
+    need = 2 if params["knn_k"] is None else params["knn_k"] + 1
     days = []  # (views, labeled clustering, clustering, trace) per kept day
     with _exits_on(GraphUsageError, EXIT_INPUT):
         for day in list(posts_by_day):
             # a day's posts are dropped once its views and codes are built
             dv = build_daily_views(posts_by_day.pop(day), day, url_mode=params["url_mode"])
-            if len(dv.hashtags) < 2:
+            if len(dv.hashtags) < need:
                 click.echo(
                     f"warning: {day} skipped: {len(dv.hashtags)} hashtag(s) in"
-                    f" {MIN_POSTS_PER_HASHTAG} or more posts, need 2",
+                    f" {MIN_POSTS_PER_HASHTAG} or more posts, need {need}",
                     err=True,
                 )
                 continue
             days.append((dv, *_cluster_day(dv.as_list(), params, day.isoformat())))
     if not days:
-        _fail(EXIT_INPUT, f"no day has 2 hashtags in {MIN_POSTS_PER_HASHTAG} or more posts")
+        _fail(EXIT_INPUT, f"no day has {need} hashtags in {MIN_POSTS_PER_HASHTAG} or more posts")
 
     with _exits_on(OSError, EXIT_OUTPUT):
         summary = []
@@ -583,8 +585,9 @@ def run_pipeline(params: dict):
             # the mean of the period's off-diagonal pairs, as average_internal_ari
             block = matrix[np.ix_(idxs, idxs)]
             internal_ari = float(np.mean(block[np.triu_indices(len(idxs), 1)]))
-            rows.append((label, day_tags, len(sizes), f"{sizes.mean():.2f}",
-                         f"{sizes.std():.2f}", f"{internal_ari:.4f}"))
+            # no cluster of the period's days may reach min_cluster_size
+            spread = (f"{sizes.mean():.2f}", f"{sizes.std():.2f}") if len(sizes) else ("-", "-")
+            rows.append((label, day_tags, len(sizes), *spread, f"{internal_ari:.4f}"))
             _write_reports(
                 [days[i][0].codes for i in idxs],
                 consensus,

@@ -16,7 +16,7 @@ from mvmc.graph import GraphUsageError
 from mvmc.ingest import MIN_POSTS_PER_HASHTAG, code_posts
 
 from oracles import brute_preprocess_text, brute_top_user_score, brute_usage_tables
-from test_ingest import random_day
+from test_ingest import post, random_day
 
 
 def test_top_users_takes_ceil_third():
@@ -101,10 +101,8 @@ REPORTS = ("clusters.tsv", "hashtags.tsv", "tokens.tsv")
 def brute_reports(posts, lc, out, fraction, top_tokens):
     """The three report files from the brute-force tables of all the posts."""
     usage, tokens = brute_usage_tables(posts, set(lc.assignments))
-    by_label = {}
-    for h in sorted(lc.assignments):
-        by_label.setdefault(lc.assignments[h], []).append(h)
-    clusters = dict(enumerate(v for _k, v in sorted(by_label.items(), key=lambda kv: str(kv[0]))))
+    clusters = {str(label): sorted(h for h, lab in lc.assignments.items() if lab == label)
+                for label in set(lc.assignments.values())}
     ranked = {}
     for label, hashtags in clusters.items():
         total = sum((tokens.get(h, Counter()) for h in hashtags), Counter())
@@ -171,3 +169,21 @@ def test_report_tables_match_brute_force(tmp_path):
         cases["non-ASCII token"] += any(
             not tok.isascii() for p in posts for tok in brute_preprocess_text(p.text))
     assert len(cases) == 7 and min(cases.values()) > 0, cases
+
+
+def test_report_rows_carry_the_clusterings_labels(tmp_path):
+    # 13 hashtags in 12 clusters: from label 10 on, the labels' string order
+    # is not their numeric order
+    labels = dict(zip((f"#h{i}" for i in range(13)), [*range(12), 11]))
+    posts = [post(f"p{i}{j}", [h], text="stay home", user=f"u{j}")
+             for i, h in enumerate(labels) for j in range(3)]
+    lc = LabeledClustering(labels)
+    got, want = tmp_path / "got", tmp_path / "want"
+    _write_reports([code_posts(posts)], lc, got, 1 / 3, 2)
+    brute_reports(posts, lc, want, 1 / 3, 2)
+    for name in REPORTS:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+    rows = [line.split("\t") for line in (got / "clusters.tsv").read_text().splitlines()[1:]]
+    assert [row[0] for row in rows] == sorted(str(label) for label in range(12))
+    assert {row[0]: int(row[1]) for row in rows} == {
+        str(label): list(labels.values()).count(label) for label in range(12)}

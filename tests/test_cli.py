@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -354,6 +355,7 @@ def test_pipeline_periods_match_ensemble_on_their_own_days(tmp_path, runner, cor
             pipeline = run / "reports" / f"period_{label}_{path.name}"
             assert path.read_bytes() == pipeline.read_bytes()
     check_internal_ari(run)
+    check_report_sizes(run)
 
 
 def test_pipeline_computes_each_ari_pair_once(tmp_path, runner, corpus, monkeypatch):
@@ -486,13 +488,40 @@ def quiet_posts(day: str, hashtags: list, count: int) -> str:
     )
 
 
-def run_pipeline_on(tmp_path, runner, name, posts_text, meta_k=2):
+def run_pipeline_on(tmp_path, runner, name, posts_text, meta_k=2, overrides=()):
     posts = tmp_path / f"{name}.jsonl"
     posts.write_text(posts_text)
     cfg = tmp_path / f"{name}.yaml"
     out = tmp_path / name
     cfg.write_text(f"input: {posts}\noutput_dir: {out}\nmeta_k: {meta_k}\n")
-    return runner.invoke(main, ["pipeline", str(cfg)]), out
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    return runner.invoke(main, ["pipeline", str(cfg), *sets]), out
+
+
+def check_report_sizes(out) -> Counter:
+    """Each period report row's size is the member count of its cluster's
+    label in the period's consensus; returns the last period's counts."""
+    for consensus in sorted((out / "consensus").glob("period_*.tsv")):
+        members = Counter(line.split("\t")[1] for line in consensus.read_text().splitlines())
+        rows = (out / "reports" / f"{consensus.stem}_clusters.tsv").read_text().splitlines()
+        assert {row.split("\t")[0]: int(row.split("\t")[1]) for row in rows[1:]} == members
+    return members
+
+
+def test_pipeline_reports_use_the_consensus_labels(tmp_path, runner):
+    # two days of 12 groups that share no user, word or post: group g has
+    # g + 2 hashtags, each in the group's 3 posts, so every period cluster
+    # has its own size and labels run past 10
+    words = "alpha bravo charlie delta echo foxtrot golf hotel india juliet kilo lima".split()
+    posts = "".join(
+        post_line(f"{day}-{g}-{i}", day, [f"g{words[g]}{t}" for t in range(g + 2)],
+                  f"{words[g]} {words[g]}news", f"user_{words[g]}{i}")
+        for day in ("2020-03-01", "2020-03-02") for g in range(12) for i in range(3)
+    )
+    result, out = run_pipeline_on(tmp_path, runner, "groups", posts, meta_k=1,
+                                  overrides=["min_cluster_size=2"])
+    assert result.exit_code == 0, result.output
+    assert sorted(check_report_sizes(out).values()) == list(range(2, 14))
 
 
 def test_pipeline_skips_quiet_days(tmp_path, runner, corpus):
@@ -508,6 +537,36 @@ def test_pipeline_skips_quiet_days(tmp_path, runner, corpus):
     assert "warning: 2020-03-05 skipped: 1 hashtag(s) in 3 or more posts, need 2" in mixed.stderr
     # no views, clusters, trace or summary row for a skipped day
     assert tree_bytes(mixed_out) == tree_bytes(plain_out)
+
+
+def test_pipeline_skips_days_with_at_most_knn_k_hashtags(tmp_path, runner, corpus):
+    # the corpus has 18 hashtags a day; 2020-03-04 has 5, in 3 posts each
+    few = quiet_posts("2020-03-04", [f"#few{i}" for i in range(5)], 3)
+    plain, plain_out = run_pipeline_on(tmp_path, runner, "plain", corpus.read_text(),
+                                       overrides=["knn_k=5"])
+    mixed, mixed_out = run_pipeline_on(tmp_path, runner, "mixed", corpus.read_text() + few,
+                                       overrides=["knn_k=5"])
+    assert plain.exit_code == 0, plain.output
+    assert mixed.exit_code == 0, mixed.output
+    assert "warning: 2020-03-04 skipped: 5 hashtag(s) in 3 or more posts, need 6" in mixed.stderr
+    assert len(list((mixed_out / "clusters").iterdir())) == 3
+    assert tree_bytes(mixed_out) == tree_bytes(plain_out)
+    result, _out = run_pipeline_on(tmp_path, runner, "all", corpus.read_text(),
+                                   overrides=["knn_k=18"])
+    assert result.exit_code == 2, result.output
+    assert "error: no day has 19 hashtags in 3 or more posts" in result.output
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pipeline_period_without_clusters(tmp_path, runner, corpus):
+    # no cluster of the corpus reaches 50 hashtags, so every period's
+    # consensus is empty
+    result, out = run_pipeline_on(tmp_path, runner, "empty", corpus.read_text(),
+                                  overrides=["min_cluster_size=50"])
+    assert result.exit_code == 0, result.output
+    rows = (out / "period_summary.tsv").read_text().splitlines()
+    assert rows[1] == "0\t2020-03-01,2020-03-02\t0\t-\t-\t1.0000"
+    assert (out / "reports" / "period_0_clusters.tsv").read_text().splitlines()[1:] == []
 
 
 def test_pipeline_quiet_days_leave_one_or_no_day(tmp_path, runner, corpus):
