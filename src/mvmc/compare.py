@@ -299,23 +299,12 @@ def cut(merges: list[tuple[int, int, int, float]], k: int) -> np.ndarray:
     n = len(merges) + 1
     if not 1 <= k <= n:
         raise GraphUsageError(f"k={k} out of range for {n} clusterings")
-    parent = list(range(2 * n - 1))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    members = {i: [i] for i in range(n)}
     for step, left, right, _h in merges[: n - k]:
-        parent[left] = parent[right] = n + step
-    roots = {}
+        members[n + step] = members.pop(left) + members.pop(right)
     labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        root = find(i)
-        if root not in roots:
-            roots[root] = len(roots)
-        labels[i] = roots[root]
+    for label, group in enumerate(sorted(members.values(), key=min)):
+        labels[group] = label
     return labels
 
 

@@ -93,25 +93,16 @@ class ViewGraph:
         return sparse.csr_matrix((data, (rows, cols)), shape=(self.n, self.n))
 
     def connected_components(self) -> list[set[int]]:
-        """Maximal connected node sets; isolates are singletons."""
-        parent = np.arange(self.n)
+        """Maximal connected node sets, ordered by smallest node; isolates are singletons."""
+        if self.n == 0:
+            return []
+        from scipy.sparse import csgraph
 
-        def find(x: int) -> int:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
-        for a, b in zip(self.edge_u, self.edge_v):
-            ra, rb = find(int(a)), find(int(b))
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+        _count, labels = csgraph.connected_components(self.adjacency(), directed=False)
         groups: dict[int, set[int]] = {}
-        for node in range(self.n):
-            groups.setdefault(find(node), set()).add(node)
-        return [groups[r] for r in sorted(groups)]
+        for node, label in enumerate(labels.tolist()):
+            groups.setdefault(label, set()).add(node)
+        return list(groups.values())
 
     def write_edge_list(self, path) -> None:
         """Debug format: header `#nodes=<n>`, then `i<TAB>j<TAB>weight` lines."""
@@ -160,9 +151,5 @@ class Clustering:
 def densify_labels(raw: Sequence) -> np.ndarray:
     """Map arbitrary labels to dense ints in first-appearance order."""
     mapping: dict = {}
-    out = np.empty(len(raw), dtype=np.int64)
-    for idx, lab in enumerate(raw):
-        if lab not in mapping:
-            mapping[lab] = len(mapping)
-        out[idx] = mapping[lab]
-    return out
+    return np.fromiter((mapping.setdefault(lab, len(mapping)) for lab in raw),
+                       np.int64, len(raw))
