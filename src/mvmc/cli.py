@@ -40,7 +40,6 @@ from .ingest import (
     build_daily_views,
     code_posts,
     group_by_day,
-    preprocess_text,  # noqa: F401  (kept importable from mvmc.cli)
     read_posts,
 )
 from .synth import planted_partition_views, synthetic_corpus

@@ -118,14 +118,28 @@ def preprocess_text(raw: str) -> list[str]:
 
 
 def _parse_timestamp(value: str) -> datetime:
+    if not isinstance(value, str):
+        raise RecordError(f"timestamp {value!r} is not a string")
     ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
 
 
+def _names(obj: dict, key: str, nonempty: bool) -> tuple[str, ...]:
+    """The `key` array of a JSON record, checked to hold only strings."""
+    value = obj.get(key, [])
+    if not (isinstance(value, list)
+            and all(isinstance(v, str) and (v or not nonempty) for v in value)):
+        kind = "non-empty strings" if nonempty else "strings"
+        raise RecordError(f"{key} is not an array of {kind}: {value!r}")
+    return tuple(value)
+
+
 def parse_json_record(line: str) -> PostRecord:
-    """One line-delimited JSON record with the PostRecord fields."""
+    """One line-delimited JSON record with the PostRecord fields: `timestamp`
+    is a string, `hashtags` an array of non-empty strings, `urls` an array of
+    strings."""
     obj = json.loads(line)
     try:
         record = PostRecord(
@@ -133,14 +147,14 @@ def parse_json_record(line: str) -> PostRecord:
             timestamp=_parse_timestamp(obj["timestamp"]),
             user_id=str(obj["user_id"]),
             text=str(obj.get("text", "")),
-            hashtags=tuple(obj.get("hashtags", [])),
-            urls=tuple(obj.get("urls", [])),
+            hashtags=_names(obj, "hashtags", nonempty=True),
+            urls=_names(obj, "urls", nonempty=False),
         )
     except (KeyError, ValueError, TypeError) as exc:
         raise RecordError(f"bad record: {exc}") from exc
     # names are written one per line and tab-separated in the view files
     for name in (record.user_id, *record.hashtags, *record.urls):
-        if _SEPARATOR_RE.search(str(name)):
+        if _SEPARATOR_RE.search(name):
             raise RecordError(f"tab or line break in {name!r}")
     return record
 

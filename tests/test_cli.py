@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import mvmc
-from mvmc import cli, compare, ingest
+from mvmc import compare, ingest
 from mvmc.cli import atomic_write, main
 from mvmc.compare import DUMMY_LABEL, LabeledClustering, cross_level, write_ari_matrix
 from mvmc.ensemble import average_internal_ari, filter_small_clusters
@@ -407,7 +407,6 @@ def test_pipeline_tokenises_each_post_once(tmp_path, runner, corpus, monkeypatch
         return tokenise(text)
 
     monkeypatch.setattr(ingest, "preprocess_text", counting)
-    monkeypatch.setattr(cli, "preprocess_text", counting)
     result, out = run_pipeline_on(tmp_path, runner, "churn", posts_text)
     assert result.exit_code == 0, result.output
     assert len(calls) == len(posts_text.splitlines())
@@ -657,6 +656,21 @@ def test_names_with_tabs_or_line_breaks_are_skipped(tmp_path, runner, corpus):
     bad.append(json.dumps({"post_id": "cr", "timestamp": "2020-03-01T12:00:00+00:00",
                            "user_id": "user_a1", "text": "masks", "hashtags": ["tagA0"],
                            "urls": ["https://example.org/\r"]}) + "\n")
+    # fields of the wrong JSON type, each in 3 posts so that a hashtag
+    # among them would pass the frequency floor
+    mistyped = [
+        ("hashtags", [["tagA0"]], "hashtags is not an array of non-empty strings"),
+        ("urls", [["https://example.org/"]], "urls is not an array of strings"),
+        ("hashtags", [1, "tagA0"], "hashtags is not an array of non-empty strings"),
+        ("timestamp", 1583020800, "timestamp 1583020800 is not a string"),
+        ("hashtags", "xyz", "hashtags is not an array of non-empty strings"),
+        ("hashtags", ["", "tagA0"], "hashtags is not an array of non-empty strings"),
+    ]
+    for field, value, _message in mistyped:
+        for i in range(3):
+            record = json.loads(post_line(f"{field}{i}", "2020-03-01", ["tagA0"], "health",
+                                          "user_a1"))
+            bad.append(json.dumps({**record, field: value}) + "\n")
     posts = tmp_path / "posts.jsonl"
     posts.write_text(corpus.read_text() + "".join(bad))
     plain, views = tmp_path / "plain", tmp_path / "views"
@@ -667,8 +681,14 @@ def test_names_with_tabs_or_line_breaks_are_skipped(tmp_path, runner, corpus):
     names = ["a\tb"] * 6 + ["user\nx", "https://example.org/\r"]
     for lineno, name in enumerate(names, first):
         assert f"warning: line {lineno} skipped: tab or line break in {name!r}" in result.stderr
+    for lineno, (_field, _value, message) in enumerate(
+            [m for m in mistyped for _ in range(3)], first + len(names)):
+        assert f"warning: line {lineno} skipped: bad record: {message}" in result.stderr
     assert tree_bytes(views) == tree_bytes(plain)
     invoke_ok(runner, "cluster", views / "2020-03-01", tmp_path / "c")
+    result, out = run_pipeline_on(tmp_path, runner, "run", posts.read_text())
+    assert result.exit_code == 0, result.output
+    assert tree_bytes(out / "views") == tree_bytes(plain)
 
 
 def test_importing_the_cli_loads_no_heavy_scipy_subpackage():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mvmc import Clustering, GraphUsageError, ViewGraph
+from mvmc.graph import densify_labels
 from mvmc.synth import planted_partition_graph, planted_partition_views
 
 from oracles import (
@@ -40,6 +41,19 @@ def test_connected_components():
     assert ViewGraph.from_edges(3, []).connected_components() == [{0}, {1}, {2}]
     g2 = ViewGraph.from_edges(4, [(0, 1, 1.0), (2, 3, 1.0)])
     assert g2.connected_components() == [{0, 1}, {2, 3}]
+    assert ViewGraph.from_edges(0, []).connected_components() == []
+    g3 = ViewGraph.from_edges(5, [(0, 4, 1.0), (1, 3, 1.0)])
+    components = g3.connected_components()
+    assert components == [{0, 4}, {1, 3}, {2}]
+    assert all(type(node) is int for group in components for node in group)
+
+
+def test_densify_labels_numbers_labels_in_first_appearance_order():
+    assert densify_labels([7, 3, 7, 9, 3]).tolist() == [0, 1, 0, 2, 1]
+    assert densify_labels(np.array([5, 5, -1])).tolist() == [0, 0, 1]
+    assert densify_labels(["b", "a", "b", "c"]).tolist() == [0, 1, 0, 2]
+    empty = densify_labels([])
+    assert empty.dtype == np.int64 and empty.shape == (0,)
 
 
 def test_rejects_self_loops_and_duplicates():
