@@ -94,8 +94,6 @@ class ViewGraph:
 
     def connected_components(self) -> list[set[int]]:
         """Maximal connected node sets, ordered by smallest node; isolates are singletons."""
-        if self.n == 0:
-            return []
         from scipy.sparse import csgraph
 
         _count, labels = csgraph.connected_components(self.adjacency(), directed=False)
