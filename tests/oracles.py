@@ -178,6 +178,23 @@ def brute_average_linkage(distance) -> list[tuple[int, int, int, float]]:
     return merges
 
 
+def brute_cut(merges, k: int) -> list[int]:
+    """Labels after the first n - k merges, by a union-find over cluster
+    ids; groups numbered in order of their first item."""
+    n = len(merges) + 1
+    parent = list(range(2 * n - 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for step, left, right, _h in merges[: n - k]:
+        parent[left] = parent[right] = n + step
+    roots: dict = {}
+    return [roots.setdefault(find(i), len(roots)) for i in range(n)]
+
+
 def brute_thetas(edges, n, labels):
     """Naive edge/degree counting for one view; edges = [(i, j, w)]."""
     m = sum(w for _, _, w in edges)
@@ -431,6 +448,25 @@ def brute_view_graph(n, edges):
         if u[k] == u[k - 1] and v[k] == v[k - 1]:
             raise ValueError(f"duplicate edge ({u[k]},{v[k]})")
     return u, v, w
+
+
+def brute_components(n, edges) -> list[set[int]]:
+    """Connected node sets by a union-find over the edge list, ordered by
+    their smallest node."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, j, _w in edges:
+        ri, rj = find(i), find(j)
+        parent[max(ri, rj)] = min(ri, rj)
+    groups: dict = {}
+    for node in range(n):
+        groups.setdefault(find(node), set()).add(node)
+    return [groups[root] for root in sorted(groups)]
 
 
 def brute_planted_partition_edges(labels, p_in, p_out, rng):

@@ -18,7 +18,7 @@ from mvmc import (
 from mvmc import compare
 from mvmc.compare import cut
 from mvmc.ensemble import filter_small_clusters
-from oracles import brute_ari, brute_ari_matrix, brute_average_linkage
+from oracles import brute_ari, brute_ari_matrix, brute_average_linkage, brute_cut
 
 
 def lc(tag, mapping):
@@ -395,6 +395,18 @@ def test_cut_of_one_merge_list_gives_every_k():
         assert len(set(labels.tolist())) == k
     with pytest.raises(GraphUsageError):
         cut(merges, 7)
+
+
+def test_cut_matches_the_union_find_oracle_at_every_k():
+    rng = np.random.default_rng(11)
+    for n in range(2, 30):
+        d = rng.random((n, n))
+        # rounding to one decimal makes ties, so equal heights are merged too
+        d = np.round((d + d.T) / 2, 1 if n % 3 == 0 else 6)
+        np.fill_diagonal(d, 0.0)
+        merges = average_linkage_merges(d)
+        for k in range(1, n + 1):
+            assert cut(merges, k).tolist() == brute_cut(merges, k), (n, k)
 
 
 def test_read_tsv_rejects_malformed_line(tmp_path):

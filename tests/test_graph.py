@@ -6,6 +6,7 @@ from mvmc.graph import densify_labels
 from mvmc.synth import planted_partition_graph, planted_partition_views
 
 from oracles import (
+    brute_components,
     brute_planted_partition_edges,
     brute_planted_partition_views,
     brute_view_graph,
@@ -46,6 +47,17 @@ def test_connected_components():
     components = g3.connected_components()
     assert components == [{0, 4}, {1, 3}, {2}]
     assert all(type(node) is int for group in components for node in group)
+
+
+def test_connected_components_match_the_union_find_oracle():
+    rng = np.random.default_rng(5)
+    for trial in range(300):
+        n = int(rng.integers(0, 40))
+        ends = rng.integers(0, max(n, 1), (int(rng.integers(0, n + 1)), 2)).tolist()
+        pairs = sorted({(min(i, j), max(i, j)) for i, j in ends if i != j})
+        edges = [(i, j, 1.0) for i, j in pairs]
+        g = ViewGraph.from_edges(n, edges)
+        assert g.connected_components() == brute_components(n, edges), trial
 
 
 def test_densify_labels_numbers_labels_in_first_appearance_order():
