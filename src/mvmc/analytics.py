@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .graph import GraphUsageError
+from .graph import GraphUsageError, densify_labels
 
 
 def top_users(usage: dict[str, float], fraction: float = 1 / 3) -> frozenset:
@@ -89,12 +89,6 @@ def token_frequencies(token_counts: dict[str, int], top_n: int = 20) -> list[tup
     return heapq.nsmallest(top_n, token_counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def _recode(index: dict, names) -> np.ndarray:
-    """Codes in `index` of a day's distinct names; new names are added."""
-    return np.fromiter((index.setdefault(name, len(index)) for name in names),
-                       np.int64, len(names))
-
-
 def _row_dicts(mat, names: tuple, cast) -> list[dict]:
     """Each row of a CSR matrix as {column name: cast(value)}."""
     mat.sum_duplicates()
@@ -124,7 +118,8 @@ def usage_tables(days, clusters: dict) -> tuple[dict[str, dict[str, float]], dic
     # period codes of each day's users and tokens, one lookup per distinct name
     user_index: dict = {}
     token_index: dict = {}
-    day_maps = [(_recode(user_index, d.users), _recode(token_index, d.tokens)) for d in days]
+    day_maps = [(densify_labels(d.users, user_index), densify_labels(d.tokens, token_index))
+                for d in days]
     # (hashtag, user) pairs are few, one per post holding the hashtag, and
     # are counted at the end; token counts are summed day by day as
     # (cluster x post) @ (post x token) products

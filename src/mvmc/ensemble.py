@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 
 from .compare import DUMMY_LABEL, LabeledClustering, pairwise_ari_matrix
-from .graph import GraphUsageError, ViewGraph, densify_labels
+from .graph import GraphUsageError, ViewGraph
 from .modularity import maximize
 
 MIN_CLUSTER_SIZE = 5
@@ -56,8 +56,9 @@ def ensemble_cluster(clusterings: list[LabeledClustering], seed: int = 0) -> Lab
         raise GraphUsageError("ensembling needs at least two clusterings")
     universe = sorted(set().union(*(c.objects for c in clusterings)))
     graph = build_object_cluster_graph(clusterings, universe)
-    partition = maximize([graph], seed=seed)
-    labels = densify_labels(partition.labels[: len(universe)])
+    # maximize's labels are dense in first-appearance order, so the labels
+    # of the objects, nodes 0..U-1, are too
+    labels = maximize([graph], seed=seed).labels[: len(universe)]
     return LabeledClustering(
         {obj: int(lab) for obj, lab in zip(universe, labels)}, tag="consensus"
     )

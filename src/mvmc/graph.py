@@ -146,8 +146,9 @@ class Clustering:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
 
-def densify_labels(raw: Sequence) -> np.ndarray:
-    """Map arbitrary labels to dense ints in first-appearance order."""
-    mapping: dict = {}
-    return np.fromiter((mapping.setdefault(lab, len(mapping)) for lab in raw),
+def densify_labels(raw: Sequence, index: dict | None = None) -> np.ndarray:
+    """Map arbitrary labels to dense ints in first-appearance order; labels
+    already in `index` keep their codes there, and new ones are added to it."""
+    index = {} if index is None else index
+    return np.fromiter((index.setdefault(lab, len(index)) for lab in raw),
                        np.int64, len(raw))

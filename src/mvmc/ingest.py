@@ -126,31 +126,25 @@ def _parse_timestamp(value: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
-def _names(obj: dict, key: str, nonempty: bool) -> tuple[str, ...]:
-    """The `key` array of a JSON record, checked to hold only strings."""
-    value = obj.get(key, [])
+def _names(key: str, value, nonempty: bool) -> list:
+    """`value` checked to be a list of strings, non-empty ones if `nonempty`."""
     if not (isinstance(value, list)
             and all(isinstance(v, str) and (v or not nonempty) for v in value)):
         kind = "non-empty strings" if nonempty else "strings"
         raise RecordError(f"{key} is not an array of {kind}: {value!r}")
-    return tuple(value)
+    return value
 
 
-def parse_json_record(line: str) -> PostRecord:
-    """One line-delimited JSON record with the PostRecord fields: `timestamp`
-    is a string, `hashtags` an array of non-empty strings, `urls` an array of
-    strings."""
-    obj = json.loads(line)
+def _record(post_id, timestamp, user_id, text, hashtags, urls) -> PostRecord:
+    """The checked post that both readers build: `hashtags` a list of
+    non-empty strings, `urls` a list of strings whose empty ones are dropped,
+    and no tab or line break in the user id, a hashtag or a URL."""
     try:
-        record = PostRecord(
-            post_id=str(obj["post_id"]),
-            timestamp=_parse_timestamp(obj["timestamp"]),
-            user_id=str(obj["user_id"]),
-            text=str(obj.get("text", "")),
-            hashtags=_names(obj, "hashtags", nonempty=True),
-            urls=_names(obj, "urls", nonempty=False),
-        )
-    except (KeyError, ValueError, TypeError) as exc:
+        hashtags = tuple(_names("hashtags", hashtags, nonempty=True))
+        urls = tuple(filter(None, _names("urls", urls, nonempty=False)))
+        record = PostRecord(str(post_id), _parse_timestamp(timestamp), str(user_id),
+                            str(text), hashtags, urls)
+    except (ValueError, OverflowError) as exc:  # overflow: UTC year outside 1..9999
         raise RecordError(f"bad record: {exc}") from exc
     # names are written one per line and tab-separated in the view files
     for name in (record.user_id, *record.hashtags, *record.urls):
@@ -159,24 +153,25 @@ def parse_json_record(line: str) -> PostRecord:
     return record
 
 
+def parse_json_record(line: str) -> PostRecord:
+    """One line-delimited JSON object with the PostRecord fields; `text`,
+    `hashtags` and `urls` may be left out."""
+    obj = json.loads(line)
+    try:
+        fields = obj["post_id"], obj["timestamp"], obj["user_id"]
+    except (KeyError, TypeError) as exc:
+        raise RecordError(f"bad record: {exc}") from exc
+    return _record(*fields, obj.get("text", ""), obj.get("hashtags", []), obj.get("urls", []))
+
+
 def parse_tsv_record(line: str) -> PostRecord:
-    """TSV fallback: post_id, timestamp, user_id, text, hashtags, urls
-    (last two comma-separated, may be empty)."""
+    """TSV fallback: post_id, timestamp, user_id, text, hashtags, urls (the
+    last two comma-separated, may be empty; empty items are dropped)."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 6:
         raise RecordError(f"expected 6 TSV fields, got {len(parts)}")
     post_id, ts, user, text, tags, urls = parts
-    try:
-        return PostRecord(
-            post_id=post_id,
-            timestamp=_parse_timestamp(ts),
-            user_id=user,
-            text=text,
-            hashtags=tuple(t for t in tags.split(",") if t),
-            urls=tuple(u for u in urls.split(",") if u),
-        )
-    except ValueError as exc:
-        raise RecordError(f"bad record: {exc}") from exc
+    return _record(post_id, ts, user, text, list(filter(None, tags.split(","))), urls.split(","))
 
 
 def _check_utf8(line: str) -> None:

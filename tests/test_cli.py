@@ -487,14 +487,35 @@ def quiet_posts(day: str, hashtags: list, count: int) -> str:
     )
 
 
-def run_pipeline_on(tmp_path, runner, name, posts_text, meta_k=2, overrides=()):
-    posts = tmp_path / f"{name}.jsonl"
+def run_pipeline_on(tmp_path, runner, name, posts_text, meta_k=2, overrides=(), suffix=".jsonl"):
+    posts = tmp_path / f"{name}{suffix}"
     posts.write_text(posts_text)
     cfg = tmp_path / f"{name}.yaml"
     out = tmp_path / name
     cfg.write_text(f"input: {posts}\noutput_dir: {out}\nmeta_k: {meta_k}\n")
     sets = [arg for item in overrides for arg in ("--set", item)]
     return runner.invoke(main, ["pipeline", str(cfg), *sets]), out
+
+
+def test_json_and_tsv_copies_of_a_corpus_give_the_same_artifacts(tmp_path, runner, corpus):
+    # three posts with an empty URL: `"urls": [""]` in the JSON copy, an
+    # empty URL column in the TSV copy; neither is a URL named ""
+    extra = [post_line(f"empty{i}", "2020-03-01", ["tagA0", "tagA1"], "health masks",
+                       "user_a1").replace('"urls": []', '"urls": [""]') for i in range(3)]
+    records = [json.loads(line) for line in corpus.read_text().splitlines() + extra]
+    assert [r["urls"] for r in records[-3:]] == [[""]] * 3
+    tsv = "".join(
+        "\t".join([r["post_id"], r["timestamp"], r["user_id"], r["text"],
+                   ",".join(r["hashtags"]), ",".join(r["urls"])]) + "\n"
+        for r in records
+    )
+    json_result, json_out = run_pipeline_on(tmp_path, runner, "json",
+                                            corpus.read_text() + "".join(extra))
+    tsv_result, tsv_out = run_pipeline_on(tmp_path, runner, "tsv", tsv, suffix=".tsv")
+    assert json_result.exit_code == 0, json_result.output
+    assert tsv_result.exit_code == 0, tsv_result.output
+    assert {p.name for p in json_out.iterdir()} >= {"views", "clusters", "reports"}
+    assert tree_bytes(json_out) == tree_bytes(tsv_out)
 
 
 def check_report_sizes(out) -> Counter:

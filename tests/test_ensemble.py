@@ -12,6 +12,7 @@ from mvmc import (
     filter_small_clusters,
 )
 from mvmc.ensemble import MIN_CLUSTER_SIZE
+from mvmc.graph import densify_labels
 
 from oracles import brute_ari, brute_ari_matrix
 
@@ -91,6 +92,10 @@ def test_ensemble_deterministic():
     a = ensemble_cluster(days, seed=5)
     b = ensemble_cluster(days, seed=5)
     assert a.assignments == b.assignments
+    # the consensus labels, read in the sorted universe's order, are dense
+    # in first-appearance order
+    labels = [a.assignments[obj] for obj in sorted(a.assignments)]
+    assert labels == densify_labels(labels).tolist()
 
 
 def test_average_internal_ari():

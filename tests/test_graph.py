@@ -66,6 +66,11 @@ def test_densify_labels_numbers_labels_in_first_appearance_order():
     assert densify_labels(["b", "a", "b", "c"]).tolist() == [0, 1, 0, 2]
     empty = densify_labels([])
     assert empty.dtype == np.int64 and empty.shape == (0,)
+    # two calls sharing one index: known labels keep their codes
+    index = {}
+    assert densify_labels(["b", "a", "b"], index).tolist() == [0, 1, 0]
+    assert densify_labels(["c", "a", "c"], index).tolist() == [2, 1, 2]
+    assert index == {"b": 0, "a": 1, "c": 2}
 
 
 def test_rejects_self_loops_and_duplicates():

@@ -101,6 +101,32 @@ def test_parse_tsv_record():
         parse_tsv_record("too\tfew\tfields")
 
 
+def test_json_record_drops_empty_urls():
+    rec = parse_json_record(
+        '{"post_id": "1", "timestamp": "2020-03-01T12:00:00Z", "user_id": "u9",'
+        ' "text": "hi", "hashtags": ["#a"], "urls": ["", "http://x.co/a", ""]}'
+    )
+    assert rec.urls == ("http://x.co/a",)
+
+
+def test_tsv_record_drops_empty_urls():
+    rec = parse_tsv_record("1\t2020-03-01T12:00:00Z\tu9\thi\t#a\t,http://x.co/a,\n")
+    assert rec.urls == ("http://x.co/a",)
+
+
+def test_timestamps_outside_the_utc_calendar_are_bad_records(tmp_path):
+    # each is a valid date, but its UTC time falls before year 1 or after 9999
+    stamps = ["0001-01-01T00:00:00+01:00", "9999-12-31T23:00:00-05:00"]
+    path = tmp_path / "posts.tsv"
+    path.write_text("".join(f"{i}\t{ts}\tu\t\t#a\t\n" for i, ts in enumerate(stamps)))
+    errors = []
+    assert read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg))) == []
+    assert errors == [(1, "bad record: date value out of range"),
+                      (2, "bad record: date value out of range")]
+    with pytest.raises(RecordError, match="date value out of range"):
+        parse_json_record('{"post_id": "1", "timestamp": "%s", "user_id": "u"}' % stamps[0])
+
+
 def test_read_posts_reports_bad_lines(tmp_path):
     path = tmp_path / "posts.jsonl"
     path.write_text(
