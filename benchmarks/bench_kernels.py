@@ -13,10 +13,13 @@ its time per iteration and its iteration count) under each backend. It checks
 that both sides give identical sweeps, aggregated graphs, restarts (labels,
 counters and generator state) and partitions. A readable report goes to
 stderr; stdout gets one JSON line with every timing, the agreement flags,
-`mvmc._kernels.BACKEND` ("c", or "python" when the C build is unavailable or
-MVMC_KERNEL=python), the CPU count and the Python/numpy/scipy versions. The
-timed maximize() and run_mvmc() calls run in fresh interpreters, one per
-backend, chosen with MVMC_KERNEL, so no backend is swapped in. The level
+`mvmc._kernels.BACKEND` ("c", or "python" when no C build can be had), the
+CPU count and the Python/numpy/scipy versions. The timed maximize() and
+run_mvmc() calls run in fresh interpreters, so no backend is swapped in: one
+with this interpreter's environment, and one with no compiler on PATH and an
+empty build cache, where the Python references run as on a machine without a
+compiler. Run with no compiler on PATH, the benchmark times the references
+on both sides. The level
 inputs are recorded by a pass-through wrapper around `modularity.aggregate`
 during one maximize() call under the reference restart, since the compiled
 one aggregates inside C.
@@ -34,6 +37,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from unittest import mock
@@ -205,14 +209,22 @@ def whole_calls_here(args):
                       "driver_labels": final.labels.tolist()}))
 
 
-def whole_calls_with(kernel_env, args):
-    """maximize() and run_mvmc() in a fresh interpreter, with `kernel_env`
-    added to this one's environment."""
-    env = {**os.environ, **kernel_env}
+def whole_calls_with(fallback, args):
+    """maximize() and run_mvmc() in a fresh interpreter with this one's
+    environment, or, with `fallback`, with no compiler on PATH and an empty
+    build cache, so the Python references run."""
     cmd = [sys.executable, __file__, "--n", str(args.n), "--views", str(args.views),
            "--whole-calls-here"]
-    out = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ)
+        if fallback:
+            os.mkdir(os.path.join(cache, "bin"))
+            env.update(PATH=os.path.join(cache, "bin"), XDG_CACHE_HOME=cache)
+        out = subprocess.run(cmd, env=env, stdout=subprocess.PIPE, text=True, check=True)
+    res = json.loads(out.stdout.strip().splitlines()[-1])
+    if fallback and res["backend"] != "python":
+        raise SystemExit(f"the fallback interpreter ran the {res['backend']!r} kernels")
+    return res
 
 
 def report(line):
@@ -275,8 +287,8 @@ def main():
                    f"  ({len(results)} restarts, {n_sweeps} sweeps)")
 
     whole = {}
-    for label, kernel_env in ((BACKEND, {}), ("python", {"MVMC_KERNEL": "python"})):
-        res = whole_calls_with(kernel_env, args)
+    for label, fallback in ((BACKEND, False), ("python", True)):
+        res = whole_calls_with(fallback, args)
         whole[label] = res
         per_iteration = res["driver_seconds"] / res["driver_iterations"]
         result[f"maximize_{label}_s"] = res["seconds"]

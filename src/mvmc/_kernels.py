@@ -35,10 +35,10 @@ with their transpose, so both give the same edges bit for bit.
 
 At import the C source is built with the local C compiler into a per-user
 cache and loaded through ctypes; `move_pass`, `aggregate` and `knn_edges` are
-then checked wrappers around it. Without a compiler, when the build or load
-fails, when the draw differs, or with MVMC_KERNEL=python, they are
-`_move_pass`, `_aggregate` and `_knn_edges`, and `run_restarts` and
-`draw_order` are None. `BACKEND` names the implementation that runs: "c" or
+then checked wrappers around it. With no `cc` or `gcc` on PATH, when the
+build or load fails, or when the draw differs, they are `_move_pass`,
+`_aggregate` and `_knn_edges`, and `run_restarts` and `draw_order` are None;
+no switch chooses. `BACKEND` names the implementation that runs: "c" or
 "python". benchmarks/bench_kernels.py and benchmarks/bench_ingest.py compare
 the two.
 """
@@ -517,7 +517,6 @@ def _in_place(a, dtype, shape, name):
 move_pass, aggregate, knn_edges = _move_pass, _aggregate, _knn_edges
 draw_order = run_restarts = None  # compiled only
 BACKEND = "python"
-if os.environ.get("MVMC_KERNEL") != "python":
-    _compiled = _load_c_kernels()
-    if _compiled is not None:
-        (move_pass, aggregate, draw_order, run_restarts, knn_edges), BACKEND = _compiled, "c"
+_compiled = _load_c_kernels()
+if _compiled is not None:
+    (move_pass, aggregate, draw_order, run_restarts, knn_edges), BACKEND = _compiled, "c"

@@ -72,12 +72,15 @@ def _fail(code: int, message: str):
 
 
 @contextmanager
-def _exits_on(error: type[Exception], code: int):
-    """An `error` raised in the block prints `error: ...` and exits `code`."""
+def _exits_on(error, code: int, where: str = ""):
+    """An `error` (a type or a tuple) raised in the block prints `error: ...`,
+    after `where: ` if given, and exits `code`. A decoding error's position
+    counts from the chunk being decoded, not the file, so it is left out."""
     try:
         yield
     except error as exc:
-        _fail(code, str(exc))
+        detail = f"not valid UTF-8 ({exc.reason})" if isinstance(exc, UnicodeDecodeError) else exc
+        _fail(code, f"{where}: {detail}" if where else str(detail))
 
 
 def _write_rows(path: Path, rows, header: str = ""):
@@ -231,16 +234,16 @@ def _read_day_views(day_dir: Path) -> list[ViewMatrix]:
     registry_path = day_dir / "registry.tsv"
     if not registry_path.is_file():
         _fail(EXIT_INPUT, f"missing registry: {registry_path}")
-    registry = tuple(
-        line for line in registry_path.read_text(encoding="utf-8").split("\n") if line
-    )
+    with _exits_on(UnicodeDecodeError, EXIT_INPUT, str(registry_path)):
+        registry = tuple(filter(None, registry_path.read_text(encoding="utf-8").split("\n")))
     views = []
     for name in VIEW_NAMES:
         path = day_dir / f"{name}.triplets"
         if not path.is_file():
             _fail(EXIT_INPUT, f"missing view file: {path}")
         cols = registry if name == "cooccur" else None
-        views.append(ViewMatrix.read_triplets(path, row_names=registry, col_names=cols))
+        with _exits_on(UnicodeDecodeError, EXIT_INPUT, str(path)):
+            views.append(ViewMatrix.read_triplets(path, row_names=registry, col_names=cols))
     return views
 
 
@@ -271,7 +274,8 @@ def _write_clustering(lc: LabeledClustering, trace, labels_path: Path, trace_pat
 def _read_clustering(path: Path, tag: str = "") -> LabeledClustering:
     if not path.is_file():
         _fail(EXIT_INPUT, f"clustering not found: {path}")
-    with _exits_on(GraphUsageError, EXIT_INPUT):
+    with _exits_on(GraphUsageError, EXIT_INPUT), \
+            _exits_on(UnicodeDecodeError, EXIT_INPUT, str(path)):
         return LabeledClustering.read_tsv(path, tag)
 
 
@@ -459,15 +463,7 @@ def synth(mode, n, blocks, views, noise_views, p_in, p_out, posts_per_day, seed,
         else:
             records = synthetic_corpus(seed=seed, posts_per_day=posts_per_day)
             _write_rows(out / "posts.jsonl", (
-                (json.dumps({
-                    "post_id": r.post_id,
-                    "timestamp": r.timestamp.isoformat(),
-                    "user_id": r.user_id,
-                    "text": r.text,
-                    "hashtags": list(r.hashtags),
-                    "urls": list(r.urls),
-                }),)
-                for r in records
+                (json.dumps({**vars(r), "timestamp": r.timestamp.isoformat()}),) for r in records
             ))
             click.echo(f"{len(records)} posts")
 
@@ -505,13 +501,15 @@ def pipeline(config_path, overrides):
     cfg_path = Path(config_path)
     if not cfg_path.is_file():
         _fail(EXIT_INPUT, f"config not found: {cfg_path}")
-    with open(cfg_path, encoding="utf-8") as fh:
+    with _exits_on((yaml.YAMLError, UnicodeDecodeError), EXIT_INPUT, f"config {cfg_path}"), \
+            open(cfg_path, encoding="utf-8") as fh:
         cfg = yaml.safe_load(fh) or {}
     if not isinstance(cfg, dict):
         _fail(EXIT_INPUT, f"config must be a mapping of keys to values: {cfg_path}")
     for item in overrides:
         key, _, value = item.partition("=")
-        cfg[key] = yaml.safe_load(value)
+        with _exits_on(yaml.YAMLError, EXIT_INPUT, f"--set {item}"):
+            cfg[key] = yaml.safe_load(value)
     run_pipeline(_pipeline_params(cfg))
 
 

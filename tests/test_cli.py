@@ -226,6 +226,7 @@ def test_pipeline_missing_config_keys(tmp_path, runner):
         ("idf=tf", "config key idf: expected one of ratio, log"),
         ("knn-k=3", "unknown config keys: knn-k (known keys: input, output_dir, seed,"),
         ("jobs=2", "unknown config keys: jobs"),
+        ("seed=[1", "--set seed=[1: while parsing a flow sequence"),
     ],
 )
 def test_pipeline_bad_config_value_exits_2(tmp_path, runner, corpus, override, message):
@@ -237,6 +238,18 @@ def test_pipeline_bad_config_value_exits_2(tmp_path, runner, corpus, override, m
     assert result.output.startswith("error: ")
     assert message in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"input: [unclosed\n", "while parsing a flow sequence"),
+    (b"input: posts\xff.jsonl\n", "not valid UTF-8 (invalid start byte)"),
+])
+def test_unreadable_config_exits_2(tmp_path, runner, content, message):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_bytes(content)
+    result = runner.invoke(main, ["pipeline", str(cfg)])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: config {cfg}: {message}")
 
 
 def test_atomic_write_leaves_no_stray_file(tmp_path):
@@ -653,6 +666,35 @@ def test_malformed_clustering_tsv_exits_2(tmp_path, runner, corpus):
         assert result.output.startswith(f"error: {bad}:2: expected object<TAB>label")
 
 
+def test_clustering_tsv_that_is_not_utf8_exits_2(tmp_path, runner, corpus):
+    clusters = tmp_path / "clusters"
+    clusters.mkdir()
+    (clusters / "2020-03-01.tsv").write_text("#a\t0\n#b\t0\n")
+    bad = clusters / "2020-03-02.tsv"
+    bad.write_bytes(b"#a\t0\n#b\xff\t0\n")
+    for args in (
+        ["compare", clusters, tmp_path / "cmp", "--meta-k", "1"],
+        ["ensemble", clusters, tmp_path / "consensus.tsv"],
+        ["analyze", corpus, bad, tmp_path / "reports"],
+    ):
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith(f"error: {bad}: not valid UTF-8 (invalid start byte)")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["clusters", "synth"]
+
+
+@pytest.mark.parametrize("name", ["registry.tsv", "text.triplets", "cooccur.triplets"])
+def test_day_view_file_that_is_not_utf8_exits_2(tmp_path, runner, corpus, name):
+    views = tmp_path / "views"
+    invoke_ok(runner, "ingest", corpus, views)
+    bad = views / "2020-03-01" / name
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    result = runner.invoke(main, ["cluster", str(views / "2020-03-01"), str(tmp_path / "c")])
+    assert result.exit_code == 2, result.output
+    assert result.output.startswith(f"error: {bad}: not valid UTF-8 (invalid start byte)")
+    assert not (tmp_path / "c").exists()
+
+
 @pytest.mark.parametrize("line, message", [
     ("tagA0\thealth\t1.0\textra", "expected row<TAB>col<TAB>count, got 4 field(s)"),
     ("tagA0 health 1.0", "expected row<TAB>col<TAB>count, got 1 field(s)"),
@@ -686,6 +728,9 @@ def test_names_with_tabs_or_line_breaks_are_skipped(tmp_path, runner, corpus):
         ("timestamp", 1583020800, "timestamp 1583020800 is not a string"),
         ("hashtags", "xyz", "hashtags is not an array of non-empty strings"),
         ("hashtags", ["", "tagA0"], "hashtags is not an array of non-empty strings"),
+        ("post_id", None, "post_id is null"),
+        ("user_id", None, "user_id is null"),
+        ("text", None, "text is null"),
     ]
     for field, value, _message in mistyped:
         for i in range(3):
@@ -750,11 +795,33 @@ print(*loaded() or ["-"])
 knn_graph(tfidf(ViewMatrix.from_codes([0, 1, 2, 2], [0, 0, 1, 2], "abc", "xyz")), 1)
 print("scipy.sparse" in loaded())
 """
-    env = {k: v for k, v in os.environ.items() if k != "MVMC_KERNEL"}
-    env["PYTHONPATH"] = str(Path(mvmc.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": str(Path(mvmc.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     backend, before, after = proc.stdout.splitlines()
     if backend != "c":
         pytest.skip("the Python reference kernels use scipy.sparse")
     assert (before, after) == ("-", "True")
+
+
+@pytest.mark.skipif(mvmc._kernels.BACKEND != "c", reason="the compiled kernel did not load")
+def test_pipeline_without_a_compiler_writes_the_compiled_bytes(tmp_path, runner, corpus):
+    """A run with no compiler on PATH and an empty build cache uses the Python
+    references, and every artifact it writes is the compiled run's."""
+    for backend in ("c", "python"):
+        (tmp_path / f"{backend}.yaml").write_text(
+            f"input: {corpus}\noutput_dir: {tmp_path / backend}\nmeta_k: 2\n")
+    invoke_ok(runner, "pipeline", tmp_path / "c.yaml")
+    (tmp_path / "bin").mkdir()
+    env = {**os.environ, "PYTHONPATH": str(Path(mvmc.__file__).parents[1]),
+           "PATH": str(tmp_path / "bin"), "XDG_CACHE_HOME": str(tmp_path / "cache")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "from mvmc import _kernels; from mvmc.cli import main;"
+         " print(_kernels.BACKEND); main()", "pipeline", str(tmp_path / "python.yaml")],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "python"
+    compiled = tree_bytes(tmp_path / "c")
+    assert "reports/period_0_tokens.tsv" in compiled
+    assert tree_bytes(tmp_path / "python") == compiled

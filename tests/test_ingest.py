@@ -1,3 +1,4 @@
+import json
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -125,6 +126,33 @@ def test_timestamps_outside_the_utc_calendar_are_bad_records(tmp_path):
                       (2, "bad record: date value out of range")]
     with pytest.raises(RecordError, match="date value out of range"):
         parse_json_record('{"post_id": "1", "timestamp": "%s", "user_id": "u"}' % stamps[0])
+
+
+def json_line(**fields):
+    record = {"post_id": "1", "timestamp": "2020-03-01T12:00:00Z", "user_id": "u",
+              "text": "hi", "hashtags": ["#a"], "urls": []}
+    return json.dumps({**record, **fields}) + "\n"
+
+
+@pytest.mark.parametrize("field", ["post_id", "user_id", "text"])
+def test_a_null_id_or_text_is_a_bad_record(tmp_path, field):
+    """A null is not the string "None": posts with null ids would share one
+    id, and one null user would hold all of them."""
+    path = tmp_path / "posts.jsonl"
+    nulled = "".join(json_line(**{"post_id": str(i), field: None}) for i in (2, 3, 4))
+    path.write_text(json_line(post_id="1") + nulled + json_line(post_id="5"))
+    errors = []
+    records = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
+    assert [r.post_id for r in records] == ["1", "5"]
+    assert errors == [(ln, f"bad record: {field} is null") for ln in (2, 3, 4)]
+    with pytest.raises(RecordError, match=f"^bad record: {field} is null$"):
+        parse_json_record(json_line(**{field: None}))
+
+
+def test_json_numbers_are_read_as_strings():
+    rec = parse_json_record(json_line(post_id=7, user_id=12, text=3.5))
+    assert (rec.post_id, rec.user_id, rec.text) == ("7", "12", "3.5")
+    assert preprocess_text(rec.text) == ["3", "5"]
 
 
 def test_read_posts_reports_bad_lines(tmp_path):

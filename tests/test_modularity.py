@@ -558,7 +558,6 @@ def test_wrong_compiled_draw_loads_no_c_routine(tmp_path):
         input=wrong, capture_output=True, check=True,
     )
     env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
-    env.pop("MVMC_KERNEL", None)
     code = (
         "from mvmc import _kernels, modularity;"
         "print(_kernels.BACKEND, _kernels.move_pass is _kernels._move_pass,"
@@ -661,7 +660,6 @@ def test_compiled_scratch_is_written_before_it_is_read(perturb):
     (165) is about -1e-127, too small to change a sum of similarities, so
     the check runs again with 63: 0x3F... is about 3e-4, and 0xC0... -8.6e3."""
     env = {**os.environ, "MALLOC_PERTURB_": perturb}
-    env.pop("MVMC_KERNEL", None)
     out = subprocess.run(
         [sys.executable, "-c", SCRATCH_CHECK], env=env, capture_output=True, text=True,
         timeout=120,
@@ -748,28 +746,41 @@ def test_aggregate_without_edges():
     assert indptr.tolist() == [0, 0, 0] and deg.tolist() == [[2.0, 2.0], [1.0, 1.0]]
 
 
+FALLBACK_CHECK = """
+from scipy import sparse
+from mvmc import ViewMatrix, _kernels, knn_graph, maximize, modularity
+from mvmc.synth import planted_partition_views
+
+print(_kernels.BACKEND, _kernels.move_pass is _kernels._move_pass,
+      _kernels.aggregate is _kernels._aggregate, _kernels.knn_edges is _kernels._knn_edges,
+      _kernels.run_restarts, _kernels.draw_order,
+      modularity.run_restarts is modularity._restarts)
+m = ViewMatrix(sparse.csr_matrix([[1., 0.], [1., 0.], [0., 1.]]), ("a", "b", "c"), ("x", "y"))
+print(knn_graph(m, k=1).edge_count)
+g, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5)
+print(*maximize(g, seed=1).labels)
+"""
+
+
 def test_without_compiler_falls_back_to_python(tmp_path):
+    """With no compiler on PATH and an empty build cache, every kernel is its
+    Python reference, and a partition is the one this process finds."""
     (tmp_path / "bin").mkdir()
     env = {**os.environ, "PATH": str(tmp_path / "bin"), "XDG_CACHE_HOME": str(tmp_path)}
-    env.pop("MVMC_KERNEL", None)
-    code = (
-        "from mvmc import _kernels, maximize;"
-        "from mvmc.synth import planted_partition_views;"
-        "g, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5);"
-        "print(_kernels.BACKEND, *maximize(g, seed=1).labels)"
-    )
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout.split()
-    assert out[0] == "python"
+        [sys.executable, "-c", FALLBACK_CHECK], env=env, capture_output=True, text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out[0].split() == ["python", "True", "True", "True", "None", "None", "True"]
+    assert out[1] == "1"
     graphs, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5)
-    assert [int(x) for x in out[1:]] == maximize(graphs, seed=1).labels.tolist()
+    assert [int(x) for x in out[2].split()] == maximize(graphs, seed=1).labels.tolist()
+    assert list(tmp_path.iterdir()) == [tmp_path / "bin"]  # nothing built or cached
 
 
 @requires_c
 def test_build_is_cached_under_a_private_directory(tmp_path):
     env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
-    env.pop("MVMC_KERNEL", None)
     code = "from mvmc import _kernels; print(_kernels.BACKEND)"
     cache = tmp_path / "mvmc"
     digest = hashlib.sha256(
@@ -897,26 +908,3 @@ def test_threads_share_the_kernel_safely():
         sys.setswitchinterval(interval)
     for a, b in zip(serial, threaded):
         assert np.array_equal(a, b)
-
-
-def test_env_flag_selects_fallback():
-    code = (
-        "import os; os.environ['MVMC_KERNEL']='python';"
-        "from mvmc import _kernels;"
-        "assert _kernels.move_pass is _kernels._move_pass;"
-        "assert _kernels.aggregate is _kernels._aggregate;"
-        "assert _kernels.run_restarts is None;"
-        "assert _kernels.knn_edges is _kernels._knn_edges;"
-        "assert _kernels.BACKEND == 'python';"
-        "from mvmc import modularity;"
-        "assert modularity.run_restarts is modularity._restarts;"
-        "import numpy as np; from mvmc import ViewGraph, maximize;"
-        "g = ViewGraph.from_edges(6, [(0,1,1),(1,2,1),(0,2,1),(3,4,1),(4,5,1),(3,5,1)]);"
-        "p = maximize([g], seed=0);"
-        "assert p.n_clusters == 2;"
-        "from mvmc import ViewMatrix, knn_graph;"
-        "from scipy import sparse;"
-        "m = ViewMatrix(sparse.csr_matrix([[1., 0.], [1., 0.], [0., 1.]]), ('a', 'b', 'c'), ('x', 'y'));"
-        "assert knn_graph(m, k=1).edge_count == 1"
-    )
-    subprocess.run([sys.executable, "-c", code], check=True)
