@@ -746,36 +746,54 @@ def test_aggregate_without_edges():
     assert indptr.tolist() == [0, 0, 0] and deg.tolist() == [[2.0, 2.0], [1.0, 1.0]]
 
 
+def run_without_compiler(tmp_path, code):
+    """Run ``code`` in a child with no compiler on PATH and an empty build
+    cache, and return its stdout lines."""
+    (tmp_path / "bin").mkdir()
+    env = {**os.environ, "PATH": str(tmp_path / "bin"), "XDG_CACHE_HOME": str(tmp_path)}
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+
+
+def test_without_compiler_falls_back_to_python(tmp_path):
+    """Without a compiler a partition is the one this process finds, and
+    nothing is built or cached."""
+    code = (
+        "from mvmc import _kernels, maximize;"
+        "from mvmc.synth import planted_partition_views;"
+        "g, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5);"
+        "print(_kernels.BACKEND, *maximize(g, seed=1).labels)"
+    )
+    out = run_without_compiler(tmp_path, code)[0].split()
+    assert out[0] == "python"
+    graphs, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5)
+    assert [int(x) for x in out[1:]] == maximize(graphs, seed=1).labels.tolist()
+    assert list(tmp_path.iterdir()) == [tmp_path / "bin"]
+
+
 FALLBACK_CHECK = """
 from scipy import sparse
-from mvmc import ViewMatrix, _kernels, knn_graph, maximize, modularity
-from mvmc.synth import planted_partition_views
+from mvmc import ViewGraph, ViewMatrix, _kernels, knn_graph, maximize, modularity
 
 print(_kernels.BACKEND, _kernels.move_pass is _kernels._move_pass,
       _kernels.aggregate is _kernels._aggregate, _kernels.knn_edges is _kernels._knn_edges,
       _kernels.run_restarts, _kernels.draw_order,
       modularity.run_restarts is modularity._restarts)
+g = ViewGraph.from_edges(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
+print(maximize([g], seed=0).n_clusters)
 m = ViewMatrix(sparse.csr_matrix([[1., 0.], [1., 0.], [0., 1.]]), ("a", "b", "c"), ("x", "y"))
 print(knn_graph(m, k=1).edge_count)
-g, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5)
-print(*maximize(g, seed=1).labels)
 """
 
 
-def test_without_compiler_falls_back_to_python(tmp_path):
-    """With no compiler on PATH and an empty build cache, every kernel is its
-    Python reference, and a partition is the one this process finds."""
-    (tmp_path / "bin").mkdir()
-    env = {**os.environ, "PATH": str(tmp_path / "bin"), "XDG_CACHE_HOME": str(tmp_path)}
-    out = subprocess.run(
-        [sys.executable, "-c", FALLBACK_CHECK], env=env, capture_output=True, text=True,
-        check=True,
-    ).stdout.splitlines()
+def test_env_flag_selects_fallback(tmp_path):
+    """An environment with no compiler on PATH selects the fallback: every
+    kernel is its Python reference, and the Python routes still cluster two
+    triangles apart and build a one-edge k-NN graph."""
+    out = run_without_compiler(tmp_path, FALLBACK_CHECK)
     assert out[0].split() == ["python", "True", "True", "True", "None", "None", "True"]
-    assert out[1] == "1"
-    graphs, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5)
-    assert [int(x) for x in out[2].split()] == maximize(graphs, seed=1).labels.tolist()
-    assert list(tmp_path.iterdir()) == [tmp_path / "bin"]  # nothing built or cached
+    assert out[1:] == ["2", "1"]
 
 
 @requires_c
