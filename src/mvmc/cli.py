@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -292,10 +291,9 @@ def _filtered(dailies, min_cluster_size: int) -> list[LabeledClustering]:
     return [filter_small_clusters(lc, min_cluster_size) for lc in dailies]
 
 
-def _compare(dailies, min_cluster_size: int, meta_k: int, out: Path):
-    """ARI matrix, dendrogram and meta-clusters of the days, written to out;
-    returns the ARI matrix and each day's meta-cluster."""
-    filtered = _filtered(dailies, min_cluster_size)
+def _compare(filtered, meta_k: int, out: Path):
+    """ARI matrix, dendrogram and meta-clusters of the filtered days, written
+    to out; returns the ARI matrix and each day's meta-cluster."""
     matrix = pairwise_ari_matrix(filtered)
     merges = average_linkage_merges(1.0 - matrix)
     meta = cut(merges, meta_k)
@@ -402,7 +400,7 @@ def compare(clusters_dir, out_dir, meta_k, min_cluster_size):
     if meta_k > len(dailies):
         _fail(EXIT_INPUT, f"meta-k={meta_k} out of range")
     with _exits_on(OSError, EXIT_OUTPUT):
-        _compare(dailies, min_cluster_size, meta_k, Path(out_dir))
+        _compare(_filtered(dailies, min_cluster_size), meta_k, Path(out_dir))
     click.echo(f"{len(dailies)} clusterings, {meta_k} meta-clusters")
 
 
@@ -440,10 +438,10 @@ def analyze(input_path, clustering_path, out_dir, top_user_fraction, top_tokens)
 @click.option("--n", type=int, default=60)
 @click.option("--blocks", type=int, default=3)
 @click.option("--views", type=int, default=2)
-@click.option("--noise-views", type=int, default=0)
+@click.option("--noise-views", type=click.IntRange(min=0), default=0)
 @click.option("--p-in", type=float, default=0.5)
 @click.option("--p-out", type=float, default=0.02)
-@click.option("--posts-per-day", type=int, default=70)
+@click.option("--posts-per-day", type=click.IntRange(min=1), default=70)
 @_option("--seed")
 @click.argument("out_dir")
 def synth(mode, n, blocks, views, noise_views, p_in, p_out, posts_per_day, seed, out_dir):
@@ -552,12 +550,9 @@ def run_pipeline(params: dict):
         if len(days) < 2:
             click.echo("single day: skipping temporal comparison")
             return
-        matrix, meta = _compare(
-            [lc for _dv, lc, _clustering, _trace in days],
-            params["min_cluster_size"],
-            min(params["meta_k"], len(days)),
-            out,
-        )
+        filtered = _filtered([lc for _dv, lc, _clustering, _trace in days],
+                             params["min_cluster_size"])
+        matrix, meta = _compare(filtered, min(params["meta_k"], len(days)), out)
 
         # periods = meta-clusters; ensemble and report each period with >= 2
         # days, over the period's own days as `ensemble` does
@@ -566,20 +561,18 @@ def run_pipeline(params: dict):
             periods.setdefault(int(label), []).append(idx)
         rows = []
         for label, idxs in sorted(periods.items()):
-            dailies = [days[i][1] for i in idxs]
-            day_tags = ",".join(c.tag for c in dailies)
-            if len(dailies) < 2:
+            members = [filtered[i] for i in idxs]
+            day_tags = ",".join(c.tag for c in members)
+            if len(members) < 2:
                 rows.append((label, day_tags, "-", "-", "-", "-"))
                 continue
-            consensus = _consensus(
-                _filtered(dailies, params["min_cluster_size"]),
-                params["seed"],
-                out / "consensus" / f"period_{label}.tsv",
-            )
-            sizes = np.array(
-                list(Counter(consensus.assignments.values()).values()), dtype=float
-            )
-            # the mean of the period's off-diagonal pairs, as average_internal_ari
+            consensus = _consensus(members, params["seed"],
+                                   out / "consensus" / f"period_{label}.tsv")
+            # the consensus labels are dense, so each bin is one cluster
+            sizes = np.bincount(np.fromiter(consensus.assignments.values(), np.int64))
+            # the mean of the period's block of the all-days matrix: it is
+            # average_internal_ari of the period's days cross-leveled to every
+            # kept day's hashtags, not of the period's own filtered days
             block = matrix[np.ix_(idxs, idxs)]
             internal_ari = float(np.mean(block[np.triu_indices(len(idxs), 1)]))
             # no cluster of the period's days may reach min_cluster_size

@@ -2,11 +2,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .graph import GraphUsageError
+from .graph import GraphUsageError, densify_labels
 
 # Label of a day's group of absent objects: `cross_level` gives it to them,
 # and `pairwise_ari_matrix` puts entries that carry it in that group. Labels
@@ -156,22 +155,18 @@ def pairwise_ari_matrix(clusterings: list[LabeledClustering]) -> np.ndarray:
     k = len(clusterings)
     if k < 2:
         return np.eye(k)
-    index = {o: i for i, o in enumerate(dict.fromkeys(
-        chain.from_iterable(c.assignments for c in clusterings)))}
+    index: dict = {}
     objs, labels, first_label = [], [], [0]
     for c in clusterings:
-        distinct = dict.fromkeys(c.assignments.values())
-        distinct.pop(DUMMY_LABEL, None)
-        codes = {lab: i for i, lab in enumerate(distinct)}
-        codes[DUMMY_LABEL] = -1
-        count = len(c.assignments)
-        obj = np.fromiter(map(index.__getitem__, c.assignments), dtype=np.int64, count=count)
-        label = np.fromiter(map(codes.__getitem__, c.assignments.values()),
-                            dtype=np.int64, count=count)
+        obj = densify_labels(c.assignments, index)
+        # DUMMY_LABEL takes code 0, so after the shift it is -1 and the real
+        # labels count from 0 in first-appearance order
+        codes = {DUMMY_LABEL: 0}
+        label = densify_labels(c.assignments.values(), codes) - 1
         real = label >= 0
         objs.append(obj[real])
         labels.append(label[real] + first_label[-1])
-        first_label.append(first_label[-1] + len(distinct))
+        first_label.append(first_label[-1] + len(codes) - 1)
     n = len(index)
     n_labels = first_label[-1]
     label_day = np.repeat(np.arange(k), np.diff(first_label))

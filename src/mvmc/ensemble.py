@@ -69,7 +69,9 @@ def average_internal_ari(clusterings: list[LabeledClustering]) -> float:
 
     The days may hold different objects: they are compared over the union of
     their objects, the ones a day lacks forming that day's dummy group, as
-    `pairwise_ari_matrix` does.
+    `pairwise_ari_matrix` does. The pipeline's `avg_internal_ari`, the mean
+    of a period's block of the all-days matrix, is this over the period's
+    days cross-leveled to every kept day's objects, not over its own days.
     """
     k = len(clusterings)
     if k < 2:

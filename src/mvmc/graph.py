@@ -6,7 +6,8 @@ identifiers (hashtags) are kept in registries at the ingestion layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Sequence
+from itertools import repeat
+from typing import TYPE_CHECKING, Collection, Iterable
 
 import numpy as np
 
@@ -146,9 +147,11 @@ class Clustering:
         return int(self.labels.max()) + 1 if len(self.labels) else 0
 
 
-def densify_labels(raw: Sequence, index: dict | None = None) -> np.ndarray:
+def densify_labels(raw: Collection, index: dict | None = None) -> np.ndarray:
     """Map arbitrary labels to dense ints in first-appearance order; labels
     already in `index` keep their codes there, and new ones are added to it."""
     index = {} if index is None else index
-    return np.fromiter((index.setdefault(lab, len(index)) for lab in raw),
+    # map takes a label, then len(index) as it stands, then calls setdefault,
+    # so a new label gets the next code with no Python frame per label
+    return np.fromiter(map(index.setdefault, raw, map(len, repeat(index))),
                        np.int64, len(raw))

@@ -136,13 +136,16 @@ def _names(key: str, value, nonempty: bool) -> list:
 
 
 def _record(post_id, timestamp, user_id, text, hashtags, urls) -> PostRecord:
-    """The checked post that both readers build: no null id or text,
-    `hashtags` a list of non-empty strings, `urls` a list of strings whose
-    empty ones are dropped, and no tab or line break in a user id, hashtag or URL."""
+    """The checked post that both readers build: ids and text each a string
+    or a number (not null or a bool), `hashtags` a list of non-empty strings,
+    `urls` a list of strings whose empty ones are dropped, and no tab or line
+    break in a user id, hashtag or URL."""
     try:
         for key, value in (("post_id", post_id), ("user_id", user_id), ("text", text)):
-            if value is None:
-                raise RecordError(f"{key} is null")
+            # a JSON bool is not an int here, and a null is not the string "None"
+            if type(value) not in (str, int, float):
+                raise RecordError(f"{key} is null" if value is None
+                                  else f"{key} is not a string or a number")
         hashtags = tuple(_names("hashtags", hashtags, nonempty=True))
         urls = tuple(filter(None, _names("urls", urls, nonempty=False)))
         record = PostRecord(str(post_id), _parse_timestamp(timestamp), str(user_id),

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import mvmc
-from mvmc import compare, ingest
+from mvmc import cli, compare, ingest
 from mvmc.cli import atomic_write, main
 from mvmc.compare import DUMMY_LABEL, LabeledClustering, cross_level, write_ari_matrix
 from mvmc.ensemble import average_internal_ari, filter_small_clusters
@@ -391,6 +391,19 @@ def test_pipeline_computes_each_ari_pair_once(tmp_path, runner, corpus, monkeypa
         check_internal_ari(out)
 
 
+def test_pipeline_filters_each_day_once(tmp_path, runner, corpus, monkeypatch):
+    # the comparison and each period's consensus share one filtered list
+    calls = []
+    filter_once = cli.filter_small_clusters
+    monkeypatch.setattr(cli, "filter_small_clusters",
+                        lambda *args: calls.append(args[0].tag) or filter_once(*args))
+    result, out = run_pipeline_on(tmp_path, runner, "once", corpus.read_text(), meta_k=2)
+    assert result.exit_code == 0, result.output
+    assert calls == sorted(p.stem for p in (out / "clusters").glob("*.tsv"))
+    assert len(calls) == 3
+    check_internal_ari(out)
+
+
 def post_line(post_id, day, hashtags, text, user):
     return json.dumps({
         "post_id": post_id,
@@ -627,6 +640,8 @@ def test_pipeline_quiet_days_leave_one_or_no_day(tmp_path, runner, corpus):
         ("analyze", "--top-tokens", "-1"),
         ("compare", "--min-cluster-size", "0"),
         ("synth", "--seed", "-1"),
+        ("synth", "--posts-per-day", "-3"),
+        ("synth", "--noise-views", "-1"),
     ],
 )
 def test_bad_option_value_exits_2(tmp_path, runner, corpus, command, option, value):

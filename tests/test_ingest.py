@@ -149,6 +149,21 @@ def test_a_null_id_or_text_is_a_bad_record(tmp_path, field):
         parse_json_record(json_line(**{field: None}))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("post_id", [1]), ("user_id", True), ("text", {"a": "flu"}), ("text", False),
+])
+def test_an_id_or_text_that_is_not_a_string_or_number_is_a_bad_record(tmp_path, field, value):
+    """A bool, array or object is not read as its Python repr."""
+    path = tmp_path / "posts.jsonl"
+    path.write_text(json_line(post_id="1") + json_line(**{"post_id": "2", field: value}))
+    errors = []
+    records = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
+    assert [r.post_id for r in records] == ["1"]
+    assert errors == [(2, f"bad record: {field} is not a string or a number")]
+    with pytest.raises(RecordError, match=f"^bad record: {field} is not a string or a number$"):
+        parse_json_record(json_line(**{field: value}))
+
+
 def test_json_numbers_are_read_as_strings():
     rec = parse_json_record(json_line(post_id=7, user_id=12, text=3.5))
     assert (rec.post_id, rec.user_id, rec.text) == ("7", "12", "3.5")
