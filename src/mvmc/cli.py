@@ -19,6 +19,7 @@ from pathlib import Path
 import click
 import numpy as np
 import yaml
+from click.core import ParameterSource
 
 from . import analytics
 from .compare import (
@@ -38,7 +39,6 @@ from .ingest import (
     VIEW_NAMES,
     build_daily_views,
     code_posts,
-    group_by_day,
     read_posts,
 )
 from .synth import planted_partition_views, synthetic_corpus
@@ -209,16 +209,18 @@ def _pipeline_params(cfg: dict) -> dict:
 
 
 def _load_posts(input_path: str):
+    """The input's posts, coded as read, as one `CorpusDay` per date in date
+    order."""
     path = Path(input_path)
     if not path.is_file():
         _fail(EXIT_INPUT, f"input not found: {path}")
     warnings = []
-    posts = read_posts(path, on_error=lambda ln, msg: warnings.append((ln, msg)))
+    corpus = read_posts(path, on_error=lambda ln, msg: warnings.append((ln, msg)))
     for ln, msg in warnings:
         click.echo(f"warning: line {ln} skipped: {msg}", err=True)
-    if not posts:
+    if not corpus.days:
         _fail(EXIT_INPUT, f"no usable records in {path}")
-    return posts
+    return corpus.days
 
 
 def _write_day_views(day_views, out_dir: Path):
@@ -356,9 +358,9 @@ def main():
 @_option("--url-mode")
 def ingest(input_path, out_dir, url_mode):
     """Build the four daily view matrices from a post corpus."""
-    posts = _load_posts(input_path)
+    posts_by_day = _load_posts(input_path)
     with _exits_on(OSError, EXIT_OUTPUT):
-        for day, day_posts in group_by_day(posts).items():
+        for day, day_posts in posts_by_day.items():
             dv = build_daily_views(day_posts, day, url_mode=url_mode)
             _write_day_views(dv, Path(out_dir))
             click.echo(f"{day}: {len(dv.hashtags)} hashtags")
@@ -425,12 +427,17 @@ def ensemble(clusters_dir, out_path, min_cluster_size, seed):
 @_option("--top-tokens")
 def analyze(input_path, clustering_path, out_dir, top_user_fraction, top_tokens):
     """User-base and token reports for a clustering of hashtags."""
-    days = [code_posts(day_posts) for day_posts in group_by_day(_load_posts(input_path)).values()]
+    days = [code_posts(day_posts) for day_posts in _load_posts(input_path).values()]
     lc = _read_clustering(Path(clustering_path))
     out = Path(out_dir)
     with _exits_on(OSError, EXIT_OUTPUT):
         _write_reports(days, lc, out, top_user_fraction, top_tokens)
     click.echo(f"reports written to {out}")
+
+
+# the synth options that only one mode uses
+_SYNTH_MODE_OF = {"n": "graphs", "blocks": "graphs", "views": "graphs", "noise_views": "graphs",
+                  "p_in": "graphs", "p_out": "graphs", "posts_per_day": "corpus"}
 
 
 @main.command()
@@ -444,8 +451,13 @@ def analyze(input_path, clustering_path, out_dir, top_user_fraction, top_tokens)
 @click.option("--posts-per-day", type=click.IntRange(min=1), default=70)
 @_option("--seed")
 @click.argument("out_dir")
-def synth(mode, n, blocks, views, noise_views, p_in, p_out, posts_per_day, seed, out_dir):
+@click.pass_context
+def synth(ctx, mode, n, blocks, views, noise_views, p_in, p_out, posts_per_day, seed, out_dir):
     """Generate planted-partition view graphs or a toy post corpus."""
+    for param in ctx.command.params:
+        only = _SYNTH_MODE_OF.get(param.name, mode)
+        if only != mode and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE:
+            _fail(EXIT_INPUT, f"{param.opts[0]} applies only to --mode {only}")
     out = Path(out_dir)
     with _exits_on(OSError, EXIT_OUTPUT):
         if mode == "graphs":
@@ -512,7 +524,7 @@ def pipeline(config_path, overrides):
 
 
 def run_pipeline(params: dict):
-    posts_by_day = group_by_day(_load_posts(params["input"]))
+    posts_by_day = _load_posts(params["input"])
     out = Path(params["output_dir"])
     with _exits_on(OSError, EXIT_OUTPUT):
         out.mkdir(parents=True, exist_ok=True)

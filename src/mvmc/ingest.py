@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import chain
 from urllib.parse import urlparse
 
 import numpy as np
@@ -135,11 +135,12 @@ def _names(key: str, value, nonempty: bool) -> list:
     return value
 
 
-def _record(post_id, timestamp, user_id, text, hashtags, urls) -> PostRecord:
-    """The checked post that both readers build: ids and text each a string
-    or a number (not null or a bool), `hashtags` a list of non-empty strings,
-    `urls` a list of strings whose empty ones are dropped, and no tab or line
-    break in a user id, hashtag or URL."""
+def _record(post_id, timestamp, user_id, text, hashtags, urls) -> tuple:
+    """The checked fields of a post, in `PostRecord` order, that both readers
+    build: ids and text each a string or a number (not null or a bool),
+    `hashtags` a list of non-empty strings, `urls` a list of strings whose
+    empty ones are dropped, and no tab or line break in a user id, hashtag or
+    URL."""
     try:
         for key, value in (("post_id", post_id), ("user_id", user_id), ("text", text)):
             # a JSON bool is not an int here, and a null is not the string "None"
@@ -148,20 +149,18 @@ def _record(post_id, timestamp, user_id, text, hashtags, urls) -> PostRecord:
                                   else f"{key} is not a string or a number")
         hashtags = tuple(_names("hashtags", hashtags, nonempty=True))
         urls = tuple(filter(None, _names("urls", urls, nonempty=False)))
-        record = PostRecord(str(post_id), _parse_timestamp(timestamp), str(user_id),
-                            str(text), hashtags, urls)
+        fields = (str(post_id), _parse_timestamp(timestamp), str(user_id), str(text),
+                  hashtags, urls)
     except (ValueError, OverflowError) as exc:  # overflow: UTC year outside 1..9999
         raise RecordError(f"bad record: {exc}") from exc
     # names are written one per line and tab-separated in the view files
-    for name in (record.user_id, *record.hashtags, *record.urls):
+    for name in (fields[2], *hashtags, *urls):
         if _SEPARATOR_RE.search(name):
             raise RecordError(f"tab or line break in {name!r}")
-    return record
+    return fields
 
 
-def parse_json_record(line: str) -> PostRecord:
-    """One line-delimited JSON object with the PostRecord fields; `text`,
-    `hashtags` and `urls` may be left out."""
+def _json_fields(line: str) -> tuple:
     obj = json.loads(line)
     try:
         fields = obj["post_id"], obj["timestamp"], obj["user_id"]
@@ -170,14 +169,24 @@ def parse_json_record(line: str) -> PostRecord:
     return _record(*fields, obj.get("text", ""), obj.get("hashtags", []), obj.get("urls", []))
 
 
-def parse_tsv_record(line: str) -> PostRecord:
-    """TSV fallback: post_id, timestamp, user_id, text, hashtags, urls (the
-    last two comma-separated, may be empty; empty items are dropped)."""
+def _tsv_fields(line: str) -> tuple:
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 6:
         raise RecordError(f"expected 6 TSV fields, got {len(parts)}")
     post_id, ts, user, text, tags, urls = parts
     return _record(post_id, ts, user, text, list(filter(None, tags.split(","))), urls.split(","))
+
+
+def parse_json_record(line: str) -> PostRecord:
+    """One line-delimited JSON object with the PostRecord fields; `text`,
+    `hashtags` and `urls` may be left out."""
+    return PostRecord(*_json_fields(line))
+
+
+def parse_tsv_record(line: str) -> PostRecord:
+    """TSV fallback: post_id, timestamp, user_id, text, hashtags, urls (the
+    last two comma-separated, may be empty; empty items are dropped)."""
+    return PostRecord(*_tsv_fields(line))
 
 
 def _check_utf8(line: str) -> None:
@@ -187,11 +196,67 @@ def _check_utf8(line: str) -> None:
         raise RecordError(f"not valid UTF-8 at column {exc.start + 1}") from None
 
 
-def read_posts(path, on_error=None) -> list[PostRecord]:
-    """Read a UTF-8 .jsonl or .tsv corpus; malformed lines, and lines that
-    are not valid UTF-8, go to on_error and are skipped."""
-    parse = parse_tsv_record if str(path).endswith(".tsv") else parse_json_record
-    records = []
+class _Names(dict):
+    """A name table: each new name gets the next int code."""
+
+    def __init__(self):
+        super().__init__()
+        self.names = []
+
+    def __missing__(self, name):
+        code = self[name] = len(self.names)
+        self.names.append(name)
+        return code
+
+
+class PostCorpus:
+    """Posts coded as they are read: one name table each for users, hashtags,
+    URLs and tokens, shared by all days, and each day's posts as codes."""
+
+    def __init__(self):
+        self.users, self.hashtags, self.urls, self.tokens = (_Names() for _ in range(4))
+        self.days: dict[date, CorpusDay] = {}
+
+
+class CorpusDay:
+    """One day's posts in read order, as int codes into its corpus's tables:
+    per post its id (coded within the day), its user, and the number of its
+    distinct hashtags, of its URLs and of its tokens; and those hashtags,
+    URLs and tokens, one post after another."""
+
+    def __init__(self, corpus: PostCorpus):
+        self.corpus = corpus
+        self.ids: dict = {}
+        self.post_id, self.user = array("i"), array("i")
+        self.tags, self.n_tags = array("i"), array("i")
+        self.urls, self.n_urls = array("i"), array("i")
+        self.tokens, self.n_tokens = array("i"), array("i")
+
+    def __len__(self) -> int:
+        return len(self.user)
+
+    def add(self, post_id, user_id, text, hashtags, urls) -> None:
+        """Code one post; a hashtag repeated in it counts once, and its text
+        is kept only as its `preprocess_text` tokens."""
+        corpus = self.corpus
+        self.post_id.append(self.ids.setdefault(post_id, len(self.ids)))
+        self.user.append(corpus.users[user_id])
+        tags = dict.fromkeys(hashtags)
+        self.tags.extend(map(corpus.hashtags.__getitem__, tags))
+        self.n_tags.append(len(tags))
+        self.urls.extend(map(corpus.urls.__getitem__, urls))
+        self.n_urls.append(len(urls))
+        tokens = preprocess_text(text)
+        self.tokens.extend(map(corpus.tokens.__getitem__, tokens))
+        self.n_tokens.append(len(tokens))
+
+
+def read_posts(path, on_error=None) -> PostCorpus:
+    """Read a UTF-8 .jsonl or .tsv corpus, coding each post as it is read,
+    with the days in date order; malformed lines, and lines that are not
+    valid UTF-8, go to on_error and are skipped."""
+    fields = _tsv_fields if str(path).endswith(".tsv") else _json_fields
+    corpus = PostCorpus()
     # surrogateescape keeps undecodable bytes as lone surrogates, so one bad
     # line is reported on its own instead of failing the whole read
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -200,11 +265,17 @@ def read_posts(path, on_error=None) -> list[PostRecord]:
                 continue
             try:
                 _check_utf8(line)
-                records.append(parse(line))
+                post_id, timestamp, user_id, text, hashtags, urls = fields(line)
             except (RecordError, json.JSONDecodeError) as exc:
                 if on_error is not None:
                     on_error(lineno, str(exc))
-    return records
+                continue
+            day = corpus.days.get(timestamp.date())
+            if day is None:
+                day = corpus.days[timestamp.date()] = CorpusDay(corpus)
+            day.add(post_id, user_id, text, hashtags, urls)
+    corpus.days = dict(sorted(corpus.days.items()))
+    return corpus
 
 
 def group_by_day(posts: list[PostRecord]) -> dict[date, list[PostRecord]]:
@@ -214,12 +285,24 @@ def group_by_day(posts: list[PostRecord]) -> dict[date, list[PostRecord]]:
     return dict(sorted(days.items()))
 
 
-def _code(items: list, order=None) -> tuple[tuple, np.ndarray]:
-    """The distinct items in first-appearance order, within `order` when given
-    (the same items in another order), and each item's int32 code."""
-    names = tuple(dict.fromkeys(items if order is None else order))
-    index = dict(zip(names, range(len(names))))
-    return names, np.fromiter(map(index.__getitem__, items), np.int32, len(items))
+def _coded(posts: list[PostRecord]) -> CorpusDay:
+    """Records coded as one day of a corpus of their own, as `read_posts`
+    codes a day."""
+    day = CorpusDay(PostCorpus())
+    for p in posts:
+        day.add(p.post_id, p.user_id, p.text, p.hashtags, p.urls)
+    return day
+
+
+def _first(codes: np.ndarray, names: list, order=None) -> tuple[tuple, np.ndarray]:
+    """Codes into `names` recoded to first-appearance order, counted within
+    codes[order] when given (the same codes in another order), and the names
+    of the new codes."""
+    uniq, first = np.unique(codes if order is None else codes[order], return_index=True)
+    uniq = uniq[np.argsort(first)]
+    recode = np.empty(len(names), np.int32)
+    recode[uniq] = np.arange(len(uniq), dtype=np.int32)
+    return tuple(map(names.__getitem__, uniq.tolist())), recode[codes]
 
 
 def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -229,23 +312,28 @@ def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + lens, lens) + np.arange(total)
 
 
+def _starts(lens: np.ndarray) -> np.ndarray:
+    """Where each run of a flat array starts, given the run lengths."""
+    return np.cumsum(lens, dtype=np.int64) - lens
+
+
 def _width(col_codes: np.ndarray) -> int:
     """The number of column names that first-appearance codes use."""
     return int(col_codes.max()) + 1 if len(col_codes) else 0
 
 
-def code_posts(posts: list[PostRecord]) -> PostCodes:
-    """Tokenise each post once and code its hashtags, user and tokens; a
-    hashtag repeated in a post counts once there."""
-    n = len(posts)
-    post_tags = [dict.fromkeys(p.hashtags) for p in posts]
-    names, tag_code = _code(list(chain.from_iterable(post_tags)))
-    tag_post = np.repeat(np.arange(n, dtype=np.int32), np.fromiter(map(len, post_tags), np.int64, n))
+def code_posts(posts) -> PostCodes:
+    """Recode one day's posts to the day's first-appearance orders: the
+    `CorpusDay` of `read_posts`, or a list of PostRecord coded here the same
+    way. A hashtag repeated in a post counts once there."""
+    day = posts if isinstance(posts, CorpusDay) else _coded(posts)
+    n = len(day)
+    tag_post = np.repeat(np.arange(n, dtype=np.int32), np.array(day.n_tags, np.int32))
+    names, tag_code = _first(np.array(day.tags, np.int32), day.corpus.hashtags.names)
     # the registry: hashtags in enough distinct post ids, moved ahead of the
     # others, each part in first-appearance order
-    _ids, id_code = _code([p.post_id for p in posts])
-    base = max(n, 1)
-    pairs = np.unique(tag_code.astype(np.int64) * base + id_code[tag_post])
+    base = max(len(day.ids), 1)
+    pairs = np.unique(tag_code.astype(np.int64) * base + np.array(day.post_id, np.int32)[tag_post])
     kept = np.bincount(pairs // base, minlength=len(names)) >= MIN_POSTS_PER_HASHTAG
     order = np.concatenate([np.flatnonzero(kept), np.flatnonzero(~kept)])
     recode = np.empty(len(names), np.int32)
@@ -254,34 +342,32 @@ def code_posts(posts: list[PostRecord]) -> PostCodes:
     n_registry = int(kept.sum())
     holds = np.zeros(n, bool)
     holds[tag_post[tag_code < n_registry]] = True
-    first = np.concatenate([np.flatnonzero(holds), np.flatnonzero(~holds)]).tolist()
+    first = np.concatenate([np.flatnonzero(holds), np.flatnonzero(~holds)])
 
-    post_tokens = list(map(preprocess_text, (p.text for p in posts)))
-    tokens, token_code = _code(
-        list(chain.from_iterable(post_tokens)),
-        chain.from_iterable(map(post_tokens.__getitem__, first)),
-    )
-    user_ids = [p.user_id for p in posts]
-    users, user_code = _code(user_ids, map(user_ids.__getitem__, first))
+    token_len = np.array(day.n_tokens, np.int32)
+    tokens, token_code = _first(np.array(day.tokens, np.int32), day.corpus.tokens.names,
+                                _ranges(_starts(token_len)[first], token_len[first]))
+    users, user_code = _first(np.array(day.user, np.int32), day.corpus.users.names, first)
     return PostCodes(
         tuple(map(names.__getitem__, order.tolist())), n_registry, tag_post, tag_code,
-        users, user_code, tokens, token_code,
-        np.fromiter(map(len, post_tokens), np.int32, n),
+        users, user_code, tokens, token_code, token_len,
     )
 
 
-def build_daily_views(
-    posts: list[PostRecord], day: date, url_mode: str = "exact"
-) -> DailyViews:
+def build_daily_views(posts, day: date, url_mode: str = "exact") -> DailyViews:
     """Aggregate one day's posts into the four hashtag views.
 
-    The posts are coded once by `code_posts`, and each view is built from
-    the codes: every (registry hashtag, feature) pair of a post counts 1.
+    `posts` is the day's `CorpusDay` from `read_posts`, or a list of
+    PostRecord on `day`, coded here the same way. `code_posts` recodes them
+    to the day's orders, and each view is built from the codes: every
+    (registry hashtag, feature) pair of a post counts 1.
     url_mode="domain" reduces URLs to their host before counting, for the
     case where exact URLs almost never repeat.
     """
-    if any(p.day != day for p in posts):
-        raise RecordError("posts must all fall on the given day")
+    if not isinstance(posts, CorpusDay):
+        if any(p.day != day for p in posts):
+            raise RecordError("posts must all fall on the given day")
+        posts = _coded(posts)
 
     codes = code_posts(posts)
     registry = codes.hashtags[:codes.n_registry]
@@ -291,19 +377,25 @@ def build_daily_views(
     def expand(values, lens):
         """Each pair's row, with every value of its post as the column."""
         take = lens[post]
-        starts = np.cumsum(lens, dtype=np.int64) - lens
-        return np.repeat(row, take), values[_ranges(starts[post], take)]
+        return np.repeat(row, take), values[_ranges(_starts(lens)[post], take)]
 
+    # the URLs of the posts that hold a registry hashtag, in post order
     holds = np.zeros(len(posts), bool)
     holds[post] = True
-    post_urls = [p.urls if h else () for p, h in zip(posts, holds.tolist())]
-    if url_mode == "domain":
-        post_urls = [tuple(urlparse(u).netloc or u for u in us) for us in post_urls]
-    url_names, url_code = _code(list(chain.from_iterable(post_urls)))
+    n_urls = np.array(posts.n_urls, np.int32)
+    urls = np.array(posts.urls, np.int32)[_ranges(_starts(n_urls)[holds], n_urls[holds])]
+    url_names = posts.corpus.urls.names
+    if url_mode == "domain":  # each distinct URL reduced to its host once
+        distinct, inverse = np.unique(urls, return_inverse=True)
+        hosts = _Names()
+        urls = np.array([hosts[urlparse(u).netloc or u]
+                         for u in map(url_names.__getitem__, distinct.tolist())], np.int32)[inverse]
+        url_names = hosts.names
+    url_names, url_code = _first(urls, url_names)
 
     text_r, text_c = expand(codes.token_code, codes.token_len)
     user_c = codes.user_code[post]
-    url_r, url_c = expand(url_code, np.fromiter(map(len, post_urls), np.int64, len(posts)))
+    url_r, url_c = expand(url_code, n_urls * holds)
     co_r, co_c = expand(row, np.bincount(post, minlength=len(posts)))
     other = co_r != co_c
     return DailyViews(
@@ -314,4 +406,3 @@ def build_daily_views(
         ViewMatrix.from_codes(co_r[other], co_c[other], registry, registry),
         codes,
     )
-

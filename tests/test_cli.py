@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import subprocess
@@ -456,6 +457,53 @@ def test_pipeline_tokenises_each_post_once(tmp_path, runner, corpus, monkeypatch
         assert (analyzed / name).read_bytes() == (reports / f"period_{label}_{name}").read_bytes()
 
 
+def test_pipeline_holds_no_post_record(tmp_path, runner, corpus, monkeypatch):
+    # posts are coded as they are read: no PostRecord is alive while a day
+    # is clustered
+    live = []
+    cluster_day = cli._cluster_day
+
+    def counting(*args, **kwargs):
+        live.append(sum(isinstance(o, ingest.PostRecord) for o in gc.get_objects()))
+        return cluster_day(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_cluster_day", counting)
+    result, _out = run_pipeline_on(tmp_path, runner, "coded", corpus.read_text())
+    assert result.exit_code == 0, result.output
+    assert live == [0, 0, 0]
+
+
+def test_pipeline_calls_every_benchmark_hook(tmp_path, runner, corpus, monkeypatch):
+    """Each `mvmc.cli` name that the benchmark's tracer spans or checkpoints
+    hook is still a global there that `pipeline` calls, so a refactor cannot
+    drop a span or a checkpoint without a word."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import tracer
+    import workload
+
+    hooked = {path for module, path, *_ in tracer.HOOKS + workload.CHECKPOINTS
+              if module == "mvmc.cli"}
+    # no stage calls cross_level since the comparison works on incidences;
+    # the benchmark still hooks it, so its metric reads 0
+    hooked.remove("cross_level")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in hooked:
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    result, _out = run_pipeline_on(tmp_path, runner, "hooked", corpus.read_text(), meta_k=2)
+    assert result.exit_code == 0, result.output
+    assert hooked == {"read_posts", "build_daily_views", "tfidf", "knn_graph", "run_mvmc",
+                      "pairwise_ari_matrix", "average_linkage_merges", "ensemble_cluster"}
+    assert {name for name in hooked if calls[name] == 0} == set()
+    assert (calls["read_posts"], calls["build_daily_views"]) == (1, 3)
+
+
 def test_pipeline_artifacts_are_utf8_in_an_ascii_locale(tmp_path, corpus):
     records = [json.loads(line) for line in corpus.read_text().splitlines()]
     posts = tmp_path / "posts.jsonl"
@@ -661,6 +709,28 @@ def test_bad_option_value_exits_2(tmp_path, runner, corpus, command, option, val
     result = runner.invoke(main, [command, option, value, *map(str, positional)])
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{option}'" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "mode, option, value, other",
+    [
+        ("corpus", "--blocks", "0", "graphs"),
+        ("corpus", "--n", "5", "graphs"),
+        ("corpus", "--views", "2", "graphs"),
+        ("corpus", "--noise-views", "1", "graphs"),
+        ("corpus", "--p-in", "0.4", "graphs"),
+        ("corpus", "--p-out", "0.1", "graphs"),
+        ("graphs", "--posts-per-day", "5", "corpus"),
+    ],
+)
+def test_synth_option_of_the_other_mode_exits_2(tmp_path, runner, mode, option, value, other):
+    # `--views 2` is the graphs default: given on the command line, it still counts
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["synth", "--mode", mode, option, value, str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"error: {option} applies only to --mode {other}" in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
 

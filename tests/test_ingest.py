@@ -1,4 +1,6 @@
 import json
+from collections import Counter
+from dataclasses import replace
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -10,6 +12,7 @@ from mvmc.ingest import (
     MIN_POSTS_PER_HASHTAG,
     RecordError,
     VIEW_NAMES,
+    PostCodes,
     group_by_day,
     parse_json_record,
     parse_tsv_record,
@@ -28,6 +31,26 @@ def post(pid, tags, text="", user="u1", urls=(), hour=12):
         hashtags=tuple(tags),
         urls=tuple(urls),
     )
+
+
+def read_back(corpus):
+    """(post id, user, tokens, distinct hashtags, URLs) of each post that a
+    PostCorpus holds, its days in date order."""
+    def runs(codes, lens, table):
+        flat = iter(codes)
+        return [tuple(table.names[next(flat)] for _ in range(n)) for n in lens]
+
+    rows = []
+    for day in corpus.days.values():
+        ids = list(day.ids)
+        rows += zip(
+            (ids[c] for c in day.post_id),
+            (corpus.users.names[c] for c in day.user),
+            runs(day.tokens, day.n_tokens, corpus.tokens),
+            runs(day.tags, day.n_tags, corpus.hashtags),
+            runs(day.urls, day.n_urls, corpus.urls),
+        )
+    return rows
 
 
 def test_preprocess_strips_markup():
@@ -121,7 +144,7 @@ def test_timestamps_outside_the_utc_calendar_are_bad_records(tmp_path):
     path = tmp_path / "posts.tsv"
     path.write_text("".join(f"{i}\t{ts}\tu\t\t#a\t\n" for i, ts in enumerate(stamps)))
     errors = []
-    assert read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg))) == []
+    assert read_back(read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))) == []
     assert errors == [(1, "bad record: date value out of range"),
                       (2, "bad record: date value out of range")]
     with pytest.raises(RecordError, match="date value out of range"):
@@ -142,8 +165,8 @@ def test_a_null_id_or_text_is_a_bad_record(tmp_path, field):
     nulled = "".join(json_line(**{"post_id": str(i), field: None}) for i in (2, 3, 4))
     path.write_text(json_line(post_id="1") + nulled + json_line(post_id="5"))
     errors = []
-    records = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
-    assert [r.post_id for r in records] == ["1", "5"]
+    corpus = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
+    assert [post_id for post_id, *_ in read_back(corpus)] == ["1", "5"]
     assert errors == [(ln, f"bad record: {field} is null") for ln in (2, 3, 4)]
     with pytest.raises(RecordError, match=f"^bad record: {field} is null$"):
         parse_json_record(json_line(**{field: None}))
@@ -157,8 +180,8 @@ def test_an_id_or_text_that_is_not_a_string_or_number_is_a_bad_record(tmp_path, 
     path = tmp_path / "posts.jsonl"
     path.write_text(json_line(post_id="1") + json_line(**{"post_id": "2", field: value}))
     errors = []
-    records = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
-    assert [r.post_id for r in records] == ["1"]
+    corpus = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
+    assert [post_id for post_id, *_ in read_back(corpus)] == ["1"]
     assert errors == [(2, f"bad record: {field} is not a string or a number")]
     with pytest.raises(RecordError, match=f"^bad record: {field} is not a string or a number$"):
         parse_json_record(json_line(**{field: value}))
@@ -178,8 +201,8 @@ def test_read_posts_reports_bad_lines(tmp_path):
         "this is not json\n"
     )
     errors = []
-    records = read_posts(path, on_error=lambda ln, msg: errors.append(ln))
-    assert len(records) == 1
+    corpus = read_posts(path, on_error=lambda ln, msg: errors.append(ln))
+    assert len(read_back(corpus)) == 1
     assert errors == [2]
 
 
@@ -191,10 +214,10 @@ def test_read_posts_skips_lines_that_are_not_utf8(tmp_path):
     path = tmp_path / "posts.jsonl"
     path.write_bytes((good % "1").encode() + b'{"post_id": "\xff\xfe"}\n' + (good % "3").encode())
     errors = []
-    records = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
-    assert [(r.post_id, r.text, r.hashtags) for r in records] == [
-        ("1", "café", ("#été",)),
-        ("3", "café", ("#été",)),
+    corpus = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
+    assert [(post_id, tokens, tags) for post_id, _user, tokens, tags, _urls in read_back(corpus)] == [
+        ("1", ("café",), ("#été",)),
+        ("3", ("café",), ("#été",)),
     ]
     assert errors == [(2, "not valid UTF-8 at column 14")]
 
@@ -344,3 +367,78 @@ def test_random_days_cover_every_case():
         }
         found |= {case for case, hit in cases.items() if hit}
     assert found == set(cases)
+
+
+def record_line(p, suffix):
+    """A post as one line of a .jsonl or .tsv corpus."""
+    if suffix == ".tsv":
+        fields = (p.post_id, p.timestamp.isoformat(), p.user_id, p.text,
+                  ",".join(p.hashtags), ",".join(p.urls))
+        return "\t".join(fields) + "\n"
+    return json.dumps({"post_id": p.post_id, "timestamp": p.timestamp.isoformat(),
+                       "user_id": p.user_id, "text": p.text, "hashtags": list(p.hashtags),
+                       "urls": list(p.urls)}) + "\n"
+
+
+def assert_same_day(got, want):
+    """Two DailyViews equal view for view and code for code."""
+    assert got.day == want.day and got.hashtags == want.hashtags
+    for a, b in zip(got.as_list(), want.as_list()):
+        assert (a.row_names, a.col_names) == (b.row_names, b.col_names)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a.counts, attr), getattr(b.counts, attr)), attr
+    for field in PostCodes.__dataclass_fields__:
+        a, b = getattr(got.codes, field), getattr(want.codes, field)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), field
+        else:
+            assert a == b, field
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".tsv"])
+def test_read_days_match_the_record_adapter_and_the_oracle(tmp_path, suffix):
+    """Days coded by `read_posts` give the views and codes that the record
+    adapter gives on the parsed records of the same file, and the oracle's
+    views."""
+    parse = parse_tsv_record if suffix == ".tsv" else parse_json_record
+    cases = Counter()
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        dates = [date(2020, 3, d) for d in rng.permutation([1, 2, 3, 4])[:rng.integers(2, 5)]]
+        no_urls = dates[int(rng.integers(len(dates)))]
+        posts = [
+            replace(p, timestamp=p.timestamp.replace(day=d.day), urls=() if d == no_urls else p.urls)
+            for d in dates for p in random_day(rng, int(rng.integers(1, 30)))
+        ]
+        posts = [posts[i] for i in rng.permutation(len(posts))]
+        path = tmp_path / f"posts{seed}{suffix}"
+        path.write_text("".join(record_line(p, suffix) for p in posts))
+        url_mode = ("exact", "domain")[seed % 2]
+
+        corpus = read_posts(path)
+        records = group_by_day([parse(line) for line in path.read_text().splitlines(keepends=True)])
+        assert list(corpus.days) == list(records) == sorted(dates)
+        assert read_back(corpus) == [
+            (p.post_id, p.user_id, tuple(preprocess_text(p.text)), tuple(dict.fromkeys(p.hashtags)),
+             p.urls) for day_posts in records.values() for p in day_posts]
+        for day, day_posts in records.items():
+            coded = build_daily_views(corpus.days[day], day, url_mode=url_mode)
+            assert_same_day(coded, build_daily_views(day_posts, day, url_mode=url_mode))
+            registry, expected = brute_daily_views(day_posts, url_mode=url_mode)
+            assert coded.hashtags == registry
+            for view, (cols, counts) in zip(coded.as_list(), expected):
+                assert view.col_names == cols
+                assert (view.counts != counts).nnz == 0
+
+        first_seen = list(dict.fromkeys(p.timestamp.date() for p in posts))
+        ids = [(p.timestamp.date(), p.post_id) for p in posts]
+        cases["days out of file order"] += first_seen != sorted(first_seen)
+        cases["post id repeated in a day"] += len(set(ids)) < len(ids)
+        cases["post id on two days"] += len({i for _d, i in set(ids)}) < len(set(ids))
+        cases["hashtag repeated in a post"] += any(
+            len(set(p.hashtags)) < len(p.hashtags) for p in posts)
+        cases["empty text"] += any(not p.text for p in posts)
+        cases["day without URLs"] += any(
+            not any(p.urls for p in day_posts) for day_posts in records.values())
+        cases[url_mode] += 1
+    assert len(cases) == 8 and min(cases.values()) > 0, cases
