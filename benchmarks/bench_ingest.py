@@ -7,15 +7,13 @@ Builds one day with the generator of `bench/corpus.py` (50 groups x 40
 hashtags, 10,000 posts of 20 words, seed 7), writes it as a .jsonl file and
 times, best of `--repeat`: `read_posts` on that file, which codes each post
 as it reads it, and `build_daily_views` on the coded day. Then it parses
-the file into PostRecord objects and times `build_daily_views` on them (the
-record adapter, which codes them the same way), `preprocess_text` against
-the per-character reference `brute_preprocess_text`, and the views against
-the dict-of-tuples reference `brute_daily_views`, both from
-`tests/oracles.py`. `adapter_agree` says that the coded day and the record
-adapter give the same views and codes. It times the period report tables
-of the day, `analytics.usage_tables` on the day's codes with the planted
-groups of its registry as clusters, against the per-post reference
-`brute_usage_tables`. For each of the day's four views it then
+the file into record tuples with `parse_json_record` and times
+`preprocess_text` against the per-character reference
+`brute_preprocess_text`, and the views against the dict-of-tuples reference
+`brute_daily_views`, both from `tests/oracles.py`. It times the period
+report tables of the day, `analytics.usage_tables` on the day's codes with
+the planted groups of its registry as clusters, against the per-post
+reference `brute_usage_tables`. For each of the day's four views it then
 times `tfidf`, and `knn_graph` on the weighted view with `_kernels.knn_edges`
 (the compiled routine, when it loaded) against the same call with the scipy
 reference `_kernels._knn_edges`. It checks that each pair agrees token for
@@ -32,7 +30,7 @@ import resource
 import sys
 import tempfile
 import time
-from collections import Counter
+from collections import Counter, namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +48,9 @@ from oracles import (  # noqa: E402
     brute_preprocess_text,
     brute_usage_tables,
 )
+
+# a record tuple of `parse_json_record`, with the field names the oracles read
+Post = namedtuple("Post", "post_id timestamp user_id text hashtags urls")
 
 
 def load_corpus_module():
@@ -79,19 +80,6 @@ def best_time(fn, repeat):
         result = fn()
         best = min(best, time.perf_counter() - t0)
     return best, result
-
-
-def same_codes(views, other) -> bool:
-    """Two DailyViews with the same views and the same codes."""
-    return (
-        views.hashtags == other.hashtags
-        and all(a.col_names == b.col_names
-                and all(np.array_equal(getattr(a.counts, attr), getattr(b.counts, attr))
-                        for attr in ("data", "indices", "indptr"))
-                for a, b in zip(views.as_list(), other.as_list()))
-        and all(a.dtype == b.dtype and np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
-                for a, b in zip(vars(views.codes).values(), vars(other.codes).values()))
-    )
 
 
 def same_views(views, reference) -> bool:
@@ -159,17 +147,16 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "day.jsonl"
         groups = write_paper_day(path)
-        read_s, corpus = best_time(lambda: read_posts(path), args.repeat)
-        ((day, coded),) = corpus.days.items()
+        read_s, days = best_time(lambda: read_posts(path), args.repeat)
+        ((day, coded),) = days.items()
         views_s, views = best_time(lambda: build_daily_views(coded, day), args.repeat)
         with open(path, encoding="utf-8") as fh:
-            posts = [parse_json_record(line) for line in fh]
+            posts = [Post(*parse_json_record(line)) for line in fh]
     texts = [p.text for p in posts]
 
     tok_s, tokens = best_time(lambda: [preprocess_text(t) for t in texts], args.repeat)
     brute_tok_s, brute_tokens = best_time(
         lambda: [brute_preprocess_text(t) for t in texts], args.repeat)
-    adapter_s, adapted = best_time(lambda: build_daily_views(posts, day), args.repeat)
     brute_views_s, reference = best_time(lambda: brute_daily_views(posts), args.repeat)
 
     print(json.dumps({
@@ -177,8 +164,6 @@ def main():
         "hashtags": len(views.hashtags),
         "read_posts_s": read_s,
         "build_daily_views_s": views_s,
-        "adapter_build_daily_views_s": adapter_s,
-        "adapter_agree": same_codes(views, adapted),
         "preprocess_text_s": tok_s,
         "brute_preprocess_text_s": brute_tok_s,
         "brute_daily_views_s": brute_views_s,

@@ -29,7 +29,7 @@ from .ensemble import (
     ensemble_cluster,
     filter_small_clusters,
 )
-from .ingest import DailyViews, PostRecord, build_daily_views, preprocess_text
+from .ingest import DailyViews, build_daily_views, preprocess_text
 from .analytics import top_user_score, top_users, unique_user_ratio
 
 __all__ = [
@@ -54,14 +54,16 @@ __all__ = [
     "LabeledClustering",
     "adjusted_rand_index",
     "agglomerative_meta_cluster",
+    "average_linkage_merges",
     "cross_level",
     "pairwise_ari_matrix",
+    "write_ari_matrix",
+    "write_dendrogram",
     "average_internal_ari",
     "build_object_cluster_graph",
     "ensemble_cluster",
     "filter_small_clusters",
     "DailyViews",
-    "PostRecord",
     "build_daily_views",
     "preprocess_text",
     "top_user_score",

@@ -215,12 +215,12 @@ def _load_posts(input_path: str):
     if not path.is_file():
         _fail(EXIT_INPUT, f"input not found: {path}")
     warnings = []
-    corpus = read_posts(path, on_error=lambda ln, msg: warnings.append((ln, msg)))
+    days = read_posts(path, on_error=lambda ln, msg: warnings.append((ln, msg)))
     for ln, msg in warnings:
         click.echo(f"warning: line {ln} skipped: {msg}", err=True)
-    if not corpus.days:
+    if not days:
         _fail(EXIT_INPUT, f"no usable records in {path}")
-    return corpus.days
+    return days
 
 
 def _write_day_views(day_views, out_dir: Path):
@@ -472,9 +472,7 @@ def synth(ctx, mode, n, blocks, views, noise_views, p_in, p_out, posts_per_day, 
             click.echo(f"{len(graphs)} view graphs on {n} nodes")
         else:
             records = synthetic_corpus(seed=seed, posts_per_day=posts_per_day)
-            _write_rows(out / "posts.jsonl", (
-                (json.dumps({**vars(r), "timestamp": r.timestamp.isoformat()}),) for r in records
-            ))
+            _write_rows(out / "posts.jsonl", ((json.dumps(r),) for r in records))
             click.echo(f"{len(records)} posts")
 
 

@@ -33,20 +33,6 @@ class RecordError(ValueError):
 
 
 @dataclass(frozen=True)
-class PostRecord:
-    post_id: str
-    timestamp: datetime
-    user_id: str
-    text: str
-    hashtags: tuple[str, ...]
-    urls: tuple[str, ...]
-
-    @property
-    def day(self) -> date:
-        return self.timestamp.date()
-
-
-@dataclass(frozen=True)
 class PostCodes:
     """One day's posts as int codes, in post order: what the views and the
     period reports count.
@@ -136,11 +122,11 @@ def _names(key: str, value, nonempty: bool) -> list:
 
 
 def _record(post_id, timestamp, user_id, text, hashtags, urls) -> tuple:
-    """The checked fields of a post, in `PostRecord` order, that both readers
-    build: ids and text each a string or a number (not null or a bool),
-    `hashtags` a list of non-empty strings, `urls` a list of strings whose
-    empty ones are dropped, and no tab or line break in a user id, hashtag or
-    URL."""
+    """The checked fields of a post that both readers build, as (post_id,
+    timestamp, user_id, text, hashtags, urls): ids and text each a string or
+    a number (not null or a bool), `hashtags` a list of non-empty strings,
+    `urls` a list of strings whose empty ones are dropped, and no tab or line
+    break in a user id, hashtag or URL."""
     try:
         for key, value in (("post_id", post_id), ("user_id", user_id), ("text", text)):
             # a JSON bool is not an int here, and a null is not the string "None"
@@ -160,7 +146,9 @@ def _record(post_id, timestamp, user_id, text, hashtags, urls) -> tuple:
     return fields
 
 
-def _json_fields(line: str) -> tuple:
+def parse_json_record(line: str) -> tuple:
+    """One line-delimited JSON object with the fields of `_record`, as its
+    checked tuple; `text`, `hashtags` and `urls` may be left out."""
     obj = json.loads(line)
     try:
         fields = obj["post_id"], obj["timestamp"], obj["user_id"]
@@ -169,24 +157,14 @@ def _json_fields(line: str) -> tuple:
     return _record(*fields, obj.get("text", ""), obj.get("hashtags", []), obj.get("urls", []))
 
 
-def _tsv_fields(line: str) -> tuple:
+def parse_tsv_record(line: str) -> tuple:
+    """TSV fallback: post_id, timestamp, user_id, text, hashtags, urls (the
+    last two comma-separated, may be empty; empty items are dropped)."""
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 6:
         raise RecordError(f"expected 6 TSV fields, got {len(parts)}")
     post_id, ts, user, text, tags, urls = parts
     return _record(post_id, ts, user, text, list(filter(None, tags.split(","))), urls.split(","))
-
-
-def parse_json_record(line: str) -> PostRecord:
-    """One line-delimited JSON object with the PostRecord fields; `text`,
-    `hashtags` and `urls` may be left out."""
-    return PostRecord(*_json_fields(line))
-
-
-def parse_tsv_record(line: str) -> PostRecord:
-    """TSV fallback: post_id, timestamp, user_id, text, hashtags, urls (the
-    last two comma-separated, may be empty; empty items are dropped)."""
-    return PostRecord(*_tsv_fields(line))
 
 
 def _check_utf8(line: str) -> None:
@@ -210,12 +188,11 @@ class _Names(dict):
 
 
 class PostCorpus:
-    """Posts coded as they are read: one name table each for users, hashtags,
-    URLs and tokens, shared by all days, and each day's posts as codes."""
+    """Name tables shared by the days of one `group_by_day` call: each new
+    user, hashtag, URL and token gets the next int code."""
 
     def __init__(self):
         self.users, self.hashtags, self.urls, self.tokens = (_Names() for _ in range(4))
-        self.days: dict[date, CorpusDay] = {}
 
 
 class CorpusDay:
@@ -251,47 +228,42 @@ class CorpusDay:
         self.n_tokens.append(len(tokens))
 
 
-def read_posts(path, on_error=None) -> PostCorpus:
-    """Read a UTF-8 .jsonl or .tsv corpus, coding each post as it is read,
-    with the days in date order; malformed lines, and lines that are not
-    valid UTF-8, go to on_error and are skipped."""
-    fields = _tsv_fields if str(path).endswith(".tsv") else _json_fields
+def group_by_day(records) -> dict[date, CorpusDay]:
+    """Checked record tuples (from `parse_json_record` or `parse_tsv_record`)
+    coded into one `PostCorpus`, as one `CorpusDay` per date in date order."""
     corpus = PostCorpus()
-    # surrogateescape keeps undecodable bytes as lone surrogates, so one bad
-    # line is reported on its own instead of failing the whole read
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                _check_utf8(line)
-                post_id, timestamp, user_id, text, hashtags, urls = fields(line)
-            except (RecordError, json.JSONDecodeError) as exc:
-                if on_error is not None:
-                    on_error(lineno, str(exc))
-                continue
-            day = corpus.days.get(timestamp.date())
-            if day is None:
-                day = corpus.days[timestamp.date()] = CorpusDay(corpus)
-            day.add(post_id, user_id, text, hashtags, urls)
-    corpus.days = dict(sorted(corpus.days.items()))
-    return corpus
-
-
-def group_by_day(posts: list[PostRecord]) -> dict[date, list[PostRecord]]:
-    days: dict[date, list[PostRecord]] = {}
-    for p in posts:
-        days.setdefault(p.day, []).append(p)
+    days: dict[date, CorpusDay] = {}
+    for post_id, timestamp, user_id, text, hashtags, urls in records:
+        day = days.get(timestamp.date())
+        if day is None:
+            day = days[timestamp.date()] = CorpusDay(corpus)
+        day.add(post_id, user_id, text, hashtags, urls)
     return dict(sorted(days.items()))
 
 
-def _coded(posts: list[PostRecord]) -> CorpusDay:
-    """Records coded as one day of a corpus of their own, as `read_posts`
-    codes a day."""
-    day = CorpusDay(PostCorpus())
-    for p in posts:
-        day.add(p.post_id, p.user_id, p.text, p.hashtags, p.urls)
-    return day
+def read_posts(path, on_error=None) -> dict[date, CorpusDay]:
+    """Read a UTF-8 .jsonl or .tsv corpus, coding each post as it is read,
+    into `group_by_day`'s days; malformed lines, and lines that are not valid
+    UTF-8, go to on_error and are skipped."""
+    parse = parse_tsv_record if str(path).endswith(".tsv") else parse_json_record
+
+    def records():
+        # surrogateescape keeps undecodable bytes as lone surrogates, so one
+        # bad line is reported on its own instead of failing the whole read
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    _check_utf8(line)
+                    record = parse(line)
+                except (RecordError, json.JSONDecodeError) as exc:
+                    if on_error is not None:
+                        on_error(lineno, str(exc))
+                    continue
+                yield record
+
+    return group_by_day(records())
 
 
 def _first(codes: np.ndarray, names: list, order=None) -> tuple[tuple, np.ndarray]:
@@ -322,11 +294,9 @@ def _width(col_codes: np.ndarray) -> int:
     return int(col_codes.max()) + 1 if len(col_codes) else 0
 
 
-def code_posts(posts) -> PostCodes:
-    """Recode one day's posts to the day's first-appearance orders: the
-    `CorpusDay` of `read_posts`, or a list of PostRecord coded here the same
-    way. A hashtag repeated in a post counts once there."""
-    day = posts if isinstance(posts, CorpusDay) else _coded(posts)
+def code_posts(day: CorpusDay) -> PostCodes:
+    """Recode one day's posts to the day's first-appearance orders. A hashtag
+    repeated in a post counts once there."""
     n = len(day)
     tag_post = np.repeat(np.arange(n, dtype=np.int32), np.array(day.n_tags, np.int32))
     names, tag_code = _first(np.array(day.tags, np.int32), day.corpus.hashtags.names)
@@ -354,21 +324,23 @@ def code_posts(posts) -> PostCodes:
     )
 
 
-def build_daily_views(posts, day: date, url_mode: str = "exact") -> DailyViews:
+def _host(url: str) -> str:
+    """A URL's host, or the URL itself where it has none or does not parse."""
+    try:
+        return urlparse(url).netloc or url
+    except ValueError:  # as on the unclosed IPv6 bracket of `http://[::1`
+        return url
+
+
+def build_daily_views(posts: CorpusDay, day: date, url_mode: str = "exact") -> DailyViews:
     """Aggregate one day's posts into the four hashtag views.
 
-    `posts` is the day's `CorpusDay` from `read_posts`, or a list of
-    PostRecord on `day`, coded here the same way. `code_posts` recodes them
-    to the day's orders, and each view is built from the codes: every
-    (registry hashtag, feature) pair of a post counts 1.
+    `code_posts` recodes the day's posts to the day's orders, and each view
+    is built from the codes: every (registry hashtag, feature) pair of a post
+    counts 1.
     url_mode="domain" reduces URLs to their host before counting, for the
     case where exact URLs almost never repeat.
     """
-    if not isinstance(posts, CorpusDay):
-        if any(p.day != day for p in posts):
-            raise RecordError("posts must all fall on the given day")
-        posts = _coded(posts)
-
     codes = code_posts(posts)
     registry = codes.hashtags[:codes.n_registry]
     in_registry = codes.tag_code < codes.n_registry
@@ -388,7 +360,7 @@ def build_daily_views(posts, day: date, url_mode: str = "exact") -> DailyViews:
     if url_mode == "domain":  # each distinct URL reduced to its host once
         distinct, inverse = np.unique(urls, return_inverse=True)
         hosts = _Names()
-        urls = np.array([hosts[urlparse(u).netloc or u]
+        urls = np.array([hosts[_host(u)]
                          for u in map(url_names.__getitem__, distinct.tolist())], np.int32)[inverse]
         url_names = hosts.names
     url_names, url_code = _first(urls, url_names)

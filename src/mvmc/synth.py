@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .graph import GraphUsageError, ViewGraph
-from .ingest import PostRecord
 from datetime import datetime, timezone
 
 
@@ -49,8 +48,9 @@ def planted_partition_views(
     return graphs, labels
 
 
-def synthetic_corpus(seed: int = 0, posts_per_day: int = 70) -> list[PostRecord]:
-    """Three synthetic days of posts with planted topical hashtag groups.
+def synthetic_corpus(seed: int = 0, posts_per_day: int = 70) -> list[dict]:
+    """Three synthetic days of posts, as JSON input objects, with planted
+    topical hashtag groups.
 
     Days 1 and 2 share the same three groups; on day 3 the membership of two
     groups is reshuffled, so day-3 clusterings should diverge from days 1-2.
@@ -82,18 +82,16 @@ def synthetic_corpus(seed: int = 0, posts_per_day: int = 70) -> list[PostRecord]
         stamp = datetime(2020, 3, 1 + day_idx, tzinfo=timezone.utc)
         for _ in range(posts_per_day):
             g = ["a", "b", "c"][rng.integers(3)]
-            tags = list(rng.choice(day_groups[g], size=3, replace=False))
+            tags = rng.choice(day_groups[g], size=3, replace=False).tolist()
             words = list(rng.choice(vocab[g], size=4, replace=True))
             text = " ".join(words) + f" #{tags[0]} https://t.co/x{pid}"
-            records.append(
-                PostRecord(
-                    post_id=f"p{pid}",
-                    timestamp=stamp.replace(hour=int(rng.integers(24))),
-                    user_id=str(rng.choice(users[g])),
-                    text=text,
-                    hashtags=tuple(tags),
-                    urls=(str(rng.choice(urls[g])),),
-                )
-            )
+            records.append({
+                "post_id": f"p{pid}",
+                "timestamp": stamp.replace(hour=int(rng.integers(24))).isoformat(),
+                "user_id": str(rng.choice(users[g])),
+                "text": text,
+                "hashtags": tags,
+                "urls": [str(rng.choice(urls[g]))],
+            })
             pid += 1
     return records

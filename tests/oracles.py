@@ -335,6 +335,14 @@ def brute_preprocess_text(raw: str) -> list[str]:
     return "".join(cleaned).split()
 
 
+def brute_host(url):
+    """A URL's host; the URL itself when it has none or urlparse rejects it."""
+    try:
+        return urlparse(url).netloc or url
+    except ValueError:
+        return url
+
+
 def brute_daily_views(posts, url_mode="exact", min_posts=3):
     """One day's four views from dicts keyed by (hashtag, feature) pairs.
 
@@ -360,7 +368,7 @@ def brute_daily_views(posts, url_mode="exact", min_posts=3):
         if not tags:
             continue
         tokens = brute_preprocess_text(p.text)
-        urls = [urlparse(u).netloc or u if url_mode == "domain" else u for u in p.urls]
+        urls = [brute_host(u) if url_mode == "domain" else u for u in p.urls]
         for h in tags:
             features = (tokens, [p.user_id], urls, [o for o in tags if o != h])
             for acc, feats in zip(accs, features):

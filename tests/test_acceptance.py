@@ -3,6 +3,7 @@
 Each test prints a PASS/FAIL line directly to the terminal (bypassing
 capture) so the verdicts survive in piped output.
 """
+import json
 import math
 import time
 from pathlib import Path
@@ -34,7 +35,7 @@ from mvmc import (
 )
 from mvmc.cli import main as cli_main
 from mvmc.graph import densify_labels
-from mvmc.ingest import build_daily_views, group_by_day
+from mvmc.ingest import build_daily_views, group_by_day, parse_json_record
 from mvmc.modularity import maximize
 from mvmc.synth import planted_partition_views, synthetic_corpus
 from mvmc.views import knn_graph
@@ -286,7 +287,7 @@ def test_criterion_7_temporal_golden(capsys):
     posts = synthetic_corpus(seed=7)
     cfg = MvmcConfig(seed=0)
     dailies = []
-    for day, day_posts in group_by_day(posts).items():
+    for day, day_posts in group_by_day(parse_json_record(json.dumps(p)) for p in posts).items():
         dv = build_daily_views(day_posts, day)
         graphs = [knn_graph(tfidf(v)) for v in dv.as_list()]
         clustering, _ = run_mvmc(graphs, cfg)

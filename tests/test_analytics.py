@@ -16,7 +16,7 @@ from mvmc.graph import GraphUsageError
 from mvmc.ingest import MIN_POSTS_PER_HASHTAG, code_posts
 
 from oracles import brute_preprocess_text, brute_top_user_score, brute_usage_tables
-from test_ingest import post, random_day
+from test_ingest import coded_day, post, random_day
 
 
 def test_top_users_takes_ceil_third():
@@ -133,7 +133,7 @@ def test_report_tables_match_brute_force(tmp_path):
         rng = np.random.default_rng(seed)
         days, lc = random_period(rng)
         posts = [p for day in days for p in day]
-        codes = [code_posts(day) for day in days]
+        codes = [code_posts(coded_day(day)) for day in days]
         fraction = (1 / 3, 0.5, 1.0)[seed % 3]
         top_tokens = (0, 1, 3, 20)[seed % 4]
 
@@ -179,7 +179,7 @@ def test_report_rows_carry_the_clusterings_labels(tmp_path):
              for i, h in enumerate(labels) for j in range(3)]
     lc = LabeledClustering(labels)
     got, want = tmp_path / "got", tmp_path / "want"
-    _write_reports([code_posts(posts)], lc, got, 1 / 3, 2)
+    _write_reports([code_posts(coded_day(posts))], lc, got, 1 / 3, 2)
     brute_reports(posts, lc, want, 1 / 3, 2)
     for name in REPORTS:
         assert (got / name).read_bytes() == (want / name).read_bytes(), name

@@ -1,18 +1,19 @@
 import json
-from collections import Counter
-from dataclasses import replace
+from collections import Counter, namedtuple
 from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
 from oracles import brute_daily_views, brute_preprocess_text
 
-from mvmc import PostRecord, build_daily_views, preprocess_text
+from mvmc import build_daily_views, preprocess_text
 from mvmc.ingest import (
     MIN_POSTS_PER_HASHTAG,
     RecordError,
     VIEW_NAMES,
+    CorpusDay,
     PostCodes,
+    PostCorpus,
     group_by_day,
     parse_json_record,
     parse_tsv_record,
@@ -21,28 +22,34 @@ from mvmc.ingest import (
 
 DAY = date(2020, 3, 1)
 
+# a record tuple of the readers, with its fields named
+Post = namedtuple("Post", "post_id timestamp user_id text hashtags urls")
+
 
 def post(pid, tags, text="", user="u1", urls=(), hour=12):
-    return PostRecord(
-        post_id=pid,
-        timestamp=datetime(2020, 3, 1, hour, tzinfo=timezone.utc),
-        user_id=user,
-        text=text,
-        hashtags=tuple(tags),
-        urls=tuple(urls),
-    )
+    return Post(pid, datetime(2020, 3, 1, hour, tzinfo=timezone.utc), user, text, tuple(tags),
+                tuple(urls))
 
 
-def read_back(corpus):
-    """(post id, user, tokens, distinct hashtags, URLs) of each post that a
-    PostCorpus holds, its days in date order."""
+def coded_day(posts):
+    """Posts on DAY coded through `group_by_day`; none give an empty day."""
+    return group_by_day(posts).get(DAY, CorpusDay(PostCorpus()))
+
+
+def day_views(posts, url_mode="exact"):
+    return build_daily_views(coded_day(posts), DAY, url_mode=url_mode)
+
+
+def read_back(days):
+    """(post id, user, tokens, distinct hashtags, URLs) of each post that
+    the days of `group_by_day` hold, in date order."""
     def runs(codes, lens, table):
         flat = iter(codes)
         return [tuple(table.names[next(flat)] for _ in range(n)) for n in lens]
 
     rows = []
-    for day in corpus.days.values():
-        ids = list(day.ids)
+    for day in days.values():
+        ids, corpus = list(day.ids), day.corpus
         rows += zip(
             (ids[c] for c in day.post_id),
             (corpus.users.names[c] for c in day.user),
@@ -109,32 +116,32 @@ def test_preprocess_matches_oracle_on_random_markup():
 
 
 def test_parse_json_record():
-    rec = parse_json_record(
+    rec = Post(*parse_json_record(
         '{"post_id": "1", "timestamp": "2020-03-01T12:00:00Z", "user_id": "u9",'
         ' "text": "hi", "hashtags": ["#a"], "urls": []}'
-    )
-    assert rec.user_id == "u9" and rec.day == DAY
+    ))
+    assert rec.user_id == "u9" and rec.timestamp.date() == DAY
     with pytest.raises(RecordError):
         parse_json_record('{"timestamp": "2020-03-01T00:00:00Z"}')
 
 
 def test_parse_tsv_record():
-    rec = parse_tsv_record("1\t2020-03-01T12:00:00Z\tu9\thi there\t#a,#b\t\n")
+    rec = Post(*parse_tsv_record("1\t2020-03-01T12:00:00Z\tu9\thi there\t#a,#b\t\n"))
     assert rec.hashtags == ("#a", "#b") and rec.urls == ()
     with pytest.raises(RecordError):
         parse_tsv_record("too\tfew\tfields")
 
 
 def test_json_record_drops_empty_urls():
-    rec = parse_json_record(
+    rec = Post(*parse_json_record(
         '{"post_id": "1", "timestamp": "2020-03-01T12:00:00Z", "user_id": "u9",'
         ' "text": "hi", "hashtags": ["#a"], "urls": ["", "http://x.co/a", ""]}'
-    )
+    ))
     assert rec.urls == ("http://x.co/a",)
 
 
 def test_tsv_record_drops_empty_urls():
-    rec = parse_tsv_record("1\t2020-03-01T12:00:00Z\tu9\thi\t#a\t,http://x.co/a,\n")
+    rec = Post(*parse_tsv_record("1\t2020-03-01T12:00:00Z\tu9\thi\t#a\t,http://x.co/a,\n"))
     assert rec.urls == ("http://x.co/a",)
 
 
@@ -165,8 +172,8 @@ def test_a_null_id_or_text_is_a_bad_record(tmp_path, field):
     nulled = "".join(json_line(**{"post_id": str(i), field: None}) for i in (2, 3, 4))
     path.write_text(json_line(post_id="1") + nulled + json_line(post_id="5"))
     errors = []
-    corpus = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
-    assert [post_id for post_id, *_ in read_back(corpus)] == ["1", "5"]
+    days = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
+    assert [post_id for post_id, *_ in read_back(days)] == ["1", "5"]
     assert errors == [(ln, f"bad record: {field} is null") for ln in (2, 3, 4)]
     with pytest.raises(RecordError, match=f"^bad record: {field} is null$"):
         parse_json_record(json_line(**{field: None}))
@@ -180,15 +187,15 @@ def test_an_id_or_text_that_is_not_a_string_or_number_is_a_bad_record(tmp_path, 
     path = tmp_path / "posts.jsonl"
     path.write_text(json_line(post_id="1") + json_line(**{"post_id": "2", field: value}))
     errors = []
-    corpus = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
-    assert [post_id for post_id, *_ in read_back(corpus)] == ["1"]
+    days = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
+    assert [post_id for post_id, *_ in read_back(days)] == ["1"]
     assert errors == [(2, f"bad record: {field} is not a string or a number")]
     with pytest.raises(RecordError, match=f"^bad record: {field} is not a string or a number$"):
         parse_json_record(json_line(**{field: value}))
 
 
 def test_json_numbers_are_read_as_strings():
-    rec = parse_json_record(json_line(post_id=7, user_id=12, text=3.5))
+    rec = Post(*parse_json_record(json_line(post_id=7, user_id=12, text=3.5)))
     assert (rec.post_id, rec.user_id, rec.text) == ("7", "12", "3.5")
     assert preprocess_text(rec.text) == ["3", "5"]
 
@@ -201,8 +208,8 @@ def test_read_posts_reports_bad_lines(tmp_path):
         "this is not json\n"
     )
     errors = []
-    corpus = read_posts(path, on_error=lambda ln, msg: errors.append(ln))
-    assert len(read_back(corpus)) == 1
+    days = read_posts(path, on_error=lambda ln, msg: errors.append(ln))
+    assert len(read_back(days)) == 1
     assert errors == [2]
 
 
@@ -214,8 +221,8 @@ def test_read_posts_skips_lines_that_are_not_utf8(tmp_path):
     path = tmp_path / "posts.jsonl"
     path.write_bytes((good % "1").encode() + b'{"post_id": "\xff\xfe"}\n' + (good % "3").encode())
     errors = []
-    corpus = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
-    assert [(post_id, tokens, tags) for post_id, _user, tokens, tags, _urls in read_back(corpus)] == [
+    days = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
+    assert [(post_id, tokens, tags) for post_id, _user, tokens, tags, _urls in read_back(days)] == [
         ("1", ("café",), ("#été",)),
         ("3", ("café",), ("#été",)),
     ]
@@ -224,14 +231,15 @@ def test_read_posts_skips_lines_that_are_not_utf8(tmp_path):
 
 def test_group_by_day_sorted():
     a = post("1", ["#x"])
-    b = PostRecord("2", datetime(2020, 2, 28, tzinfo=timezone.utc), "u", "", (), ())
+    b = Post("2", datetime(2020, 2, 28, tzinfo=timezone.utc), "u", "", (), ())
     grouped = group_by_day([a, b])
     assert list(grouped) == [date(2020, 2, 28), DAY]
+    assert grouped[DAY].corpus is grouped[date(2020, 2, 28)].corpus
 
 
 def test_rare_hashtags_dropped():
     posts = [post(str(i), ["#keep", "#rare"] if i == 0 else ["#keep"]) for i in range(3)]
-    views = build_daily_views(posts, DAY)
+    views = day_views(posts)
     assert views.hashtags == ("#keep",)
     assert MIN_POSTS_PER_HASHTAG == 3
 
@@ -239,14 +247,14 @@ def test_rare_hashtags_dropped():
 def test_threshold_counts_distinct_posts_not_uses():
     # three mentions of #x inside a single post must not rescue it
     posts = [post("0", ["#x", "#x", "#x"])] + [post(str(i), ["#y"]) for i in range(1, 4)]
-    views = build_daily_views(posts, DAY)
+    views = day_views(posts)
     assert views.hashtags == ("#y",)
 
 
 def test_hashtags_case_sensitive():
     posts = [post(str(i), ["#Covid"]) for i in range(3)]
     posts += [post(str(i + 10), ["#covid"]) for i in range(2)]
-    views = build_daily_views(posts, DAY)
+    views = day_views(posts)
     assert views.hashtags == ("#Covid",)
 
 
@@ -255,7 +263,7 @@ def test_views_share_row_registry():
         post(str(i), ["#a", "#b"], text="hello world", user=f"u{i}", urls=["http://s.co/1"])
         for i in range(3)
     ]
-    views = build_daily_views(posts, DAY)
+    views = day_views(posts)
     rows = views.text_view.row_names
     for v in views.as_list():
         assert v.row_names == rows
@@ -265,7 +273,7 @@ def test_views_share_row_registry():
 def test_cooccurrence_symmetric_counts():
     posts = [post(str(i), ["#a", "#b"]) for i in range(3)]
     posts.append(post("9", ["#a"]))
-    views = build_daily_views(posts, DAY)
+    views = day_views(posts)
     co = views.cooccur_view.counts.toarray()
     rows = views.hashtags
     ia, ib = rows.index("#a"), rows.index("#b")
@@ -279,7 +287,7 @@ def test_user_and_url_views_count_posts():
         post("1", ["#a"], user="alice", urls=["http://x.co/p", "http://y.co/q"]),
         post("2", ["#a"], user="bob"),
     ]
-    views = build_daily_views(posts, DAY)
+    views = day_views(posts)
     users = views.user_view
     assert users.counts[0, users.col_names.index("alice")] == 2
     assert users.counts[0, users.col_names.index("bob")] == 1
@@ -291,23 +299,20 @@ def test_url_domain_mode():
     posts = [
         post(str(i), ["#a"], urls=[f"http://news.example/article{i}"]) for i in range(3)
     ]
-    views = build_daily_views(posts, DAY, url_mode="domain")
+    views = day_views(posts, url_mode="domain")
     assert views.url_view.col_names == ("news.example",)
     assert views.url_view.counts[0, 0] == 3
-
-
-def test_wrong_day_rejected():
-    with pytest.raises(RecordError):
-        build_daily_views([post("1", ["#a"])], date(2020, 3, 2))
 
 
 def random_day(rng, n_posts):
     """Posts of one day built to hit every accumulation case: repeated
     hashtags and tokens in a post, duplicate post ids, hashtags under the
-    floor, posts with no surviving hashtag, repeated URLs."""
+    floor, posts with no surviving hashtag, repeated URLs, and a URL that
+    urlparse rejects."""
     tags = ["#a", "#b", "#A", "#c", "#d", "#e", "#covid", "#Covid"]
     words = ["stay", "home", "Stay", "HOME", "ΣΑΣ", "masks", "42", "N°5", "#x", "@who", "RT"]
-    urls = ["http://a.example/1", "http://a.example/2", "https://b.example/x", "www.c.example"]
+    urls = ["http://a.example/1", "http://a.example/2", "https://b.example/x", "www.c.example",
+            "http://[::1"]
 
     def pick(pool, most):
         return [pool[i] for i in rng.integers(len(pool), size=rng.integers(0, most + 1))]
@@ -330,7 +335,7 @@ def test_views_match_dict_accumulator(seed):
     rng = np.random.default_rng(seed)
     posts = random_day(rng, int(rng.integers(0, 40)))
     url_mode = ("exact", "domain")[seed % 2]
-    views = build_daily_views(posts, DAY, url_mode=url_mode)
+    views = day_views(posts, url_mode=url_mode)
     registry, expected = brute_daily_views(posts, url_mode=url_mode)
     assert views.hashtags == registry
     for view, (cols, counts) in zip(views.as_list(), expected):
@@ -355,7 +360,7 @@ def test_random_days_cover_every_case():
     for seed in range(60):
         rng = np.random.default_rng(seed)
         posts = random_day(rng, int(rng.integers(0, 40)))
-        kept = set(build_daily_views(posts, DAY).hashtags)
+        kept = set(day_views(posts).hashtags)
         ids = [p.post_id for p in posts]
         tokens = [preprocess_text(p.text) for p in posts]
         cases = {
@@ -397,9 +402,9 @@ def assert_same_day(got, want):
 
 @pytest.mark.parametrize("suffix", [".jsonl", ".tsv"])
 def test_read_days_match_the_record_adapter_and_the_oracle(tmp_path, suffix):
-    """Days coded by `read_posts` give the views and codes that the record
-    adapter gives on the parsed records of the same file, and the oracle's
-    views."""
+    """Days coded by `read_posts`, with name tables shared by all days, give
+    the views and codes of each day's parsed records coded on their own
+    through `group_by_day`, and the oracle's views."""
     parse = parse_tsv_record if suffix == ".tsv" else parse_json_record
     cases = Counter()
     for seed in range(40):
@@ -407,7 +412,8 @@ def test_read_days_match_the_record_adapter_and_the_oracle(tmp_path, suffix):
         dates = [date(2020, 3, d) for d in rng.permutation([1, 2, 3, 4])[:rng.integers(2, 5)]]
         no_urls = dates[int(rng.integers(len(dates)))]
         posts = [
-            replace(p, timestamp=p.timestamp.replace(day=d.day), urls=() if d == no_urls else p.urls)
+            p._replace(timestamp=p.timestamp.replace(day=d.day),
+                       urls=() if d == no_urls else p.urls)
             for d in dates for p in random_day(rng, int(rng.integers(1, 30)))
         ]
         posts = [posts[i] for i in rng.permutation(len(posts))]
@@ -415,15 +421,20 @@ def test_read_days_match_the_record_adapter_and_the_oracle(tmp_path, suffix):
         path.write_text("".join(record_line(p, suffix) for p in posts))
         url_mode = ("exact", "domain")[seed % 2]
 
-        corpus = read_posts(path)
-        records = group_by_day([parse(line) for line in path.read_text().splitlines(keepends=True)])
-        assert list(corpus.days) == list(records) == sorted(dates)
-        assert read_back(corpus) == [
+        days = read_posts(path)
+        records = {}  # each day's parsed records, in file order
+        for line in path.read_text().splitlines(keepends=True):
+            record = Post(*parse(line))
+            records.setdefault(record.timestamp.date(), []).append(record)
+        records = dict(sorted(records.items()))
+        assert list(days) == list(records) == sorted(dates)
+        assert read_back(days) == [
             (p.post_id, p.user_id, tuple(preprocess_text(p.text)), tuple(dict.fromkeys(p.hashtags)),
              p.urls) for day_posts in records.values() for p in day_posts]
         for day, day_posts in records.items():
-            coded = build_daily_views(corpus.days[day], day, url_mode=url_mode)
-            assert_same_day(coded, build_daily_views(day_posts, day, url_mode=url_mode))
+            coded = build_daily_views(days[day], day, url_mode=url_mode)
+            (alone,) = group_by_day(day_posts).values()
+            assert_same_day(coded, build_daily_views(alone, day, url_mode=url_mode))
             registry, expected = brute_daily_views(day_posts, url_mode=url_mode)
             assert coded.hashtags == registry
             for view, (cols, counts) in zip(coded.as_list(), expected):

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 from mvmc import GraphUsageError, ViewMatrix, auto_k, cosine_similarity, knn_graph, tfidf
 from mvmc import _kernels
-from mvmc.ingest import build_daily_views, group_by_day
+from mvmc.ingest import build_daily_views, group_by_day, parse_json_record
 from mvmc.synth import synthetic_corpus
 from mvmc.views import _unit_rows
 
@@ -179,7 +181,7 @@ def test_view_matrix_copies_the_callers_matrix():
 def test_from_codes_and_tfidf_build_what_the_public_constructor_would():
     # both skip the public constructor's copy and canonicalisation
     posts = synthetic_corpus(seed=101)
-    for day, day_posts in group_by_day(posts).items():
+    for day, day_posts in group_by_day(parse_json_record(json.dumps(p)) for p in posts).items():
         for view in build_daily_views(day_posts, day).as_list():
             for built in (view, tfidf(view), tfidf(view, mode="log")):
                 again = ViewMatrix(built.counts, built.row_names, built.col_names)
