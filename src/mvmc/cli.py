@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -33,7 +32,7 @@ from .compare import (
 )
 from .driver import MvmcConfig, run_mvmc
 from .ensemble import ensemble_cluster, filter_small_clusters
-from .graph import GraphUsageError
+from .graph import GraphUsageError, write_rows
 from .ingest import (
     MIN_POSTS_PER_HASHTAG,
     VIEW_NAMES,
@@ -46,23 +45,6 @@ from .views import ViewMatrix, knn_graph, tfidf
 
 EXIT_INPUT = 2
 EXIT_OUTPUT = 3
-
-
-@contextmanager
-def atomic_write(path: Path):
-    """Write to a temp file and rename, so partial outputs never land.
-
-    The directory is created if missing. The temp name carries the process
-    id, and the temp file is removed when the block or the rename raises.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def _fail(code: int, message: str):
@@ -80,15 +62,6 @@ def _exits_on(error, code: int, where: str = ""):
     except error as exc:
         detail = f"not valid UTF-8 ({exc.reason})" if isinstance(exc, UnicodeDecodeError) else exc
         _fail(code, f"{where}: {detail}" if where else str(detail))
-
-
-def _write_rows(path: Path, rows, header: str = ""):
-    """Atomically write one tab-separated line per row, after the header."""
-    with atomic_write(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(header + "\n")
-        for row in rows:
-            fh.write("\t".join(map(str, row)) + "\n")
 
 
 # --- config: one table of defaults and checks for `pipeline` and the options
@@ -225,10 +198,9 @@ def _load_posts(input_path: str):
 
 def _write_day_views(day_views, out_dir: Path):
     day_dir = out_dir / day_views.day.isoformat()
-    _write_rows(day_dir / "registry.tsv", ((name,) for name in day_views.hashtags))
+    write_rows(day_dir / "registry.tsv", ((name,) for name in day_views.hashtags))
     for name, view in zip(VIEW_NAMES, day_views.as_list()):
-        with atomic_write(day_dir / f"{name}.triplets") as tmp:
-            view.write_triplets(tmp)
+        view.write_triplets(day_dir / f"{name}.triplets")
 
 
 def _read_day_views(day_dir: Path) -> list[ViewMatrix]:
@@ -266,10 +238,8 @@ def _cluster_day(views, params: dict, tag: str = ""):
 
 
 def _write_clustering(lc: LabeledClustering, trace, labels_path: Path, trace_path: Path):
-    with atomic_write(labels_path) as tmp:
-        lc.write_tsv(tmp)
-    with atomic_write(trace_path) as tmp:
-        trace.write(tmp)
+    lc.write_tsv(labels_path)
+    trace.write(trace_path)
 
 
 def _read_clustering(path: Path, tag: str = "") -> LabeledClustering:
@@ -300,18 +270,15 @@ def _compare(filtered, meta_k: int, out: Path):
     merges = average_linkage_merges(1.0 - matrix)
     meta = cut(merges, meta_k)
     tags = [c.tag for c in filtered]
-    with atomic_write(out / "ari_matrix.tsv") as tmp:
-        write_ari_matrix(matrix, tags, tmp)
-    with atomic_write(out / "dendrogram.tsv") as tmp:
-        write_dendrogram(merges, tmp)
-    _write_rows(out / "meta_clusters.tsv", zip(tags, meta))
+    write_ari_matrix(matrix, tags, out / "ari_matrix.tsv")
+    write_dendrogram(merges, out / "dendrogram.tsv")
+    write_rows(out / "meta_clusters.tsv", zip(tags, meta))
     return matrix, meta
 
 
 def _consensus(members, seed: int, path: Path) -> LabeledClustering:
     consensus = ensemble_cluster(members, seed=seed)
-    with atomic_write(path) as tmp:
-        consensus.write_tsv(tmp)
+    consensus.write_tsv(path)
     return consensus
 
 
@@ -323,17 +290,17 @@ def _write_reports(days, lc: LabeledClustering, out: Path, fraction, top_tokens,
     for obj in sorted(lc.assignments):
         clusters.setdefault(str(lc.assignments[obj]), []).append(obj)
     usage, tokens = analytics.usage_tables(days, clusters)
-    _write_rows(
+    write_rows(
         out / f"{prefix}clusters.tsv",
         analytics.cluster_report_rows(clusters, usage, fraction),
         "cluster\tsize\tunique_top_users\ttop_user_score",
     )
-    _write_rows(
+    write_rows(
         out / f"{prefix}hashtags.tsv",
         analytics.hashtag_report_rows(usage),
         "hashtag\tuses\tunique_users\tunique_user_ratio",
     )
-    _write_rows(
+    write_rows(
         out / f"{prefix}tokens.tsv",
         (
             (label, tok, count)
@@ -466,13 +433,12 @@ def synth(ctx, mode, n, blocks, views, noise_views, p_in, p_out, posts_per_day, 
                     n, blocks, p_in, p_out, views, noise_views, seed
                 )
             for i, g in enumerate(graphs):
-                with atomic_write(out / f"view_{i}.edges") as tmp:
-                    g.write_edge_list(tmp)
-            _write_rows(out / "truth.tsv", enumerate(truth))
+                g.write_edge_list(out / f"view_{i}.edges")
+            write_rows(out / "truth.tsv", enumerate(truth))
             click.echo(f"{len(graphs)} view graphs on {n} nodes")
         else:
             records = synthetic_corpus(seed=seed, posts_per_day=posts_per_day)
-            _write_rows(out / "posts.jsonl", ((json.dumps(r),) for r in records))
+            write_rows(out / "posts.jsonl", ((json.dumps(r),) for r in records))
             click.echo(f"{len(records)} posts")
 
 
@@ -555,8 +521,8 @@ def run_pipeline(params: dict):
             sizes = np.bincount(clustering.labels)
             summary.append((lc.tag, len(dv.hashtags), clustering.n_clusters,
                             f"{sizes.mean():.2f}", sizes.max(), trace.converged))
-        _write_rows(out / "daily_summary.tsv", summary,
-                    "date\thashtags\tclusters\tmean_size\tmax_size\tconverged")
+        write_rows(out / "daily_summary.tsv", summary,
+                   "date\thashtags\tclusters\tmean_size\tmax_size\tconverged")
         if len(days) < 2:
             click.echo("single day: skipping temporal comparison")
             return
@@ -596,8 +562,8 @@ def run_pipeline(params: dict):
                 params["top_tokens"],
                 prefix=f"period_{label}_",
             )
-        _write_rows(out / "period_summary.tsv", rows,
-                    "period\tdays\tclusters\tmean_size\tstd_size\tavg_internal_ari")
+        write_rows(out / "period_summary.tsv", rows,
+                   "period\tdays\tclusters\tmean_size\tstd_size\tavg_internal_ari")
     click.echo(f"pipeline complete: {out}")
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphUsageError, densify_labels
+from .graph import GraphUsageError, densify_labels, read_rows, write_rows
 
 # Label of a day's group of absent objects: `cross_level` gives it to them,
 # and `pairwise_ari_matrix` puts entries that carry it in that group. Labels
@@ -28,25 +28,17 @@ class LabeledClustering:
         return frozenset(self.assignments)
 
     def write_tsv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for obj in sorted(self.assignments):
-                fh.write(f"{obj}\t{self.assignments[obj]}\n")
+        write_rows(path, ((obj, self.assignments[obj]) for obj in sorted(self.assignments)))
 
     @staticmethod
     def read_tsv(path, tag: str = "") -> "LabeledClustering":
+        """Read the `write_tsv` format; labels stay strings. An object listed
+        twice raises."""
         assignments = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise GraphUsageError(
-                        f"{path}:{lineno}: expected object<TAB>label,"
-                        f" got {len(fields)} field(s)"
-                    )
-                assignments[fields[0]] = fields[1]
+        for lineno, (obj, label) in read_rows(path, 2, "object<TAB>label"):
+            if obj in assignments:
+                raise GraphUsageError(f"{path}:{lineno}: object {obj!r} listed twice")
+            assignments[obj] = label
         return LabeledClustering(assignments, tag)
 
 
@@ -242,10 +234,8 @@ def pairwise_ari_matrix(clusterings: list[LabeledClustering]) -> np.ndarray:
 
 
 def write_ari_matrix(matrix: np.ndarray, tags: list[str], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t" + "\t".join(tags) + "\n")
-        for tag, row in zip(tags, matrix):
-            fh.write(tag + "\t" + "\t".join(repr(float(x)) for x in row) + "\n")
+    rows = np.asarray(matrix, dtype=np.float64).tolist()
+    write_rows(path, ((tag, *row) for tag, row in zip(tags, rows)), "\t" + "\t".join(tags))
 
 
 def average_linkage_merges(distance: np.ndarray) -> list[tuple[int, int, int, float]]:
@@ -312,7 +302,5 @@ def agglomerative_meta_cluster(matrix: np.ndarray, k: int) -> np.ndarray:
 
 def write_dendrogram(merges, path) -> None:
     """Merge-list text format: step, left, right, height per row."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step\tleft\tright\theight\n")
-        for step, left, right, height in merges:
-            fh.write(f"{step}\t{left}\t{right}\t{height!r}\n")
+    write_rows(path, ((step, left, right, float(height)) for step, left, right, height in merges),
+               "step\tleft\tright\theight")

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Clustering, GraphUsageError, ViewGraph
+from .graph import Clustering, GraphUsageError, ViewGraph, write_rows
 from .modularity import _check_views, _view_sums, maximize
 
 # Below this gap the log-mean formula is numerically degenerate and the
@@ -58,14 +58,14 @@ class MvmcTrace:
     chosen_iteration: int = 0
 
     def write(self, path) -> None:
-        """One tab-separated line per iteration: iter, gammas, weights, Q, k."""
-        with open(path, "w", encoding="utf-8") as fh:
-            for r in self.records:
-                gammas = "\t".join(repr(float(x)) for x in r.resolutions)
-                ws = "\t".join(repr(float(x)) for x in r.weights)
-                fh.write(
-                    f"{r.iteration}\t{gammas}\t{ws}\t{r.modularity!r}\t{r.n_clusters}\n"
-                )
+        """A header row, then one line per iteration: iteration, each view's
+        resolution, each view's weight, modularity, cluster count."""
+        views = range(len(self.records[0].weights) if self.records else 0)
+        header = ["iteration", *(f"resolution_{v}" for v in views),
+                  *(f"weight_{v}" for v in views), "modularity", "clusters"]
+        write_rows(path, ((r.iteration, *map(float, r.resolutions), *map(float, r.weights),
+                           float(r.modularity), r.n_clusters) for r in self.records),
+                   "\t".join(header))
 
 
 def edge_propensities(graphs: list[ViewGraph], clustering: Clustering) -> Propensities:

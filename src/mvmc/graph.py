@@ -1,13 +1,19 @@
 """Sparse weighted undirected graphs and cluster assignments.
 
 The whole pipeline works on a shared dense node set 0..n-1; string
-identifiers (hashtags) are kept in registries at the ingestion layer.
+identifiers (hashtags) are kept in registries at the ingestion layer. The
+atomic tab-separated writer that every artifact goes through, and its
+reader, live here too, because every module that writes an artifact
+imports this one.
 """
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import TYPE_CHECKING, Collection, Iterable
+from pathlib import Path
+from typing import TYPE_CHECKING, Collection, Iterable, Iterator
 
 import numpy as np
 
@@ -21,6 +27,50 @@ WEIGHT_FLOOR = 1e-12
 
 class GraphUsageError(ValueError):
     """Raised on contract violations (bad node ids, malformed edges)."""
+
+
+@contextmanager
+def atomic_write(path):
+    """Write to a temp file and rename, so partial outputs never land.
+
+    The directory is created if missing. The temp name carries the process
+    id, and the temp file is removed when the block or the rename raises.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_rows(path, rows, header: str = "") -> None:
+    """Atomically write UTF-8 text: the header line if any, then one line per
+    row of its values' `str()` joined by tabs."""
+    with atomic_write(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
+        if header:
+            fh.write(header + "\n")
+        for row in rows:
+            fh.write("\t".join(map(str, row)) + "\n")
+
+
+def read_rows(path, width: int, expected: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, tab-separated fields) of each non-empty line of a UTF-8
+    file; a line without `width` fields raises, naming `expected`."""
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            fields = line.split("\t")
+            if len(fields) != width:
+                raise GraphUsageError(
+                    f"{path}:{lineno}: expected {expected}, got {len(fields)} field(s)"
+                )
+            yield lineno, fields
 
 
 @dataclass(frozen=True)
@@ -105,10 +155,8 @@ class ViewGraph:
 
     def write_edge_list(self, path) -> None:
         """Debug format: header `#nodes=<n>`, then `i<TAB>j<TAB>weight` lines."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"#nodes={self.n}\n")
-            for i, j, w in zip(self.edge_u, self.edge_v, self.edge_w):
-                fh.write(f"{i}\t{j}\t{float(w)!r}\n")
+        write_rows(path, zip(self.edge_u.tolist(), self.edge_v.tolist(), self.edge_w.tolist()),
+                   f"#nodes={self.n}")
 
     @staticmethod
     def read_edge_list(path) -> "ViewGraph":

@@ -89,7 +89,7 @@ def _rb_sum(graphs, labels, w, gamma, m2, deg):
             continue
         intra, null = _view_sums(g, labels, deg[v])
         total += w[v] / m2[v] * (2.0 * intra - gamma[v] * null / m2[v])
-    return total
+    return float(total)
 
 
 def _combined_graph(graphs, coeffs):

@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import _kernels
-from .graph import GraphUsageError, ViewGraph
+from .graph import GraphUsageError, ViewGraph, atomic_write, read_rows
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -93,7 +93,7 @@ class ViewMatrix:
         indptr = self.counts.indptr.tolist()
         cols, vals = self.counts.indices.tolist(), self.counts.data.tolist()
         col_names = self.col_names
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             for r, name in enumerate(self.row_names):  # one write per row
                 lo, hi = indptr[r], indptr[r + 1]
                 fh.write("".join(f"{name}\t{col_names[c]}\t{v!r}\n"
@@ -108,30 +108,24 @@ class ViewMatrix:
         rows = {name: i for i, name in enumerate(row_names or ())}
         cols = {name: i for i, name in enumerate(col_names or ())}
         ri, ci, vals = [], [], []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                fields = line.rstrip("\n").split("\t")
-                if fields == [""]:
-                    continue
-                try:
-                    r, c, count = fields
-                    vals.append(float(count))
-                except ValueError:
-                    got = (f"count {fields[2]!r}" if len(fields) == 3
-                           else f"{len(fields)} field(s)")
-                    raise GraphUsageError(
-                        f"{path}:{lineno}: expected row<TAB>col<TAB>count, got {got}"
-                    ) from None
-                if r not in rows:
-                    if row_names is not None:
-                        raise GraphUsageError(f"{path}:{lineno}: unknown row {r!r}")
-                    rows[r] = len(rows)
-                if c not in cols:
-                    if col_names is not None:
-                        raise GraphUsageError(f"{path}:{lineno}: unknown column {c!r}")
-                    cols[c] = len(cols)
-                ri.append(rows[r])
-                ci.append(cols[c])
+        expected = "row<TAB>col<TAB>count"
+        for lineno, (r, c, count) in read_rows(path, 3, expected):
+            try:
+                vals.append(float(count))
+            except ValueError:
+                raise GraphUsageError(
+                    f"{path}:{lineno}: expected {expected}, got count {count!r}"
+                ) from None
+            if r not in rows:
+                if row_names is not None:
+                    raise GraphUsageError(f"{path}:{lineno}: unknown row {r!r}")
+                rows[r] = len(rows)
+            if c not in cols:
+                if col_names is not None:
+                    raise GraphUsageError(f"{path}:{lineno}: unknown column {c!r}")
+                cols[c] = len(cols)
+            ri.append(rows[r])
+            ci.append(cols[c])
         mat = sparse.csr_matrix(
             (vals, (ri, ci)), shape=(len(rows), len(cols)), dtype=np.float64
         )

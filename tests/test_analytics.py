@@ -10,9 +10,9 @@ from mvmc.analytics import (
     token_frequencies,
     usage_tables,
 )
-from mvmc.cli import _write_reports, _write_rows
+from mvmc.cli import _write_reports
 from mvmc.compare import LabeledClustering
-from mvmc.graph import GraphUsageError
+from mvmc.graph import GraphUsageError, write_rows
 from mvmc.ingest import MIN_POSTS_PER_HASHTAG, code_posts
 
 from oracles import brute_preprocess_text, brute_top_user_score, brute_usage_tables
@@ -107,13 +107,13 @@ def brute_reports(posts, lc, out, fraction, top_tokens):
     for label, hashtags in clusters.items():
         total = sum((tokens.get(h, Counter()) for h in hashtags), Counter())
         ranked[label] = sorted(total.items(), key=lambda kv: (-kv[1], kv[0]))[:top_tokens]
-    _write_rows(out / "clusters.tsv", cluster_report_rows(clusters, usage, fraction),
-                "cluster\tsize\tunique_top_users\ttop_user_score")
-    _write_rows(out / "hashtags.tsv", hashtag_report_rows(usage),
-                "hashtag\tuses\tunique_users\tunique_user_ratio")
-    _write_rows(out / "tokens.tsv",
-                ((label, tok, n) for label in sorted(ranked) for tok, n in ranked[label]),
-                "cluster\ttoken\tcount")
+    write_rows(out / "clusters.tsv", cluster_report_rows(clusters, usage, fraction),
+               "cluster\tsize\tunique_top_users\ttop_user_score")
+    write_rows(out / "hashtags.tsv", hashtag_report_rows(usage),
+               "hashtag\tuses\tunique_users\tunique_user_ratio")
+    write_rows(out / "tokens.tsv",
+               ((label, tok, n) for label in sorted(ranked) for tok, n in ranked[label]),
+               "cluster\ttoken\tcount")
     return usage, tokens, ranked
 
 

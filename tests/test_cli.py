@@ -10,9 +10,17 @@ from click.testing import CliRunner
 
 import mvmc
 from mvmc import cli, compare, ingest
-from mvmc.cli import atomic_write, main
-from mvmc.compare import DUMMY_LABEL, LabeledClustering, cross_level, write_ari_matrix
+from mvmc.cli import main
+from mvmc.compare import (
+    DUMMY_LABEL,
+    LabeledClustering,
+    cross_level,
+    write_ari_matrix,
+    write_dendrogram,
+)
+from mvmc.driver import IterationRecord, MvmcTrace
 from mvmc.ensemble import average_internal_ari, filter_small_clusters
+from mvmc.graph import atomic_write
 from oracles import brute_ari_matrix
 
 
@@ -268,6 +276,26 @@ def test_atomic_write_leaves_no_stray_file(tmp_path):
             tmp.write_text("done")
     assert [p.name for p in tmp_path.iterdir()] == ["busy"]
     assert not list(tmp_path.rglob("*.tmp"))
+    # library writers that raise partway, after their header is written
+    lib = tmp_path / "lib"
+    with pytest.raises(ValueError):
+        write_dendrogram([(0, 0, 1, 0.5), (1, 2, 3, "high")], lib / "dendrogram.tsv")
+    record = IterationRecord(1, [1.0], [1.0], "low", 1)
+    with pytest.raises(ValueError):
+        MvmcTrace([record]).write(lib / "trace.tsv")
+    assert list(lib.iterdir()) == []
+
+
+def test_pipeline_artifacts_hold_no_numpy_reprs(tmp_path, runner, corpus):
+    out = tmp_path / "run"
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"input: {corpus}\noutput_dir: {out}\nmeta_k: 2\n")
+    result = runner.invoke(main, ["pipeline", str(cfg)])
+    assert result.exit_code == 0, result.output
+    artifacts = tree_bytes(out)
+    assert any(name.startswith("traces") for name in artifacts)
+    assert [name for name, data in artifacts.items()
+            if b"np." in data or b"float64" in data] == []
 
 
 def test_pipeline_rerun_byte_identical(tmp_path, runner, corpus):
@@ -732,6 +760,19 @@ def test_malformed_clustering_tsv_exits_2(tmp_path, runner, corpus):
         result = runner.invoke(main, [str(a) for a in args])
         assert result.exit_code == 2, result.output
         assert result.output.startswith(f"error: {bad}:2: expected object<TAB>label")
+
+
+def test_clustering_tsv_listing_an_object_twice_exits_2(tmp_path, runner):
+    clusters = tmp_path / "clusters"
+    clusters.mkdir()
+    (clusters / "2020-03-01.tsv").write_text("a\t0\nb\t1\n")
+    bad = clusters / "2020-03-02.tsv"
+    bad.write_text("a\t0\nb\t0\na\t1\n")
+    result = runner.invoke(main, ["compare", str(clusters), str(tmp_path / "cmp"),
+                                  "--meta-k", "1"])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {bad}:3: object 'a' listed twice\n"
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_clustering_tsv_that_is_not_utf8_exits_2(tmp_path, runner, corpus):

@@ -417,3 +417,6 @@ def test_read_tsv_rejects_malformed_line(tmp_path):
     path.write_text("apple\t0\textra\n")
     with pytest.raises(GraphUsageError, match=r"c\.tsv:1: .* got 3 field"):
         LabeledClustering.read_tsv(path)
+    path.write_text("a\t0\nb\t0\n\na\t1\n")
+    with pytest.raises(GraphUsageError, match=r"c\.tsv:4: object 'a' listed twice"):
+        LabeledClustering.read_tsv(path)

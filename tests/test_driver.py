@@ -173,11 +173,35 @@ def test_trace_export(tmp_path):
     _, trace = run_mvmc(graphs, MvmcConfig(seed=6))
     path = tmp_path / "trace.tsv"
     trace.write(path)
-    lines = path.read_text().strip().split("\n")
+    header, *lines = path.read_text().strip().split("\n")
+    assert header.split("\t") == ["iteration", "resolution_0", "resolution_1",
+                                   "weight_0", "weight_1", "modularity", "clusters"]
     assert len(lines) == len(trace.records)
     first = lines[0].split("\t")
     # iter, 2 gammas, 2 weights, Q, cluster count
     assert len(first) == 7 and first[0] == "1"
+
+
+def test_trace_fields_all_parse_as_numbers(tmp_path):
+    graphs, _ = planted_partition_views(40, 2, 0.5, 0.05, n_views=2, n_noise_views=1, seed=8)
+    _, trace = run_mvmc(graphs, MvmcConfig(seed=8))
+    path = tmp_path / "trace.tsv"
+    trace.write(path)
+    _header, *lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == len(trace.records) >= 1
+    for line, record in zip(lines, trace.records):
+        values = [float(x) for x in line.split("\t")]
+        assert len(values) == 3 + 2 * len(graphs)
+        assert values[-2] == record.modularity
+
+
+def test_modularity_values_are_python_floats():
+    graphs, _ = planted_partition_views(30, 2, 0.5, 0.05, n_views=2, seed=6)
+    clustering, trace = run_mvmc(graphs, MvmcConfig(seed=6))
+    assert type(rb_modularity(graphs, clustering)) is float
+    assert type(modularity.maximize(graphs, seed=6).meta["modularity"]) is float
+    assert type(clustering.meta["modularity"]) is float
+    assert all(type(r.modularity) is float for r in trace.records)
 
 
 def test_degenerate_partitions_keep_updates_finite():

@@ -7,12 +7,14 @@ import subprocess
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.sparse.csgraph import connected_components
 
+import mvmc
 from mvmc import (
     Clustering,
     GraphUsageError,
@@ -32,6 +34,11 @@ TWO_TRIANGLES = ViewGraph.from_edges(
     6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)]
 )
 SPLIT = Clustering(np.array([0, 0, 0, 1, 1, 1]))
+
+
+def child_env(**overrides) -> dict:
+    """This environment, with the package importable and `overrides` set."""
+    return {**os.environ, "PYTHONPATH": str(Path(mvmc.__file__).parents[1]), **overrides}
 
 
 def random_graph(rng, n, p=0.4):
@@ -557,7 +564,7 @@ def test_wrong_compiled_draw_loads_no_c_routine(tmp_path):
         [compiler, *_kernels.CFLAGS, "-x", "c", "-", "-o", str(cache / f"move_pass-{digest}.so")],
         input=wrong, capture_output=True, check=True,
     )
-    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+    env = child_env(XDG_CACHE_HOME=str(tmp_path))
     code = (
         "from mvmc import _kernels, modularity;"
         "print(_kernels.BACKEND, _kernels.move_pass is _kernels._move_pass,"
@@ -659,7 +666,7 @@ def test_compiled_scratch_is_written_before_it_is_read(perturb):
     with the byte, and recycled memory keeps the latter. As a double, 0xA5...
     (165) is about -1e-127, too small to change a sum of similarities, so
     the check runs again with 63: 0x3F... is about 3e-4, and 0xC0... -8.6e3."""
-    env = {**os.environ, "MALLOC_PERTURB_": perturb}
+    env = child_env(MALLOC_PERTURB_=perturb)
     out = subprocess.run(
         [sys.executable, "-c", SCRATCH_CHECK], env=env, capture_output=True, text=True,
         timeout=120,
@@ -750,7 +757,7 @@ def run_without_compiler(tmp_path, code):
     """Run ``code`` in a child with no compiler on PATH and an empty build
     cache, and return its stdout lines."""
     (tmp_path / "bin").mkdir()
-    env = {**os.environ, "PATH": str(tmp_path / "bin"), "XDG_CACHE_HOME": str(tmp_path)}
+    env = child_env(PATH=str(tmp_path / "bin"), XDG_CACHE_HOME=str(tmp_path))
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True,
     ).stdout.splitlines()
@@ -798,7 +805,7 @@ def test_env_flag_selects_fallback(tmp_path):
 
 @requires_c
 def test_build_is_cached_under_a_private_directory(tmp_path):
-    env = {**os.environ, "XDG_CACHE_HOME": str(tmp_path)}
+    env = child_env(XDG_CACHE_HOME=str(tmp_path))
     code = "from mvmc import _kernels; print(_kernels.BACKEND)"
     cache = tmp_path / "mvmc"
     digest = hashlib.sha256(
