@@ -32,7 +32,7 @@ from .compare import (
 )
 from .driver import MvmcConfig, run_mvmc
 from .ensemble import ensemble_cluster, filter_small_clusters
-from .graph import GraphUsageError, write_rows
+from .graph import GraphUsageError, read_keyed, write_rows
 from .ingest import (
     MIN_POSTS_PER_HASHTAG,
     VIEW_NAMES,
@@ -204,20 +204,10 @@ def _write_day_views(day_views, out_dir: Path):
 
 
 def _read_day_views(day_dir: Path) -> list[ViewMatrix]:
-    registry_path = day_dir / "registry.tsv"
-    if not registry_path.is_file():
-        _fail(EXIT_INPUT, f"missing registry: {registry_path}")
-    with _exits_on(UnicodeDecodeError, EXIT_INPUT, str(registry_path)):
-        registry = tuple(filter(None, registry_path.read_text(encoding="utf-8").split("\n")))
-    views = []
-    for name in VIEW_NAMES:
-        path = day_dir / f"{name}.triplets"
-        if not path.is_file():
-            _fail(EXIT_INPUT, f"missing view file: {path}")
-        cols = registry if name == "cooccur" else None
-        with _exits_on(UnicodeDecodeError, EXIT_INPUT, str(path)):
-            views.append(ViewMatrix.read_triplets(path, row_names=registry, col_names=cols))
-    return views
+    registry = tuple(read_keyed(day_dir / "registry.tsv", 1, "hashtag", "hashtag"))
+    return [ViewMatrix.read_triplets(day_dir / f"{name}.triplets", row_names=registry,
+                                     col_names=registry if name == "cooccur" else None)
+            for name in VIEW_NAMES]
 
 
 def _cluster_day(views, params: dict, tag: str = ""):
@@ -242,20 +232,12 @@ def _write_clustering(lc: LabeledClustering, trace, labels_path: Path, trace_pat
     trace.write(trace_path)
 
 
-def _read_clustering(path: Path, tag: str = "") -> LabeledClustering:
-    if not path.is_file():
-        _fail(EXIT_INPUT, f"clustering not found: {path}")
-    with _exits_on(GraphUsageError, EXIT_INPUT), \
-            _exits_on(UnicodeDecodeError, EXIT_INPUT, str(path)):
-        return LabeledClustering.read_tsv(path, tag)
-
-
 def _read_dailies(clusters_dir: str) -> list[LabeledClustering]:
     cdir = Path(clusters_dir)
     files = sorted(cdir.glob("*.tsv"))
     if len(files) < 2:
         _fail(EXIT_INPUT, f"need >=2 daily clustering TSVs in {cdir}")
-    return [_read_clustering(f, tag=f.stem) for f in files]
+    return [LabeledClustering.read_tsv(f, f.stem) for f in files]
 
 
 def _filtered(dailies, min_cluster_size: int) -> list[LabeledClustering]:
@@ -344,11 +326,8 @@ def ingest(input_path, out_dir, url_mode):
 @_option("--weight-tol")
 def cluster(views_dir, out_dir, **params):
     """Run MVMC on one day's view matrices."""
-    day_dir = Path(views_dir)
-    if not day_dir.is_dir():
-        _fail(EXIT_INPUT, f"not a directory: {day_dir}")
     with _exits_on(GraphUsageError, EXIT_INPUT):
-        lc, clustering, trace = _cluster_day(_read_day_views(day_dir), params)
+        lc, clustering, trace = _cluster_day(_read_day_views(Path(views_dir)), params)
     out = Path(out_dir)
     with _exits_on(OSError, EXIT_OUTPUT):
         _write_clustering(lc, trace, out / "labels.tsv", out / "trace.tsv")
@@ -365,7 +344,8 @@ def cluster(views_dir, out_dir, **params):
 @_option("--min-cluster-size")
 def compare(clusters_dir, out_dir, meta_k, min_cluster_size):
     """Pairwise ARI matrix, dendrogram, and meta-clusters of daily clusterings."""
-    dailies = _read_dailies(clusters_dir)
+    with _exits_on(GraphUsageError, EXIT_INPUT):
+        dailies = _read_dailies(clusters_dir)
     if meta_k > len(dailies):
         _fail(EXIT_INPUT, f"meta-k={meta_k} out of range")
     with _exits_on(OSError, EXIT_OUTPUT):
@@ -380,7 +360,8 @@ def compare(clusters_dir, out_dir, meta_k, min_cluster_size):
 @_option("--seed")
 def ensemble(clusters_dir, out_path, min_cluster_size, seed):
     """Consensus clustering of the daily clusterings in a directory."""
-    filtered = _filtered(_read_dailies(clusters_dir), min_cluster_size)
+    with _exits_on(GraphUsageError, EXIT_INPUT):
+        filtered = _filtered(_read_dailies(clusters_dir), min_cluster_size)
     with _exits_on(OSError, EXIT_OUTPUT):
         consensus = _consensus(filtered, seed, Path(out_path))
     click.echo(f"consensus: {len(set(consensus.assignments.values()))} clusters")
@@ -395,7 +376,8 @@ def ensemble(clusters_dir, out_path, min_cluster_size, seed):
 def analyze(input_path, clustering_path, out_dir, top_user_fraction, top_tokens):
     """User-base and token reports for a clustering of hashtags."""
     days = [code_posts(day_posts) for day_posts in _load_posts(input_path).values()]
-    lc = _read_clustering(Path(clustering_path))
+    with _exits_on(GraphUsageError, EXIT_INPUT):
+        lc = LabeledClustering.read_tsv(clustering_path)
     out = Path(out_dir)
     with _exits_on(OSError, EXIT_OUTPUT):
         _write_reports(days, lc, out, top_user_fraction, top_tokens)
@@ -443,7 +425,9 @@ def synth(ctx, mode, n, blocks, views, noise_views, p_in, p_out, posts_per_day, 
 
 
 def _echo_table(path: Path):
-    for line in path.read_text(encoding="utf-8").splitlines():
+    with _exits_on(UnicodeDecodeError, EXIT_INPUT, str(path)):
+        text = path.read_text(encoding="utf-8")
+    for line in text.splitlines():
         click.echo("  " + line.replace("\t", "  "))
 
 

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GraphUsageError, densify_labels, read_rows, write_rows
+from .graph import GraphUsageError, densify_labels, read_keyed, write_rows
 
 # Label of a day's group of absent objects: `cross_level` gives it to them,
 # and `pairwise_ari_matrix` puts entries that carry it in that group. Labels
@@ -34,12 +34,8 @@ class LabeledClustering:
     def read_tsv(path, tag: str = "") -> "LabeledClustering":
         """Read the `write_tsv` format; labels stay strings. An object listed
         twice raises."""
-        assignments = {}
-        for lineno, (obj, label) in read_rows(path, 2, "object<TAB>label"):
-            if obj in assignments:
-                raise GraphUsageError(f"{path}:{lineno}: object {obj!r} listed twice")
-            assignments[obj] = label
-        return LabeledClustering(assignments, tag)
+        rows = read_keyed(path, 2, "object<TAB>label", "object")
+        return LabeledClustering({obj: label for obj, (label,) in rows.items()}, tag)
 
 
 def _pairs(counts: np.ndarray) -> np.ndarray:

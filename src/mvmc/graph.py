@@ -57,20 +57,40 @@ def write_rows(path, rows, header: str = "") -> None:
             fh.write("\t".join(map(str, row)) + "\n")
 
 
-def read_rows(path, width: int, expected: str) -> Iterator[tuple[int, list[str]]]:
+def read_rows(path, width: int, expected: str,
+              header: bool = False) -> Iterator[tuple[int, list[str] | str]]:
     """(line number, tab-separated fields) of each non-empty line of a UTF-8
-    file; a line without `width` fields raises, naming `expected`."""
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != width:
-                raise GraphUsageError(
-                    f"{path}:{lineno}: expected {expected}, got {len(fields)} field(s)"
-                )
-            yield lineno, fields
+    file, after the first line unsplit as (1, text) if `header`. An unreadable
+    or non-UTF-8 file, or a line without `width` fields (see `expected`), raises."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if header:
+                yield 1, fh.readline().rstrip("\n")
+            for lineno, line in enumerate(fh, 1 + header):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != width:
+                    raise GraphUsageError(
+                        f"{path}:{lineno}: expected {expected}, got {len(fields)} field(s)"
+                    )
+                yield lineno, fields
+    except OSError as exc:
+        raise GraphUsageError(f"{path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise GraphUsageError(f"{path}: not valid UTF-8 ({exc.reason})") from None
+
+
+def read_keyed(path, width: int, expected: str, key: str) -> dict[str, list[str]]:
+    """The `read_rows` rows keyed by their first field, in file order; a key
+    listed twice raises, naming it as `key`."""
+    rows = {}
+    for lineno, (name, *rest) in read_rows(path, width, expected):
+        if name in rows:
+            raise GraphUsageError(f"{path}:{lineno}: {key} {name!r} listed twice")
+        rows[name] = rest
+    return rows
 
 
 @dataclass(frozen=True)
@@ -160,19 +180,20 @@ class ViewGraph:
 
     @staticmethod
     def read_edge_list(path) -> "ViewGraph":
-        with open(path, encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            if not header.startswith("#nodes="):
-                raise GraphUsageError(f"{path}: missing #nodes= header")
-            n = int(header.split("=", 1)[1])
-            edges = []
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                i, j, w = line.split("\t")
+        """Read the `write_edge_list` format; a bad header or number raises,
+        naming its line."""
+        rows = read_rows(path, 3, "i<TAB>j<TAB>weight", header=True)
+        _, first = next(rows)
+        name, _, n = first.partition("=")
+        if name != "#nodes" or not n.isdecimal():
+            raise GraphUsageError(f"{path}:1: expected #nodes=<n>, got {first!r}")
+        edges = []
+        for lineno, (i, j, w) in rows:
+            try:
                 edges.append((int(i), int(j), float(w)))
-        return ViewGraph.from_edges(n, edges)
+            except ValueError:
+                raise GraphUsageError(f"{path}:{lineno}: bad number in {(i, j, w)}") from None
+        return ViewGraph.from_edges(int(n), edges)
 
 
 @dataclass(frozen=True)

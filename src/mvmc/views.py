@@ -111,11 +111,12 @@ class ViewMatrix:
         expected = "row<TAB>col<TAB>count"
         for lineno, (r, c, count) in read_rows(path, 3, expected):
             try:
-                vals.append(float(count))
+                value = float(count)
             except ValueError:
-                raise GraphUsageError(
-                    f"{path}:{lineno}: expected {expected}, got count {count!r}"
-                ) from None
+                value = math.nan
+            if not 0 <= value < math.inf:
+                raise GraphUsageError(f"{path}:{lineno}: expected {expected}, got count {count!r}")
+            vals.append(value)
             if r not in rows:
                 if row_names is not None:
                     raise GraphUsageError(f"{path}:{lineno}: unknown row {r!r}")

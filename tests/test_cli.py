@@ -808,6 +808,9 @@ def test_day_view_file_that_is_not_utf8_exits_2(tmp_path, runner, corpus, name):
     ("tagA0\thealth\t1.0\textra", "expected row<TAB>col<TAB>count, got 4 field(s)"),
     ("tagA0 health 1.0", "expected row<TAB>col<TAB>count, got 1 field(s)"),
     ("tagA0\thealth\tmany", "expected row<TAB>col<TAB>count, got count 'many'"),
+    ("tagA0\thealth\tnan", "expected row<TAB>col<TAB>count, got count 'nan'"),
+    ("tagA0\thealth\t-1.0", "expected row<TAB>col<TAB>count, got count '-1.0'"),
+    ("tagA0\thealth\tinf", "expected row<TAB>col<TAB>count, got count 'inf'"),
     ("tagZ9\thealth\t1.0", "unknown row 'tagZ9'"),
 ])
 def test_malformed_triplets_line_exits_2(tmp_path, runner, corpus, line, message):
@@ -819,6 +822,51 @@ def test_malformed_triplets_line_exits_2(tmp_path, runner, corpus, line, message
     result = runner.invoke(main, ["cluster", str(views / "2020-03-01"), str(tmp_path / "c")])
     assert result.exit_code == 2, result.output
     assert result.output == f"error: {text}:3: {message}\n"
+
+
+def test_registry_listing_a_hashtag_twice_exits_2(tmp_path, runner, corpus):
+    views = tmp_path / "views"
+    invoke_ok(runner, "ingest", corpus, views)
+    registry = views / "2020-03-01" / "registry.tsv"
+    lines = registry.read_text().splitlines(keepends=True)
+    registry.write_text("".join(lines + lines[:1]))
+    result = runner.invoke(main, ["cluster", str(views / "2020-03-01"), str(tmp_path / "c")])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {registry}:19: hashtag 'tagC2' listed twice\n"
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("name", ["registry.tsv", "text.triplets", "cooccur.triplets"])
+def test_missing_day_view_file_exits_2(tmp_path, runner, corpus, name):
+    views = tmp_path / "views"
+    invoke_ok(runner, "ingest", corpus, views)
+    missing = views / "2020-03-01" / name
+    missing.unlink()
+    result = runner.invoke(main, ["cluster", str(views / "2020-03-01"), str(tmp_path / "c")])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {missing}: No such file or directory\n"
+    assert not (tmp_path / "c").exists()
+
+
+def test_missing_clustering_exits_2(tmp_path, runner, corpus):
+    missing = tmp_path / "nope.tsv"
+    result = runner.invoke(main, ["analyze", str(corpus), str(missing), str(tmp_path / "r")])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"error: {missing}: No such file or directory\n"
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("name", ["daily_summary.tsv", "period_summary.tsv",
+                                  "reports/period_0_clusters.tsv"])
+def test_report_table_that_is_not_utf8_exits_2(tmp_path, runner, name):
+    for table in ("daily_summary.tsv", "period_summary.tsv", "reports/period_0_clusters.tsv"):
+        (tmp_path / table).parent.mkdir(exist_ok=True)
+        (tmp_path / table).write_text("a\tb\n1\t2\n")
+    bad = tmp_path / name
+    bad.write_bytes(b"a\tb\n1\t\xff\n")
+    result = runner.invoke(main, ["report", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"error: {bad}: not valid UTF-8 (invalid start byte)\n")
 
 
 def test_names_with_tabs_or_line_breaks_are_skipped(tmp_path, runner, corpus):

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from mvmc import Clustering, GraphUsageError, ViewGraph
-from mvmc.graph import densify_labels
+from mvmc.graph import densify_labels, read_rows, write_rows
 from mvmc.synth import planted_partition_graph, planted_partition_views
 
 from oracles import (
@@ -121,6 +123,53 @@ def test_edge_list_roundtrip(tmp_path):
     back = ViewGraph.read_edge_list(path)
     assert back.n == 4
     assert np.array_equal(back.edge_w, g.edge_w)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("#nodes=3\n0\t1\n", 2),
+    ("#nodes=3\n0\tx\t1.0\n", 2),
+    ("#nodes=x", 1),
+    ("nodes=3\n", 1),
+    ("", 1),
+])
+def test_malformed_edge_list_names_its_line(tmp_path, text, line):
+    path = tmp_path / "g.edges"
+    path.write_text(text)
+    with pytest.raises(GraphUsageError, match=f"^{re.escape(str(path))}:{line}: "):
+        ViewGraph.read_edge_list(path)
+
+
+def test_read_rows_names_a_file_it_cannot_open(tmp_path):
+    for path, reason in ((tmp_path / "missing.tsv", "No such file or directory"),
+                         (tmp_path, "Is a directory")):
+        with pytest.raises(GraphUsageError) as info:
+            list(read_rows(path, 2, "a<TAB>b"))
+        assert str(info.value) == f"{path}: {reason}"
+
+
+def test_read_rows_names_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "t.tsv"
+    path.write_bytes(b"a\t1\n" * 5000 + b"b\xff\t2\n" + b"c\t3\n")
+    seen = []
+    with pytest.raises(GraphUsageError) as info:
+        for lineno, _fields in read_rows(path, 2, "a<TAB>b"):
+            seen.append(lineno)
+    assert str(info.value) == f"{path}: not valid UTF-8 (invalid start byte)"
+    assert len(seen) < 5000
+
+
+def test_read_rows_hands_back_the_header_line_unsplit(tmp_path):
+    path = tmp_path / "t.tsv"
+    write_rows(path, [("a", 1), ("b", 2)], "#x\ty\tz")
+    assert list(read_rows(path, 2, "name<TAB>n", header=True)) == [
+        (1, "#x\ty\tz"), (2, ["a", "1"]), (3, ["b", "2"])
+    ]
+    with pytest.raises(GraphUsageError, match=":1: expected name<TAB>n, got 3 field"):
+        list(read_rows(path, 2, "name<TAB>n"))
+    path.write_text("\n\na\t1\n")
+    assert list(read_rows(path, 2, "name<TAB>n", header=True)) == [(1, ""), (3, ["a", "1"])]
+    path.write_text("")
+    assert list(read_rows(path, 2, "name<TAB>n", header=True)) == [(1, "")]
 
 
 def test_clustering_requires_dense_labels():
