@@ -1,10 +1,11 @@
 """Time the ingest and k-NN layers on a near-paper-scale day against their
 references.
 
-Usage: PYTHONPATH=src python3 benchmarks/bench_ingest.py [--repeat 3] > BENCH_ingest.json
+Usage: PYTHONPATH=src python3 benchmarks/bench_ingest.py [--repeat 3] [--posts 10000] \
+    > BENCH_ingest.json
 
 Builds one day with the generator of `bench/corpus.py` (50 groups x 40
-hashtags, 10,000 posts of 20 words, seed 7), writes it as a .jsonl file and
+hashtags, `--posts` posts of 20 words, seed 7), writes it as a .jsonl file and
 times, best of `--repeat`: `read_posts` on that file, which codes each post
 as it reads it, and `build_daily_views` on the coded day. Then it parses
 the file into record tuples with `parse_json_record` and times
@@ -61,10 +62,10 @@ def load_corpus_module():
     return module
 
 
-def write_paper_day(path):
+def write_paper_day(path, posts):
     """The day's posts written to `path`; returns each hashtag's planted group."""
     corpus = load_corpus_module()
-    spec = corpus.CorpusSpec(groups=50, tags_per_group=40, days=1, posts_per_day=10_000,
+    spec = corpus.CorpusSpec(groups=50, tags_per_group=40, days=1, posts_per_day=posts,
                              words_per_post=20, churn=0.5, periods=1)
     posts, truth = corpus.generate(spec, seed=7)
     corpus.write_jsonl(posts, path)
@@ -143,10 +144,12 @@ def knn_layer(views, repeat):
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--posts", type=int, default=10_000,
+                    help="posts of the day (the named size is the default)")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "day.jsonl"
-        groups = write_paper_day(path)
+        groups = write_paper_day(path, args.posts)
         read_s, days = best_time(lambda: read_posts(path), args.repeat)
         ((day, coded),) = days.items()
         views_s, views = best_time(lambda: build_daily_views(coded, day), args.repeat)

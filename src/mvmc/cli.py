@@ -426,7 +426,10 @@ def synth(ctx, mode, n, blocks, views, noise_views, p_in, p_out, posts_per_day, 
 
 def _echo_table(path: Path):
     with _exits_on(UnicodeDecodeError, EXIT_INPUT, str(path)):
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = path.read_text(encoding="utf-8")
+        except OSError as exc:  # worded as `read_rows` words it
+            _fail(EXIT_INPUT, f"{path}: {exc.strerror}")
     for line in text.splitlines():
         click.echo("  " + line.replace("\t", "  "))
 

@@ -26,6 +26,9 @@ _RT_RE = re.compile(r"\bRT\b")
 # maximal runs of letters (L*) and numbers (N*): \w without the underscore
 _WORD_RE = re.compile(r"[^\W_]+")
 _SEPARATOR_RE = re.compile(r"[\t\n\r]")
+# over ASCII, `_WORD_RE` matches runs of [A-Za-z0-9]: this table lowers those
+# characters and turns every other one into a space, so `split` finds the runs
+_ASCII_WORDS = {c: chr(c).lower() if chr(c).isalnum() else " " for c in range(128)}
 
 
 class RecordError(ValueError):
@@ -95,8 +98,8 @@ def preprocess_text(raw: str) -> list[str]:
         text = _MENTION_RE.sub(" ", text)
     if "RT" in text:
         text = _RT_RE.sub(" ", text)
-    if text.isascii():  # lowering ASCII moves no token boundary
-        return _WORD_RE.findall(text.lower())
+    if text.isascii():
+        return text.translate(_ASCII_WORDS).split()
     return [
         tok.lower() if "Σ" not in tok else "".join(map(str.lower, tok))
         for tok in _WORD_RE.findall(text)
@@ -126,7 +129,21 @@ def _record(post_id, timestamp, user_id, text, hashtags, urls) -> tuple:
     timestamp, user_id, text, hashtags, urls): ids and text each a string or
     a number (not null or a bool), `hashtags` a list of non-empty strings,
     `urls` a list of strings whose empty ones are dropped, and no tab or line
-    break in a user id, hashtag or URL."""
+    break in a user id, hashtag or URL. The timestamp is an ISO 8601 string,
+    in UTC where it names no zone, and is converted to UTC. The checks run in
+    the order ids and text, hashtags, URLs, timestamp, separators, and the
+    first fault raises `RecordError`."""
+    # the common case, checked at once: string ids and text, lists of
+    # strings, no empty hashtag and no separator in a name; anything else,
+    # and a bad timestamp, is left to the checks below for their message
+    if (type(post_id) is type(user_id) is type(text) is str
+            and type(hashtags) is type(urls) is list and "" not in hashtags):
+        try:
+            if not _SEPARATOR_RE.search(" ".join([user_id, *hashtags, *urls])):
+                return (post_id, _parse_timestamp(timestamp), user_id, text,
+                        tuple(hashtags), tuple(filter(None, urls)))
+        except (TypeError, ValueError, OverflowError):
+            pass
     try:
         for key, value in (("post_id", post_id), ("user_id", user_id), ("text", text)):
             # a JSON bool is not an int here, and a null is not the string "None"
@@ -218,7 +235,8 @@ class CorpusDay:
         corpus = self.corpus
         self.post_id.append(self.ids.setdefault(post_id, len(self.ids)))
         self.user.append(corpus.users[user_id])
-        tags = dict.fromkeys(hashtags)
+        # a post with one hashtag has no repeat to drop
+        tags = hashtags if len(hashtags) < 2 else dict.fromkeys(hashtags)
         self.tags.extend(map(corpus.hashtags.__getitem__, tags))
         self.n_tags.append(len(tags))
         self.urls.extend(map(corpus.urls.__getitem__, urls))

@@ -9,6 +9,7 @@ import math
 import re
 import unicodedata
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from functools import lru_cache
 from urllib.parse import urlparse
@@ -333,6 +334,45 @@ def brute_preprocess_text(raw: str) -> list[str]:
         else:
             cleaned.append(" ")
     return "".join(cleaned).split()
+
+
+def brute_record(post_id, timestamp, user_id, text, hashtags, urls) -> tuple:
+    """A post's checked fields as (post_id, timestamp, user_id, text,
+    hashtags, urls), or ValueError with the reader's message for the first
+    fault, checked in this order:
+    - ids and text each a string or a number, not null or a bool; a number
+      becomes its string;
+    - hashtags a list of non-empty strings, urls a list of strings, whose
+      empty ones are dropped;
+    - the timestamp an ISO 8601 string ("Z" for UTC, no zone meaning UTC),
+      converted to UTC;
+    - no tab, newline or carriage return in the user id, a hashtag or a URL.
+    """
+    scalars = {"post_id": post_id, "user_id": user_id, "text": text}
+    for key, value in scalars.items():
+        if value is None:
+            raise ValueError(f"bad record: {key} is null")
+        if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+            raise ValueError(f"bad record: {key} is not a string or a number")
+    if not (isinstance(hashtags, list)
+            and all(isinstance(h, str) and len(h) > 0 for h in hashtags)):
+        raise ValueError(f"bad record: hashtags is not an array of non-empty strings: {hashtags!r}")
+    if not (isinstance(urls, list) and all(isinstance(u, str) for u in urls)):
+        raise ValueError(f"bad record: urls is not an array of strings: {urls!r}")
+    if not isinstance(timestamp, str):
+        raise ValueError(f"bad record: timestamp {timestamp!r} is not a string")
+    try:
+        local = datetime.fromisoformat(timestamp.replace("Z", "+00:00"))
+        offset = local.utcoffset() or timedelta(0)
+        utc = (local.replace(tzinfo=None) - offset).replace(tzinfo=timezone.utc)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"bad record: {exc}") from None
+    user = str(user_id)
+    kept_urls = [u for u in urls if u != ""]
+    for name in [user, *hashtags, *kept_urls]:
+        if "\t" in name or "\n" in name or "\r" in name:
+            raise ValueError(f"tab or line break in {name!r}")
+    return str(post_id), utc, user, str(text), tuple(hashtags), tuple(kept_urls)
 
 
 def brute_host(url):

@@ -1,4 +1,6 @@
-"""The benchmark scripts still import: each one's --help runs and exits 0."""
+"""The benchmark scripts still import: each one's --help runs and exits 0.
+The ingest benchmark also runs end to end on a small day."""
+import json
 import os
 import subprocess
 import sys
@@ -14,10 +16,24 @@ def test_there_are_benchmark_scripts():
     assert SCRIPTS
 
 
-@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
-def test_benchmark_script_help_runs(script):
+def run_script(script, *args):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, str(script), "--help"], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, str(script), *args], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("usage:"), proc.stdout
+    return proc.stdout
+
+
+@pytest.mark.parametrize("script", SCRIPTS, ids=lambda p: p.name)
+def test_benchmark_script_help_runs(script):
+    out = run_script(script, "--help")
+    assert out.startswith("usage:"), out
+
+
+def test_ingest_benchmark_agrees_with_the_oracles_on_a_small_day():
+    result = json.loads(run_script(ROOT / "benchmarks" / "bench_ingest.py",
+                                   "--posts", "800", "--repeat", "1"))
+    assert result["posts"] == 800 and result["hashtags"] > 0
+    flags = {k: v for k, v in result.items() if k.endswith("_agree")}
+    flags |= {f"knn.{view}.agree": layer["agree"] for view, layer in result["knn"].items()}
+    assert len(flags) == 7 and all(flags.values()), flags

@@ -869,6 +869,15 @@ def test_report_table_that_is_not_utf8_exits_2(tmp_path, runner, name):
     assert result.output.endswith(f"error: {bad}: not valid UTF-8 (invalid start byte)\n")
 
 
+def test_report_table_that_cannot_be_opened_exits_2(tmp_path, runner):
+    (tmp_path / "daily_summary.tsv").write_text("a\tb\n1\t2\n")
+    bad = tmp_path / "reports" / "x_clusters.tsv"
+    bad.mkdir(parents=True)
+    result = runner.invoke(main, ["report", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.endswith(f"Cluster report x_clusters:\nerror: {bad}: Is a directory\n")
+
+
 def test_names_with_tabs_or_line_breaks_are_skipped(tmp_path, runner, corpus):
     bad = [post_line(f"tab{i}", "2020-03-01", ["a\tb", "tagA0"], "health masks", "user_a1")
            for i in range(6)]

@@ -4,7 +4,7 @@ from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
-from oracles import brute_daily_views, brute_preprocess_text
+from oracles import brute_daily_views, brute_preprocess_text, brute_record
 
 from mvmc import build_daily_views, preprocess_text
 from mvmc.ingest import (
@@ -200,6 +200,94 @@ def test_json_numbers_are_read_as_strings():
     assert preprocess_text(rec.text) == ["3", "5"]
 
 
+# field values for the record draws: exact strings, numbers, nulls, bools and
+# other JSON types; names with separators, empty and repeated ones; good,
+# non-UTC, zone-less, bad and out-of-range timestamps
+SCALARS = ["p1", "p1", "", "a b", "ΣΑΣ", "İ", 7, -3, 3.5, 1e20, None, True, False, [1], {"a": 1}]
+USERS = SCALARS + ["u\tx", "u\nx", "u\rx"]
+NAMES = ["#a", "#a", "#Σ", "", "a\tb", "a\nb", "a\rb", "http://x.co/a", "x\r", "x,y"]
+STAMPS = ["2020-03-01T12:00:00Z", "2020-03-01T12:00:00+00:00", "2020-03-01T23:30:00-05:00",
+          "2020-03-01T12:00:00", "2020-13-01T00:00:00", "noon", "",
+          "0001-01-01T00:00:00+01:00", 20200301, None]
+
+
+def draw_record(rng):
+    """Random fields (post_id, timestamp, user_id, text, hashtags, urls)."""
+    def pick(pool):
+        return pool[rng.integers(len(pool))]
+
+    def names():
+        if rng.random() < 0.1:
+            return pick(["#a", None, 5])
+        items = [pick(NAMES) if rng.random() < 0.3 else pick(NAMES[:3])
+                 for _ in range(rng.integers(0, 4))]
+        return items + [pick([1, None])] if rng.random() < 0.05 else items
+
+    fields = [pick(SCALARS), pick(STAMPS), pick(USERS), pick(SCALARS), names(), names()]
+    for i in (0, 2, 3):  # most draws get string ids and text, the common case
+        if rng.random() < 0.7:
+            fields[i] = pick(["p1", "u2", "a b", "ΣΑΣ"])
+    if rng.random() < 0.5:
+        fields[1] = pick(STAMPS[:3])
+    return fields
+
+
+# each kind of fault, as its message names it; a message is of the first
+# kind it holds
+FAULTS = ["is null", "or a number", "non-empty strings", "array of strings", "is not a string",
+          "Invalid isoformat", "out of range", "tab or line break"]
+
+
+def outcome(parse, *args):
+    """repr of the checked tuple, or the text of the error raised."""
+    try:
+        return repr(parse(*args))
+    except ValueError as exc:  # a `RecordError` from the readers
+        return f"{type(exc).__name__}: {exc}"
+
+
+def oracle_outcome(*fields):
+    return outcome(brute_record, *fields).replace("ValueError: ", "RecordError: ", 1)
+
+
+def tsv_form(fields) -> str:
+    """The fields written as one TSV line, lists joined by commas."""
+    joined = [",".join(map(str, f)) if isinstance(f, list) else str(f) for f in fields]
+    return "\t".join(joined) + "\n"
+
+
+def oracle_tsv_outcome(line):
+    """The oracle on the fields of a TSV line, split as the format says."""
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) != 6:
+        return f"RecordError: expected 6 TSV fields, got {len(parts)}"
+    post_id, ts, user, text, tags, urls = parts
+    return oracle_outcome(post_id, ts, user, text, [t for t in tags.split(",") if t],
+                          urls.split(","))
+
+
+def test_records_match_the_oracle_on_random_fields():
+    """Both readers check each record as `brute_record` does: the same tuple,
+    or a `RecordError` with the same text."""
+    rng = np.random.default_rng(23)
+    cases = Counter()
+    for _ in range(4000):
+        fields = draw_record(rng)
+        obj = dict(zip(Post._fields, fields))
+        for key, default in (("text", ""), ("hashtags", []), ("urls", [])):
+            if rng.random() < 0.05:  # an optional key left out
+                fields[Post._fields.index(key)] = default
+                del obj[key]
+        want = oracle_outcome(*fields)
+        assert outcome(parse_json_record, json.dumps(obj)) == want, obj
+        line = tsv_form(fields)
+        assert outcome(parse_tsv_record, line) == oracle_tsv_outcome(line), line
+        numbers = any(type(fields[i]) in (int, float) for i in (0, 2, 3))
+        cases[next((f for f in FAULTS if f in want), "number" if numbers else "ok")] += 1
+    assert cases.keys() == {*FAULTS, "number", "ok"}, cases
+    assert cases["ok"] > 500, cases
+
+
 def test_read_posts_reports_bad_lines(tmp_path):
     path = tmp_path / "posts.jsonl"
     path.write_text(
@@ -227,6 +315,66 @@ def test_read_posts_skips_lines_that_are_not_utf8(tmp_path):
         ("3", ("café",), ("#été",)),
     ]
     assert errors == [(2, "not valid UTF-8 at column 14")]
+
+
+# one file's lines, each as (JSON form, TSV form); bytes are written as they are
+MIXED = [
+    ({"post_id": "a1", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u1",
+      "text": "RT @who: Stay HOME #tag http://x.co now!", "hashtags": ["#tag", "#tag"],
+      "urls": ["http://x.co"]},
+     "a1\t2020-03-01T10:00:00Z\tu1\tRT @who: Stay HOME #tag http://x.co now!\t#tag,#tag\t"
+     "http://x.co"),
+    ("", ""),
+    ({"post_id": 7, "timestamp": "2020-03-01T23:30:00-05:00", "user_id": "u2",
+      "text": "ΟΔΟΣ Σ café", "hashtags": ["#Σ"], "urls": []},
+     "7\t2020-03-01T23:30:00-05:00\tu2\tΟΔΟΣ Σ café\t#Σ\t"),
+    (b'{"post_id": "\xff"}', b"a2\t2020-03-01T12:00:00Z\tu\xff\t\t#tag\t"),
+    ({"post_id": "a3", "timestamp": "2020-03-01T11:00:00Z", "user_id": "u1", "text": "tab",
+      "hashtags": ["#a\tb"]},
+     "a3\t2020-03-01T11:00:00Z\tu1\ttab\t#a\tb\t"),
+    ("   ", "   "),
+    ({"post_id": "a4", "timestamp": "2020-03-01T12:00:00Z", "user_id": "u3",
+      "text": "İstanbul stay 42 N°5", "hashtags": ["#tag", "#Σ"], "urls": ["", "http://y.co/p"]},
+     "a4\t2020-03-01T12:00:00Z\tu3\tİstanbul stay 42 N°5\t#tag,#Σ\t,http://y.co/p"),
+]
+
+
+@pytest.mark.parametrize("suffix", [".jsonl", ".tsv"])
+def test_read_posts_codes_a_mixed_file(tmp_path, suffix):
+    """Pinned codes, name tables and warnings of `read_posts` on a file that
+    mixes ASCII and non-ASCII text, an int post id, a repeated hashtag, a tab
+    in a hashtag, blank lines and a line that is not UTF-8."""
+    def encode(line):
+        if isinstance(line, bytes):
+            return line
+        return (json.dumps(line, ensure_ascii=False) if isinstance(line, dict) else line).encode()
+
+    path = tmp_path / f"posts{suffix}"
+    path.write_bytes(b"".join(encode(line[suffix == ".tsv"]) + b"\n" for line in MIXED))
+    errors = []
+    days = read_posts(path, on_error=lambda ln, msg: errors.append((ln, msg)))
+
+    assert errors == [
+        (4, "not valid UTF-8 at column 14" if suffix == ".jsonl" else
+            "not valid UTF-8 at column 26"),
+        (5, "tab or line break in '#a\\tb'" if suffix == ".jsonl" else
+            "expected 6 TSV fields, got 7"),
+    ]
+    assert list(days) == [date(2020, 3, 1), date(2020, 3, 2)]
+    corpus = days[date(2020, 3, 1)].corpus
+    assert corpus is days[date(2020, 3, 2)].corpus
+    assert corpus.users.names == ["u1", "u2", "u3"]
+    assert corpus.hashtags.names == ["#tag", "#Σ"]
+    assert corpus.urls.names == ["http://x.co", "http://y.co/p"]
+    assert corpus.tokens.names == ["stay", "home", "now", "οδοσ", "σ", "café", "i̇stanbul",
+                                   "42", "n", "5"]
+    fields = ("post_id", "user", "tags", "n_tags", "urls", "n_urls", "tokens", "n_tokens")
+    assert [(list(day.ids), *(getattr(day, f).tolist() for f in fields))
+            for day in days.values()] == [
+        (["a1", "a4"], [0, 1], [0, 2], [0, 0, 1], [1, 2], [0, 1], [1, 1],
+         [0, 1, 2, 6, 0, 7, 8, 9], [3, 5]),
+        (["7"], [0], [1], [1], [1], [], [0], [3, 4, 5], [3]),
+    ]
 
 
 def test_group_by_day_sorted():
