@@ -31,7 +31,7 @@ from .compare import (
     write_dendrogram,
 )
 from .driver import MvmcConfig, run_mvmc
-from .ensemble import ensemble_cluster, filter_small_clusters
+from .ensemble import MIN_CLUSTER_SIZE, ensemble_cluster, filter_small_clusters
 from .graph import GraphUsageError, read_keyed, write_rows
 from .ingest import (
     MIN_POSTS_PER_HASHTAG,
@@ -126,14 +126,14 @@ def _path(value) -> str:
 CONFIG_KEYS = {
     "input": (None, _path),
     "output_dir": (None, _path),
-    "seed": (0, _integer(0)),
+    "seed": (MvmcConfig.seed, _integer(0)),
     "idf": ("ratio", _choice("ratio", "log")),
     "url_mode": ("exact", _choice("exact", "domain")),
     "knn_k": (None, _integer(1, optional=True)),
-    "max_iter": (20, _integer(1)),
-    "resolution_tol": (0.3, _number()),
-    "weight_tol": (0.1, _number()),
-    "min_cluster_size": (5, _integer(1)),
+    "max_iter": (MvmcConfig.max_iter, _integer(1)),
+    "resolution_tol": (MvmcConfig.resolution_tol, _number()),
+    "weight_tol": (MvmcConfig.weight_tol, _number()),
+    "min_cluster_size": (MIN_CLUSTER_SIZE, _integer(1)),
     "meta_k": (5, _integer(1)),
     "top_user_fraction": (1 / 3, _number(1.0)),
     "top_tokens": (20, _integer(0)),

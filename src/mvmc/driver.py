@@ -7,6 +7,8 @@ highest-modularity iteration wins).
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,8 +29,12 @@ class MvmcConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise GraphUsageError("max_iter must be an integer")
         if self.max_iter < 1:
             raise GraphUsageError("max_iter must be >= 1")
+        if not (math.isfinite(self.resolution_tol) and math.isfinite(self.weight_tol)):
+            raise GraphUsageError("tolerances must be finite")
         if self.resolution_tol <= 0 or self.weight_tol <= 0:
             raise GraphUsageError("tolerances must be positive")
 

@@ -51,6 +51,8 @@ def _as_params(graphs, weights, resolutions):
     )
     if len(w) != m or len(g) != m:
         raise GraphUsageError("parameter arrays must have one entry per view")
+    if not (np.isfinite(w).all() and np.isfinite(g).all()):
+        raise GraphUsageError("weights and resolutions must be finite")
     if np.any(g <= 0):
         raise GraphUsageError("resolutions must be positive")
     return w, g

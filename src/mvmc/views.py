@@ -1,8 +1,8 @@
 """View matrices and similarity-graph construction.
 
-A view is a sparse nonnegative object x feature count matrix. Graphs are
-built by tf-idf weighting, cosine similarity, and symmetric k-NN
-sparsification with the average symmetrization A' = (A + A^T) / 2.
+A view is a sparse nonnegative object x feature count matrix held as CSR
+arrays. Graphs are built by tf-idf weighting, cosine similarity, and
+symmetric k-NN sparsification with the average symmetrization A' = (A + A^T) / 2.
 """
 from __future__ import annotations
 
@@ -19,79 +19,90 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ViewMatrix:
-    """Sparse count matrix plus name registries for rows and columns.
+    """Sparse count matrix as canonical CSR arrays plus name registries for
+    rows and columns: columns strictly ascending within each row, entries
+    finite and > 0. The arrays are checked, never copied, and made read-only;
+    `from_codes` builds views and `from_matrix` converts any scipy matrix."""
 
-    The matrix is stored as a canonical CSR copy of the one given: columns
-    ascending within each row, duplicate entries summed, zeros dropped.
-    """
-
-    counts: sparse.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     row_names: tuple[str, ...]
     col_names: tuple[str, ...]
 
     def __post_init__(self):
-        from scipy import sparse
-
-        mat = sparse.csr_matrix(self.counts, dtype=np.float64, copy=True)
-        mat.sum_duplicates()
-        mat.eliminate_zeros()
-        object.__setattr__(self, "counts", mat)
-        self._check()
-
-    def _check(self):
-        """Raise unless the entries are nonnegative and finite and the
-        registries match the shape."""
-        mat = self.counts
-        if mat.nnz and (not np.all(np.isfinite(mat.data)) or mat.data.min() < 0):
-            raise GraphUsageError("view entries must be nonnegative and finite")
-        if mat.shape != (len(self.row_names), len(self.col_names)):
+        indptr, indices, data = self.indptr, self.indices, self.data
+        if not (indptr.dtype.kind == indices.dtype.kind == "i" and data.dtype == np.float64):
+            raise GraphUsageError("view arrays must be integer indptr and indices, float64 data")
+        if len(indptr) != len(self.row_names) + 1 or len(indices) and (
+                indices.min() < 0 or indices.max() >= len(self.col_names)):
             raise GraphUsageError("registry sizes do not match matrix shape")
-
-    @classmethod
-    def _from_canonical(cls, data, indices, indptr, row_names, col_names) -> "ViewMatrix":
-        """Wrap CSR arrays that are already canonical (columns ascending and
-        distinct within each row, no zeros, float64 data) without the copy
-        and canonicalisation of the public constructor. The view takes the
-        arrays over, so the caller must not change them. The entries and the
-        shape are still checked."""
-        from scipy import sparse
-
-        view = object.__new__(cls)
-        mat = sparse.csr_matrix((data, indices, indptr), shape=(len(row_names), len(col_names)))
-        for name, value in (("counts", mat), ("row_names", tuple(row_names)),
-                            ("col_names", tuple(col_names))):
-            object.__setattr__(view, name, value)
-        view._check()
-        return view
+        if indptr[0] != 0 or (np.diff(indptr) < 0).any() or not (
+                indptr[-1] == len(indices) == len(data)):
+            raise GraphUsageError("indptr must rise from 0 to the entry count")
+        if not ((data >= 0) & (data < math.inf)).all():  # NaN fails both
+            raise GraphUsageError("view entries must be nonnegative and finite")
+        if not data.all():
+            raise GraphUsageError("view entries must be nonzero")
+        rises = np.diff(indices, prepend=-1, append=0) > 0  # entry p over entry p - 1
+        rises[indptr] = True  # but a row's first entry follows another row
+        if not rises.all():
+            raise GraphUsageError("columns must ascend strictly within each row")
+        for a in (indptr, indices, data):
+            a.flags.writeable = False
 
     @property
     def n_rows(self) -> int:
-        return self.counts.shape[0]
+        return len(self.row_names)
+
+    @property
+    def counts(self) -> sparse.csr_matrix:
+        """The view as a scipy CSR matrix over its own arrays."""
+        from scipy import sparse
+
+        shape = (len(self.row_names), len(self.col_names))
+        return sparse.csr_matrix((self.data, self.indices, self.indptr), shape=shape)
 
     @staticmethod
-    def from_codes(rows, cols, row_names, col_names) -> "ViewMatrix":
-        """Build from parallel row and column codes, each pair counting 1;
-        repeated pairs are summed."""
+    def from_codes(rows, cols, row_names, col_names, counts=None) -> "ViewMatrix":
+        """Build from parallel row and column codes, each pair counting 1 or
+        its entry of `counts`. Repeated pairs are summed, in input order when
+        `counts` is given, and pairs that sum to 0 are dropped."""
         n, ncols = len(row_names), len(col_names)
         rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
         if len(rows) and (rows.min() < 0 or rows.max() >= n
                           or cols.min() < 0 or cols.max() >= ncols):
             raise GraphUsageError("row or column code out of range")
         # each distinct (row, col) key once, ascending: canonical CSR order
-        keys, counts = np.unique(rows * ncols + cols, return_counts=True)
-        indptr = np.searchsorted(keys, np.arange(n + 1) * ncols)
-        indices = keys - np.repeat(np.arange(n) * ncols, np.diff(indptr))
-        return ViewMatrix._from_canonical(
-            counts.astype(np.float64), indices, indptr, row_names, col_names
-        )
+        if counts is None:
+            keys, sums = np.unique(rows * ncols + cols, return_counts=True)
+            data = sums.astype(np.float64)
+        else:  # float64 also when empty, where bincount gives int64
+            keys, inverse = np.unique(rows * ncols + cols, return_inverse=True)
+            data = np.bincount(inverse, counts, len(keys)).astype(np.float64, copy=False)
+            keys, data = keys[data != 0], data[data != 0]  # the rest is checked below
+        # int32 indices while they fit, as scipy keeps them
+        index = np.int32 if max(n, ncols, len(keys)) <= np.iinfo(np.int32).max else np.int64
+        indptr = np.searchsorted(keys, np.arange(n + 1) * ncols).astype(index)
+        indices = (keys - np.repeat(np.arange(n) * ncols, np.diff(indptr))).astype(index)
+        return ViewMatrix(indptr, indices, data, tuple(row_names), tuple(col_names))
+
+    @staticmethod
+    def from_matrix(matrix, row_names, col_names) -> "ViewMatrix":
+        """A copy of any scipy matrix or dense array, duplicates summed."""
+        from scipy import sparse
+
+        coo = sparse.coo_matrix(matrix)
+        if coo.shape != (len(row_names), len(col_names)):
+            raise GraphUsageError("registry sizes do not match matrix shape")
+        return ViewMatrix.from_codes(coo.row, coo.col, row_names, col_names, counts=coo.data)
 
     def write_triplets(self, path) -> None:
         """Text format: `row_name<TAB>col_name<TAB>count` per nonzero, in
         (row, col) order, which is the canonical CSR storage order."""
-        indptr = self.counts.indptr.tolist()
-        cols, vals = self.counts.indices.tolist(), self.counts.data.tolist()
+        indptr, cols, vals = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
         col_names = self.col_names
         with atomic_write(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
             for r, name in enumerate(self.row_names):  # one write per row
@@ -103,8 +114,6 @@ class ViewMatrix:
     def read_triplets(path, row_names=None, col_names=None) -> "ViewMatrix":
         """Read the `write_triplets` format. Registries follow first-appearance
         order unless given explicitly; a name outside a given one raises."""
-        from scipy import sparse
-
         rows = {name: i for i, name in enumerate(row_names or ())}
         cols = {name: i for i, name in enumerate(col_names or ())}
         ri, ci, vals = [], [], []
@@ -127,10 +136,7 @@ class ViewMatrix:
                 cols[c] = len(cols)
             ri.append(rows[r])
             ci.append(cols[c])
-        mat = sparse.csr_matrix(
-            (vals, (ri, ci)), shape=(len(rows), len(cols)), dtype=np.float64
-        )
-        return ViewMatrix(mat, tuple(rows), tuple(cols))
+        return ViewMatrix.from_codes(ri, ci, tuple(rows), tuple(cols), counts=vals)
 
 
 def tfidf(m: ViewMatrix, mode: str = "ratio") -> ViewMatrix:
@@ -142,8 +148,7 @@ def tfidf(m: ViewMatrix, mode: str = "ratio") -> ViewMatrix:
     """
     if m.n_rows < 1:
         raise GraphUsageError("tfidf needs at least one row")
-    counts = m.counts
-    df = np.bincount(counts.indices, minlength=counts.shape[1]).astype(np.float64)
+    df = np.bincount(m.indices, minlength=len(m.col_names)).astype(np.float64)
     factor = np.zeros_like(df)
     nz = df > 0
     if mode == "ratio":
@@ -153,10 +158,7 @@ def tfidf(m: ViewMatrix, mode: str = "ratio") -> ViewMatrix:
     else:
         raise GraphUsageError(f"unknown idf mode {mode!r}")
     # a positive count times a factor >= 1 stays nonzero: still canonical
-    return ViewMatrix._from_canonical(
-        counts.data * factor[counts.indices], counts.indices.copy(), counts.indptr.copy(),
-        m.row_names, m.col_names,
-    )
+    return ViewMatrix(m.indptr, m.indices, m.data * factor[m.indices], m.row_names, m.col_names)
 
 
 def cosine_similarity(m: ViewMatrix, i: int, j: int) -> float:
@@ -164,8 +166,8 @@ def cosine_similarity(m: ViewMatrix, i: int, j: int) -> float:
     if not (0 <= i < m.n_rows and 0 <= j < m.n_rows):
         raise GraphUsageError("row index out of range")
     a, b = (i, j) if i <= j else (j, i)
-    ra = m.counts.getrow(a)
-    rb = m.counts.getrow(b)
+    counts = m.counts
+    ra, rb = counts.getrow(a), counts.getrow(b)
     na = math.sqrt(ra.multiply(ra).sum())
     nb = math.sqrt(rb.multiply(rb).sum())
     if na == 0.0 or nb == 0.0:
@@ -173,14 +175,14 @@ def cosine_similarity(m: ViewMatrix, i: int, j: int) -> float:
     return float(ra.multiply(rb).sum() / (na * nb))
 
 
-def _unit_rows(mat: sparse.csr_matrix) -> np.ndarray:
+def _unit_rows(mat: ViewMatrix) -> np.ndarray:
     """`mat.data` with each row scaled to unit Euclidean norm; all-zero rows
     stay zero. The values are bit for bit scipy's `diags(inv) @ mat`, with
     inv = 1 / sqrt(mat.multiply(mat).sum(axis=1)), which defines the edge
     weights of every stored graph: the elementwise product drops squares
     that underflow to 0, and the sum adds each non-empty row with
     np.add.reduceat."""
-    n = mat.shape[0]
+    n = len(mat.indptr) - 1
     lengths = np.diff(mat.indptr)
     sq = mat.data * mat.data
     if not sq.all():
@@ -219,8 +221,5 @@ def knn_graph(m: ViewMatrix, k: int | None = None) -> ViewGraph:
     if k <= 0 or k >= n:
         raise GraphUsageError(f"k={k} out of range for n={n}")
 
-    counts = m.counts
-    u, v, w = _kernels.knn_edges(
-        counts.indptr, counts.indices, _unit_rows(counts), counts.shape[1], k
-    )
+    u, v, w = _kernels.knn_edges(m.indptr, m.indices, _unit_rows(m), len(m.col_names), k)
     return ViewGraph.from_arrays(n, u, v, w)

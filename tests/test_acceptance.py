@@ -85,7 +85,7 @@ def vm(dense):
     dense = np.asarray(dense, dtype=float)
     rows = tuple(f"r{i}" for i in range(dense.shape[0]))
     cols = tuple(f"c{j}" for j in range(dense.shape[1]))
-    return ViewMatrix(sparse.csr_matrix(dense), rows, cols)
+    return ViewMatrix.from_matrix(sparse.csr_matrix(dense), rows, cols)
 
 
 def test_criterion_1_formula_oracles(capsys):

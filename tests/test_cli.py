@@ -951,7 +951,7 @@ def test_importing_the_cli_loads_no_heavy_scipy_subpackage():
     assert proc.stdout.split() == []
 
 
-def test_the_clusterer_runs_without_scipy_sparse_and_the_views_load_it():
+def test_the_clusterer_runs_without_scipy_sparse_and_the_views_load_it(tmp_path):
     # scipy.sparse was ~110 ms of a 174 ms `import mvmc`; numpy.ma ~9 ms
     code = """
 import sys, mvmc, mvmc.cli
@@ -972,16 +972,21 @@ days = [LabeledClustering(dict(zip(objects, labels))) for objects, labels in
 average_linkage_merges(1.0 - pairwise_ari_matrix(days))
 ensemble_cluster(days)
 print(*loaded() or ["-"])
-knn_graph(tfidf(ViewMatrix.from_codes([0, 1, 2, 2], [0, 0, 1, 2], "abc", "xyz")), 1)
+view = tfidf(ViewMatrix.from_codes([0, 1, 2, 2], [0, 0, 1, 2], "abc", "xyz"))
+knn_graph(view, 1)
+view.write_triplets(sys.argv[1])
+ViewMatrix.read_triplets(sys.argv[1])
+print(*loaded() or ["-"])
+view.counts
 print("scipy.sparse" in loaded())
 """
     env = {**os.environ, "PYTHONPATH": str(Path(mvmc.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True)
-    backend, before, after = proc.stdout.splitlines()
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "v.triplets")], env=env,
+                          capture_output=True, text=True, check=True)
+    backend, before, views, after = proc.stdout.splitlines()
     if backend != "c":
         pytest.skip("the Python reference kernels use scipy.sparse")
-    assert (before, after) == ("-", "True")
+    assert (before, views, after) == ("-", "-", "True")
 
 
 @pytest.mark.skipif(mvmc._kernels.BACKEND != "c", reason="the compiled kernel did not load")

@@ -161,6 +161,24 @@ def test_run_mvmc_deterministic():
     assert [r.modularity for r in t1.records] == [r.modularity for r in t2.records]
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"max_iter": 0},
+    {"max_iter": 2.5},
+    {"max_iter": 3.0},
+    {"resolution_tol": math.nan},
+    {"weight_tol": math.inf},
+    {"resolution_tol": 0.0},
+    {"weight_tol": -0.1},
+])
+def test_config_rejects_bad_values(kwargs):
+    with pytest.raises(GraphUsageError):
+        MvmcConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers():
+    assert MvmcConfig(max_iter=np.int64(3)).max_iter == 3
+
+
 def test_run_mvmc_rejects_bad_view_sets():
     with pytest.raises(GraphUsageError, match="at least one view"):
         run_mvmc([], MvmcConfig())

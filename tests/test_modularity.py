@@ -83,6 +83,29 @@ def test_mismatched_node_counts_rejected():
         rb_modularity([TWO_TRIANGLES, ViewGraph.from_edges(4, [])], SPLIT)
 
 
+@pytest.mark.parametrize("params", [
+    {"weights": [np.nan, 1.0]},
+    {"weights": [np.inf, 1.0]},
+    {"weights": [1.0, -np.inf]},
+    {"resolutions": [np.nan, 1.0]},
+    {"resolutions": [1.0, np.inf]},
+    {"resolutions": [0.0, 1.0]},
+    {"resolutions": [-1.0, 1.0]},
+])
+def test_non_finite_weights_and_bad_resolutions_rejected(params):
+    graphs = [TWO_TRIANGLES, TWO_TRIANGLES]
+    with pytest.raises(GraphUsageError):
+        maximize(graphs, **params)
+    with pytest.raises(GraphUsageError):
+        rb_modularity(graphs, SPLIT, **params)
+
+
+def test_negative_weights_stay_allowed():
+    graphs = [TWO_TRIANGLES, TWO_TRIANGLES]
+    assert rb_modularity(graphs, SPLIT, weights=[-1.0, 1.0]) == 0.0
+    assert maximize(graphs, weights=[-1.0, 2.0]).n_clusters >= 1
+
+
 def test_label_permutation_invariance():
     rng = np.random.default_rng(6)
     g = random_graph(rng, 12)
@@ -789,7 +812,8 @@ print(_kernels.BACKEND, _kernels.move_pass is _kernels._move_pass,
       modularity.run_restarts is modularity._restarts)
 g = ViewGraph.from_edges(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
 print(maximize([g], seed=0).n_clusters)
-m = ViewMatrix(sparse.csr_matrix([[1., 0.], [1., 0.], [0., 1.]]), ("a", "b", "c"), ("x", "y"))
+m = ViewMatrix.from_matrix(sparse.csr_matrix([[1., 0.], [1., 0.], [0., 1.]]),
+                           ("a", "b", "c"), ("x", "y"))
 print(knn_graph(m, k=1).edge_count)
 """
 

@@ -27,7 +27,7 @@ def vm(dense):
     dense = np.asarray(dense, dtype=float)
     names_r = tuple(f"r{i}" for i in range(dense.shape[0]))
     names_c = tuple(f"c{j}" for j in range(dense.shape[1]))
-    return ViewMatrix(sparse.csr_matrix(dense), names_r, names_c)
+    return ViewMatrix.from_matrix(sparse.csr_matrix(dense), names_r, names_c)
 
 
 def test_tfidf_term_in_every_document():
@@ -172,19 +172,19 @@ def test_view_matrix_copies_the_callers_matrix():
     counts = sparse.csr_matrix(
         (np.array([1.0, 0.0, 2.0]), np.array([0, 1, 0]), np.array([0, 2, 3])), shape=(2, 2)
     )
-    view = ViewMatrix(counts, ("a", "b"), ("x", "y"))
+    view = ViewMatrix.from_matrix(counts, ("a", "b"), ("x", "y"))
     assert counts.nnz == 3  # the explicit zero is still the caller's
     assert view.counts.nnz == 2
     assert not np.shares_memory(view.counts.data, counts.data)
 
 
 def test_from_codes_and_tfidf_build_what_the_public_constructor_would():
-    # both skip the public constructor's copy and canonicalisation
+    # the arrays of from_codes and tfidf against from_matrix's canonicalisation of them
     posts = synthetic_corpus(seed=101)
     for day, day_posts in group_by_day(parse_json_record(json.dumps(p)) for p in posts).items():
         for view in build_daily_views(day_posts, day).as_list():
             for built in (view, tfidf(view), tfidf(view, mode="log")):
-                again = ViewMatrix(built.counts, built.row_names, built.col_names)
+                again = ViewMatrix.from_matrix(built.counts, built.row_names, built.col_names)
                 assert built.counts.shape == again.counts.shape
                 for attr in ("data", "indices", "indptr"):
                     a, b = getattr(built.counts, attr), getattr(again.counts, attr)
@@ -196,7 +196,7 @@ def test_tfidf_counts_a_duplicated_entry_once():
     counts = sparse.csr_matrix(
         (np.array([1.0, 1.0, 1.0]), np.array([0, 0, 1]), np.array([0, 2, 3])), shape=(2, 2)
     )
-    out = tfidf(ViewMatrix(counts, ("a", "b"), ("x", "y")))
+    out = tfidf(ViewMatrix.from_matrix(counts, ("a", "b"), ("x", "y")))
     assert out.counts.toarray().tolist() == [[4.0, 0.0], [0.0, 2.0]]
 
 
@@ -219,6 +219,101 @@ def test_from_codes_rejects_codes_out_of_range():
         ViewMatrix.from_codes([0, 2], [0, 0], ("a", "b"), ("x",))
     with pytest.raises(GraphUsageError):
         ViewMatrix.from_codes([0], [-1], ("a",), ("x",))
+
+
+def canonical(**changes):
+    """Constructor arguments for [[1, 0, 2], [0, 3, 0]], with `changes`."""
+    return {"indptr": np.array([0, 2, 3]), "indices": np.array([0, 2, 1]),
+            "data": np.array([1.0, 2.0, 3.0]), "row_names": ("a", "b"),
+            "col_names": ("x", "y", "z"), **changes}
+
+
+def test_constructor_takes_canonical_arrays_as_they_are():
+    args = canonical()
+    view = ViewMatrix(**args)
+    assert view.counts.toarray().tolist() == [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]
+    assert view.data is args["data"] and not view.data.flags.writeable
+    assert ViewMatrix(np.array([0, 0]), np.array([], int), np.array([]), ("a",), ()).n_rows == 1
+
+
+@pytest.mark.parametrize("changes", [
+    {"indices": np.array([2, 0, 1])},  # descending within row 0
+    {"indices": np.array([0, 0, 1])},  # repeated within row 0
+    {"indices": np.array([0, 3, 1])},  # past the last column
+    {"indices": np.array([-1, 2, 1])},
+    {"col_names": ("x", "y")},  # column 2 has no name
+    {"data": np.array([1.0, 0.0, 3.0])},
+    {"data": np.array([1.0, -2.0, 3.0])},
+    {"data": np.array([1.0, np.nan, 3.0])},
+    {"data": np.array([1.0, np.inf, 3.0])},
+    {"data": np.array([1.0, 2.0])},
+    {"row_names": ("a",)},
+    {"row_names": ("a", "b", "c")},
+    {"indptr": np.array([1, 2, 3])},
+    {"indptr": np.array([0, 2, 2])},
+    {"indptr": np.array([0, 4, 3])},
+    {"indptr": np.array([0.0, 2.0, 3.0])},
+    {"data": np.array([1, 2, 3])},
+])
+def test_constructor_rejects_arrays_that_are_not_canonical(changes):
+    with pytest.raises(GraphUsageError):
+        ViewMatrix(**canonical(**changes))
+
+
+def test_from_matrix_matches_scipys_canonicalisation():
+    rng = np.random.default_rng(14)
+    for trial in range(60):
+        n, f = int(rng.integers(0, 20)), int(rng.integers(0, 25))
+        nnz = int(rng.integers(0, 200)) if n and f else 0
+        rows, cols = rng.integers(0, max(n, 1), nnz), rng.integers(0, max(f, 1), nnz)
+        # quarter units, some 0: a repeated entry sums exactly in any order
+        vals = rng.integers(0, 8, nnz) / 4
+        order = np.argsort(rows, kind="stable")  # CSR rows, columns unsorted
+        indptr = np.searchsorted(rows[order], np.arange(n + 1))
+        matrix = sparse.csr_matrix((vals[order], cols[order], indptr), shape=(n, f))
+        if trial % 2:
+            matrix = sparse.coo_matrix((vals, (rows, cols)), shape=(n, f))
+        want = sparse.csr_matrix(matrix, dtype=np.float64, copy=True)
+        want.sum_duplicates()
+        want.eliminate_zeros()
+        got = ViewMatrix.from_matrix(matrix, names("r", n), names("c", f))
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (trial, attr)
+            for theirs in (v for v in vars(matrix).values() if isinstance(v, np.ndarray)):
+                assert not np.shares_memory(a, theirs), (trial, attr)
+
+
+def test_from_matrix_rejects_a_shape_the_registries_do_not_match():
+    with pytest.raises(GraphUsageError):
+        ViewMatrix.from_matrix(sparse.csr_matrix(np.ones((2, 2))), ("a", "b"), ("x",))
+
+
+def test_from_codes_sums_weighted_pairs_in_input_order():
+    one = ViewMatrix.from_codes([0, 0, 0], [0, 0, 0], "a", "x", counts=[1e16, -1e16, 1.0])
+    assert one.data.tolist() == [1.0]
+    zero = ViewMatrix.from_codes([0, 0, 0], [0, 0, 0], "a", "x", counts=[1.0, 1e16, -1e16])
+    assert zero.indptr.tolist() == [0, 0] and zero.data.tolist() == []
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(GraphUsageError):
+            ViewMatrix.from_codes([0, 1], [0, 0], "ab", "x", counts=[2.0, bad])
+
+
+def test_read_triplets_sums_a_repeated_line(tmp_path):
+    path = tmp_path / "m.triplets"
+    path.write_text("a\tx\t1.5\nb\ty\t1.0\na\tx\t2.0\n")
+    view = ViewMatrix.read_triplets(path)
+    assert (view.row_names, view.col_names) == (("a", "b"), ("x", "y"))
+    assert view.counts.toarray().tolist() == [[3.5, 0.0], [0.0, 1.0]]
+
+
+def test_from_codes_and_tfidf_keep_int32_index_arrays():
+    view = ViewMatrix.from_codes([0, 1, 2, 2], [0, 0, 1, 2], "abc", "xyz")
+    for built in (view, tfidf(view), tfidf(view, mode="log")):
+        assert built.indptr.dtype == built.indices.dtype == np.int32
+        counts = built.counts  # wraps the view's arrays, no copy
+        assert all(np.shares_memory(getattr(counts, a), getattr(built, a))
+                   for a in ("data", "indices", "indptr"))
 
 
 def test_write_triplets_matches_the_lexsort_writer(tmp_path):
