@@ -6,7 +6,9 @@ import math
 
 import numpy as np
 
+from .compare import _tally
 from .graph import GraphUsageError, densify_labels
+from .ingest import _ranges, _starts
 
 
 def top_users(usage: dict[str, float], fraction: float = 1 / 3) -> frozenset:
@@ -89,14 +91,15 @@ def token_frequencies(token_counts: dict[str, int], top_n: int = 20) -> list[tup
     return heapq.nsmallest(top_n, token_counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def _row_dicts(mat, names: tuple, cast) -> list[dict]:
-    """Each row of a CSR matrix as {column name: cast(value)}."""
-    mat.sum_duplicates()
-    indptr, indices = mat.indptr.tolist(), mat.indices.tolist()
-    values = list(map(cast, mat.data.tolist()))
+def _row_dicts(keys, counts, n_rows: int, names: tuple, cast) -> list[dict]:
+    """Each row's {column name: cast(count)}, from ascending keys
+    row * len(names) + column and their counts."""
+    bounds = np.searchsorted(keys, np.arange(n_rows + 1) * len(names)).tolist()
+    cols = (keys % len(names)).tolist()
+    values = list(map(cast, counts.tolist()))
     return [
-        dict(zip(map(names.__getitem__, indices[lo:hi]), values[lo:hi]))
-        for lo, hi in zip(indptr, indptr[1:])
+        dict(zip(map(names.__getitem__, cols[lo:hi]), values[lo:hi]))
+        for lo, hi in zip(bounds, bounds[1:])
     ]
 
 
@@ -109,8 +112,6 @@ def usage_tables(days, clusters: dict) -> tuple[dict[str, dict[str, float]], dic
     {hashtag: {user: float count}} for each hashtag of the clusters that
     some post holds, and {cluster label: {token: int count}}.
     """
-    from scipy import sparse
-
     labels = list(clusters)
     hashtags = [h for label in labels for h in clusters[label]]
     row_of = dict(zip(hashtags, range(len(hashtags))))
@@ -120,28 +121,27 @@ def usage_tables(days, clusters: dict) -> tuple[dict[str, dict[str, float]], dic
     token_index: dict = {}
     day_maps = [(densify_labels(d.users, user_index), densify_labels(d.tokens, token_index))
                 for d in days]
-    # (hashtag, user) pairs are few, one per post holding the hashtag, and
-    # are counted at the end; token counts are summed day by day as
-    # (cluster x post) @ (post x token) products
-    user_rows, user_cols = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
-    tokens = sparse.csr_matrix((len(labels), len(token_index)))
+    n_users, n_tokens = len(user_index), len(token_index)
+    # (hashtag, user) keys are few, one per post holding the hashtag, and are
+    # counted at the end; (cluster, token) keys are counted day by day and the
+    # counts merged, so no more than one day's expanded keys are held at once
+    user_keys, token_keys, token_counts = ([np.empty(0, np.int64)] for _ in range(3))
     for d, (user_of, token_of) in zip(days, day_maps):
         pair_row = np.fromiter((row_of.get(h, -1) for h in d.hashtags), np.int64,
                                len(d.hashtags))[d.tag_code]
         held = pair_row >= 0
         rows, posts = pair_row[held], d.tag_post[held]
-        user_rows.append(rows)
-        user_cols.append(user_of[d.user_code[posts]])
-        post_tokens = sparse.csr_matrix(
-            (np.ones(len(d.token_code)), token_of[d.token_code],
-             np.concatenate(([0], np.cumsum(d.token_len, dtype=np.int64)))),
-            shape=(len(d.user_code), len(token_index)))
-        tokens = tokens + sparse.csr_matrix(
-            (np.ones(len(rows)), (cluster_of[rows], posts)),
-            shape=(len(labels), len(d.user_code))) @ post_tokens
-    rows = np.concatenate(user_rows)
-    users = sparse.csr_matrix((np.ones(len(rows)), (rows, np.concatenate(user_cols))),
-                              shape=(len(hashtags), len(user_index)))
-    usage = {h: counts for h, counts in zip(hashtags, _row_dicts(users, tuple(user_index), float))
+        user_keys.append(rows * n_users + user_of[d.user_code[posts]])
+        take = d.token_len[posts]
+        keys = np.repeat(cluster_of[rows] * n_tokens, take) + token_of[
+            d.token_code[_ranges(_starts(d.token_len)[posts], take)]]
+        distinct, counts = _tally(keys, len(labels) * n_tokens)
+        token_keys.append(distinct)
+        token_counts.append(counts)
+    users = _tally(np.concatenate(user_keys), len(hashtags) * n_users)
+    tokens = _tally(np.concatenate(token_keys), len(labels) * n_tokens,
+                    np.concatenate(token_counts))
+    usage = {h: counts for h, counts in
+             zip(hashtags, _row_dicts(*users, len(hashtags), tuple(user_index), float))
              if counts}
-    return usage, dict(zip(labels, _row_dicts(tokens, tuple(token_index), int)))
+    return usage, dict(zip(labels, _row_dicts(*tokens, len(labels), tuple(token_index), int)))

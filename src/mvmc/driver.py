@@ -33,6 +33,8 @@ class MvmcConfig:
             raise GraphUsageError("max_iter must be an integer")
         if self.max_iter < 1:
             raise GraphUsageError("max_iter must be >= 1")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise GraphUsageError("seed must be an integer >= 0")
         if not (math.isfinite(self.resolution_tol) and math.isfinite(self.weight_tol)):
             raise GraphUsageError("tolerances must be finite")
         if self.resolution_tol <= 0 or self.weight_tol <= 0:

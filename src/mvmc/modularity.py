@@ -22,6 +22,8 @@ arrays with numpy alone, so the clusterer needs no scipy.sparse.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from . import _kernels
@@ -187,6 +189,10 @@ def maximize(
     resolutions and seed used, the winning partition's `modularity`, the
     sweeps, moves and levels summed over the restarts, and the winning restart.
     """
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise GraphUsageError("seed must be an integer >= 0")
+    if not isinstance(restarts, numbers.Integral):
+        raise GraphUsageError("restarts must be an integer")
     if restarts < 1:
         raise GraphUsageError("restarts must be positive")
     n = _check_views(graphs)

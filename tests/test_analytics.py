@@ -127,18 +127,51 @@ def random_period(rng):
     return days, LabeledClustering(dict(zip(clustered, labels)))
 
 
-def test_report_tables_match_brute_force(tmp_path):
+def route_periods():
+    """Two-day periods whose every `_tally` takes one route: keys sparse in
+    their range (clusters x tokens and hashtags x users over 4x the keys) are
+    sorted, dense ones bincounted; no post of the last holds a clustered
+    hashtag."""
+    chatter = [post(f"q{i}", ["#z"], text=" ".join(f"w{i}{j}" for j in range(20)),
+                    user=f"v{i}") for i in range(10)]
+    held = [post(f"p{i}", ["#a"], text="stay home", user=f"u{i}") for i in range(3)]
+    dense = [post(f"p{i}", ["#a"], text="stay home stay", user="u1") for i in range(5)]
+    return [
+        ({"sort", "argsort"}, [held + chatter, held[:2] + chatter],
+         LabeledClustering({"#a": 0, "#b": 1})),
+        ({"bincount"}, [dense, dense[1:]], LabeledClustering({"#a": 0})),
+        (None, [held + chatter, dense], LabeledClustering({"#unused": 0})),
+    ]
+
+
+def counted(name, calls):
+    """numpy's function `name`, counting its calls in `calls`."""
+    real = getattr(np, name)
+
+    def call(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    return call
+
+
+def test_report_tables_match_brute_force(tmp_path, monkeypatch):
+    periods = [(None, *random_period(np.random.default_rng(seed))) for seed in range(120)]
     cases = Counter()
-    for seed in range(120):
-        rng = np.random.default_rng(seed)
-        days, lc = random_period(rng)
+    for seed, (route, days, lc) in enumerate(periods + route_periods()):
         posts = [p for day in days for p in day]
         codes = [code_posts(coded_day(day)) for day in days]
         fraction = (1 / 3, 0.5, 1.0)[seed % 3]
         top_tokens = (0, 1, 3, 20)[seed % 4]
 
-        # per-hashtag tables: each clustered hashtag as a cluster of its own
-        usage, tokens = usage_tables(codes, {h: [h] for h in lc.assignments})
+        # per-hashtag tables: each clustered hashtag as a cluster of its own,
+        # with numpy's calls on each route of `_tally` counted
+        calls = Counter()
+        with monkeypatch.context() as m:
+            for name in ("bincount", "sort", "argsort"):
+                m.setattr(np, name, counted(name, calls))
+            usage, tokens = usage_tables(codes, {h: [h] for h in lc.assignments})
+        if route is not None:
+            assert set(calls) == route, (seed, calls)
         brute_usage, brute_tokens = brute_usage_tables(posts, set(lc.assignments))
         assert usage == brute_usage
         assert {h: c for h, c in tokens.items() if c} == {
@@ -162,13 +195,14 @@ def test_report_tables_match_brute_force(tmp_path):
         cases["duplicate post id"] += any(
             len({p.post_id for p in day}) < len(day) for day in days)
         cases["post without hashtags"] += any(not p.hashtags for p in posts)
+        cases["no clustered hashtag held"] += posts != [] and usage == {}
         cases["tie in user counts"] += any(
             len(set(counts.values())) < len(counts) for counts in brute_usage.values())
         cases["tie in token counts"] += any(
             len({n for _tok, n in rows}) < len(rows) for rows in ranked.values())
         cases["non-ASCII token"] += any(
             not tok.isascii() for p in posts for tok in brute_preprocess_text(p.text))
-    assert len(cases) == 7 and min(cases.values()) > 0, cases
+    assert len(cases) == 8 and min(cases.values()) > 0, cases
 
 
 def test_report_rows_carry_the_clusterings_labels(tmp_path):

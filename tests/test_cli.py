@@ -955,9 +955,12 @@ def test_the_clusterer_runs_without_scipy_sparse_and_the_views_load_it(tmp_path)
     # scipy.sparse was ~110 ms of a 174 ms `import mvmc`; numpy.ma ~9 ms
     code = """
 import sys, mvmc, mvmc.cli
+import numpy as np
 from mvmc import (LabeledClustering, MvmcConfig, ViewGraph, ViewMatrix,
                   average_linkage_merges, ensemble_cluster, knn_graph, maximize,
                   pairwise_ari_matrix, run_mvmc, tfidf)
+from mvmc.analytics import usage_tables
+from mvmc.ingest import PostCodes
 from mvmc.synth import planted_partition_views
 
 def loaded():
@@ -971,6 +974,12 @@ days = [LabeledClustering(dict(zip(objects, labels))) for objects, labels in
         (("abcd", [0, 0, 1, 1]), ("abcd", [0, 1, 1, 1]), ("cdef", [0, 0, 1, 1]))]
 average_linkage_merges(1.0 - pairwise_ari_matrix(days))
 ensemble_cluster(days)
+# a day coded by hand, as `code_posts`' np.unique loads numpy.ma
+day = PostCodes(hashtags=("#a", "#b"), n_registry=2, tag_post=np.array([0, 0, 1]),
+                tag_code=np.array([0, 1, 0]), users=("u0", "u1"), user_code=np.array([0, 1]),
+                tokens=("stay", "home"), token_code=np.array([0, 1, 1]),
+                token_len=np.array([2, 1]))
+usage_tables([day, day], {0: ["#a"], 1: ["#b", "#c"]})
 print(*loaded() or ["-"])
 view = tfidf(ViewMatrix.from_codes([0, 1, 2, 2], [0, 0, 1, 2], "abc", "xyz"))
 knn_graph(view, 1)

@@ -169,6 +169,10 @@ def test_run_mvmc_deterministic():
     {"weight_tol": math.inf},
     {"resolution_tol": 0.0},
     {"weight_tol": -0.1},
+    {"seed": -1},
+    {"seed": 1.5},
+    {"seed": "3"},
+    {"seed": None},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(GraphUsageError):
@@ -177,6 +181,7 @@ def test_config_rejects_bad_values(kwargs):
 
 def test_config_takes_numpy_integers():
     assert MvmcConfig(max_iter=np.int64(3)).max_iter == 3
+    assert MvmcConfig(seed=np.int64(2)).seed == 2
 
 
 def test_run_mvmc_rejects_bad_view_sets():

@@ -100,6 +100,24 @@ def test_non_finite_weights_and_bad_resolutions_rejected(params):
         rb_modularity(graphs, SPLIT, **params)
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"seed": "3"}, "seed must be an integer >= 0"),
+    ({"seed": -1}, "seed must be an integer >= 0"),
+    ({"seed": 1.5}, "seed must be an integer >= 0"),
+    ({"seed": None}, "seed must be an integer >= 0"),
+    ({"restarts": 0}, "restarts must be positive"),
+    ({"restarts": 2.5}, "restarts must be an integer"),
+])
+def test_maximize_rejects_bad_seeds_and_restarts(params, message):
+    with pytest.raises(GraphUsageError, match=message):
+        maximize([TWO_TRIANGLES], **params)
+
+
+def test_maximize_takes_numpy_integers():
+    part = maximize([TWO_TRIANGLES], seed=np.int64(3), restarts=np.int64(2))
+    assert part.meta["seed"] == 3
+
+
 def test_negative_weights_stay_allowed():
     graphs = [TWO_TRIANGLES, TWO_TRIANGLES]
     assert rb_modularity(graphs, SPLIT, weights=[-1.0, 1.0]) == 0.0
