@@ -1,9 +1,13 @@
 """Command-line pipeline: ingest -> daily MVMC -> temporal comparison ->
 meta-clustering -> per-period ensembles -> user analytics.
 
-Each step is one function below; every single-stage command and
-`run_pipeline` is a short sequence of calls to them, and every option that
-names a config key takes its default and its check from `CONFIG_KEYS`.
+Each step is one function below, and every command is a short sequence of
+calls to them: `pipeline` maps `_day` (views and MVMC) over the dates,
+`_write_day` over the kept days and, after `_compare`, `_write_period`
+(consensus and reports) over the periods. Every kept day is clustered
+before any day's file is written, so a bad day exits 2 with no day's files
+on disk. Every option that names a config key takes its default and its
+check from `CONFIG_KEYS`.
 
 Exit codes: 0 ok, 2 input error, 3 output error.
 """
@@ -227,11 +231,6 @@ def _cluster_day(views, params: dict, tag: str = ""):
     return lc, clustering, trace
 
 
-def _write_clustering(lc: LabeledClustering, trace, labels_path: Path, trace_path: Path):
-    lc.write_tsv(labels_path)
-    trace.write(trace_path)
-
-
 def _read_dailies(clusters_dir: str) -> list[LabeledClustering]:
     cdir = Path(clusters_dir)
     files = sorted(cdir.glob("*.tsv"))
@@ -293,6 +292,52 @@ def _write_reports(days, lc: LabeledClustering, out: Path, fraction, top_tokens,
     )
 
 
+def _day(posts, day, params: dict, need: int):
+    """A day's views and `_cluster_day`'s result for them; None, after a
+    warning, when the day has fewer than `need` hashtags."""
+    dv = build_daily_views(posts, day, url_mode=params["url_mode"])
+    del posts  # a day's posts are dropped once its views and codes are built
+    if len(dv.hashtags) < need:
+        click.echo(f"warning: {day} skipped: {len(dv.hashtags)} hashtag(s) in"
+                   f" {MIN_POSTS_PER_HASHTAG} or more posts, need {need}", err=True)
+        return None
+    return (dv, *_cluster_day(dv.as_list(), params, day.isoformat()))
+
+
+def _write_day(out: Path, dv, lc: LabeledClustering, clustering, trace):
+    """A kept day's views, clustering and trace; returns its
+    `daily_summary.tsv` row."""
+    _write_day_views(dv, out / "views")
+    lc.write_tsv(out / "clusters" / f"{lc.tag}.tsv")
+    trace.write(out / "traces" / f"{lc.tag}.tsv")
+    sizes = np.bincount(clustering.labels)
+    return (lc.tag, len(dv.hashtags), clustering.n_clusters,
+            f"{sizes.mean():.2f}", sizes.max(), trace.converged)
+
+
+def _write_period(out: Path, label: int, idxs: list[int], days, filtered, matrix, params: dict):
+    """A period (a meta-cluster, given by the indexes of its kept days) of 2
+    or more days gets the consensus and reports of its own days, as `ensemble`
+    and `analyze` write them; returns its `period_summary.tsv` row."""
+    members = [filtered[i] for i in idxs]
+    day_tags = ",".join(c.tag for c in members)
+    if len(members) < 2:
+        return label, day_tags, "-", "-", "-", "-"
+    consensus = _consensus(members, params["seed"], out / "consensus" / f"period_{label}.tsv")
+    # the consensus labels are dense, so each bin is one cluster
+    sizes = np.bincount(np.fromiter(consensus.assignments.values(), np.int64))
+    # the mean of the period's block of the all-days matrix: it is
+    # average_internal_ari of the period's days cross-leveled to every
+    # kept day's hashtags, not of the period's own filtered days
+    block = matrix[np.ix_(idxs, idxs)]
+    internal_ari = float(np.mean(block[np.triu_indices(len(idxs), 1)]))
+    # no cluster of the period's days may reach min_cluster_size
+    spread = (f"{sizes.mean():.2f}", f"{sizes.std():.2f}") if len(sizes) else ("-", "-")
+    _write_reports([days[i][0].codes for i in idxs], consensus, out / "reports",
+                   params["top_user_fraction"], params["top_tokens"], prefix=f"period_{label}_")
+    return label, day_tags, len(sizes), *spread, f"{internal_ari:.4f}"
+
+
 # --- commands
 
 
@@ -330,7 +375,8 @@ def cluster(views_dir, out_dir, **params):
         lc, clustering, trace = _cluster_day(_read_day_views(Path(views_dir)), params)
     out = Path(out_dir)
     with _exits_on(OSError, EXIT_OUTPUT):
-        _write_clustering(lc, trace, out / "labels.tsv", out / "trace.tsv")
+        lc.write_tsv(out / "labels.tsv")
+        trace.write(out / "trace.tsv")
     click.echo(
         f"{clustering.n_clusters} clusters, Q={clustering.meta['modularity']:.4f},"
         f" converged={trace.converged}"
@@ -482,73 +528,26 @@ def run_pipeline(params: dict):
 
     # a day's k-NN graphs need 2 hashtags, and more than knn_k (>= 1) when set
     need = 2 if params["knn_k"] is None else params["knn_k"] + 1
-    days = []  # (views, labeled clustering, clustering, trace) per kept day
     with _exits_on(GraphUsageError, EXIT_INPUT):
-        for day in list(posts_by_day):
-            # a day's posts are dropped once its views and codes are built
-            dv = build_daily_views(posts_by_day.pop(day), day, url_mode=params["url_mode"])
-            if len(dv.hashtags) < need:
-                click.echo(
-                    f"warning: {day} skipped: {len(dv.hashtags)} hashtag(s) in"
-                    f" {MIN_POSTS_PER_HASHTAG} or more posts, need {need}",
-                    err=True,
-                )
-                continue
-            days.append((dv, *_cluster_day(dv.as_list(), params, day.isoformat())))
+        days = [_day(posts_by_day.pop(day), day, params, need) for day in list(posts_by_day)]
+    days = [day for day in days if day is not None]
     if not days:
         _fail(EXIT_INPUT, f"no day has {need} hashtags in {MIN_POSTS_PER_HASHTAG} or more posts")
 
     with _exits_on(OSError, EXIT_OUTPUT):
-        summary = []
-        for dv, lc, clustering, trace in days:
-            _write_day_views(dv, out / "views")
-            _write_clustering(
-                lc, trace, out / "clusters" / f"{lc.tag}.tsv", out / "traces" / f"{lc.tag}.tsv"
-            )
-            sizes = np.bincount(clustering.labels)
-            summary.append((lc.tag, len(dv.hashtags), clustering.n_clusters,
-                            f"{sizes.mean():.2f}", sizes.max(), trace.converged))
-        write_rows(out / "daily_summary.tsv", summary,
+        write_rows(out / "daily_summary.tsv", [_write_day(out, *day) for day in days],
                    "date\thashtags\tclusters\tmean_size\tmax_size\tconverged")
         if len(days) < 2:
             click.echo("single day: skipping temporal comparison")
             return
-        filtered = _filtered([lc for _dv, lc, _clustering, _trace in days],
-                             params["min_cluster_size"])
+        filtered = _filtered([lc for _dv, lc, *_ in days], params["min_cluster_size"])
         matrix, meta = _compare(filtered, min(params["meta_k"], len(days)), out)
-
-        # periods = meta-clusters; ensemble and report each period with >= 2
-        # days, over the period's own days as `ensemble` does
+        # the periods are the meta-clusters, each a list of kept days' indexes
         periods: dict[int, list[int]] = {}
         for idx, label in enumerate(meta):
             periods.setdefault(int(label), []).append(idx)
-        rows = []
-        for label, idxs in sorted(periods.items()):
-            members = [filtered[i] for i in idxs]
-            day_tags = ",".join(c.tag for c in members)
-            if len(members) < 2:
-                rows.append((label, day_tags, "-", "-", "-", "-"))
-                continue
-            consensus = _consensus(members, params["seed"],
-                                   out / "consensus" / f"period_{label}.tsv")
-            # the consensus labels are dense, so each bin is one cluster
-            sizes = np.bincount(np.fromiter(consensus.assignments.values(), np.int64))
-            # the mean of the period's block of the all-days matrix: it is
-            # average_internal_ari of the period's days cross-leveled to every
-            # kept day's hashtags, not of the period's own filtered days
-            block = matrix[np.ix_(idxs, idxs)]
-            internal_ari = float(np.mean(block[np.triu_indices(len(idxs), 1)]))
-            # no cluster of the period's days may reach min_cluster_size
-            spread = (f"{sizes.mean():.2f}", f"{sizes.std():.2f}") if len(sizes) else ("-", "-")
-            rows.append((label, day_tags, len(sizes), *spread, f"{internal_ari:.4f}"))
-            _write_reports(
-                [days[i][0].codes for i in idxs],
-                consensus,
-                out / "reports",
-                params["top_user_fraction"],
-                params["top_tokens"],
-                prefix=f"period_{label}_",
-            )
+        rows = [_write_period(out, label, idxs, days, filtered, matrix, params)
+                for label, idxs in sorted(periods.items())]
         write_rows(out / "period_summary.tsv", rows,
                    "period\tdays\tclusters\tmean_size\tstd_size\tavg_internal_ari")
     click.echo(f"pipeline complete: {out}")

@@ -20,7 +20,7 @@ from mvmc.compare import (
 )
 from mvmc.driver import IterationRecord, MvmcTrace
 from mvmc.ensemble import average_internal_ari, filter_small_clusters
-from mvmc.graph import atomic_write
+from mvmc.graph import GraphUsageError, atomic_write
 from oracles import brute_ari_matrix
 
 
@@ -125,6 +125,20 @@ def test_compare_and_ensemble(tmp_path, runner):
     assert len(rows) == 18
     # same structure as the inputs: hashtags of one block share a label
     assert len({rows[f"#h{i}"] for i in range(6)}) == 1
+
+
+def test_compare_meta_k_above_the_clusterings_exits_2(tmp_path, runner):
+    cdir = tmp_path / "clusters"
+    cdir.mkdir()
+    for day in ("2020-03-01", "2020-03-02", "2020-03-03"):
+        (cdir / f"{day}.tsv").write_text("".join(f"#h{i}\t{i // 6}\n" for i in range(18)))
+    out = tmp_path / "cmp"
+    result = runner.invoke(main, ["compare", str(cdir), str(out), "--meta-k", "4"])
+    assert result.exit_code == 2, result.output
+    assert "error: meta-k=4 out of range" in result.output
+    assert not out.exists()
+    invoke_ok(runner, "compare", cdir, out, "--meta-k", "3")
+    assert (out / "meta_clusters.tsv").read_text().splitlines()[-1] == "2020-03-03\t2"
 
 
 def test_compare_puts_an_absent_label_in_the_group_of_absent_hashtags(tmp_path, runner):
@@ -630,18 +644,41 @@ def test_pipeline_reports_use_the_consensus_labels(tmp_path, runner):
 
 
 def test_pipeline_skips_quiet_days(tmp_path, runner, corpus):
-    # 2020-03-04: its one hashtag is in 2 posts; 2020-03-05: one hashtag left
+    # 2020-03-04: its one hashtag is in 2 posts; 2020-03-05: one hashtag left;
+    # 2020-02-29, before the corpus and last in the file: one hashtag in 2 posts
     quiet = quiet_posts("2020-03-04", ["#rare"], 2) + quiet_posts(
         "2020-03-05", ["#lone"], 3
-    ) + quiet_posts("2020-03-05", ["#rare"], 2)
+    ) + quiet_posts("2020-03-05", ["#rare"], 2) + quiet_posts("2020-02-29", ["#leap"], 2)
     plain, plain_out = run_pipeline_on(tmp_path, runner, "plain", corpus.read_text())
     mixed, mixed_out = run_pipeline_on(tmp_path, runner, "mixed", corpus.read_text() + quiet)
     assert plain.exit_code == 0, plain.output
     assert mixed.exit_code == 0, mixed.output
-    assert "warning: 2020-03-04 skipped: 0 hashtag(s) in 3 or more posts, need 2" in mixed.stderr
-    assert "warning: 2020-03-05 skipped: 1 hashtag(s) in 3 or more posts, need 2" in mixed.stderr
+    # one warning per quiet day, in date order
+    assert [line for line in mixed.stderr.splitlines() if line.startswith("warning:")] == [
+        "warning: 2020-02-29 skipped: 0 hashtag(s) in 3 or more posts, need 2",
+        "warning: 2020-03-04 skipped: 0 hashtag(s) in 3 or more posts, need 2",
+        "warning: 2020-03-05 skipped: 1 hashtag(s) in 3 or more posts, need 2",
+    ]
     # no views, clusters, trace or summary row for a skipped day
     assert tree_bytes(mixed_out) == tree_bytes(plain_out)
+
+
+def test_pipeline_writes_no_day_when_its_last_day_fails(tmp_path, runner, corpus, monkeypatch):
+    """Every kept day is clustered before any day's file is written."""
+    real, calls = cli.run_mvmc, []
+
+    def fails_on_the_third_day(graphs, cfg):
+        calls.append(cfg)
+        if len(calls) == 3:
+            raise GraphUsageError("planted failure")
+        return real(graphs, cfg)
+
+    monkeypatch.setattr(cli, "run_mvmc", fails_on_the_third_day)
+    result, out = run_pipeline_on(tmp_path, runner, "failing", corpus.read_text())
+    assert result.exit_code == 2, result.output
+    assert "error: planted failure" in result.output
+    assert len(calls) == 3
+    assert list(out.iterdir()) == []
 
 
 def test_pipeline_skips_days_with_at_most_knn_k_hashtags(tmp_path, runner, corpus):
