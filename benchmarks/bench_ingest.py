@@ -17,9 +17,11 @@ the planted groups of its registry as clusters, against the per-post
 reference `brute_usage_tables`. For each of the day's four views it then
 times `tfidf`, and `knn_graph` on the weighted view with `_kernels.knn_edges`
 (the compiled routine, when it loaded) against the same call with the scipy
-reference `_kernels._knn_edges`. It checks that each pair agrees token for
-token, entry for entry, count for count and edge for edge, and prints one
-JSON line with the times, the peak RSS of the process, the kernel backend,
+reference `_kernels._knn_edges`, and `write_triplets` of the view with
+`_kernels.triplet_bytes` (the compiled formatter, when it loaded) against
+the same call with the f-string reference `_kernels._triplet_bytes`. It
+checks that each pair agrees token for token, entry for entry, count for
+count, edge for edge and byte for byte, and prints one JSON line with the times, the peak RSS of the process, the kernel backend,
 the CPU count and the Python/numpy/scipy versions.
 """
 import argparse
@@ -141,6 +143,30 @@ def knn_layer(views, repeat):
     return layer
 
 
+def triplets_layer(views, repeat, directory):
+    """Per view: the file's size and the `write_triplets` time with the bound
+    `_kernels.triplet_bytes` and with the reference, which `write_triplets`
+    picks up from the module at call time; `agree` compares the files'
+    bytes."""
+    bound = _kernels.triplet_bytes
+    layer = {}
+    for name, view in zip(("text", "user", "url", "cooccur"), views.as_list()):
+        ours, theirs = directory / f"{name}.triplets", directory / f"{name}.reference.triplets"
+        write_s, _ = best_time(lambda: view.write_triplets(ours), repeat)
+        _kernels.triplet_bytes = _kernels._triplet_bytes
+        try:
+            reference_s, _ = best_time(lambda: view.write_triplets(theirs), repeat)
+        finally:
+            _kernels.triplet_bytes = bound
+        layer[name] = {
+            "bytes": ours.stat().st_size,
+            "write_triplets_s": write_s,
+            "reference_write_triplets_s": reference_s,
+            "agree": ours.read_bytes() == theirs.read_bytes(),
+        }
+    return layer
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--repeat", type=int, default=3)
@@ -155,6 +181,7 @@ def main():
         views_s, views = best_time(lambda: build_daily_views(coded, day), args.repeat)
         with open(path, encoding="utf-8") as fh:
             posts = [Post(*parse_json_record(line)) for line in fh]
+        triplets = triplets_layer(views, args.repeat, Path(tmp))
     texts = [p.text for p in posts]
 
     tok_s, tokens = best_time(lambda: [preprocess_text(t) for t in texts], args.repeat)
@@ -174,6 +201,7 @@ def main():
         "views_agree": same_views(views, reference),
         **report_tables(posts, views, groups, args.repeat),
         "knn": knn_layer(views, args.repeat),
+        "triplets": triplets,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "backend": _kernels.BACKEND,
         "cpu_count": os.cpu_count(),

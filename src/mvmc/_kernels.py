@@ -1,5 +1,6 @@
 """The compiled kernels: the sweep, the aggregation and the whole restart of
-the modularity maximizer, and the k-NN graph of a view.
+the modularity maximizer, the k-NN graph of a view and the text of a view's
+.triplets file.
 
 `move_pass` runs one sweep of local moves and `aggregate` one level of graph
 aggregation. Each has a reference implementation here: `_move_pass` in plain
@@ -33,12 +34,22 @@ It then drops the diagonal and values not above WEIGHT_FLOOR, keeps each
 row's k best by -value and then the lower column, and averages the picks
 with their transpose, so both give the same edges bit for bit.
 
+The fifth, `format_triplets`, writes the text of a view's .triplets file;
+its reference `_triplet_bytes` formats each entry with an f-string. The
+compiled routine formats no number. `triplet_bytes` hands it three tables of
+text that Python has already encoded, each with int64 offsets: each row name
+and each column name followed by a TAB, and the `repr` of each distinct value
+followed by a newline. The routine copies the three pieces of each entry in
+CSR order into a buffer of the exact size, so both give the same bytes by
+construction.
+
 At import the C source is built with the local C compiler into a per-user
-cache and loaded through ctypes; `move_pass`, `aggregate` and `knn_edges` are
-then checked wrappers around it. With no `cc` or `gcc` on PATH, when the
-build or load fails, or when the draw differs, they are `_move_pass`,
-`_aggregate` and `_knn_edges`, and `run_restarts` and `draw_order` are None;
-no switch chooses. `BACKEND` names the implementation that runs: "c" or
+cache and loaded through ctypes; `move_pass`, `aggregate`, `knn_edges` and
+`triplet_bytes` are then checked wrappers around it. With no `cc` or `gcc` on
+PATH, when the build or load fails, or when the draw differs, they are
+`_move_pass`, `_aggregate`, `_knn_edges` and `_triplet_bytes`, and
+`run_restarts`, `draw_order` and `format_triplets` are None; no switch
+chooses. `BACKEND` names the implementation that runs: "c" or
 "python". benchmarks/bench_kernels.py and benchmarks/bench_ingest.py compare
 the two.
 """
@@ -228,6 +239,27 @@ def _knn_edges(indptr, indices, data, ncols, k):
     return sym.row.astype(np.int64), sym.col.astype(np.int64), sym.data
 
 
+def _triplet_bytes(indptr, indices, data, row_names, col_names):
+    """The UTF-8 text of a view's .triplets file: `row<TAB>col<TAB>value`
+    for each entry of the CSR arrays, in stored order, each value as its
+    `repr`."""
+    indptr, cols, vals = indptr.tolist(), indices.tolist(), data.tolist()
+    return "".join(
+        f"{name}\t{col_names[c]}\t{v!r}\n"
+        for r, name in enumerate(row_names)
+        for c, v in zip(cols[indptr[r]:indptr[r + 1]], vals[indptr[r]:indptr[r + 1]])
+    ).encode("utf-8")
+
+
+def _pieces(strings, end):
+    """The UTF-8 text of `strings`, each followed by the character `end`,
+    which none of them may hold, and the int64 offsets where each one's piece
+    starts, then the text's length."""
+    text = end.join((*strings, "")).encode("utf-8")
+    ends = (np.frombuffer(text, np.uint8) == ord(end)).nonzero()[0]
+    return text, np.concatenate(([0], ends + 1))
+
+
 def _build_library() -> Path | None:
     """Path of the compiled kernel, building it into the cache when missing.
 
@@ -278,9 +310,9 @@ def _build_library() -> Path | None:
 
 
 def _load_c_kernels():
-    """Wrappers (move_pass, aggregate, draw_order, run_restarts, knn_edges)
-    around the compiled routines, or None when they are unavailable or the
-    compiled draw differs from numpy's."""
+    """Wrappers (move_pass, aggregate, draw_order, run_restarts, knn_edges,
+    format_triplets, triplet_bytes) around the compiled routines, or None
+    when they are unavailable or the compiled draw differs from numpy's."""
     library = _build_library()
     if library is None:
         return None
@@ -288,7 +320,7 @@ def _load_c_kernels():
         compiled = ctypes.CDLL(str(library))
         kernel, aggregator = compiled.move_pass, compiled.aggregate
         drawer, restart = compiled.draw_order, compiled.maximize_once
-        neighbours = compiled.knn_edges
+        neighbours, formatter = compiled.knn_edges, compiled.format_triplets
     except (OSError, AttributeError):
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -305,6 +337,9 @@ def _load_c_kernels():
     restart.argtypes = [i64, i64, i64, *[ptr] * 5, f64, i64, ptr, ptr, ptr, ptr]
     neighbours.restype = i64
     neighbours.argtypes = [i64, i64, i64, ptr, ptr, ptr, i64, f64, ptr, ptr, ptr]
+    formatter.restype = i64
+    formatter.argtypes = [i64, i64, i64, i64, ptr, ptr, ptr, *[ctypes.c_char_p, ptr, i64] * 3,
+                          ptr, i64]
 
     def c_move_pass(
         indptr,
@@ -459,9 +494,67 @@ def _load_c_kernels():
         _check_status("knn_edges", m)
         return edge_u[:m], edge_v[:m], edge_w[:m]
 
+    def c_format_triplets(indptr, indices, codes, rows, cols, values, out):
+        """Fill `out`, a writable C-contiguous uint8 array, with the text of a
+        view's .triplets file by the compiled routine, and return it.
+
+        rows, cols and values are `_pieces` tables, (text, offsets): each row
+        name and each column name with a TAB, each value's repr with a
+        newline. Entry p is written as its row's piece, column piece
+        indices[p] and value piece codes[p]. `out` must have exactly the
+        text's length; on any bad index, offset or size this raises
+        ValueError and leaves `out` untouched.
+        """
+        (row_text, row_at), (col_text, col_at), (value_text, value_at) = rows, cols, values
+        if not all(isinstance(text, bytes) for text in (row_text, col_text, value_text)):
+            raise ValueError("each table's text must be bytes")
+        n, nnz = len(indptr) - 1, len(indices)
+        args = [
+            _input(indptr, np.int64, (n + 1,), "indptr"),
+            _input(indices, np.int64, (nnz,), "indices"),
+            _input(codes, np.int64, (nnz,), "codes"),
+            _input(row_at, np.int64, (n + 1,), "row offsets"),
+            _input(col_at, np.int64, (len(col_at),), "column offsets"),
+            _input(value_at, np.int64, (len(value_at),), "value offsets"),
+            _in_place(out, np.uint8, (len(out),), "out"),
+        ]
+        indptr, indices, codes, row_at, col_at, value_at, out = args
+        status = formatter(
+            n, len(col_at) - 1, len(value_at) - 1, nnz, indptr.ctypes.data,
+            indices.ctypes.data, codes.ctypes.data, row_text, row_at.ctypes.data, len(row_text),
+            col_text, col_at.ctypes.data, len(col_text), value_text, value_at.ctypes.data,
+            len(value_text), out.ctypes.data, len(out),
+        )
+        _check_status("format_triplets", status)
+        return out
+
+    def c_triplet_bytes(indptr, indices, data, row_names, col_names):
+        """`_triplet_bytes` run by the compiled routine, as a memoryview of
+        the bytes.
+
+        Each distinct value is formatted once, by `repr`; the routine copies
+        the pieces into a buffer of the exact size, found from their lengths.
+        Equal values share a piece, so 0.0 and -0.0 would too; a view holds
+        no zeros. The distinct values come from a sort and a first-of-run
+        mask: `np.unique` took ~35 µs more per call, which outweighed the gain
+        on corpora of many small views.
+        """
+        values = np.sort(data)
+        first = np.ones(len(values), bool)  # the first of each run of equal values
+        first[1:] = values[1:] != values[:-1]
+        values = values[first]
+        codes = values.searchsorted(data)
+        tables = [_pieces(row_names, "\t"), _pieces(col_names, "\t"),
+                  _pieces(map(repr, values.tolist()), "\n")]
+        rows, cols, reprs = [at[1:] - at[:-1] for _, at in tables]  # piece lengths
+        size = rows @ (indptr[1:] - indptr[:-1]) + cols[indices].sum() + reprs[codes].sum()
+        out = np.empty(int(size), np.uint8)
+        return c_format_triplets(indptr, indices, codes, *tables, out).data
+
     if not _draws_match(c_draw_order):
         return None
-    return c_move_pass, c_aggregate, c_draw_order, c_run_restarts, c_knn_edges
+    return (c_move_pass, c_aggregate, c_draw_order, c_run_restarts, c_knn_edges,
+            c_format_triplets, c_triplet_bytes)
 
 
 def _bit_generator(rng):
@@ -515,8 +608,10 @@ def _in_place(a, dtype, shape, name):
 
 
 move_pass, aggregate, knn_edges = _move_pass, _aggregate, _knn_edges
-draw_order = run_restarts = None  # compiled only
+triplet_bytes = _triplet_bytes
+draw_order = run_restarts = format_triplets = None  # compiled only
 BACKEND = "python"
 _compiled = _load_c_kernels()
 if _compiled is not None:
-    (move_pass, aggregate, draw_order, run_restarts, knn_edges), BACKEND = _compiled, "c"
+    (move_pass, aggregate, draw_order, run_restarts, knn_edges, format_triplets,
+     triplet_bytes), BACKEND = _compiled, "c"

@@ -23,6 +23,11 @@
  * gets from scipy: the similarities summed in the order of scipy's sparse
  * product, the same picks per row, and the same averaged weights.
  *
+ * format_triplets: the text of a view's .triplets file, byte for byte what
+ * the reference mvmc._kernels._triplet_bytes formats. It formats no number:
+ * it copies pieces of text that the caller has already formatted, the row
+ * name, the column name and the value of each entry, in CSR order.
+ *
  * Arrays are C-contiguous; deg, comm_tot and agg_deg are row-major
  * (rows, nviews). The caller checks shapes and dtypes; this file checks every
  * index it reads from an array before using it.
@@ -784,4 +789,87 @@ int64_t knn_edges(
     }
     free(block);
     return m;
+}
+
+/* True if the offsets at (count + 1 entries) rise from 0 to at most length. */
+static int pieces_ok(int64_t count, const int64_t *at, int64_t length)
+{
+    if (count < 0 || at[0] != 0 || at[count] > length)
+        return 0;
+    for (int64_t t = 0; t < count; t++)
+        if (at[t] > at[t + 1])
+            return 0;
+    return 1;
+}
+
+/* The text of a view of n rows over ncols columns (indptr, indices; nnz
+ * entries, each with a value code in codes) as `row<TAB>col<TAB>value` lines,
+ * written to out (size bytes).
+ *
+ * Each table holds pieces of text: piece t of (text, at) is the bytes
+ * text[at[t]..at[t + 1]). Row i's piece is its name and a TAB, column c's its
+ * name and a TAB, and value v's its repr and a newline. Entry p of row i is
+ * written as row piece i, column piece indices[p] and value piece codes[p],
+ * entries in stored order.
+ *
+ * Every index and offset is checked, and the pieces must fill exactly size
+ * bytes, before the first byte is written. Returns size, or
+ * MOVE_PASS_BAD_INDEX with out untouched.
+ */
+int64_t format_triplets(
+    int64_t n,
+    int64_t ncols,
+    int64_t nvalues,
+    int64_t nnz,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const int64_t *codes,
+    const char *row_text,
+    const int64_t *row_at,
+    int64_t row_length,
+    const char *col_text,
+    const int64_t *col_at,
+    int64_t col_length,
+    const char *value_text,
+    const int64_t *value_at,
+    int64_t value_length,
+    char *out,
+    int64_t size)
+{
+    if (n < 0 || nnz < 0 || indptr[0] != 0 || indptr[n] != nnz
+        || !pieces_ok(n, row_at, row_length) || !pieces_ok(ncols, col_at, col_length)
+        || !pieces_ok(nvalues, value_at, value_length))
+        return MOVE_PASS_BAD_INDEX;
+    int64_t needed = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (indptr[i] > indptr[i + 1])
+            return MOVE_PASS_BAD_INDEX;
+        needed += (indptr[i + 1] - indptr[i]) * (row_at[i + 1] - row_at[i]);
+    }
+    for (int64_t p = 0; p < nnz; p++) {
+        int64_t c = indices[p], v = codes[p];
+        if (c < 0 || c >= ncols || v < 0 || v >= nvalues)
+            return MOVE_PASS_BAD_INDEX;
+        needed += (col_at[c + 1] - col_at[c]) + (value_at[v + 1] - value_at[v]);
+    }
+    if (needed != size)
+        return MOVE_PASS_BAD_INDEX;
+
+    char *cursor = out;
+    for (int64_t i = 0; i < n; i++) {
+        const char *row = row_text + row_at[i];
+        size_t row_bytes = (size_t)(row_at[i + 1] - row_at[i]);
+        for (int64_t p = indptr[i]; p < indptr[i + 1]; p++) {
+            int64_t c = indices[p], v = codes[p];
+            size_t col_bytes = (size_t)(col_at[c + 1] - col_at[c]);
+            size_t value_bytes = (size_t)(value_at[v + 1] - value_at[v]);
+            memcpy(cursor, row, row_bytes);
+            cursor += row_bytes;
+            memcpy(cursor, col_text + col_at[c], col_bytes);
+            cursor += col_bytes;
+            memcpy(cursor, value_text + value_at[v], value_bytes);
+            cursor += value_bytes;
+        }
+    }
+    return size;
 }

@@ -15,7 +15,7 @@ from urllib.parse import urlparse
 
 import numpy as np
 
-from .views import ViewMatrix
+from .views import _SEPARATOR_RE, ViewMatrix
 
 MIN_POSTS_PER_HASHTAG = 3
 
@@ -25,7 +25,6 @@ _MENTION_RE = re.compile(r"@\w+")
 _RT_RE = re.compile(r"\bRT\b")
 # maximal runs of letters (L*) and numbers (N*): \w without the underscore
 _WORD_RE = re.compile(r"[^\W_]+")
-_SEPARATOR_RE = re.compile(r"[\t\n\r]")
 # over ASCII, `_WORD_RE` matches runs of [A-Za-z0-9]: this table lowers those
 # characters and turns every other one into a space, so `split` finds the runs
 _ASCII_WORDS = {c: chr(c).lower() if chr(c).isalnum() else " " for c in range(128)}
@@ -321,7 +320,8 @@ def code_posts(day: CorpusDay) -> PostCodes:
     # the registry: hashtags in enough distinct post ids, moved ahead of the
     # others, each part in first-appearance order
     base = max(len(day.ids), 1)
-    pairs = np.unique(tag_code.astype(np.int64) * base + np.array(day.post_id, np.int32)[tag_post])
+    pairs = np.sort(tag_code.astype(np.int64) * base + np.array(day.post_id, np.int32)[tag_post])
+    pairs = pairs[np.diff(pairs, prepend=-1) != 0]  # each pair once; keys are >= 0
     kept = np.bincount(pairs // base, minlength=len(names)) >= MIN_POSTS_PER_HASHTAG
     order = np.concatenate([np.flatnonzero(kept), np.flatnonzero(~kept)])
     recode = np.empty(len(names), np.int32)

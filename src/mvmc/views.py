@@ -7,6 +7,7 @@ symmetric k-NN sparsification with the average symmetrization A' = (A + A^T) / 2
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -17,6 +18,9 @@ from .graph import GraphUsageError, ViewGraph, atomic_write, read_rows
 
 if TYPE_CHECKING:
     from scipy import sparse
+
+# the separators of the tab-separated files that views and registries are in
+_SEPARATOR_RE = re.compile(r"[\t\n\r]")
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,14 +105,17 @@ class ViewMatrix:
 
     def write_triplets(self, path) -> None:
         """Text format: `row_name<TAB>col_name<TAB>count` per nonzero, in
-        (row, col) order, which is the canonical CSR storage order."""
-        indptr, cols, vals = self.indptr.tolist(), self.indices.tolist(), self.data.tolist()
-        col_names = self.col_names
-        with atomic_write(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-            for r, name in enumerate(self.row_names):  # one write per row
-                lo, hi = indptr[r], indptr[r + 1]
-                fh.write("".join(f"{name}\t{col_names[c]}\t{v!r}\n"
-                                 for c, v in zip(cols[lo:hi], vals[lo:hi])))
+        (row, col) order, which is the canonical CSR storage order, formatted
+        by `_kernels.triplet_bytes`. A name holding a tab or line break, which
+        would split its line, raises before any file is created."""
+        names = (*self.row_names, *self.col_names)
+        if _SEPARATOR_RE.search("".join(names)):
+            bad = next(name for name in names if _SEPARATOR_RE.search(name))
+            raise GraphUsageError(f"tab or line break in {bad!r}")
+        text = _kernels.triplet_bytes(self.indptr, self.indices, self.data,
+                                      self.row_names, self.col_names)
+        with atomic_write(path) as tmp, open(tmp, "wb") as fh:
+            fh.write(text)
 
     @staticmethod
     def read_triplets(path, row_names=None, col_names=None) -> "ViewMatrix":

@@ -35,5 +35,7 @@ def test_ingest_benchmark_agrees_with_the_oracles_on_a_small_day():
                                    "--posts", "800", "--repeat", "1"))
     assert result["posts"] == 800 and result["hashtags"] > 0
     flags = {k: v for k, v in result.items() if k.endswith("_agree")}
-    flags |= {f"knn.{view}.agree": layer["agree"] for view, layer in result["knn"].items()}
-    assert len(flags) == 7 and all(flags.values()), flags
+    for section in ("knn", "triplets"):
+        flags |= {f"{section}.{view}.agree": layer["agree"]
+                  for view, layer in result[section].items()}
+    assert len(flags) == 11 and all(flags.values()), flags

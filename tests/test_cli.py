@@ -992,12 +992,11 @@ def test_the_clusterer_runs_without_scipy_sparse_and_the_views_load_it(tmp_path)
     # scipy.sparse was ~110 ms of a 174 ms `import mvmc`; numpy.ma ~9 ms
     code = """
 import sys, mvmc, mvmc.cli
-import numpy as np
 from mvmc import (LabeledClustering, MvmcConfig, ViewGraph, ViewMatrix,
                   average_linkage_merges, ensemble_cluster, knn_graph, maximize,
                   pairwise_ari_matrix, run_mvmc, tfidf)
 from mvmc.analytics import usage_tables
-from mvmc.ingest import PostCodes
+from mvmc.ingest import build_daily_views, read_posts
 from mvmc.synth import planted_partition_views
 
 def loaded():
@@ -1011,28 +1010,32 @@ days = [LabeledClustering(dict(zip(objects, labels))) for objects, labels in
         (("abcd", [0, 0, 1, 1]), ("abcd", [0, 1, 1, 1]), ("cdef", [0, 0, 1, 1]))]
 average_linkage_merges(1.0 - pairwise_ari_matrix(days))
 ensemble_cluster(days)
-# a day coded by hand, as `code_posts`' np.unique loads numpy.ma
-day = PostCodes(hashtags=("#a", "#b"), n_registry=2, tag_post=np.array([0, 0, 1]),
-                tag_code=np.array([0, 1, 0]), users=("u0", "u1"), user_code=np.array([0, 1]),
-                tokens=("stay", "home"), token_code=np.array([0, 1, 1]),
-                token_len=np.array([2, 1]))
-usage_tables([day, day], {0: ["#a"], 1: ["#b", "#c"]})
+# a real day, read and coded by `code_posts`, and its period report tables
+((day, posts),) = read_posts(sys.argv[1]).items()
+daily = build_daily_views(posts, day)
+usage_tables([daily.codes, daily.codes], {0: ["#a"], 1: ["#b", "#c"]})
 print(*loaded() or ["-"])
-view = tfidf(ViewMatrix.from_codes([0, 1, 2, 2], [0, 0, 1, 2], "abc", "xyz"))
+for i, built in enumerate(daily.as_list()):
+    built.write_triplets(f"{sys.argv[2]}/{i}.triplets")
+view = tfidf(ViewMatrix.read_triplets(f"{sys.argv[2]}/0.triplets"))
 knn_graph(view, 1)
-view.write_triplets(sys.argv[1])
-ViewMatrix.read_triplets(sys.argv[1])
 print(*loaded() or ["-"])
 view.counts
 print("scipy.sparse" in loaded())
 """
+    posts = tmp_path / "posts.jsonl"
+    posts.write_text("".join(
+        post_line(str(i), "2020-03-01", [tag], f"stay home {tag[1]} {i % 2}", f"u{i % 3}")
+        for i, tag in enumerate(["#a", "#b", "#c"] * 3)))
     env = {**os.environ, "PYTHONPATH": str(Path(mvmc.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path / "v.triplets")], env=env,
+    proc = subprocess.run([sys.executable, "-c", code, str(posts), str(tmp_path)], env=env,
                           capture_output=True, text=True, check=True)
     backend, before, views, after = proc.stdout.splitlines()
     if backend != "c":
         pytest.skip("the Python reference kernels use scipy.sparse")
     assert (before, views, after) == ("-", "-", "True")
+    assert sorted(p.name for p in tmp_path.glob("*.triplets")) == [
+        f"{i}.triplets" for i in range(4)]
 
 
 @pytest.mark.skipif(mvmc._kernels.BACKEND != "c", reason="the compiled kernel did not load")

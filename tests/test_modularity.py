@@ -690,6 +690,13 @@ for counts, k in views:
     args = (counts.indptr, counts.indices, _unit_rows(counts), counts.shape[1], k)
     got, want = _kernels.knn_edges(*args), _kernels._knn_edges(*args)
     assert [(a.dtype, a.tolist()) for a in got] == [(a.dtype, a.tolist()) for a in want], k
+
+# views to format: the k-NN ones, then one with 17-digit and exponent reprs
+for counts, _k in views + [(sparse.csr_matrix([[0.1 + 0.2, 5e-324], [1e16, 0.0]]), 1)]:
+    rows, cols = counts.shape
+    args = (counts.indptr, counts.indices, counts.data, ("r0 é", "r1", "r2", "r3")[:rows],
+            tuple(f"c{j}😀" for j in range(cols)))
+    assert _kernels.triplet_bytes(*args) == _kernels._triplet_bytes(*args), counts.shape
 print("ok")
 """
 
@@ -697,7 +704,7 @@ print("ok")
 @requires_c
 @pytest.mark.parametrize("perturb", ["165", "63"])
 def test_compiled_scratch_is_written_before_it_is_read(perturb):
-    """The four compiled routines against their Python references at the sizes
+    """The compiled routines against their Python references at the sizes
     their carved scratch must handle, in a process where glibc fills each
     allocation with a non-zero byte (MALLOC_PERTURB_), so a scratch slot read
     before it is written shows up. A restart whose link or dwork slots start

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -467,3 +468,161 @@ def test_c_knn_edges_rejects_bad_arguments(case):
     args[position] = spoil(args[position])
     with pytest.raises(ValueError):
         _kernels.knn_edges(*args)
+
+
+EXPONENT_VALUES = (1e-05, 1e+16, 5e-324, 1.7976931348623157e+308)
+
+
+def triplet_cases():
+    """Seeded views for the compiled triplet formatter: (view, the case
+    kinds it covers).
+
+    Views have 0-40 rows over 0-50 columns, at densities from 0 to 0.8.
+    Names are ASCII, hold spaces, or hold accented letters, CJK and emoji.
+    Values are small integer counts (so repeated), sums such as 0.1 + 0.2
+    that repr with 17 digits, uniform draws, or draws among values whose repr
+    uses exponent form: the smallest subnormal and the largest double.
+    """
+    rng = np.random.default_rng(27)
+    alphabets = ("abcxyz#_019", "ab c #x y", "aé#ü😀中文 x ")
+    cases = []
+    for trial in range(520):
+        n, f = int(rng.integers(0, 41)), int(rng.integers(0, 51))
+        if trial == 0:
+            n, f = 1, 1
+        present = rng.random((n, f)) < rng.uniform(0, 0.8)
+        if trial == 0:
+            present[:] = True
+        kind = trial % 4
+        if kind == 0:
+            values = rng.integers(1, 4, size=(n, f)).astype(float)
+        elif kind == 1:
+            values = rng.integers(1, 10, size=(n, f)) * 0.1 + 0.2
+        elif kind == 2:
+            values = rng.uniform(1e-3, 1e3, size=(n, f))
+        else:
+            values = rng.choice(EXPONENT_VALUES, size=(n, f))
+        alphabet = alphabets[trial % 3]
+
+        def names(count, prefix):
+            return tuple(prefix + "".join(rng.choice(list(alphabet), int(rng.integers(0, 6))))
+                         + str(i) for i in range(count))
+
+        rows, cols = np.nonzero(present)
+        view = ViewMatrix.from_codes(rows, cols, names(n, "r"), names(f, "c"),
+                                     counts=values[rows, cols])
+        kinds = {f"names={('ascii', 'spaces', 'non-ascii')[trial % 3]}"} | {name for name, hit in (
+            ("no entries", len(view.data) == 0),
+            ("single entry", len(view.data) == 1),
+            ("empty rows", (np.diff(view.indptr) == 0).any()),
+            ("repeated values", len(set(view.data.tolist())) < len(view.data)),
+            ("0.1 + 0.2", 0.1 + 0.2 in view.data),
+            *((repr(v), v in view.data) for v in EXPONENT_VALUES),
+        ) if hit}
+        cases.append((view, kinds))
+    return cases
+
+
+@requires_c
+def test_c_triplet_bytes_match_the_python_reference():
+    cases = triplet_cases()
+    for case, (view, _kinds) in enumerate(cases):
+        args = (view.indptr, view.indices, view.data, view.row_names, view.col_names)
+        assert _kernels.triplet_bytes(*args) == _kernels._triplet_bytes(*args), case
+    assert len(cases) >= 500
+    assert set().union(*(kinds for _, kinds in cases)) == {
+        "names=ascii", "names=spaces", "names=non-ascii", "no entries", "single entry",
+        "empty rows", "repeated values", "0.1 + 0.2", "1e-05", "1e+16", "5e-324",
+        "1.7976931348623157e+308",
+    }
+
+
+WRITERS = {"bound": lambda: _kernels.triplet_bytes, "reference": lambda: _kernels._triplet_bytes}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+@pytest.mark.parametrize("where", ["row", "col"])
+@pytest.mark.parametrize("separator", ["\t", "\n", "\r"])
+def test_write_triplets_rejects_a_name_that_would_split_its_line(
+        tmp_path, monkeypatch, writer, where, separator):
+    monkeypatch.setattr(_kernels, "triplet_bytes", WRITERS[writer]())
+    bad = f"b{separator}d"
+    names = {"row": ("a", bad, f"e{separator}"), "col": ("x", "y", "z")}
+    if where == "col":
+        names = {"row": ("a", "b", "e"), "col": ("x", bad, f"z{separator}")}
+    view = ViewMatrix.from_codes([0, 1, 2], [0, 1, 2], names["row"], names["col"])
+    with pytest.raises(GraphUsageError, match=re.escape(repr(bad))):
+        view.write_triplets(tmp_path / "out" / "m.triplets")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_write_triplets_of_a_lone_surrogate_raises_and_leaves_no_file(
+        tmp_path, monkeypatch, writer):
+    monkeypatch.setattr(_kernels, "triplet_bytes", WRITERS[writer]())
+    view = ViewMatrix.from_codes([0, 1], [0, 0], ("a", "\udcff"), ("x",))
+    with pytest.raises(UnicodeEncodeError):
+        view.write_triplets(tmp_path / "m.triplets")
+    assert list(tmp_path.iterdir()) == []
+
+
+def triplet_args():
+    """format_triplets inputs of a small view, as a list: indptr, indices,
+    codes, the row, column and value tables, and a uint8 buffer of the exact
+    size filled with '?'."""
+    view = vm([[1, 0, 2.5], [0, 0, 0], [3, 1, 1]])
+    values, codes = np.unique(view.data, return_inverse=True)
+    tables = [_kernels._pieces(view.row_names, "\t"), _kernels._pieces(view.col_names, "\t"),
+              _kernels._pieces(map(repr, values.tolist()), "\n")]
+    size = len(_kernels._triplet_bytes(view.indptr, view.indices, view.data,
+                                       view.row_names, view.col_names))
+    return [view.indptr, view.indices, codes, *tables, np.full(size, ord("?"), np.uint8)]
+
+
+def read_only(a):
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def spoiled_offsets(table):
+    text, at = table
+    at = at.copy()
+    at[-1] = len(text) + 1
+    return text, at
+
+
+BAD_TRIPLET_ARGUMENTS = {
+    "column index equal to ncols": (1, lambda a: np.full_like(a, 3)),
+    "negative column index": (1, first_negative),
+    "value code equal to the value count": (2, lambda a: np.full_like(a, 3)),
+    "negative value code": (2, first_negative),
+    "indptr past the entries": (0, lambda a: a + 100),
+    "indptr too short": (0, lambda a: a[:-1]),
+    "indptr decreasing": (0, decreasing),
+    "codes shorter than indices": (2, lambda a: a[:-1]),
+    "a column offset past its text": (4, spoiled_offsets),
+    "a buffer one byte too small": (6, lambda a: a[:-1]),
+    "a buffer one byte too large": (6, lambda a: np.concatenate((a, a[:1]))),
+    "a read-only buffer": (6, read_only),
+    "row text as str": (3, lambda table: (table[0].decode(), table[1])),
+}
+
+
+@requires_c
+@pytest.mark.parametrize("case", sorted(BAD_TRIPLET_ARGUMENTS))
+def test_c_format_triplets_rejects_bad_arguments(case):
+    position, spoil = BAD_TRIPLET_ARGUMENTS[case]
+    args = triplet_args()
+    args[position] = spoil(args[position])
+    out = args[6]
+    with pytest.raises(ValueError):
+        _kernels.format_triplets(*args)
+    assert (out == ord("?")).all()  # nothing written
+
+
+@requires_c
+def test_c_format_triplets_fills_the_exact_buffer():
+    args = triplet_args()
+    assert _kernels.format_triplets(*args).tobytes() == (
+        b"r0\tc0\t1.0\nr0\tc2\t2.5\nr2\tc0\t3.0\nr2\tc1\t1.0\nr2\tc2\t1.0\n")
