@@ -5,21 +5,25 @@ Usage: PYTHONPATH=src python3 benchmarks/bench_kernels.py [--n 2000] [--views 2]
 
 Times, on a planted-partition graph: a raw single sweep with each kernel; the
 level aggregations of one maximize() call with `aggregate` and with the scipy
-reference `_aggregate` on the same level inputs; whole restarts with the
-compiled `run_restarts` and with the reference `modularity._restarts`, which
-drives each restart from Python one sweep and one level at a time through the
-loaded kernels; a full maximize() call and a full run_mvmc() call (the driver:
-its time per iteration and its iteration count) under each backend. It checks
-that both sides give identical sweeps, aggregated graphs, restarts (labels,
-counters and generator state) and partitions. A readable report goes to
-stderr; stdout gets one JSON line with every timing, the agreement flags,
-`mvmc._kernels.BACKEND` ("c", or "python" when no C build can be had), the
-CPU count and the Python/numpy/scipy versions. The timed maximize() and
-run_mvmc() calls run in fresh interpreters, so no backend is swapped in: one
-with this interpreter's environment, and one with no compiler on PATH and an
-empty build cache, where the Python references run as on a machine without a
-compiler. Run with no compiler on PATH, the benchmark times the references
-on both sides. The level
+reference `_aggregate` on the same level inputs; the graph maximize() hands
+its restarts, built by `combined_graph` and by the numpy reference
+`_combined_graph`; one maximize() call's restarts with the compiled
+`run_restarts` (one call for all of them, on generator states seeded from
+`default_rng([0, r])`) and with the reference `modularity._restarts`, which
+builds each Generator and drives each restart from Python one sweep and one
+level at a time through the loaded kernels; a full maximize() call and a full
+run_mvmc() call (the driver: its time per iteration and its iteration count)
+under each backend. It checks that both sides give identical sweeps,
+aggregated graphs, combined graphs, restarts (labels, counters and, against
+`_maximize_once` on `default_rng([0, r])`, the generators' final states) and
+partitions. A readable report goes to stderr; stdout gets one JSON line with
+every timing, the agreement flags, `mvmc._kernels.BACKEND` ("c", or "python"
+when no C build can be had), the CPU count and the Python/numpy/scipy
+versions. The timed maximize() and run_mvmc() calls run in fresh
+interpreters, so no backend is swapped in: one with this interpreter's
+environment, and one with no compiler on PATH and an empty build cache, where
+the Python references run as on a machine without a compiler. Run with no
+compiler on PATH, the benchmark times the references on both sides. The level
 inputs are recorded by a pass-through wrapper around `modularity.aggregate`
 during one maximize() call under the reference restart, since the compiled
 one aggregates inside C.
@@ -30,7 +34,6 @@ over STARTUP_RUNS fresh interpreters and the scipy and numpy.ma modules the
 code loaded.
 """
 import argparse
-import copy
 import json
 import os
 import platform
@@ -46,7 +49,8 @@ import numpy as np
 import scipy
 
 from mvmc import MvmcConfig, modularity, rb_modularity, run_mvmc
-from mvmc._kernels import BACKEND, _aggregate, _move_pass, aggregate, move_pass, run_restarts
+from mvmc._kernels import (BACKEND, _aggregate, _combined_graph, _move_pass, _state_row, aggregate,
+                           combined_graph, move_pass, run_restarts, run_seeded, seeded_states)
 from mvmc.modularity import maximize
 from mvmc.synth import planted_partition_views
 
@@ -146,9 +150,9 @@ def restart_inputs(graphs):
     """The (graph0, deg0, alpha, gain_epsilon) maximize() hands its restarts."""
     seen = []
 
-    def record(graph0, deg0, alpha, rngs, eps):
+    def record(graph0, deg0, alpha, seed, restarts, eps):
         seen.append((graph0, deg0, alpha, eps))
-        return modularity._restarts(graph0, deg0, alpha, rngs, eps)
+        return modularity._restarts(graph0, deg0, alpha, seed, restarts, eps)
 
     with mock.patch.object(modularity, "run_restarts", record):
         maximize(graphs, seed=0, restarts=1)
@@ -156,24 +160,52 @@ def restart_inputs(graphs):
 
 
 def time_restarts(runner, inputs, restarts, repeat):
-    """Best per-restart time over `repeat` passes of `restarts` restarts, the
-    last pass's results, and its generators' final states."""
+    """Best per-restart time over `repeat` calls running `restarts` restarts
+    at seed 0, and the last call's results."""
     graph0, deg0, alpha, eps = inputs
     best = np.inf
     for _ in range(repeat):
-        rngs = [np.random.default_rng([0, r]) for r in range(restarts)]
         t0 = time.perf_counter()
-        results = runner(graph0, deg0, alpha, rngs, eps)
+        results = runner(graph0, deg0, alpha, 0, range(restarts), eps)
         best = min(best, (time.perf_counter() - t0) / restarts)
-    return best, results, [copy.deepcopy(rng.bit_generator.state) for rng in rngs]
+    return best, results
 
 
 def same_restarts(a, b):
-    """Equal labels and counters for every restart, and equal generator states."""
-    (results_a, states_a), (results_b, states_b) = a, b
-    return states_a == states_b and all(
-        np.array_equal(la, lb) and ca == cb for (la, ca), (lb, cb) in zip(results_a, results_b)
+    """Equal labels and counters for every restart."""
+    return len(a) == len(b) and all(
+        np.array_equal(la, lb) and ca == cb for (la, ca), (lb, cb) in zip(a, b)
     )
+
+
+def same_final_states(inputs, restarts):
+    """True if each compiled restart at seed 0 leaves its state row where
+    `_maximize_once` leaves `default_rng([0, r])`."""
+    graph0, deg0, alpha, eps = inputs
+    states = seeded_states(0, range(restarts))
+    run_seeded(graph0, deg0, alpha, states, eps)
+    for r, state in enumerate(states):
+        rng = np.random.default_rng([0, r])
+        modularity._maximize_once(graph0, deg0, alpha, rng, eps)
+        if tuple(state.tolist()) != _state_row(rng.bit_generator.state):
+            return False
+    return True
+
+
+def combined_inputs(graphs):
+    """The arguments maximize() hands `combined_graph` at unit weights."""
+    m2 = np.array([2.0 * g.total_edge_weight() for g in graphs])
+    return (graphs[0].n, *modularity._view_edges(graphs), 1.0 / m2)
+
+
+def time_combined(builder, args, repeat):
+    """Best time of one `builder(*args)` over `repeat` calls, and its result."""
+    best = np.inf
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        result = builder(*args)
+        best = min(best, time.perf_counter() - t0)
+    return best, result
 
 
 def time_aggregation(kernel, calls, repeat):
@@ -272,19 +304,26 @@ def main():
                f"  ({len(calls)} calls in one maximize)")
     result["levels_in_one_maximize"] = len(calls)
 
+    edges_in = combined_inputs(graphs)
+    combined = {}
+    for label, builder in ((BACKEND, combined_graph), ("numpy", _combined_graph)):
+        seconds, combined[label] = time_combined(builder, edges_in, args.repeat)
+        result[f"combined_{label}_s"] = seconds
+        report(f"combined     [{label:6}] {seconds * 1e3:8.3f} ms per graph"
+               f"  ({len(combined[label][1])} entries)")
+
     inputs = restart_inputs(graphs)
     restarts = {}
     if run_restarts is None:
         report("note: no compiled restart routine, skipping the restart timing")
     else:
         for label, runner in (("c", run_restarts), ("driven", modularity._restarts)):
-            per_restart, results, states = time_restarts(
+            per_restart, restarts[label] = time_restarts(
                 runner, inputs, modularity.DEFAULT_RESTARTS, args.repeat)
-            restarts[label] = (results, states)
-            n_sweeps = sum(counts[0] for _labels, counts in results)
+            n_sweeps = sum(counts[0] for _labels, counts in restarts[label])
             result[f"restart_{label}_s_per_restart"] = per_restart
             report(f"restart      [{label:6}] {per_restart * 1e3:8.2f} ms per restart"
-                   f"  ({len(results)} restarts, {n_sweeps} sweeps)")
+                   f"  ({len(restarts[label])} restarts, {n_sweeps} sweeps)")
 
     whole = {}
     for label, fallback in ((BACKEND, False), ("python", True)):
@@ -307,13 +346,18 @@ def main():
     result["startup"] = startup()
     result["sweeps_agree"] = bool(np.array_equal(sweeps[BACKEND], sweeps["python"]))
     result["levels_agree"] = all(map(same_aggregation, aggregated[BACKEND], aggregated["scipy"]))
+    result["combined_agree"] = all(
+        a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(combined[BACKEND], combined["numpy"]))
     if restarts:
-        result["restarts_agree"] = same_restarts(restarts["c"], restarts["driven"])
+        result["restarts_agree"] = (same_restarts(restarts["c"], restarts["driven"])
+                                    and same_final_states(inputs, modularity.DEFAULT_RESTARTS))
     result["maximize_agrees"] = whole[BACKEND]["labels"] == whole["python"]["labels"]
     result["driver_agrees"] = all(whole[BACKEND][key] == whole["python"][key]
                                   for key in ("driver_labels", "driver_iterations"))
     report(f"paths agree on the single-sweep partition: {result['sweeps_agree']}")
     report(f"paths agree on every aggregated level: {result['levels_agree']}")
+    report(f"paths agree on the combined graph: {result['combined_agree']}")
     if restarts:
         report(f"paths agree on every restart (labels, counters, generator state): "
                f"{result['restarts_agree']}")

@@ -1,30 +1,39 @@
-"""The compiled kernels: the sweep, the aggregation and the whole restart of
-the modularity maximizer, the k-NN graph of a view and the text of a view's
-.triplets file.
+"""The compiled kernels: the sweep, the aggregation and whole restarts of the
+modularity maximizer, the graph its restarts share, the k-NN graph of a view
+and the text of a view's .triplets file.
 
 `move_pass` runs one sweep of local moves and `aggregate` one level of graph
 aggregation. Each has a reference implementation here: `_move_pass` in plain
 Python, and `_aggregate`, which gets the aggregated graph from scipy's sparse
-products. `_move_pass.c` holds a compiled routine for each: a line-for-line
-port of `_move_pass` with the same floating-point operations in the same
-order, and an aggregation that reproduces scipy's products entry for entry and
-bit for bit. So both backends give identical partitions.
+products. `_move_pass.c` holds a compiled routine for each: a port of
+`_move_pass` with the same floating-point operations in the same order, and
+an aggregation that reproduces scipy's products entry for entry and bit for
+bit. So both backends give identical partitions.
 
-The third compiled routine, `maximize_once`, runs one whole restart of the
-maximizer in one call: it is `modularity._maximize_once`, the reference, which
-drives the two kernels from Python one sweep and one level at a time.
-`run_restarts` is its checked wrapper. Each sweep's order must be what the
-reference draws, `rng.permutation(size)`: the C routine shuffles `arange(size)`
-with numpy's Fisher-Yates (for i from size-1 down to 1, swap i with
-j = random_interval(i), which masks `next_uint32` to the smallest all-ones
-mask >= i and draws again while the value exceeds i), taking its bits from
-the restart's own Generator through `rng.bit_generator.ctypes`, under the bit
-generator's lock. That contract rests on numpy internals, so at load the
-compiled draw (`draw_order`) is compared with `Generator.permutation` for a
-fixed seed at a few sizes; on any difference none of the compiled routines
-is used.
+The third compiled routine, `run_restarts`, runs all the restarts of one
+`maximize` call in one call: each is `modularity._maximize_once`, the
+reference, which drives the two kernels from Python one sweep and one level at
+a time on the Generator `default_rng([seed, r])`. Each sweep's order must be
+what the reference draws, `rng.permutation(size)`. The C routine steps its own
+copy of numpy's PCG64 from the state that generator starts in, which
+`seeded_states` gets from numpy's own SeedSequence and PCG64 and caches per
+seed, and shuffles `arange(size)` with numpy's Fisher-Yates (for i from
+size-1 down to 1, swap i with j = random_interval(i), which masks
+`next_uint32` to the smallest all-ones mask >= i and draws again while the
+value exceeds i). It writes each generator's final state back into the state
+rows it was given. That contract rests on numpy internals, so at load the
+compiled draw (`draw_order`) is compared with `default_rng([s, r]).permutation`
+for a fixed seed at a few sizes, and the generator's final state with
+numpy's; on any difference none of the compiled routines is used.
 
-The fourth, `knn_edges`, builds the symmetric k-NN graph of a row-normalised
+The fourth, `combined_graph`, builds the graph the restarts share: the sum
+over views of a coefficient times the view's symmetric adjacency, from the
+views' edge arrays laid end to end. Its reference `_combined_graph` does it
+with numpy's sort and searchsorted. The compiled routine counting-sorts the
+entries by column and then stably by row, sums each entry from 0.0 in view
+order and drops exact zeros, so both give the same arrays bit for bit.
+
+The fifth, `knn_edges`, builds the symmetric k-NN graph of a row-normalised
 view; its reference `_knn_edges` is scipy's sparse product followed by a
 per-row lexsort. The compiled routine keeps the product's order of
 operations: row i's entries are walked from last to first (the order in
@@ -34,7 +43,7 @@ It then drops the diagonal and values not above WEIGHT_FLOOR, keeps each
 row's k best by -value and then the lower column, and averages the picks
 with their transpose, so both give the same edges bit for bit.
 
-The fifth, `format_triplets`, writes the text of a view's .triplets file;
+The sixth, `format_triplets`, writes the text of a view's .triplets file;
 its reference `_triplet_bytes` formats each entry with an f-string. The
 compiled routine formats no number. `triplet_bytes` hands it three tables of
 text that Python has already encoded, each with int64 offsets: each row name
@@ -44,18 +53,19 @@ CSR order into a buffer of the exact size, so both give the same bytes by
 construction.
 
 At import the C source is built with the local C compiler into a per-user
-cache and loaded through ctypes; `move_pass`, `aggregate`, `knn_edges` and
-`triplet_bytes` are then checked wrappers around it. With no `cc` or `gcc` on
-PATH, when the build or load fails, or when the draw differs, they are
-`_move_pass`, `_aggregate`, `_knn_edges` and `_triplet_bytes`, and
-`run_restarts`, `draw_order` and `format_triplets` are None; no switch
-chooses. `BACKEND` names the implementation that runs: "c" or
-"python". benchmarks/bench_kernels.py and benchmarks/bench_ingest.py compare
-the two.
+cache and loaded through ctypes; `move_pass`, `aggregate`, `combined_graph`,
+`knn_edges` and `triplet_bytes` are then checked wrappers around it. With no
+`cc` or `gcc` on PATH, when the build or load fails, or when the draw
+differs, they are `_move_pass`, `_aggregate`, `_combined_graph`, `_knn_edges`
+and `_triplet_bytes`, and `run_restarts`, `run_seeded`, `draw_order` and
+`format_triplets` are None; no switch chooses. `BACKEND` names the
+implementation that runs: "c" or "python". benchmarks/bench_kernels.py and
+benchmarks/bench_ingest.py compare the two.
 """
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import os
 import shutil
@@ -74,6 +84,8 @@ _BAD_INDEX, _NO_MEMORY = -1, -2  # the C kernel's error returns
 MAX_LEVELS = 100  # rounds of a restart, and coarsening levels of a round
 # the load-time check of the compiled draw against Generator.permutation
 DRAW_CHECK_SEED, DRAW_CHECK_SIZES = 20200803, (1, 2, 17, 1000)
+STATE_SLOTS = 6  # uint64 slots of a PCG64 state row; see `_state_row`
+_LOW64 = (1 << 64) - 1
 
 
 def _move_pass(
@@ -199,6 +211,67 @@ def _aggregate(indptr, indices, data, deg, comm):
     )
 
 
+def _combined_graph(n, offsets, edge_u, edge_v, edge_w, coeffs):
+    """The CSR arrays (int64 indptr and indices, float64 data) of the sum over
+    views of coeffs[v] times the view's symmetric adjacency, on n nodes.
+
+    View v's edges, each stored once with u < v, are entries
+    offsets[v]:offsets[v + 1] of edge_u, edge_v and edge_w. Bit for bit
+    scipy's `acc = acc + g.adjacency() * c` from an empty matrix, over the
+    views with c != 0 in view order: entries in (row, column) order, each the
+    sum ((c_1 w_1 + c_2 w_2) + c_3 w_3) + ... in view order, and exact zeros
+    (a cancelled sum, or a product that underflows) dropped. The views are
+    added one at a time because np.add.reduceat's pairwise inner loop rounds
+    differently once three views share an entry.
+    """
+    keys, values = [], []
+    for lo, hi, c in zip(offsets[:-1], offsets[1:], coeffs):
+        if c != 0.0:
+            u, v = edge_u[lo:hi], edge_v[lo:hi]
+            keys.append(np.concatenate([u * n + v, v * n + u]))
+            x = edge_w[lo:hi] * c
+            values.append(np.concatenate([x, x]))
+    union = np.sort(np.concatenate(keys)) if keys else np.empty(0, dtype=np.int64)
+    union = union[np.diff(union, prepend=-1) != 0]  # each key once; keys are >= 0
+    acc = np.zeros(len(union))
+    for k, x in zip(keys, values):
+        pos = np.searchsorted(union, k)
+        acc[pos] = acc[pos] + x
+    keep = acc != 0.0
+    union, data = union[keep], acc[keep]
+    indptr = np.searchsorted(union, np.arange(n + 1) * n)
+    return indptr, union - np.repeat(np.arange(n) * n, np.diff(indptr)), data
+
+
+def _state_row(state):
+    """numpy's PCG64 `bit_generator.state` as the compiled routines' state
+    row: state >> 64, the state's low 64 bits, inc >> 64, inc's low 64 bits,
+    has_uint32 and uinteger."""
+    pcg = state["state"]
+    return (pcg["state"] >> 64, pcg["state"] & _LOW64, pcg["inc"] >> 64, pcg["inc"] & _LOW64,
+            state["has_uint32"], state["uinteger"])
+
+
+@functools.lru_cache(maxsize=32)
+def _seeded_table(seed, count):
+    """The read-only state rows of `default_rng([seed, r])` for r < count."""
+    table = np.array(
+        [_state_row(np.random.PCG64(np.random.SeedSequence([seed, r])).state)
+         for r in range(count)], dtype=np.uint64,
+    ).reshape(count, STATE_SLOTS)
+    table.flags.writeable = False
+    return table
+
+
+def seeded_states(seed, restarts):
+    """A new (len(restarts), STATE_SLOTS) uint64 array of the state rows in
+    which `default_rng([seed, r])` starts, for r in the range `restarts`.
+
+    numpy's SeedSequence and PCG64 compute each row once per seed; later
+    calls copy them, so no Generator is built per restart."""
+    return _seeded_table(seed, restarts.stop)[restarts.start:restarts.stop:restarts.step].copy()
+
+
 def _knn_edges(indptr, indices, data, ncols, k):
     """The symmetric k-NN edges of the rows of a row-normalised CSR matrix.
 
@@ -310,17 +383,19 @@ def _build_library() -> Path | None:
 
 
 def _load_c_kernels():
-    """Wrappers (move_pass, aggregate, draw_order, run_restarts, knn_edges,
-    format_triplets, triplet_bytes) around the compiled routines, or None
-    when they are unavailable or the compiled draw differs from numpy's."""
+    """Wrappers (move_pass, aggregate, draw_order, run_seeded, run_restarts,
+    combined_graph, knn_edges, format_triplets, triplet_bytes) around the
+    compiled routines, or None when they are unavailable or the compiled draw
+    differs from numpy's."""
     library = _build_library()
     if library is None:
         return None
     try:
         compiled = ctypes.CDLL(str(library))
         kernel, aggregator = compiled.move_pass, compiled.aggregate
-        drawer, restart = compiled.draw_order, compiled.maximize_once
-        neighbours, formatter = compiled.knn_edges, compiled.format_triplets
+        drawer, restarter = compiled.draw_order, compiled.run_restarts
+        combiner, neighbours = compiled.combined_graph, compiled.knn_edges
+        formatter = compiled.format_triplets
     except (OSError, AttributeError):
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -332,9 +407,11 @@ def _load_c_kernels():
     aggregator.restype = i64
     aggregator.argtypes = [i64, i64, i64, *[ptr] * 10, ctypes.POINTER(i64)]
     drawer.restype = i64
-    drawer.argtypes = [i64, ptr, ptr, ptr]
-    restart.restype = i64
-    restart.argtypes = [i64, i64, i64, *[ptr] * 5, f64, i64, ptr, ptr, ptr, ptr]
+    drawer.argtypes = [i64, ptr, ptr]
+    restarter.restype = i64
+    restarter.argtypes = [i64, i64, i64, *[ptr] * 5, f64, i64, i64, ptr, ptr, ptr]
+    combiner.restype = i64
+    combiner.argtypes = [i64, i64, i64, *[ptr] * 8]
     neighbours.restype = i64
     neighbours.argtypes = [i64, i64, i64, ptr, ptr, ptr, i64, f64, ptr, ptr, ptr]
     formatter.restype = i64
@@ -420,25 +497,25 @@ def _load_c_kernels():
         m = agg_nnz.value
         return dense, k, agg_indptr[: k + 1], agg_indices[:m], agg_data[:m], agg_deg[:k]
 
-    def c_draw_order(rng, n):
-        """`rng.permutation(n)`, drawn by the compiled routine from rng's bit
-        generator, which advances as under `permutation`."""
-        bits = _bit_generator(rng)
+    def c_draw_order(state, n):
+        """What `permutation(n)` returns for the Generator in the state row
+        `state` (a writable uint64 array of STATE_SLOTS; see `_state_row`),
+        drawn by the compiled routine, which advances `state` in place as
+        numpy's generator would advance."""
+        state = _in_place(state, np.uint64, (STATE_SLOTS,), "state")
         order = np.empty(n, dtype=np.int64)
-        interface = bits.ctypes
-        with bits.lock:  # ctypes releases the GIL for the call
-            status = drawer(n, interface.state_address, interface.next_uint32, order.ctypes.data)
-        _check_status("draw_order", status)
+        _check_status("draw_order", drawer(n, state.ctypes.data, order.ctypes.data))
         return order
 
-    def c_run_restarts(graph0, deg0, alpha, rngs, eps):
-        """`modularity._restarts` run by the compiled routine, one call per
-        restart; same arguments and result.
+    def c_run_seeded(graph0, deg0, alpha, states, eps):
+        """One `modularity._maximize_once` per state row of `states`, a
+        writable (restarts, STATE_SLOTS) uint64 array, all run by one call of
+        the compiled routine: restart r draws from the generator in row r and
+        leaves the row in that generator's final state.
 
-        The graph, degrees and alpha are checked and converted once, for all
-        restarts, as in `c_move_pass`. Each call holds its generator's lock,
-        because ctypes releases the GIL and the routine advances the
-        generator's state.
+        Returns a (labels, (sweeps, moves, levels)) per restart; the labels
+        are rows of one array. The graph, degrees and alpha are checked and
+        converted as in `c_move_pass`.
         """
         indptr, indices, data = graph0
         deg0 = np.asarray(deg0)
@@ -452,21 +529,47 @@ def _load_c_kernels():
             _input(deg0, np.float64, (n, nviews), "deg"),
             _input(alpha, np.float64, (nviews,), "alpha"),
         ]
-        pointers = [a.ctypes.data for a in args]
-        results = []
-        for rng in rngs:
-            bits = _bit_generator(rng)
-            labels = np.empty(n, dtype=np.int64)
-            counts = np.zeros(3, dtype=np.int64)
-            interface = bits.ctypes
-            with bits.lock:
-                status = restart(
-                    n, nviews, nnz, *pointers, eps, MAX_LEVELS, interface.state_address,
-                    interface.next_uint32, labels.ctypes.data, counts.ctypes.data,
-                )
-            _check_status("maximize_once", status)
-            results.append((labels, tuple(counts.tolist())))
-        return results
+        states = _in_place(states, np.uint64, (*np.shape(states)[:1], STATE_SLOTS), "states")
+        count = len(states)
+        labels = np.empty((count, n), dtype=np.int64)
+        counts = np.empty((count, 3), dtype=np.int64)
+        status = restarter(
+            n, nviews, nnz, *(a.ctypes.data for a in args), eps, MAX_LEVELS, count,
+            states.ctypes.data, labels.ctypes.data, counts.ctypes.data,
+        )
+        _check_status("run_restarts", status)
+        return list(zip(labels, map(tuple, counts.tolist())))
+
+    def c_run_restarts(graph0, deg0, alpha, seed, restarts, eps):
+        """`modularity._restarts` run by one call of the compiled routine;
+        same arguments and result. Each restart starts from its cached
+        `seeded_states` row, copied for the call."""
+        return c_run_seeded(graph0, deg0, alpha, seeded_states(seed, restarts), eps)
+
+    def c_combined_graph(n, offsets, edge_u, edge_v, edge_w, coeffs):
+        """`_combined_graph` run by the compiled routine; same arguments and
+        result.
+
+        Inputs are checked and converted as in `c_move_pass`. The outputs are
+        allocated for both directions of every edge and returned as views of
+        their used parts. A falling offset, an edge with u >= v or an id
+        outside [0, n), or a pair repeated within a view that is added raises
+        ValueError.
+        """
+        nviews, nedges = len(coeffs), len(edge_u)
+        args = [
+            _input(offsets, np.int64, (nviews + 1,), "offsets"),
+            _input(edge_u, np.int64, (nedges,), "edge_u"),
+            _input(edge_v, np.int64, (nedges,), "edge_v"),
+            _input(edge_w, np.float64, (nedges,), "edge_w"),
+            _input(coeffs, np.float64, (nviews,), "coeffs"),
+        ]
+        indptr = np.empty(n + 1, dtype=np.int64)
+        indices = np.empty(2 * nedges, dtype=np.int64)
+        data = np.empty(2 * nedges, dtype=np.float64)
+        m = combiner(n, nviews, nedges, *(a.ctypes.data for a in args + [indptr, indices, data]))
+        _check_status("combined_graph", m)
+        return indptr, indices[:m], data[:m]
 
     def c_knn_edges(indptr, indices, data, ncols, k):
         """`_knn_edges` run by the compiled routine; same arguments and result.
@@ -553,26 +656,24 @@ def _load_c_kernels():
 
     if not _draws_match(c_draw_order):
         return None
-    return (c_move_pass, c_aggregate, c_draw_order, c_run_restarts, c_knn_edges,
-            c_format_triplets, c_triplet_bytes)
-
-
-def _bit_generator(rng):
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError(f"expected a numpy Generator, got {type(rng).__name__}")
-    return rng.bit_generator
+    return (c_move_pass, c_aggregate, c_draw_order, c_run_seeded, c_run_restarts,
+            c_combined_graph, c_knn_edges, c_format_triplets, c_triplet_bytes)
 
 
 def _draws_match(draw_order):
-    """True if draw_order(rng, n) gives what `Generator.permutation(n)` does,
-    and leaves the generator in the same state, for one fixed seed at each
-    of DRAW_CHECK_SIZES."""
-    ours = np.random.default_rng(DRAW_CHECK_SEED)
-    numpys = np.random.default_rng(DRAW_CHECK_SEED)
-    for n in DRAW_CHECK_SIZES:
-        if not np.array_equal(draw_order(ours, n), numpys.permutation(n)):
+    """True if draw_order(state, n), from the `seeded_states` rows of
+    DRAW_CHECK_SEED and restarts 0 and 1, gives what `permutation(n)` of
+    `default_rng([DRAW_CHECK_SEED, r])` does at each of DRAW_CHECK_SIZES in
+    turn, and leaves each row in that generator's final state."""
+    states = seeded_states(DRAW_CHECK_SEED, range(2))
+    for r, state in enumerate(states):
+        numpys = np.random.default_rng([DRAW_CHECK_SEED, r])
+        for n in DRAW_CHECK_SIZES:
+            if not np.array_equal(draw_order(state, n), numpys.permutation(n)):
+                return False
+        if tuple(state.tolist()) != _state_row(numpys.bit_generator.state):
             return False
-    return ours.bit_generator.state == numpys.bit_generator.state
+    return True
 
 
 def _check_status(routine, status):
@@ -607,11 +708,11 @@ def _in_place(a, dtype, shape, name):
     return a
 
 
-move_pass, aggregate, knn_edges = _move_pass, _aggregate, _knn_edges
-triplet_bytes = _triplet_bytes
-draw_order = run_restarts = format_triplets = None  # compiled only
+move_pass, aggregate, combined_graph = _move_pass, _aggregate, _combined_graph
+knn_edges, triplet_bytes = _knn_edges, _triplet_bytes
+draw_order = run_seeded = run_restarts = format_triplets = None  # compiled only
 BACKEND = "python"
 _compiled = _load_c_kernels()
 if _compiled is not None:
-    (move_pass, aggregate, draw_order, run_restarts, knn_edges, format_triplets,
-     triplet_bytes), BACKEND = _compiled, "c"
+    (move_pass, aggregate, draw_order, run_seeded, run_restarts, combined_graph, knn_edges,
+     format_triplets, triplet_bytes), BACKEND = _compiled, "c"

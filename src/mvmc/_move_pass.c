@@ -11,17 +11,21 @@
  * first-appearance dense labels, sel @ adj @ sel.T and sel @ deg, where sel
  * is the (k, size) community indicator matrix.
  *
- * maximize_once: one whole restart of the maximizer, the port of
+ * run_restarts: whole restarts of the maximizer, the port of
  * mvmc.modularity._maximize_once and _sweep_to_fixpoint: refinement sweeps
  * to a fixpoint on the original graph, then coarsening levels, each a
  * fixpoint and an aggregation, built from the two routines above. Each
- * sweep's order is numpy's Generator.permutation(size), drawn here from the
- * caller's bit generator (see draw_order).
+ * restart steps its own copy of numpy's PCG64 from a state the caller seeds,
+ * and each sweep's order is Generator.permutation(size) (see draw_order).
  *
  * knn_edges: the symmetric k-NN graph of a row-normalised view. It gives,
  * edge for edge and bit for bit, what the reference mvmc._kernels._knn_edges
  * gets from scipy: the similarities summed in the order of scipy's sparse
  * product, the same picks per row, and the same averaged weights.
+ *
+ * combined_graph: the CSR arrays of the views' adjacencies scaled by
+ * per-view coefficients and summed, entry for entry and bit for bit what the
+ * reference mvmc._kernels._combined_graph gets from numpy.
  *
  * format_triplets: the text of a view's .triplets file, byte for byte what
  * the reference mvmc._kernels._triplet_bytes formats. It formats no number:
@@ -39,9 +43,6 @@
 #define MOVE_PASS_BAD_INDEX (-1)
 #define MOVE_PASS_NO_MEMORY (-2)
 
-/* A numpy bit generator's next_uint32, called with its state_address. */
-typedef uint32_t (*next_uint32_fn)(void *state);
-
 /* The next count 8-byte slots of a routine's one scratch block, as a double
  * or an int64 array, and *cursor moved past them. Each routine allocates the
  * block once, takes its doubles first and its int64s after them, and frees
@@ -54,10 +55,60 @@ static void *take(double **cursor, size_t count)
     return slots;
 }
 
+/* numpy's PCG64: a 128-bit LCG stepped before each 64-bit output, which is
+ * XSL-RR (the state's halves xor-ed, rotated right by its top 6 bits).
+ * next_uint32 serves each output as two halves, low first, keeping the high
+ * one in uinteger while has_uint32 is set. Building needs a compiler with
+ * unsigned __int128; without one the Python references run. */
+typedef unsigned __int128 u128;
+#define PCG64_MULTIPLIER (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL)
+#define STATE_SLOTS 6
+
+struct pcg64 {
+    u128 state, inc;
+    uint64_t has_uint32, uinteger;
+};
+
+/* A state row holds the STATE_SLOTS uint64 state >> 64, the state's low
+ * half, inc >> 64, inc's low half, has_uint32 and uinteger: numpy's
+ * bit_generator.state in that order. */
+static void load_state(const uint64_t *row, struct pcg64 *g)
+{
+    g->state = ((u128)row[0] << 64) | row[1];
+    g->inc = ((u128)row[2] << 64) | row[3];
+    g->has_uint32 = row[4];
+    g->uinteger = row[5];
+}
+
+static void store_state(const struct pcg64 *g, uint64_t *row)
+{
+    row[0] = (uint64_t)(g->state >> 64);
+    row[1] = (uint64_t)g->state;
+    row[2] = (uint64_t)(g->inc >> 64);
+    row[3] = (uint64_t)g->inc;
+    row[4] = g->has_uint32;
+    row[5] = g->uinteger;
+}
+
+static uint32_t next_uint32(struct pcg64 *g)
+{
+    if (g->has_uint32) {
+        g->has_uint32 = 0;
+        return (uint32_t)g->uinteger;
+    }
+    g->state = g->state * PCG64_MULTIPLIER + g->inc;
+    uint64_t x = (uint64_t)(g->state >> 64) ^ (uint64_t)g->state;
+    unsigned rot = (unsigned)(g->state >> 122);
+    uint64_t next = (x >> rot) | (x << ((-rot) & 63));
+    g->has_uint32 = 1;
+    g->uinteger = next >> 32;
+    return (uint32_t)next;
+}
+
 /* numpy's random_interval for max < 2**32: a uniform draw from [0, max],
  * masking 32-bit draws to the smallest all-ones mask >= max and drawing
  * again while the value exceeds max. */
-static uint64_t random_interval(next_uint32_fn next_uint32, void *state, uint64_t max)
+static uint64_t random_interval(struct pcg64 *g, uint64_t max)
 {
     if (max == 0)
         return 0;
@@ -68,26 +119,25 @@ static uint64_t random_interval(next_uint32_fn next_uint32, void *state, uint64_
     mask |= mask >> 8;
     mask |= mask >> 16;
     uint64_t value;
-    while ((value = (next_uint32(state) & mask)) > max)
+    while ((value = (next_uint32(g) & mask)) > max)
         ;
     return value;
 }
 
 /* order (n) receives what Generator.permutation(n) returns for the generator
- * whose state and next_uint32 are given, and the generator advances as it
- * would: arange(n) shuffled by numpy's Fisher-Yates, which swaps each i from
- * n-1 down to 1 with j = random_interval(i). Returns 0, or
- * MOVE_PASS_BAD_INDEX if n is negative or needs 64-bit draws (n > 2**32),
- * for which numpy draws differently.
+ * g, and g advances as numpy's would: arange(n) shuffled by numpy's
+ * Fisher-Yates, which swaps each i from n-1 down to 1 with
+ * j = random_interval(i). Returns 0, or MOVE_PASS_BAD_INDEX if n is negative
+ * or needs 64-bit draws (n > 2**32), for which numpy draws differently.
  */
-int64_t draw_order(int64_t n, void *state, next_uint32_fn next_uint32, int64_t *order)
+static int64_t shuffle_order(int64_t n, struct pcg64 *g, int64_t *order)
 {
     if (n < 0 || (uint64_t)n > (uint64_t)UINT32_MAX + 1)
         return MOVE_PASS_BAD_INDEX;
     for (int64_t i = 0; i < n; i++)
         order[i] = i;
     for (int64_t i = n - 1; i >= 1; i--) {
-        int64_t j = (int64_t)random_interval(next_uint32, state, (uint64_t)i);
+        int64_t j = (int64_t)random_interval(g, (uint64_t)i);
         int64_t tmp = order[i];
         order[i] = order[j];
         order[j] = tmp;
@@ -95,8 +145,19 @@ int64_t draw_order(int64_t n, void *state, next_uint32_fn next_uint32, int64_t *
     return 0;
 }
 
+/* shuffle_order for the generator in the state row `state` (see load_state),
+ * which is advanced in place. */
+int64_t draw_order(int64_t n, uint64_t *state, int64_t *order)
+{
+    struct pcg64 g;
+    load_state(state, &g);
+    int64_t status = shuffle_order(n, &g, order);
+    store_state(&g, state);
+    return status;
+}
+
 /* One sweep; move_pass without its allocation. link (n) must be all zero on
- * entry and is left so on a normal return; touched (n) is scratch. */
+ * entry and is left so on a normal return; touched (n + 1) is scratch. */
 static int64_t sweep(
     int64_t n,
     int64_t nviews,
@@ -146,12 +207,13 @@ static int64_t sweep(
             int64_t cj = comm[j];
             if (cj < 0 || cj >= n)
                 goto done;
-            if (link[cj] == 0.0) {
-                if (n_touched == n)
-                    goto done;
-                touched[n_touched++] = cj;
-            }
+            /* a first touch is kept without a branch, as in knn_edges; the
+             * spare slot takes the write when all n are touched */
+            touched[n_touched] = cj;
+            n_touched += link[cj] == 0.0;
             link[cj] += data[p];
+            if (n_touched > n)  /* a community touched anew after its sum hit 0 */
+                goto done;
         }
         /* score of joining community c: 2*link - 2*sum_v alpha_v*deg_iv*tot_cv */
         int64_t best_c = ci;
@@ -231,7 +293,7 @@ int64_t move_pass(
     int64_t *moves_out)
 {
     size_t rows = n > 0 ? (size_t)n : 1;
-    double *link = malloc(rows * (sizeof(double) + sizeof(int64_t)));
+    double *link = malloc(rows * sizeof(double) + (rows + 1) * sizeof(int64_t));
     *gain_out = 0.0;
     *moves_out = 0;
     if (link == NULL)
@@ -402,13 +464,15 @@ int64_t aggregate(
     return status;
 }
 
-/* Scratch of one maximize_once call, sized for the original graph: every
- * level graph has at most its n nodes and nnz entries. */
+/* Scratch of one run_restarts call, sized for the original graph: every
+ * level graph has at most its n nodes and nnz entries. Two level graphs:
+ * each aggregation reads one and writes the other. */
 struct restart_work {
     int64_t *comm, *comm_size, *empty_stack, *order, *touched, *dense, *iwork;
     double *comm_tot, *link, *dwork;
-    next_uint32_fn next_uint32;
-    void *state;
+    int64_t *lvl_indptr[2], *lvl_indices[2];
+    double *lvl_data[2], *lvl_deg[2];
+    struct pcg64 *rng;
     double eps;
     int64_t *counts;  /* sweeps, moves, levels */
 };
@@ -450,7 +514,7 @@ static int64_t sweep_to_fixpoint(
     for (;;) {
         double gain;
         int64_t n_moves;
-        if (draw_order(size, w->state, w->next_uint32, w->order) < 0)
+        if (shuffle_order(size, w->rng, w->order) < 0)
             return MOVE_PASS_BAD_INDEX;
         n_empty = sweep(size, nviews, nnz, indptr, indices, data, deg, alpha,
                         comm, w->comm_tot, w->comm_size, w->empty_stack, n_empty,
@@ -465,15 +529,84 @@ static int64_t sweep_to_fixpoint(
     }
 }
 
-/* One restart on the graph of n nodes (indptr, indices, data; nnz entries)
- * with degrees deg (n, nviews) and null-model coefficients alpha (nviews).
- * labels (n) receives the partition, dense in order of first appearance.
- * Sweep orders are drawn from the bit generator (state, next_uint32), which
- * the caller must hold for the whole call. counts (3) receives the sweeps,
- * the moves and the levels aggregated. Returns 0, or MOVE_PASS_BAD_INDEX or
- * MOVE_PASS_NO_MEMORY as move_pass does.
+/* _maximize_once: one restart, drawing from w->rng and counting into
+ * w->counts; labels (n) receives the partition. Returns 0 or an error. */
+static int64_t maximize_once(
+    struct restart_work *w,
+    int64_t n,
+    int64_t nviews,
+    int64_t nnz,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const double *data,
+    const double *deg,
+    const double *alpha,
+    int64_t max_levels,
+    int64_t *labels)
+{
+    int64_t *counts = w->counts;
+    int64_t *assignment = labels;  /* original node -> community */
+    for (int64_t i = 0; i < n; i++)
+        assignment[i] = i;
+    for (int64_t round = 0; n > 0 && round < max_levels; round++) {
+        /* refinement: single-node moves on the original graph, starting from
+         * the current assignment (the identity partition on the first round) */
+        for (int64_t i = 0; i < n; i++)
+            w->comm[i] = assignment[i];
+        int64_t moved = sweep_to_fixpoint(w, n, nviews, nnz, indptr, indices, data, deg, alpha);
+        if (moved <= 0)
+            return moved;
+        /* multi-level coarsening until moves dry up at every scale; each
+         * aggregation also renumbers the communities it was given densely */
+        int64_t cur = 0, agg_nnz;
+        int64_t k = aggregate_level(n, nviews, nnz, indptr, indices, data, deg, w->comm,
+                                    assignment, w->lvl_indptr[cur], w->lvl_indices[cur],
+                                    w->lvl_data[cur], w->lvl_deg[cur], &agg_nnz, w->iwork,
+                                    w->dwork);
+        if (k < 0)
+            return k;
+        counts[2] += 1;
+        int64_t size = n;
+        for (int64_t level = 0; level < max_levels; level++) {
+            if (k == size)
+                break;
+            size = k;
+            for (int64_t c = 0; c < k; c++)
+                w->comm[c] = c;
+            moved = sweep_to_fixpoint(w, size, nviews, agg_nnz, w->lvl_indptr[cur],
+                                      w->lvl_indices[cur], w->lvl_data[cur], w->lvl_deg[cur],
+                                      alpha);
+            if (moved < 0)
+                return moved;
+            if (!moved)
+                break;
+            int64_t next = 1 - cur;
+            k = aggregate_level(size, nviews, agg_nnz, w->lvl_indptr[cur], w->lvl_indices[cur],
+                                w->lvl_data[cur], w->lvl_deg[cur], w->comm, w->dense,
+                                w->lvl_indptr[next], w->lvl_indices[next], w->lvl_data[next],
+                                w->lvl_deg[next], &agg_nnz, w->iwork, w->dwork);
+            if (k < 0)
+                return k;
+            counts[2] += 1;
+            cur = next;
+            for (int64_t i = 0; i < n; i++)
+                assignment[i] = w->dense[assignment[i]];
+        }
+    }
+    return 0;
+}
+
+/* nrestarts restarts on the graph of n nodes (indptr, indices, data; nnz
+ * entries) with degrees deg (n, nviews) and null-model coefficients alpha
+ * (nviews). Restart r draws its sweep orders from the PCG64 in state row r
+ * of states (nrestarts, STATE_SLOTS; see load_state) and leaves that row in
+ * the generator's final state. Row r of labels (nrestarts, n) receives its
+ * partition, dense in order of first appearance, and row r of counts
+ * (nrestarts, 3) its sweeps, moves and levels aggregated. Returns 0, or
+ * MOVE_PASS_BAD_INDEX or MOVE_PASS_NO_MEMORY as move_pass does; an error
+ * ends the call at the restart that met it.
  */
-int64_t maximize_once(
+int64_t run_restarts(
     int64_t n,
     int64_t nviews,
     int64_t nnz,
@@ -484,8 +617,8 @@ int64_t maximize_once(
     const double *alpha,
     double eps,
     int64_t max_levels,
-    void *state,
-    next_uint32_fn next_uint32,
+    int64_t nrestarts,
+    uint64_t *states,
     int64_t *labels,
     int64_t *counts)
 {
@@ -493,94 +626,40 @@ int64_t maximize_once(
     size_t rows = n > 0 ? (size_t)n : 1, entries = nnz > 0 ? (size_t)nnz : 1;
     size_t cells = rows * (nviews > 0 ? (size_t)nviews : 1);
     double *block = malloc((3 * rows + 3 * cells + 2 * entries) * sizeof(double)
-                           + (13 * rows + 2 + 2 * entries) * sizeof(int64_t));
-    counts[0] = counts[1] = counts[2] = 0;
+                           + (13 * rows + 3 + 2 * entries) * sizeof(int64_t));
     if (block == NULL)
         return MOVE_PASS_NO_MEMORY;
-    struct restart_work w = {
-        .next_uint32 = next_uint32, .state = state, .eps = eps, .counts = counts,
-    };
-    /* two level graphs: each aggregation reads one and writes the other */
-    int64_t *lvl_indptr[2], *lvl_indices[2];
-    double *lvl_data[2], *lvl_deg[2];
+    struct pcg64 rng;
+    struct restart_work w = {.rng = &rng, .eps = eps};
     double *cursor = block;
-    w.link = take(&cursor, rows);  /* link and dwork must start at zero */
-    w.dwork = take(&cursor, 2 * rows);
+    w.link = take(&cursor, rows);  /* link and dwork start at zero; each */
+    w.dwork = take(&cursor, 2 * rows);  /* restart leaves them so */
     memset(block, 0, 3 * rows * sizeof(double));
     w.comm_tot = take(&cursor, cells);
     for (int b = 0; b < 2; b++) {
-        lvl_data[b] = take(&cursor, entries);
-        lvl_deg[b] = take(&cursor, cells);
+        w.lvl_data[b] = take(&cursor, entries);
+        w.lvl_deg[b] = take(&cursor, cells);
     }
     w.comm = take(&cursor, rows);
     w.comm_size = take(&cursor, rows);
     w.empty_stack = take(&cursor, rows);
     w.order = take(&cursor, rows);
-    w.touched = take(&cursor, rows);
+    w.touched = take(&cursor, rows + 1);
     w.dense = take(&cursor, rows);
     w.iwork = take(&cursor, 5 * rows);
     for (int b = 0; b < 2; b++) {
-        lvl_indptr[b] = take(&cursor, rows + 1);
-        lvl_indices[b] = take(&cursor, entries);
+        w.lvl_indptr[b] = take(&cursor, rows + 1);
+        w.lvl_indices[b] = take(&cursor, entries);
     }
 
-    int64_t *assignment = labels;  /* original node -> community */
-    for (int64_t i = 0; i < n; i++)
-        assignment[i] = i;
-    for (int64_t round = 0; n > 0 && round < max_levels; round++) {
-        /* refinement: single-node moves on the original graph, starting from
-         * the current assignment (the identity partition on the first round) */
-        for (int64_t i = 0; i < n; i++)
-            w.comm[i] = assignment[i];
-        int64_t moved = sweep_to_fixpoint(&w, n, nviews, nnz, indptr, indices, data, deg, alpha);
-        if (moved < 0) {
-            status = moved;
-            goto done;
-        }
-        if (!moved)
-            break;
-        /* multi-level coarsening until moves dry up at every scale; each
-         * aggregation also renumbers the communities it was given densely */
-        int64_t cur = 0, agg_nnz;
-        int64_t k = aggregate_level(n, nviews, nnz, indptr, indices, data, deg, w.comm,
-                                    assignment, lvl_indptr[cur], lvl_indices[cur],
-                                    lvl_data[cur], lvl_deg[cur], &agg_nnz, w.iwork, w.dwork);
-        if (k < 0) {
-            status = k;
-            goto done;
-        }
-        counts[2] += 1;
-        int64_t size = n;
-        for (int64_t level = 0; level < max_levels; level++) {
-            if (k == size)
-                break;
-            size = k;
-            for (int64_t c = 0; c < k; c++)
-                w.comm[c] = c;
-            moved = sweep_to_fixpoint(&w, size, nviews, agg_nnz, lvl_indptr[cur], lvl_indices[cur],
-                                      lvl_data[cur], lvl_deg[cur], alpha);
-            if (moved < 0) {
-                status = moved;
-                goto done;
-            }
-            if (!moved)
-                break;
-            int64_t next = 1 - cur;
-            k = aggregate_level(size, nviews, agg_nnz, lvl_indptr[cur], lvl_indices[cur],
-                                lvl_data[cur], lvl_deg[cur], w.comm, w.dense,
-                                lvl_indptr[next], lvl_indices[next], lvl_data[next],
-                                lvl_deg[next], &agg_nnz, w.iwork, w.dwork);
-            if (k < 0) {
-                status = k;
-                goto done;
-            }
-            counts[2] += 1;
-            cur = next;
-            for (int64_t i = 0; i < n; i++)
-                assignment[i] = w.dense[assignment[i]];
-        }
+    for (int64_t r = 0; r < nrestarts && status == 0; r++) {
+        w.counts = counts + 3 * r;
+        w.counts[0] = w.counts[1] = w.counts[2] = 0;
+        load_state(states + STATE_SLOTS * r, &rng);
+        status = maximize_once(&w, n, nviews, nnz, indptr, indices, data, deg, alpha,
+                               max_levels, labels + n * r);
+        store_state(&rng, states + STATE_SLOTS * r);
     }
-done:
     free(block);
     return status;
 }
@@ -789,6 +868,124 @@ int64_t knn_edges(
     }
     free(block);
     return m;
+}
+
+/* The sum over views of coeffs[v] times view v's symmetric adjacency, as
+ * CSR arrays: indptr (n + 1), and indices and data, whose entry count is
+ * returned. indices and data must hold twice the edges of the views with a
+ * non-zero coefficient; they serve as scratch before the result is written.
+ *
+ * View v's edges are entries offsets[v]..offsets[v + 1] of edge_u, edge_v
+ * and edge_w (nedges each); each edge u < v stands for the entries (u, v)
+ * and (v, u), weighted edge_w * coeffs[v]. Views whose coefficient is 0 are
+ * skipped. The entries are counting-sorted by column (as edge ids, the only
+ * scratch of the size of the input) and then stably by row, so entries in
+ * (row, column) order and each pair's views in view order, whatever the
+ * order of the input. Each pair's sum starts from 0.0 and adds its views'
+ * products in view order, and exact zeros are dropped: bit for bit what the
+ * reference gets.
+ *
+ * Returns MOVE_PASS_BAD_INDEX when an offset falls or the offsets do not run
+ * from 0 to nedges, an edge has u >= v or an id outside [0, n), or a pair is
+ * repeated within one view that is added; or MOVE_PASS_NO_MEMORY if scratch
+ * allocation fails.
+ */
+int64_t combined_graph(
+    int64_t n,
+    int64_t nviews,
+    int64_t nedges,
+    const int64_t *offsets,
+    const int64_t *edge_u,
+    const int64_t *edge_v,
+    const double *edge_w,
+    const double *coeffs,
+    int64_t *indptr,
+    int64_t *indices,
+    double *data)
+{
+    if (n < 0 || nviews < 0 || offsets[0] != 0 || offsets[nviews] != nedges)
+        return MOVE_PASS_BAD_INDEX;
+    int64_t m = 0;
+    for (int64_t v = 0; v < nviews; v++) {
+        if (offsets[v] > offsets[v + 1])
+            return MOVE_PASS_BAD_INDEX;
+        if (coeffs[v] != 0.0)
+            m += 2 * (offsets[v + 1] - offsets[v]);
+    }
+    for (int64_t e = 0; e < nedges; e++)
+        if (edge_u[e] < 0 || edge_u[e] >= edge_v[e] || edge_v[e] >= n)
+            return MOVE_PASS_BAD_INDEX;
+
+    size_t entries = m > 0 ? (size_t)m : 1, ends = (size_t)n + 1;
+    int64_t *src = malloc((entries + 3 * ends) * sizeof(int64_t));
+    if (src == NULL)
+        return MOVE_PASS_NO_MEMORY;
+    int64_t *start = src + entries;  /* of each column's entries, and each row's */
+    int64_t *fill = start + ends;
+    int64_t *last_view = fill + ends;  /* of each row's latest entry */
+
+    /* an edge gives one entry to each endpoint's column and row alike */
+    for (int64_t i = 0; i <= n; i++)
+        start[i] = 0;
+    for (int64_t v = 0; v < nviews; v++) {
+        if (coeffs[v] == 0.0)
+            continue;
+        for (int64_t e = offsets[v]; e < offsets[v + 1]; e++) {
+            start[edge_u[e] + 1]++;
+            start[edge_v[e] + 1]++;
+        }
+    }
+    for (int64_t i = 0; i < n; i++)
+        start[i + 1] += start[i];
+    /* the edge of each entry by column, in input order, so each column's
+     * edges ascend and their views with them */
+    memcpy(fill, start, ends * sizeof(int64_t));
+    for (int64_t v = 0; v < nviews; v++) {
+        if (coeffs[v] == 0.0)
+            continue;
+        for (int64_t e = offsets[v]; e < offsets[v + 1]; e++) {
+            src[fill[edge_v[e]]++] = e;
+            src[fill[edge_u[e]]++] = e;
+        }
+    }
+    /* stably by row into indices and data: each row's entries by column,
+     * each pair's in view order, so a pair repeated within one view lands
+     * next to itself */
+    memcpy(fill, start, ends * sizeof(int64_t));
+    for (int64_t col = 0; col < n; col++) {
+        int64_t v = 0;
+        for (int64_t q = start[col]; q < start[col + 1]; q++) {
+            int64_t e = src[q];
+            while (e >= offsets[v + 1])
+                v++;
+            int64_t row = edge_u[e] + edge_v[e] - col, t = fill[row]++;
+            if (t > start[row] && indices[t - 1] == col && last_view[row] == v) {
+                free(src);
+                return MOVE_PASS_BAD_INDEX;
+            }
+            indices[t] = col;
+            data[t] = edge_w[e] * coeffs[v];
+            last_view[row] = v;
+        }
+    }
+    /* each pair's sum, written in place behind the entries still to read */
+    int64_t out = 0;
+    indptr[0] = 0;
+    for (int64_t row = 0; row < n; row++) {
+        for (int64_t t = start[row]; t < start[row + 1];) {
+            int64_t col = indices[t];
+            double acc = 0.0;
+            for (; t < start[row + 1] && indices[t] == col; t++)
+                acc = acc + data[t];
+            if (acc != 0.0) {
+                indices[out] = col;
+                data[out++] = acc;
+            }
+        }
+        indptr[row + 1] = out;
+    }
+    free(src);
+    return out;
 }
 
 /* True if the offsets at (count + 1 entries) rise from 0 to at most length. */

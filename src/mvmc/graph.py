@@ -33,11 +33,13 @@ class GraphUsageError(ValueError):
 def atomic_write(path):
     """Write to a temp file and rename, so partial outputs never land.
 
-    The directory is created if missing. The temp name carries the process
+    The directory is created if missing; most writes go to one that exists,
+    and a stat is cheaper than `mkdir`. The temp name carries the process
     id, and the temp file is removed when the block or the rename raises.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    if not path.parent.is_dir():
+        path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         yield tmp

@@ -10,15 +10,17 @@ with the pair sum running over ordered pairs (each undirected edge twice)
 and including the diagonal null-model terms. Views with no edges contribute
 nothing. The maximizer is Louvain-style: sweeps of greedy single-node moves
 whose gains are aggregated across all views, followed by graph aggregation,
-repeated until no gain remains. Each restart runs in one call of the
-compiled routine `_kernels.run_restarts`; without it, `_maximize_once` drives
-the restart from Python, calling the sweep (`move_pass`) and the aggregation
-of a level (`aggregate`), the compiled kernels of `_kernels` or their Python
-references there. `_maximize_once` is the reference of the compiled restart.
+repeated until no gain remains. All the restarts of a call run in one call of
+the compiled routine `_kernels.run_restarts`, which steps its own PCG64 from
+the numpy-seeded state of each restart's `default_rng([seed, r])`; without it,
+`_restarts` drives each restart from Python through `_maximize_once`, calling
+the sweep (`move_pass`) and the aggregation of a level (`aggregate`), the
+compiled kernels of `_kernels` or their Python references there.
+`_maximize_once` is the reference of the compiled restart.
 
 The restarts share one combined graph, the views' adjacencies scaled by
-w_v/(2 m_v) and summed, which `_combined_graph` builds from the views' edge
-arrays with numpy alone, so the clusterer needs no scipy.sparse.
+w_v/(2 m_v) and summed, which `_kernels.combined_graph` builds from the views'
+edge arrays, in C or with numpy alone, so the clusterer needs no scipy.sparse.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ import numbers
 import numpy as np
 
 from . import _kernels
-from ._kernels import MAX_LEVELS, aggregate, move_pass
+from ._kernels import MAX_LEVELS, aggregate, combined_graph, move_pass
 from ._kernels import run_restarts as _compiled_restarts
 from .graph import Clustering, GraphUsageError, ViewGraph
 
@@ -96,34 +98,12 @@ def _rb_sum(graphs, labels, w, gamma, m2, deg):
     return float(total)
 
 
-def _combined_graph(graphs, coeffs):
-    """The CSR arrays (int64 indptr and indices, float64 data) of the sum over
-    views of coeffs[v] times the view's symmetric adjacency.
-
-    Bit for bit scipy's `acc = acc + g.adjacency() * c` from an empty matrix,
-    over the views with c != 0 in view order: entries in (row, column) order,
-    each the sum ((c_1 w_1 + c_2 w_2) + c_3 w_3) + ... in view order, and
-    exact zeros (a cancelled sum, or a product that underflows) dropped.
-    The views are added one at a time because np.add.reduceat's pairwise
-    inner loop rounds differently once three views share an entry.
-    """
-    n = graphs[0].n
-    keys, values = [], []
-    for g, c in zip(graphs, coeffs):
-        if c != 0.0:
-            keys.append(np.concatenate([g.edge_u * n + g.edge_v, g.edge_v * n + g.edge_u]))
-            x = g.edge_w * c
-            values.append(np.concatenate([x, x]))
-    union = np.sort(np.concatenate(keys)) if keys else np.empty(0, dtype=np.int64)
-    union = union[np.diff(union, prepend=-1) != 0]  # each key once; keys are >= 0
-    acc = np.zeros(len(union))
-    for k, x in zip(keys, values):
-        pos = np.searchsorted(union, k)
-        acc[pos] = acc[pos] + x
-    keep = acc != 0.0
-    union, data = union[keep], acc[keep]
-    indptr = np.searchsorted(union, np.arange(n + 1) * n)
-    return indptr, union - np.repeat(np.arange(n) * n, np.diff(indptr)), data
+def _view_edges(graphs):
+    """The offset where each view's edges start, then their total, and the
+    views' edge_u, edge_v and edge_w laid end to end."""
+    offsets = np.cumsum([0] + [g.edge_count for g in graphs])
+    return (offsets, *(np.concatenate([getattr(g, name) for g in graphs])
+                       for name in ("edge_u", "edge_v", "edge_w")))
 
 
 def _sweep_to_fixpoint(graph, deg, alpha, comm, rng, gain_epsilon, counts):
@@ -202,18 +182,17 @@ def maximize(
     m2 = np.array([2.0 * g.total_edge_weight() for g in graphs])
     edge_coeff = np.where(m2 > 0.0, w / np.where(m2 > 0.0, m2, 1.0), 0.0)
     alpha = np.where(m2 > 0.0, w * gamma / np.where(m2 > 0.0, m2 * m2, 1.0), 0.0)
-    graph0 = _combined_graph(graphs, edge_coeff)
+    graph0 = combined_graph(n, *_view_edges(graphs), edge_coeff)
     deg0 = np.zeros((n, len(graphs)), dtype=np.float64)
     for v, g in enumerate(graphs):
         deg0[:, v] = g.degrees()
-    rngs = [np.random.default_rng([seed, r]) for r in range(restarts)]
     # While a kernel binding here is wrapped (by a tracer or a profiler), the
     # first restart is driven from Python through the bindings, so the wrapper
     # still sees one restart's sweeps and levels per call.
     wrapped = move_pass is not _kernels.move_pass or aggregate is not _kernels.aggregate
     head = 1 if wrapped else 0
-    runs = _restarts(graph0, deg0, alpha, rngs[:head], GAIN_EPSILON) + run_restarts(
-        graph0, deg0, alpha, rngs[head:], GAIN_EPSILON
+    runs = _restarts(graph0, deg0, alpha, seed, range(head), GAIN_EPSILON) + run_restarts(
+        graph0, deg0, alpha, seed, range(head, restarts), GAIN_EPSILON
     )
     best = None
     best_q = -np.inf
@@ -240,15 +219,18 @@ def maximize(
         "levels": levels,
         "best_restart": best_r,
     }
-    return Clustering(best, meta=meta)
+    # copied: the compiled restarts' labels are rows of one array
+    return Clustering(best.copy(), meta=meta)
 
 
-def _restarts(graph0, deg0, alpha, rngs, gain_epsilon):
-    """(labels, (sweeps, moves, levels)) of one `_maximize_once` per generator."""
-    return [_maximize_once(graph0, deg0, alpha, rng, gain_epsilon) for rng in rngs]
+def _restarts(graph0, deg0, alpha, seed, restarts, gain_epsilon):
+    """(labels, (sweeps, moves, levels)) of one `_maximize_once` on the
+    generator `default_rng([seed, r])` for each r in the range `restarts`."""
+    return [_maximize_once(graph0, deg0, alpha, np.random.default_rng([seed, r]), gain_epsilon)
+            for r in restarts]
 
 
-# one compiled call per restart, or each restart driven from Python
+# one compiled call for all restarts, or each restart driven from Python
 run_restarts = _compiled_restarts or _restarts
 
 

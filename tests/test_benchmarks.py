@@ -1,5 +1,5 @@
 """The benchmark scripts still import: each one's --help runs and exits 0.
-The ingest benchmark also runs end to end on a small day."""
+The ingest and kernel benchmarks also run end to end on small inputs."""
 import json
 import os
 import subprocess
@@ -39,3 +39,12 @@ def test_ingest_benchmark_agrees_with_the_oracles_on_a_small_day():
         flags |= {f"{section}.{view}.agree": layer["agree"]
                   for view, layer in result[section].items()}
     assert len(flags) == 11 and all(flags.values()), flags
+
+
+def test_kernel_benchmark_agrees_with_the_references_on_a_small_graph():
+    result = json.loads(run_script(ROOT / "benchmarks" / "bench_kernels.py",
+                                   "--n", "120", "--repeat", "1"))
+    assert result["n"] == 120 and result["edges"] > 0
+    flags = {k: v for k, v in result.items() if k.endswith(("_agree", "_agrees"))}
+    expected = 6 if result["backend"] == "c" else 5  # no restart timing without C
+    assert len(flags) == expected and all(flags.values()), flags

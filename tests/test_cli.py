@@ -274,6 +274,23 @@ def test_unreadable_config_exits_2(tmp_path, runner, content, message):
     assert result.output.startswith(f"error: config {cfg}: {message}")
 
 
+def test_atomic_write_makes_missing_parents_and_refuses_a_file_parent(tmp_path):
+    nested = tmp_path / "a" / "b" / "out.tsv"
+    with atomic_write(nested) as tmp:
+        tmp.write_text("x")
+    assert nested.read_text() == "x"
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    with pytest.raises(FileExistsError):
+        with atomic_write(blocker / "out.tsv") as tmp:
+            tmp.write_text("x")
+    with pytest.raises(OSError):  # a file further up
+        with atomic_write(blocker / "c" / "out.tsv") as tmp:
+            tmp.write_text("x")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "file"]
+    assert blocker.read_text() == ""
+
+
 def test_atomic_write_leaves_no_stray_file(tmp_path):
     target = tmp_path / "out.tsv"
     with pytest.raises(RuntimeError):

@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import os
 import shutil
@@ -34,6 +33,11 @@ TWO_TRIANGLES = ViewGraph.from_edges(
     6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)]
 )
 SPLIT = Clustering(np.array([0, 0, 0, 1, 1, 1]))
+
+
+requires_c = pytest.mark.skipif(
+    _kernels.BACKEND != "c", reason="the compiled kernel did not load (no C compiler?)"
+)
 
 
 def child_env(**overrides) -> dict:
@@ -237,12 +241,14 @@ def test_combined_graph_matches_scipy_bit_for_bit():
         mode, graphs, coeffs = combined_graph_case(rng)
         n = graphs[0].n
         adjs = [g.adjacency() for g in graphs]
-        indptr, indices, data = modularity._combined_graph(graphs, coeffs)
         ref = combined_csr(adjs, coeffs, n)
-        assert indptr.dtype == indices.dtype == np.int64 and data.dtype == np.float64
-        assert np.array_equal(indptr, ref.indptr), trial
-        assert np.array_equal(indices, ref.indices), trial
-        assert data.tobytes() == ref.data.tobytes(), trial
+        # the numpy reference and the routine maximize uses, compiled if loaded
+        for build in (_kernels._combined_graph, _kernels.combined_graph):
+            indptr, indices, data = build(n, *modularity._view_edges(graphs), coeffs)
+            assert indptr.dtype == indices.dtype == np.int64 and data.dtype == np.float64
+            assert np.array_equal(indptr, ref.indptr), trial
+            assert np.array_equal(indices, ref.indices), trial
+            assert data.tobytes() == ref.data.tobytes(), trial
         used = coeffs != 0.0
         products = [(g, g.edge_w * c) for g, c in zip(graphs, coeffs) if c != 0.0]
         pairs = np.unique(np.concatenate(
@@ -263,6 +269,114 @@ def test_combined_graph_matches_scipy_bit_for_bit():
         "all coefficients zero", "a product underflows", "a sum cancels",
         "order of additions shows",
     )), seen
+
+
+def combined_graph_arrays(rng):
+    """`combined_graph` arguments of 0-120 nodes and 1-4 views, with each
+    view's edges in a random order. In a quarter of the cases 3-4 views
+    share every edge; otherwise a view may be empty. A coefficient may be 0, or
+    1e300 or 1e-300 (whose products overflow to inf, or underflow to 0,
+    and whose sums may then be nan), or the negative of another's, so sums
+    cancel."""
+    n = int(rng.choice([0, 1, 2, 3, rng.integers(4, 20), rng.integers(20, 121)]))
+    u, v = np.triu_indices(n, 1)
+    n_views = int(rng.integers(1, 5))
+    shared = n_views >= 3 and rng.random() < 0.5
+    present = rng.random(len(u)) < rng.uniform(0.0, 0.6)
+    views = []
+    for _view in range(n_views):
+        if not shared:
+            present = rng.random(len(u)) < rng.uniform(0.0, 0.6) * (rng.random() > 0.2)
+        weights = rng.uniform(WEIGHT_FLOOR, 2.0, len(u))
+        if rng.random() < 0.3:
+            weights[rng.random(len(u)) < 0.3] = rng.choice([1.0, 1e-300, 1e300])
+        picked = rng.permutation(np.flatnonzero(present))
+        views.append((u[picked], v[picked], weights[picked]))
+    coeffs = rng.uniform(0.1, 2.0, n_views) * 10.0 ** rng.integers(-3, 4, n_views)
+    for k in range(n_views):
+        coeffs[k] = rng.choice([coeffs[k], 0.0, 1e300, -1e300, 1e-300, -coeffs[0]],
+                               p=[0.6, 0.15, 0.05, 0.05, 0.05, 0.1])
+    if shared and rng.random() < 0.3:  # inf - inf on the entries of weight 1e300
+        coeffs[:2] = 1e300, -1e300
+    offsets = np.cumsum([0] + [len(eu) for eu, _ev, _ew in views])
+    edge_u, edge_v, edge_w = (np.concatenate([view[k] for view in views]).astype(t)
+                              for k, t in ((0, np.int64), (1, np.int64), (2, np.float64)))
+    return n, offsets, edge_u, edge_v, edge_w, coeffs
+
+
+@requires_c
+def test_c_combined_graph_matches_reference():
+    rng = np.random.default_rng(2803)
+    seen = Counter()
+    for trial in range(1200):
+        args = combined_graph_arrays(rng)
+        inputs = copied(list(args))
+        got = _kernels.combined_graph(*args)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _kernels._combined_graph(*args)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), trial
+        for a, b in zip(args, inputs):
+            assert np.array_equal(a, b)  # inputs are left as they were
+        n, offsets, _u, _v, edge_w, coeffs = args
+        with np.errstate(over="ignore"):
+            products = [edge_w[lo:hi] * c for lo, hi, c in zip(offsets, offsets[1:], coeffs)
+                        if c != 0.0]
+        data = want[2]
+        seen[f"n={min(n, 4)}"] += 1
+        seen[f"{len(coeffs)} views"] += 1
+        seen["empty view"] += n > 3 and (np.diff(offsets) == 0).any()
+        seen["a zero coefficient"] += (coeffs == 0.0).any()
+        seen["an entry of 3 views"] += len(products) >= 3 and len(data) < sum(map(len, products))
+        seen["underflow to 0"] += any((x == 0.0).any() for x in products)
+        seen["overflow to inf"] += np.isinf(data).any()
+        seen["nan"] += np.isnan(data).any()
+    assert all(seen[case] > 0 for case in (
+        "n=0", "n=1", "n=2", "n=3", "n=4", "1 views", "2 views", "3 views", "4 views",
+        "empty view", "a zero coefficient", "an entry of 3 views", "underflow to 0",
+        "overflow to inf", "nan",
+    )), seen
+
+
+def combined_args():
+    """`combined_graph` arguments, as a list, of two views on 6 nodes."""
+    return [6, np.array([0, 3, 5]), np.array([0, 1, 2, 0, 3]), np.array([1, 2, 5, 4, 4]),
+            np.array([1.0, 2.0, 0.5, 1.0, 3.0]), np.array([0.5, 2.0])]
+
+
+def spoiled(position, k, value):
+    """A spoiler setting entry k of argument `position` to value."""
+    def spoil(args):
+        a = args[position].copy()
+        a[k] = value
+        args[position] = a
+    return spoil
+
+
+BAD_COMBINED_ARGUMENTS = {
+    "u equal to v": spoiled(2, 1, 2),
+    "u above v": spoiled(2, 4, 5),
+    "v out of range": spoiled(3, 2, 6),
+    "negative u": spoiled(2, 0, -1),
+    "a pair repeated within one view": lambda args: (spoiled(2, 1, 0)(args),
+                                                     spoiled(3, 1, 1)(args)),
+    "falling offsets": spoiled(1, 1, 6),
+    "offsets not starting at 0": spoiled(1, 0, 1),
+    "offsets not ending at the edge count": spoiled(1, 2, 4),
+    "offsets one too short": lambda args: args.__setitem__(1, args[1][:-1]),
+    "weights as complex": lambda args: args.__setitem__(4, args[4] + 0j),
+    "negative node count": lambda args: args.__setitem__(0, -1),
+}
+
+
+@requires_c
+@pytest.mark.parametrize("case", sorted(BAD_COMBINED_ARGUMENTS))
+def test_c_combined_graph_rejects_bad_arguments(case):
+    args = combined_args()
+    assert _kernels.combined_graph(*args)[2].tolist() == _kernels._combined_graph(*args)[2].tolist()
+    BAD_COMBINED_ARGUMENTS[case](args)
+    with pytest.raises(ValueError):
+        _kernels.combined_graph(*args)
 
 
 def test_determinism():
@@ -312,11 +426,6 @@ def test_every_cluster_is_connected_in_its_positive_weight_views():
         }
         union = ViewGraph.from_edges(n, [(u, v, 1.0) for u, v in sorted(inside)])
         assert len(union.connected_components()) == labels.max() + 1, trial
-
-
-requires_c = pytest.mark.skipif(
-    _kernels.BACKEND != "c", reason="the compiled kernel did not load (no C compiler?)"
-)
 
 
 def sweep_args(rng, n_views, ties=False):
@@ -448,7 +557,7 @@ def test_maximize_scores_each_distinct_partition_once(monkeypatch):
 
     def recording(*args):
         runs.extend(restarts(*args))
-        return runs[len(runs) - len(args[3]):]
+        return runs[len(runs) - len(args[4]):]
 
     monkeypatch.setattr(modularity, "_rb_sum", spy)
     monkeypatch.setattr(modularity, "run_restarts", recording)
@@ -529,9 +638,10 @@ def restart_graphs(rng, trial):
 
 @requires_c
 def test_c_restart_matches_python_reference(monkeypatch):
-    """The compiled restart against `_maximize_once` (which drives the C sweep
-    and aggregation, each checked against its Python reference above): the
-    same labels, sweeps, moves and levels, and the same generator state."""
+    """The compiled restarts against `_maximize_once` (which drives the C sweep
+    and aggregation, each checked against its Python reference above) on
+    `default_rng([seed, r])`: the same labels, sweeps, moves and levels, and
+    each restart's state row left in that generator's final state."""
     rng = np.random.default_rng(15)
     seen = set()
     for trial in range(240):
@@ -539,27 +649,35 @@ def test_c_restart_matches_python_reference(monkeypatch):
         weights = rng.choice([0.0, 0.5, 1.0, 2.0], len(graphs))
         resolutions = (rng.uniform(0.05, 0.4, len(graphs)) if trial % 4 == 2
                        else rng.uniform(0.2, 3.0, len(graphs)))
+        seed = (trial, 2**32 + 5, 2**70 + 3)[trial % 3]
         cases = []
 
-        def both(graph0, deg0, alpha, rngs, eps):
-            [generator] = rngs
-            twin = copy.deepcopy(generator)
-            [compiled] = _kernels.run_restarts(graph0, deg0, alpha, [generator], eps)
-            sizes = []
-            with pytest.MonkeyPatch.context() as patch:
-                recording_aggregate(patch, sizes)
-                reference = modularity._maximize_once(graph0, deg0, alpha, twin, eps)
-            cases.append((compiled, reference, generator.bit_generator.state,
-                          twin.bit_generator.state, deepest_level(sizes, len(deg0))))
-            return [compiled]
+        def both(graph0, deg0, alpha, seed, restarts, eps):
+            states = _kernels.seeded_states(seed, restarts)
+            compiled = _kernels.run_seeded(graph0, deg0, alpha, states, eps)
+            assert [(labels.tolist(), counts) for labels, counts in compiled] == [
+                (labels.tolist(), counts)
+                for labels, counts in _kernels.run_restarts(graph0, deg0, alpha, seed, restarts,
+                                                            eps)]
+            for r, state, run in zip(restarts, states, compiled):
+                twin = np.random.default_rng([seed, r])
+                sizes = []
+                with pytest.MonkeyPatch.context() as patch:
+                    recording_aggregate(patch, sizes)
+                    reference = modularity._maximize_once(graph0, deg0, alpha, twin, eps)
+                cases.append((run, reference, tuple(state.tolist()),
+                              _kernels._state_row(twin.bit_generator.state),
+                              deepest_level(sizes, len(deg0))))
+            return compiled
 
         monkeypatch.setattr(modularity, "run_restarts", both)
-        maximize(graphs, weights, resolutions, seed=trial, restarts=1)
+        maximize(graphs, weights, resolutions, seed=seed, restarts=1 + (trial % 5 == 0))
         monkeypatch.undo()
-        [((labels, counts), (ref_labels, ref_counts), state, ref_state, depth)] = cases
-        assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels), trial
-        assert counts == ref_counts, trial
-        assert state == ref_state, trial
+        assert len(cases) == 1 + (trial % 5 == 0)
+        for (labels, counts), (ref_labels, ref_counts), state, ref_state, depth in cases:
+            assert labels.dtype == ref_labels.dtype and np.array_equal(labels, ref_labels), trial
+            assert counts == ref_counts, trial
+            assert state == ref_state, trial
         n = graphs[0].n
         union = sum((g.adjacency() for g in graphs), sparse.csr_matrix((n, n)))
         isolated = int((union.getnnz(axis=1) == 0).sum())
@@ -569,25 +687,57 @@ def test_c_restart_matches_python_reference(monkeypatch):
         seen.add(("disconnected", connected_components(union)[0] - isolated > 1))
         seen.add(("three levels", depth >= 3))
         seen.add(("four views", len(graphs) == 4))
+        seen.add(("a buffered half draw left", state[4] == 1))
     assert {kind for kind, hit in seen if hit} == {
-        "empty graph", "empty view", "isolated node", "disconnected", "three levels", "four views"
+        "empty graph", "empty view", "isolated node", "disconnected", "three levels",
+        "four views", "a buffered half draw left",
     }
+
+
+def numpy_draw(state, n):
+    """`permutation(n)` of numpy's Generator in the state row `state`, which
+    is left in the generator's final state: what `draw_order` must do."""
+    bits = np.random.PCG64()
+    hi, lo, inc_hi, inc_lo, has_uint32, uinteger = map(int, state)
+    bits.state = {"bit_generator": "PCG64",
+                  "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+                  "has_uint32": has_uint32, "uinteger": uinteger}
+    order = np.random.Generator(bits).permutation(n)
+    state[:] = _kernels._state_row(bits.state)
+    return order
 
 
 @requires_c
 def test_c_draw_is_numpys_permutation():
     for n in range(2001):
-        ours, numpys = np.random.default_rng(n), np.random.default_rng(n)
-        for _ in range(2):  # the second draw starts where the first left the state
-            assert np.array_equal(_kernels.draw_order(ours, n), numpys.permutation(n)), n
-        assert ours.bit_generator.state == numpys.bit_generator.state, n
+        ours, numpys = _kernels.seeded_states(n, range(2)), _kernels.seeded_states(n, range(2))
+        for r in range(2):
+            for _ in range(2):  # the second draw starts where the first left the state
+                assert np.array_equal(_kernels.draw_order(ours[r], n),
+                                      numpy_draw(numpys[r], n)), (n, r)
+        assert np.array_equal(ours, numpys), n
+        generator = np.random.default_rng([n, 1])
+        generator.permutation(n), generator.permutation(n)
+        assert tuple(ours[1].tolist()) == _kernels._state_row(generator.bit_generator.state)
+
+
+def test_seeded_states_are_numpys_and_cached():
+    for seed in (0, 7, 2**32 + 5, 2**70 + 3):
+        states = _kernels.seeded_states(seed, range(1, 16))
+        assert states.dtype == np.uint64 and states.shape == (15, _kernels.STATE_SLOTS)
+        assert [tuple(row) for row in states.tolist()] == [
+            _kernels._state_row(np.random.default_rng([seed, r]).bit_generator.state)
+            for r in range(1, 16)]
+        states[:] = 0  # a copy: the cached rows stay as they were
+        assert _kernels.seeded_states(seed, range(1, 16)).any()
+    assert _kernels.seeded_states(3, range(0)).shape == (0, _kernels.STATE_SLOTS)
 
 
 def test_draw_check_rejects_a_wrong_draw():
-    assert _kernels._draws_match(lambda rng, n: rng.permutation(n))
-    assert not _kernels._draws_match(lambda rng, n: rng.permutation(n)[::-1])
-    # the right orders, but a generator left in another state
-    assert not _kernels._draws_match(lambda rng, n: (rng.random(), rng.permutation(n))[1])
+    assert _kernels._draws_match(numpy_draw)
+    assert not _kernels._draws_match(lambda state, n: numpy_draw(state, n)[::-1])
+    # the right orders, but a state row left where it started
+    assert not _kernels._draws_match(lambda state, n: numpy_draw(state.copy(), n))
 
 
 @requires_c
@@ -679,6 +829,16 @@ for graphs in ([graph(0, [])], [graph(1, [])], [graph(2, [(0, 1)])],
     assert restarts(graphs) == want, graphs[0].n
     assert restarts(graphs, (_kernels.move_pass, _kernels.aggregate)) == want, graphs[0].n
 assert restarts(planted)[1]["levels"] >= 16  # every restart coarsens
+
+# combined graphs: no nodes, no edges, one node's entries from three views,
+# a zero coefficient, a sum that cancels
+for graphs, coeffs in [([graph(0, [])], [1.0]), ([graph(3, []), graph(3, [])], [1.0, 2.0]),
+                       ([graph(4, [(0, 1), (0, 2)]), graph(4, [(0, 1), (2, 3)]),
+                         graph(4, [(0, 1), (1, 3)])], [0.5, 3.0, 0.25]),
+                       (planted, [1.0, 0.0, 2.0]), (planted[:2] * 2, [1.0, 2.0, -1.0, -2.0])]:
+    args = (graphs[0].n, *modularity._view_edges(graphs), np.array(coeffs))
+    got, want = _kernels.combined_graph(*args), _kernels._combined_graph(*args)
+    assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
 
 views = [
     (sparse.csr_matrix([[1.0, 0.0], [2.0, 1.0]]), 1),  # n = 2
@@ -833,8 +993,8 @@ from mvmc import ViewGraph, ViewMatrix, _kernels, knn_graph, maximize, modularit
 
 print(_kernels.BACKEND, _kernels.move_pass is _kernels._move_pass,
       _kernels.aggregate is _kernels._aggregate, _kernels.knn_edges is _kernels._knn_edges,
-      _kernels.run_restarts, _kernels.draw_order,
-      modularity.run_restarts is modularity._restarts)
+      _kernels.combined_graph is _kernels._combined_graph, _kernels.run_restarts,
+      _kernels.run_seeded, _kernels.draw_order, modularity.run_restarts is modularity._restarts)
 g = ViewGraph.from_edges(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
 print(maximize([g], seed=0).n_clusters)
 m = ViewMatrix.from_matrix(sparse.csr_matrix([[1., 0.], [1., 0.], [0., 1.]]),
@@ -848,7 +1008,8 @@ def test_env_flag_selects_fallback(tmp_path):
     kernel is its Python reference, and the Python routes still cluster two
     triangles apart and build a one-edge k-NN graph."""
     out = run_without_compiler(tmp_path, FALLBACK_CHECK)
-    assert out[0].split() == ["python", "True", "True", "True", "None", "None", "True"]
+    assert out[0].split() == ["python", "True", "True", "True", "True", "None", "None", "None",
+                              "True"]
     assert out[1:] == ["2", "1"]
 
 
@@ -934,14 +1095,14 @@ def test_c_aggregate_rejects_bad_arguments(case):
 
 
 def restart_args():
-    """The maximize inputs of a planted instance, and one generator, as a list:
-    indptr, indices, data, deg0, alpha, rng."""
+    """The maximize inputs of a planted instance, and the state rows of two
+    restarts, as a list: indptr, indices, data, deg0, alpha, states."""
     graphs, _ = planted_partition_views(30, 3, 0.4, 0.05, 2)
     m2 = np.array([2.0 * g.total_edge_weight() for g in graphs])
     adj = combined_csr([g.adjacency() for g in graphs], 1.0 / m2, 30)
     deg = np.stack([g.degrees() for g in graphs], axis=1)
     return [adj.indptr.astype(np.int64), adj.indices.astype(np.int64), adj.data, deg,
-            1.0 / m2**2, np.random.default_rng(0)]
+            1.0 / m2**2, _kernels.seeded_states(0, range(2))]
 
 
 BAD_RESTART_ARGUMENTS = {
@@ -955,6 +1116,9 @@ BAD_RESTART_ARGUMENTS = {
     "deg one-dimensional": (3, lambda a: a[:, 0]),
     "alpha with an entry too many": (4, lambda a: np.append(a, 1.0)),
     "a legacy RandomState": (5, lambda a: np.random.RandomState(0)),
+    "states as int64": (5, lambda a: a.astype(np.int64)),
+    "states read-only": (5, read_only),
+    "states with a slot missing": (5, lambda a: a[:, 1:].copy()),
 }
 
 
@@ -964,9 +1128,9 @@ def test_c_restart_rejects_bad_arguments(case):
     position, spoil = BAD_RESTART_ARGUMENTS[case]
     args = restart_args()
     args[position] = spoil(args[position])
-    indptr, indices, data, deg, alpha, rng = args
+    indptr, indices, data, deg, alpha, states = args
     with pytest.raises(ValueError):
-        _kernels.run_restarts((indptr, indices, data), deg, alpha, [rng], 1e-9)
+        _kernels.run_seeded((indptr, indices, data), deg, alpha, states, 1e-9)
 
 
 def test_threads_share_the_kernel_safely():
