@@ -11,7 +11,9 @@ as it reads it, and `build_daily_views` on the coded day. Then it parses
 the file into record tuples with `parse_json_record` and times
 `preprocess_text` against the per-character reference
 `brute_preprocess_text`, and the views against the dict-of-tuples reference
-`brute_daily_views`, both from `tests/oracles.py`. It times the period
+`brute_daily_views`, both from `tests/oracles.py`. It times the texts coded
+in `TEXT_BATCH` batches by `_kernels.code_texts` (the compiled coder, when
+it loaded) against its reference `_kernels._code_texts`. It times the period
 report tables of the day, `analytics.usage_tables` on the day's codes with
 the planted groups of its registry as clusters, against the per-post
 reference `brute_usage_tables`. For each of the day's four views it then
@@ -20,8 +22,9 @@ times `tfidf`, and `knn_graph` on the weighted view with `_kernels.knn_edges`
 reference `_kernels._knn_edges`, and `write_triplets` of the view with
 `_kernels.triplet_bytes` (the compiled formatter, when it loaded) against
 the same call with the f-string reference `_kernels._triplet_bytes`. It
-checks that each pair agrees token for token, entry for entry, count for
-count, edge for edge and byte for byte, and prints one JSON line with the times, the peak RSS of the process, the kernel backend,
+checks that each pair agrees token for token, code for code, entry for
+entry, count for count, edge for edge and byte for byte, and prints one
+JSON line with the times, the peak RSS of the process, the kernel backend,
 the CPU count and the Python/numpy/scipy versions.
 """
 import argparse
@@ -41,7 +44,13 @@ import scipy
 
 from mvmc import _kernels
 from mvmc.analytics import usage_tables
-from mvmc.ingest import build_daily_views, parse_json_record, preprocess_text, read_posts
+from mvmc.ingest import (
+    TEXT_BATCH,
+    build_daily_views,
+    parse_json_record,
+    preprocess_text,
+    read_posts,
+)
 from mvmc.views import knn_graph, tfidf
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -112,6 +121,23 @@ def report_tables(posts, views, groups, repeat):
         "usage_tables_s": tables_s,
         "brute_usage_tables_s": brute_s,
         "tables_agree": usage == brute_usage and tokens == brute_clusters,
+    }
+
+
+def text_codes(texts, repeat):
+    """The texts coded in `TEXT_BATCH` batches by the bound
+    `_kernels.code_texts` and by its reference; `text_codes_agree` compares
+    their codes, counts and names."""
+    batches = [texts[i:i + TEXT_BATCH] for i in range(0, len(texts), TEXT_BATCH)]
+    code_s, coded = best_time(lambda: list(map(_kernels.code_texts, batches)), repeat)
+    reference_s, reference = best_time(lambda: list(map(_kernels._code_texts, batches)), repeat)
+    return {
+        "code_texts_s": code_s,
+        "reference_code_texts_s": reference_s,
+        "text_codes_agree": all(
+            a[2] == b[2] and all(np.array_equal(x, y) and x.dtype == y.dtype
+                                 for x, y in zip(a[:2], b[:2]))
+            for a, b in zip(coded, reference)),
     }
 
 
@@ -198,6 +224,7 @@ def main():
         "brute_preprocess_text_s": brute_tok_s,
         "brute_daily_views_s": brute_views_s,
         "tokens_agree": tokens == brute_tokens,
+        **text_codes(texts, args.repeat),
         "views_agree": same_views(views, reference),
         **report_tables(posts, views, groups, args.repeat),
         "knn": knn_layer(views, args.repeat),

@@ -32,6 +32,11 @@
  * it copies pieces of text that the caller has already formatted, the row
  * name, the column name and the value of each entry, in CSR order.
  *
+ * code_texts: a batch of posts' texts tokenised and coded, token for token
+ * what the reference mvmc._kernels._code_texts gets from
+ * mvmc.ingest.preprocess_text and a dict of names. ASCII texts are
+ * tokenised here; the caller tokenises the others and passes their tokens.
+ *
  * Arrays are C-contiguous; deg, comm_tot and agg_deg are row-major
  * (rows, nviews). The caller checks shapes and dtypes; this file checks every
  * index it reads from an array before using it.
@@ -1069,4 +1074,294 @@ int64_t format_triplets(
         }
     }
     return size;
+}
+
+/* ASCII classes of Python's str patterns: \s is bytes 9-13 and 28-32 (what
+ * str.isspace accepts), \w is [A-Za-z0-9_]; NUL and 0x7f are neither. */
+static int is_space(unsigned char c)
+{
+    return (c >= 9 && c <= 13) || (c >= 28 && c <= 32);
+}
+
+static int is_alnum(unsigned char c)
+{
+    return (unsigned char)((c | 0x20) - 'a') < 26 || (unsigned char)(c - '0') < 10;
+}
+
+static int is_word(unsigned char c)
+{
+    return is_alnum(c) || c == '_';
+}
+
+/* The passes of mvmc.ingest.preprocess_text, in its order. */
+enum markup { URL, HASHTAG, MENTION, RETWEET };
+
+/* The length of the match of pass `kind` at s[r] (of n bytes), or 0; the
+ * byte before r, if any, is the pass's input.
+ *   URL      (?:https?://|www\.)\S+
+ *   HASHTAG  #\S+
+ *   MENTION  @\w+
+ *   RETWEET  \bRT\b
+ */
+static int64_t match_at(enum markup kind, const char *s, int64_t r, int64_t n)
+{
+    int64_t m;
+    switch (kind) {
+    case URL:
+        if (n - r >= 8 && memcmp(s + r, "https://", 8) == 0)
+            m = 8;
+        else if (n - r >= 7 && memcmp(s + r, "http://", 7) == 0)
+            m = 7;
+        else if (n - r >= 4 && memcmp(s + r, "www.", 4) == 0)
+            m = 4;
+        else
+            return 0;
+        if (r + m == n || is_space((unsigned char)s[r + m]))
+            return 0;
+        while (r + m < n && !is_space((unsigned char)s[r + m]))
+            m++;
+        return m;
+    case HASHTAG:
+        if (r + 1 == n || is_space((unsigned char)s[r + 1]))
+            return 0;
+        for (m = 2; r + m < n && !is_space((unsigned char)s[r + m]); m++)
+            ;
+        return m;
+    case MENTION:
+        if (r + 1 == n || !is_word((unsigned char)s[r + 1]))
+            return 0;
+        for (m = 2; r + m < n && is_word((unsigned char)s[r + m]); m++)
+            ;
+        return m;
+    case RETWEET:
+        if (r + 1 == n || s[r + 1] != 'T' || (r > 0 && is_word((unsigned char)s[r - 1]))
+            || (r + 2 < n && is_word((unsigned char)s[r + 2])))
+            return 0;
+        return 2;
+    }
+    return 0;
+}
+
+/* The first position from r on where a match of pass `kind` can start: its
+ * marker, h or w, #, @ or R; n if there is none. */
+static int64_t next_marker(enum markup kind, const char *s, int64_t r, int64_t n)
+{
+    if (kind == URL) {
+        /* every URL match holds a colon or a dot */
+        if (r == 0 && !memchr(s, ':', (size_t)n) && !memchr(s, '.', (size_t)n))
+            return n;
+        while (r < n && s[r] != 'h' && s[r] != 'w')
+            r++;
+        return r;
+    }
+    const char *hit = memchr(s + r, "h#@R"[kind], (size_t)(n - r));
+    return hit ? hit - s : n;
+}
+
+/* One pass of re.sub(pattern, " ", s) over s (n bytes), in place: matches are
+ * found left to right in the pass's input, each is replaced by one space and
+ * the scan resumes after it. A match is never empty, so the output stays
+ * behind the input, and the byte before the input position is still the
+ * input's. The bytes between markers are moved as they are, so a pass whose
+ * marker is absent leaves s untouched. Returns the new length. */
+static int64_t strip_markup(enum markup kind, char *s, int64_t n)
+{
+    /* every URL match holds a colon or a dot */
+    if (kind == URL && !memchr(s, ':', (size_t)n) && !memchr(s, '.', (size_t)n))
+        return n;
+    int64_t r = 0, w = 0;
+    for (;;) {
+        int64_t next = next_marker(kind, s, r, n);
+        if (w < r)
+            memmove(s + w, s + r, (size_t)(next - r));
+        w += next - r;
+        r = next;
+        if (r == n)
+            return w;
+        int64_t m = match_at(kind, s, r, n);
+        if (m > 0) {
+            s[w++] = ' ';
+            r += m;
+        } else {
+            s[w++] = s[r++];
+        }
+    }
+}
+
+/* A batch's name table: names[name_at[t]..name_at[t + 1] - 1] is name t,
+ * followed by a space; slots is an open-addressing table (cap slots, a power
+ * of two) of the names' ids + 1 under the hash's high 32 bits, 0 when empty.
+ * The table sits in one scratch block behind `work` bytes of text scratch. */
+struct name_table {
+    char *block;
+    size_t work;
+    uint64_t *slots;
+    int64_t cap, count;
+    char *names;
+    int64_t *name_at;
+};
+
+#define FNV_OFFSET 0xcbf29ce484222325ULL  /* 64-bit FNV-1a */
+#define FNV_PRIME 0x100000001b3ULL
+
+static uint64_t name_hash(const char *s, int64_t len)
+{
+    uint64_t h = FNV_OFFSET;
+    for (int64_t i = 0; i < len; i++)
+        h = (h ^ (unsigned char)s[i]) * FNV_PRIME;
+    return h;
+}
+
+/* The slot that holds the name s (len bytes) of hash h, or the empty slot
+ * where it belongs. */
+static uint64_t *find_slot(const struct name_table *t, const char *s, int64_t len, uint64_t h)
+{
+    uint64_t mask = (uint64_t)t->cap - 1, tag = h >> 32 << 32;
+    for (uint64_t i = h & mask;; i = (i + 1) & mask) {
+        uint64_t slot = t->slots[i];
+        if (slot == 0)
+            return &t->slots[i];
+        int64_t id = (int64_t)(slot & 0xffffffffULL) - 1;
+        if ((slot & ~0xffffffffULL) == tag && t->name_at[id + 1] - 1 - t->name_at[id] == len
+            && memcmp(t->names + t->name_at[id], s, (size_t)len) == 0)
+            return &t->slots[i];
+    }
+}
+
+/* Grow the block to hold cap slots (the text scratch keeps its bytes) and
+ * put every name back. Returns 0, or MOVE_PASS_NO_MEMORY with the old block
+ * still in place. */
+static int64_t resize_table(struct name_table *t, int64_t cap)
+{
+    char *block = realloc(t->block, t->work + (size_t)cap * sizeof(uint64_t));
+    if (block == NULL)
+        return MOVE_PASS_NO_MEMORY;
+    t->block = block;
+    t->slots = (uint64_t *)(block + t->work);
+    t->cap = cap;
+    memset(t->slots, 0, (size_t)cap * sizeof(uint64_t));
+    for (int64_t id = 0; id < t->count; id++) {
+        const char *s = t->names + t->name_at[id];
+        int64_t len = t->name_at[id + 1] - 1 - t->name_at[id];
+        uint64_t h = name_hash(s, len);
+        *find_slot(t, s, len, h) = (h >> 32 << 32) | (uint64_t)(id + 1);
+    }
+    return 0;
+}
+
+/* The code of the name s (len bytes, name_hash h), a new one if it is new: it is
+ * then copied to the names, and the table doubles once it is half full. s is
+ * read before the table grows, so it may point into the text scratch, which
+ * then moves. Returns the code, or MOVE_PASS_NO_MEMORY. */
+static int64_t code_name(struct name_table *t, const char *s, int64_t len, uint64_t h)
+{
+    uint64_t *slot = find_slot(t, s, len, h);
+    if (*slot != 0)
+        return (int64_t)(*slot & 0xffffffffULL) - 1;
+    int64_t id = t->count++;
+    char *name = t->names + t->name_at[id];
+    memcpy(name, s, (size_t)len);
+    name[len] = ' ';
+    t->name_at[id + 1] = t->name_at[id] + len + 1;
+    *slot = (h >> 32 << 32) | (uint64_t)(id + 1);
+    if (2 * t->count > t->cap && resize_table(t, 2 * t->cap) != 0)
+        return MOVE_PASS_NO_MEMORY;
+    return id;
+}
+
+/* room for 4,096 names before the first growth; a batch of 1,024 posts from
+ * bench/corpus.py's generator holds about 2,200 */
+#define FIRST_SLOTS 8192
+
+/* The tokens of a batch of ntexts texts, coded by first appearance.
+ *
+ * Text i is text[at[i]..at[i + 1]). When split[i] is 0 it is ASCII and gets
+ * mvmc.ingest.preprocess_text: the URL, hashtag, mention and retweet passes
+ * in that order (see match_at and strip_markup), then the runs of
+ * [A-Za-z0-9], lowercased. When split[i] is not 0 it already holds its
+ * tokens, separated by spaces, and is only split on spaces.
+ *
+ * Outputs: codes receives every token's code, text after text, a code being
+ * the token's rank among the batch's distinct tokens by first appearance;
+ * counts (ntexts) each text's number of tokens; names the distinct tokens,
+ * each followed by a space, token t starting at byte name_at[t], and
+ * name_at[*n_names] is the names' length. A text of L bytes holds at most
+ * (L + 1) / 2 tokens of at most L + 1 bytes with their spaces, so codes and
+ * name_at - 1 need (length + ntexts) / 2 slots and names length + ntexts
+ * bytes. 32-bit codes limit a batch to 2**31 - 1 tokens.
+ *
+ * Returns the number of tokens, or MOVE_PASS_BAD_INDEX when nflags is not
+ * ntexts, the offsets fall or do not run from 0 to length, or the batch could
+ * hold too many tokens, with the outputs untouched; or MOVE_PASS_NO_MEMORY
+ * if scratch allocation fails.
+ */
+int64_t code_texts(
+    int64_t ntexts,
+    const char *text,
+    int64_t length,
+    const int64_t *at,
+    const uint8_t *split,
+    int64_t nflags,
+    int32_t *codes,
+    int32_t *counts,
+    char *names,
+    int64_t *name_at,
+    int64_t *n_names)
+{
+    if (ntexts < 0 || nflags != ntexts || at[0] != 0 || at[ntexts] != length
+        || (length + ntexts) / 2 > INT32_MAX)
+        return MOVE_PASS_BAD_INDEX;
+    int64_t longest = 0;
+    for (int64_t i = 0; i < ntexts; i++) {
+        if (at[i] > at[i + 1])
+            return MOVE_PASS_BAD_INDEX;
+        if (split[i] == 0 && at[i + 1] - at[i] > longest)
+            longest = at[i + 1] - at[i];
+    }
+    struct name_table t = {NULL, ((size_t)longest + 7) / 8 * 8, NULL, 0, 0, names, name_at};
+    name_at[0] = 0;
+    if (resize_table(&t, FIRST_SLOTS) != 0)
+        return MOVE_PASS_NO_MEMORY;
+
+    int64_t total = 0;
+    for (int64_t i = 0; i < ntexts; i++) {
+        int64_t n = at[i + 1] - at[i], before = total;
+        if (split[i] == 0) {
+            memcpy(t.block, text + at[i], (size_t)n);
+            for (enum markup kind = URL; kind <= RETWEET; kind++)
+                n = strip_markup(kind, t.block, n);
+        }
+        for (int64_t r = 0; r < n;) {
+            int64_t start = r;
+            uint64_t h = FNV_OFFSET;
+            const char *s;
+            if (split[i]) {
+                s = text + at[i];
+                for (; r < n && s[r] != ' '; r++)
+                    h = (h ^ (unsigned char)s[r]) * FNV_PRIME;
+            } else {
+                char *work = t.block;  /* it moves when the table grows */
+                for (; r < n && is_alnum((unsigned char)work[r]); r++) {
+                    if (work[r] >= 'A')
+                        work[r] |= 0x20;  /* a letter, lowercased */
+                    h = (h ^ (unsigned char)work[r]) * FNV_PRIME;
+                }
+                s = work;
+            }
+            if (r == start) {
+                r++;  /* a separator */
+                continue;
+            }
+            int64_t code = code_name(&t, s + start, r - start, h);
+            if (code < 0) {
+                free(t.block);
+                return code;
+            }
+            codes[total++] = (int32_t)code;
+        }
+        counts[i] = (int32_t)(total - before);
+    }
+    free(t.block);
+    *n_names = t.count;
+    return total;
 }

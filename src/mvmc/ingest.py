@@ -2,7 +2,9 @@
 
 Views per day: accompanying text tokens, posting users, co-occurring URLs,
 and hashtag co-occurrence. Hashtags used in fewer than 3 distinct posts are
-dropped; hashtag matching is case-sensitive.
+dropped; hashtag matching is case-sensitive. Posts are coded as they are
+read, their texts in batches of `TEXT_BATCH` by `_kernels.code_texts`, which
+gives each text the tokens of `preprocess_text`.
 """
 from __future__ import annotations
 
@@ -11,13 +13,18 @@ import re
 from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
+from itertools import groupby
 from urllib.parse import urlparse
 
 import numpy as np
 
+from . import _kernels
 from .views import _SEPARATOR_RE, ViewMatrix
 
 MIN_POSTS_PER_HASHTAG = 3
+# posts whose texts are coded in one call: larger batches read a little
+# faster but raise the reader's peak memory
+TEXT_BATCH = 1024
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _HASHTAG_RE = re.compile(r"#\S+")
@@ -228,9 +235,9 @@ class CorpusDay:
     def __len__(self) -> int:
         return len(self.user)
 
-    def add(self, post_id, user_id, text, hashtags, urls) -> None:
-        """Code one post; a hashtag repeated in it counts once, and its text
-        is kept only as its `preprocess_text` tokens."""
+    def add(self, post_id, user_id, hashtags, urls) -> None:
+        """Code one post but its text; a hashtag repeated in it counts once.
+        `_add_texts` appends the text's tokens later, in the same post order."""
         corpus = self.corpus
         self.post_id.append(self.ids.setdefault(post_id, len(self.ids)))
         self.user.append(corpus.users[user_id])
@@ -240,21 +247,43 @@ class CorpusDay:
         self.n_tags.append(len(tags))
         self.urls.extend(map(corpus.urls.__getitem__, urls))
         self.n_urls.append(len(urls))
-        tokens = preprocess_text(text)
-        self.tokens.extend(map(corpus.tokens.__getitem__, tokens))
-        self.n_tokens.append(len(tokens))
+
+
+def _add_texts(corpus: PostCorpus, days: list, texts: list) -> None:
+    """Code the texts of a batch of posts in read order, the post of
+    texts[i] being on days[i]: the batch's names take their corpus codes in
+    first-appearance order, so new tokens get the next codes as a post by
+    post coding would give them."""
+    codes, counts, names = _kernels.code_texts(texts)
+    codes = np.fromiter(map(corpus.tokens.__getitem__, names), np.int32, len(names)).take(codes)
+    ends = np.cumsum(counts).tolist()
+    post = token = 0
+    for day, run in groupby(days):  # runs of consecutive posts of one day
+        last = post + len(list(run))
+        day.tokens.frombytes(codes[token:ends[last - 1]].tobytes())
+        day.n_tokens.frombytes(counts[post:last].tobytes())
+        post, token = last, ends[last - 1]
 
 
 def group_by_day(records) -> dict[date, CorpusDay]:
     """Checked record tuples (from `parse_json_record` or `parse_tsv_record`)
-    coded into one `PostCorpus`, as one `CorpusDay` per date in date order."""
+    coded into one `PostCorpus`, as one `CorpusDay` per date in date order.
+    Each post is coded as it comes, but its text waits in a queue that
+    `_add_texts` codes every `TEXT_BATCH` posts and at the end."""
     corpus = PostCorpus()
     days: dict[date, CorpusDay] = {}
+    queued, texts = [], []
     for post_id, timestamp, user_id, text, hashtags, urls in records:
         day = days.get(timestamp.date())
         if day is None:
             day = days[timestamp.date()] = CorpusDay(corpus)
-        day.add(post_id, user_id, text, hashtags, urls)
+        day.add(post_id, user_id, hashtags, urls)
+        queued.append(day)
+        texts.append(text)
+        if len(texts) == TEXT_BATCH:
+            _add_texts(corpus, queued, texts)
+            queued, texts = [], []
+    _add_texts(corpus, queued, texts)
     return dict(sorted(days.items()))
 
 

@@ -375,6 +375,31 @@ def brute_record(post_id, timestamp, user_id, text, hashtags, urls) -> tuple:
     return str(post_id), utc, user, str(text), tuple(hashtags), tuple(kept_urls)
 
 
+def brute_group_by_day(records):
+    """The posts of record tuples (post_id, timestamp, user_id, text,
+    hashtags, urls) coded one at a time, text included, in read order, as
+    `ingest.group_by_day` codes them: ({date: {field: list}}, {table: names})
+    in date order. The fields are those of a `CorpusDay` (post ids coded
+    within the day); the tables users, hashtags, urls and tokens are shared
+    by the days, each new name taking the next code."""
+    tables = {"users": {}, "hashtags": {}, "urls": {}, "tokens": {}}
+
+    def code(table, names):
+        return [tables[table].setdefault(name, len(tables[table])) for name in names]
+
+    days, ids = {}, {}  # each day's fields, and its post id codes
+    for post_id, timestamp, user_id, text, hashtags, urls in records:
+        day, day_ids = days.setdefault(timestamp.date(), {}), ids.setdefault(timestamp.date(), {})
+        tags, tokens = list(dict.fromkeys(hashtags)), brute_preprocess_text(text)
+        for field, values in (("post_id", [day_ids.setdefault(post_id, len(day_ids))]),
+                              ("user", code("users", [user_id])),
+                              ("tags", code("hashtags", tags)), ("n_tags", [len(tags)]),
+                              ("urls", code("urls", urls)), ("n_urls", [len(urls)]),
+                              ("tokens", code("tokens", tokens)), ("n_tokens", [len(tokens)])):
+            day.setdefault(field, []).extend(values)
+    return dict(sorted(days.items())), {table: list(names) for table, names in tables.items()}
+
+
 def brute_host(url):
     """A URL's host; the URL itself when it has none or urlparse rejects it."""
     try:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import mvmc
-from mvmc import cli, compare, ingest
+from mvmc import _kernels, cli, compare
 from mvmc.cli import main
 from mvmc.compare import (
     DUMMY_LABEL,
@@ -484,17 +485,19 @@ def test_pipeline_tokenises_each_post_once(tmp_path, runner, corpus, monkeypatch
                      "health masks vaccine", "user_a1") for i in range(2, 6)]
     )
     posts_text = corpus.read_text() + churn
-    calls = []
-    tokenise = ingest.preprocess_text
-
-    def counting(text):
-        calls.append(text)
-        return tokenise(text)
-
-    monkeypatch.setattr(ingest, "preprocess_text", counting)
-    result, out = run_pipeline_on(tmp_path, runner, "churn", posts_text)
-    assert result.exit_code == 0, result.output
-    assert len(calls) == len(posts_text.splitlines())
+    # each text reaches the batch coder once, with the bound coder (the
+    # compiled one, when it loaded) and with its Python reference alike
+    outputs = []
+    for name, coder in (("churn", _kernels.code_texts), ("reference", _kernels._code_texts)):
+        calls = []
+        monkeypatch.setattr(_kernels, "code_texts",
+                            lambda texts, coder=coder: calls.extend(texts) or coder(texts))
+        result, out = run_pipeline_on(tmp_path, runner, name, posts_text)
+        assert result.exit_code == 0, result.output
+        assert len(calls) == len(posts_text.splitlines())
+        outputs.append(tree_bytes(out))
+    assert outputs[1] == outputs[0]
+    out = tmp_path / "churn"
 
     meta_rows = (out / "meta_clusters.tsv").read_text().splitlines()
     meta = dict(line.split("\t") for line in meta_rows)
@@ -513,6 +516,40 @@ def test_pipeline_tokenises_each_post_once(tmp_path, runner, corpus, monkeypatch
     invoke_ok(runner, "analyze", period_posts, out / "consensus" / f"period_{label}.tsv", analyzed)
     for name in ("clusters.tsv", "hashtags.tsv", "tokens.tsv"):
         assert (analyzed / name).read_bytes() == (reports / f"period_{label}_{name}").read_bytes()
+
+
+def load_bench_corpus():
+    """bench/corpus.py, the benchmark's corpus generator, loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_pipeline_recovers_the_planted_periods_without_churn(tmp_path, runner, seed):
+    """With no hashtag churn the meta-clusters are exactly the generator's
+    planted periods: 9 days in 3 periods, 4 groups of 8 hashtags."""
+    corpus = load_bench_corpus()
+    spec = corpus.CorpusSpec(groups=4, tags_per_group=8, days=9, posts_per_day=150,
+                             words_per_post=20, churn=0.0, periods=3)
+    posts, _truth = corpus.generate(spec, seed)
+    corpus.write_jsonl(posts, tmp_path / "posts.jsonl")
+    (tmp_path / "run.yaml").write_text(f"input: {tmp_path / 'posts.jsonl'}\n"
+                                       f"output_dir: {tmp_path / 'out'}\n"
+                                       "meta_k: 3\nmin_cluster_size: 3\n")
+    invoke_ok(runner, "pipeline", tmp_path / "run.yaml")
+    meta = dict(line.split("\t") for line in
+                (tmp_path / "out" / "meta_clusters.tsv").read_text().splitlines())
+    planted = {corpus.day_label(day): day * spec.periods // spec.days for day in range(spec.days)}
+    assert meta.keys() == planted.keys()
+
+    def groups(labels):
+        return {frozenset(d for d in labels if labels[d] == label) for label in labels.values()}
+
+    assert groups(meta) == groups(planted)
 
 
 def test_pipeline_calls_every_benchmark_hook(tmp_path, runner, corpus, monkeypatch):
@@ -1058,7 +1095,8 @@ print("scipy.sparse" in loaded())
 @pytest.mark.skipif(mvmc._kernels.BACKEND != "c", reason="the compiled kernel did not load")
 def test_pipeline_without_a_compiler_writes_the_compiled_bytes(tmp_path, runner, corpus):
     """A run with no compiler on PATH and an empty build cache uses the Python
-    references, and every artifact it writes is the compiled run's."""
+    references, the text coder's included, and every artifact it writes is
+    the compiled run's."""
     for backend in ("c", "python"):
         (tmp_path / f"{backend}.yaml").write_text(
             f"input: {corpus}\noutput_dir: {tmp_path / backend}\nmeta_k: 2\n")
@@ -1068,11 +1106,12 @@ def test_pipeline_without_a_compiler_writes_the_compiled_bytes(tmp_path, runner,
            "PATH": str(tmp_path / "bin"), "XDG_CACHE_HOME": str(tmp_path / "cache")}
     proc = subprocess.run(
         [sys.executable, "-c", "from mvmc import _kernels; from mvmc.cli import main;"
-         " print(_kernels.BACKEND); main()", "pipeline", str(tmp_path / "python.yaml")],
+         " print(_kernels.BACKEND, _kernels.code_texts is _kernels._code_texts); main()",
+         "pipeline", str(tmp_path / "python.yaml")],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "python"
+    assert proc.stdout.splitlines()[0] == "python True"
     compiled = tree_bytes(tmp_path / "c")
     assert "reports/period_0_tokens.tsv" in compiled
     assert tree_bytes(tmp_path / "python") == compiled

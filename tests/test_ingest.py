@@ -4,11 +4,12 @@ from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
-from oracles import brute_daily_views, brute_preprocess_text, brute_record
+from oracles import brute_daily_views, brute_group_by_day, brute_preprocess_text, brute_record
 
-from mvmc import build_daily_views, preprocess_text
+from mvmc import _kernels, build_daily_views, preprocess_text
 from mvmc.ingest import (
     MIN_POSTS_PER_HASHTAG,
+    TEXT_BATCH,
     RecordError,
     VIEW_NAMES,
     CorpusDay,
@@ -601,3 +602,150 @@ def test_read_days_match_the_record_adapter_and_the_oracle(tmp_path, suffix):
             not any(p.urls for p in day_posts) for day_posts in records.values())
         cases[url_mode] += 1
     assert len(cases) == 8 and min(cases.values()) > 0, cases
+
+
+requires_c = pytest.mark.skipif(
+    _kernels.BACKEND != "c", reason="the compiled kernel did not load (no C compiler?)"
+)
+
+# pieces of text rich in the markers of preprocess_text's four passes
+MARKUP = ["#tag", "@who_1", "RT", "www.x.y", "http://z", "https://q/r", "awww.x", "@uhttp://x"]
+ASCII_PIECES = MARKUP + [
+    "http://", "https:", "https://", "www.", "#", "@", "_", "\x00", *map(chr, range(9, 14)),
+    *map(chr, range(28, 32)), "\x7f", " ", " ", ".", ",", "!", ":", "/", "'", "a", "Zq", "9",
+    "rt", "R", "T", "h", "w", "Stay",
+]
+PIECES = {"ascii": ASCII_PIECES, "mixed": ASCII_PIECES + ["Σ", "é", "ΣΑΣ", "İ", "\u3000"],
+          "markup": MARKUP + [" "]}
+
+
+def text_batches(rng, total):
+    """Batches of 1-400 texts of 0-14 pieces, (kind, texts), until `total`
+    texts: all-ASCII batches, batches that mix in non-ASCII pieces, and
+    batches of markup alone."""
+    while total > 0:
+        kind = ("ascii", "mixed", "markup")[int(rng.integers(3))]
+        pool = PIECES[kind]
+        texts = ["".join(pool[i] for i in rng.integers(len(pool), size=rng.integers(15)))
+                 for _ in range(min(total, int(rng.integers(1, 401))))]
+        total -= len(texts)
+        yield kind, texts
+
+
+def test_code_texts_match_the_references():
+    """The bound text coder (the compiled one, when it loaded) gives what its
+    Python reference gives, code for code, and the tokens of each text are
+    `brute_preprocess_text`'s, on 100,000 seeded texts."""
+    rng = np.random.default_rng(29)
+    seen, count = Counter(), 0
+    for kind, texts in text_batches(rng, 100_000):
+        (codes, counts, names), want = _kernels.code_texts(texts), _kernels._code_texts(texts)
+        assert codes.dtype == counts.dtype == np.int32
+        assert codes.tolist() == want[0].tolist() and counts.tolist() == want[1].tolist()
+        assert names == want[2]
+        ends = np.cumsum(counts)
+        tokens = [[names[c] for c in codes[lo:hi]] for lo, hi in zip(ends - counts, ends)]
+        assert tokens == [brute_preprocess_text(t) for t in texts], kind
+        count += len(texts)
+        seen[kind] += 1
+        seen["empty text"] += "" in texts
+        seen["markup only"] += any(t and not tok for t, tok in zip(texts, tokens))
+        seen["non-ASCII token"] += any(not name.isascii() for name in names)
+    assert count == 100_000
+    assert len(seen) == 6 and min(seen.values()) > 0, seen
+
+
+def coder_args():
+    """code_text_buffer inputs, as a list: the text of three texts (the
+    second empty), their offsets and flags."""
+    text = b"RT @a: Stay home #x"
+    return [text, np.array([0, 11, 11, len(text)]), np.zeros(3, np.uint8)]
+
+
+def with_entry(position, value):
+    def spoil(a):
+        a = a.copy()
+        a[position] = value
+        return a
+    return spoil
+
+
+BAD_CODER_ARGUMENTS = {
+    "an offset that falls": (1, with_entry(2, 5)),
+    "offsets not from 0": (1, with_entry(0, 1)),
+    "offsets past the text": (1, with_entry(-1, 20)),
+    "offsets short of the text": (1, with_entry(-1, 18)),
+    "no offsets": (1, lambda a: a[:0]),
+    "flags one short": (2, lambda a: a[:-1]),
+    "flags one too many": (2, lambda a: np.append(a, a[:1])),
+    "offsets as float": (1, lambda a: a.astype(float)),
+    "text as str": (0, bytes.decode),
+}
+
+
+@requires_c
+@pytest.mark.parametrize("case", sorted(BAD_CODER_ARGUMENTS))
+def test_c_code_text_buffer_rejects_bad_arguments(case):
+    position, spoil = BAD_CODER_ARGUMENTS[case]
+    args = coder_args()
+    args[position] = spoil(args[position])
+    with pytest.raises(ValueError):
+        _kernels.code_text_buffer(*args)
+
+
+@requires_c
+def test_c_code_text_buffer_splits_flagged_texts_on_spaces_only():
+    text, offsets, flags = coder_args()
+    tokens = " ".join(["σασ", "x_y", "#z", "stay"]).encode()
+    codes, counts, names, name_at = _kernels.code_text_buffer(
+        text + tokens, np.append(offsets, len(text + tokens)), np.array([0, 0, 0, 1], np.uint8))
+    # "RT @a: Stay", "", " home #x" and the flagged tokens
+    assert codes.tolist() == [0, 1, 2, 3, 4, 0] and counts.tolist() == [1, 0, 1, 4]
+    assert names == "stay home σασ x_y #z ".encode()
+    assert name_at.tolist() == [0, 5, 10, 17, 21, 24]
+
+
+def test_read_posts_codes_text_batches_as_post_by_post(tmp_path):
+    """More than two batches of posts on interleaved dates, with ASCII and
+    non-ASCII texts, tokens that recur across batches and malformed lines,
+    one of them on a batch boundary: every day's arrays and the four name
+    tables are those of coding post by post, and the warnings come in line
+    order."""
+    rng = np.random.default_rng(31)
+    words = ["stay", "Home", "masks", "RT", "#x", "@who", "www.a.b", "ΣΑΣ", "café", "N°5", "42"]
+    bad = {TEXT_BATCH: "{not json", TEXT_BATCH + 7: '{"post_id": "p", "timestamp": 5}',
+           2 * TEXT_BATCH + 40: ""}
+    lines = []
+    for i in range(2 * TEXT_BATCH + 300):
+        text = " ".join(words[j] for j in rng.integers(len(words), size=rng.integers(6)))
+        if i % 97 == 0:
+            text += f" only{i // 97}"  # a token new to its batch ...
+        if i % 500 == 3:
+            text += " only0"  # ... and one that recurs batches later
+        lines.append(record_line(post(
+            f"p{rng.integers(3000)}", [f"#t{rng.integers(40)}"], text=text,
+            user=f"u{rng.integers(50)}", urls=[f"http://u/{rng.integers(9)}"],
+            hour=int(rng.integers(24)))._replace(
+                timestamp=datetime(2020, 3, int(rng.integers(1, 4)), tzinfo=timezone.utc)),
+            ".jsonl"))
+    for at, line in sorted(bad.items()):
+        lines.insert(at, line + "\n")
+    path = tmp_path / "posts.jsonl"
+    path.write_text("".join(lines))
+
+    warnings = []
+    days = read_posts(path, on_error=lambda lineno, message: warnings.append(lineno))
+    assert warnings == [at + 1 for at in sorted(bad) if bad[at]]  # a blank line is skipped
+    records = []
+    for line in lines:
+        try:
+            records.append(parse_json_record(line))
+        except (RecordError, json.JSONDecodeError):
+            pass
+    want_days, want_tables = brute_group_by_day(records)
+    assert len(records) > 2 * TEXT_BATCH and list(days) == list(want_days)
+    for day, want in zip(days.values(), want_days.values()):
+        assert {field: getattr(day, field).tolist() for field in want} == want
+    corpus = next(iter(days.values())).corpus
+    assert {table: getattr(corpus, table).names for table in want_tables} == want_tables
+    assert not all(name.isascii() for name in want_tables["tokens"])

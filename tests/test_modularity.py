@@ -857,6 +857,15 @@ for counts, _k in views + [(sparse.csr_matrix([[0.1 + 0.2, 5e-324], [1e16, 0.0]]
     args = (counts.indptr, counts.indices, counts.data, ("r0 é", "r1", "r2", "r3")[:rows],
             tuple(f"c{j}😀" for j in range(cols)))
     assert _kernels.triplet_bytes(*args) == _kernels._triplet_bytes(*args), counts.shape
+
+# text batches: none, empty texts, 20,000 distinct names in one text and
+# across texts (the name table grows from 8,192 slots to 65,536), markup,
+# and ASCII next to non-ASCII
+words = [f"w{i}x" for i in range(20000)]
+for texts in ([], ["", ""], [" ".join(words)], words, [" ".join(words[::-1])] * 2,
+              ["RT @a: #b www.c.d http://e RT", "Σ café", "awww.x @uhttp://x", "\\x00\\x7f"]):
+    got, want = _kernels.code_texts(texts), _kernels._code_texts(texts)
+    assert [a.tolist() for a in got[:2]] == [a.tolist() for a in want[:2]] and got[2] == want[2]
 print("ok")
 """
 
@@ -864,8 +873,9 @@ print("ok")
 @requires_c
 @pytest.mark.parametrize("perturb", ["165", "63"])
 def test_compiled_scratch_is_written_before_it_is_read(perturb):
-    """The compiled routines against their Python references at the sizes
-    their carved scratch must handle, in a process where glibc fills each
+    """The compiled routines (the text coder's growing name table included)
+    against their Python references at the sizes their carved scratch must
+    handle, in a process where glibc fills each
     allocation with a non-zero byte (MALLOC_PERTURB_), so a scratch slot read
     before it is written shows up. A restart whose link or dwork slots start
     non-zero can loop forever, hence the timeout.
@@ -971,19 +981,25 @@ def run_without_compiler(tmp_path, code):
     ).stdout.splitlines()
 
 
+# texts for the text coder: markup, an empty text, non-ASCII tokens
+TEXTS = ["RT @who: Stay home #covid https://x.co now!", "", "ΣΑΣ café home", "awww.x now"]
+
+
 def test_without_compiler_falls_back_to_python(tmp_path):
-    """Without a compiler a partition is the one this process finds, and
-    nothing is built or cached."""
+    """Without a compiler a partition and a batch's text codes are the ones
+    this process finds, and nothing is built or cached."""
     code = (
         "from mvmc import _kernels, maximize;"
         "from mvmc.synth import planted_partition_views;"
         "g, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5);"
-        "print(_kernels.BACKEND, *maximize(g, seed=1).labels)"
+        "print(_kernels.BACKEND, *maximize(g, seed=1).labels);"
+        f"print(*_kernels.code_texts({TEXTS!r})[0])"
     )
-    out = run_without_compiler(tmp_path, code)[0].split()
-    assert out[0] == "python"
+    out = run_without_compiler(tmp_path, code)
+    assert out[0].split()[0] == "python"
     graphs, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5)
-    assert [int(x) for x in out[1:]] == maximize(graphs, seed=1).labels.tolist()
+    assert [int(x) for x in out[0].split()[1:]] == maximize(graphs, seed=1).labels.tolist()
+    assert [int(x) for x in out[1].split()] == _kernels.code_texts(TEXTS)[0].tolist()
     assert list(tmp_path.iterdir()) == [tmp_path / "bin"]
 
 
@@ -994,23 +1010,26 @@ from mvmc import ViewGraph, ViewMatrix, _kernels, knn_graph, maximize, modularit
 print(_kernels.BACKEND, _kernels.move_pass is _kernels._move_pass,
       _kernels.aggregate is _kernels._aggregate, _kernels.knn_edges is _kernels._knn_edges,
       _kernels.combined_graph is _kernels._combined_graph, _kernels.run_restarts,
-      _kernels.run_seeded, _kernels.draw_order, modularity.run_restarts is modularity._restarts)
+      _kernels.run_seeded, _kernels.draw_order, modularity.run_restarts is modularity._restarts,
+      _kernels.code_texts is _kernels._code_texts, _kernels.code_text_buffer)
 g = ViewGraph.from_edges(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
 print(maximize([g], seed=0).n_clusters)
 m = ViewMatrix.from_matrix(sparse.csr_matrix([[1., 0.], [1., 0.], [0., 1.]]),
                            ("a", "b", "c"), ("x", "y"))
 print(knn_graph(m, k=1).edge_count)
+codes, counts, names = _kernels.code_texts(["RT @who: Stay HOME #x", "", "home ΣΑΣ"])
+print(codes.tolist(), counts.tolist(), names)
 """
 
 
 def test_env_flag_selects_fallback(tmp_path):
     """An environment with no compiler on PATH selects the fallback: every
     kernel is its Python reference, and the Python routes still cluster two
-    triangles apart and build a one-edge k-NN graph."""
+    triangles apart, build a one-edge k-NN graph and code a batch of texts."""
     out = run_without_compiler(tmp_path, FALLBACK_CHECK)
     assert out[0].split() == ["python", "True", "True", "True", "True", "None", "None", "None",
-                              "True"]
-    assert out[1:] == ["2", "1"]
+                              "True", "True", "None"]
+    assert out[1:] == ["2", "1", "[0, 1, 1, 2] [2, 0, 2] ['stay', 'home', 'σασ']"]
 
 
 @requires_c
