@@ -875,9 +875,9 @@ print("ok")
 def test_compiled_scratch_is_written_before_it_is_read(perturb):
     """The compiled routines (the text coder's growing name table included)
     against their Python references at the sizes their carved scratch must
-    handle, in a process where glibc fills each
-    allocation with a non-zero byte (MALLOC_PERTURB_), so a scratch slot read
-    before it is written shows up. A restart whose link or dwork slots start
+    handle, in a process where glibc fills each allocation with a non-zero
+    byte (MALLOC_PERTURB_), so a scratch slot read before it is written
+    shows up. A restart whose link or dwork slots start
     non-zero can loop forever, hence the timeout.
 
     glibc fills fresh memory with the byte's complement and freed memory
