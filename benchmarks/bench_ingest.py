@@ -7,7 +7,11 @@ Usage: PYTHONPATH=src python3 benchmarks/bench_ingest.py [--repeat 3] [--posts 1
 Builds one day with the generator of `bench/corpus.py` (50 groups x 40
 hashtags, `--posts` posts of 20 words, seed 7), writes it as a .jsonl file and
 times, best of `--repeat`: `read_posts` on that file, which codes each post
-as it reads it, and `build_daily_views` on the coded day. Then it parses
+as it reads it, and `build_daily_views` on the coded day. It times
+`read_posts` with `_kernels.read_records` (the compiled reader, when it
+loaded) against the per-line reference, on that file and on a copy with a
+`\\u` escape in every other line's text, the lines the compiled reader
+declines. Then it parses
 the file into record tuples with `parse_json_record` and times
 `preprocess_text` against the per-character reference
 `brute_preprocess_text`, and the views against the dict-of-tuples reference
@@ -22,7 +26,8 @@ times `tfidf`, and `knn_graph` on the weighted view with `_kernels.knn_edges`
 reference `_kernels._knn_edges`, and `write_triplets` of the view with
 `_kernels.triplet_bytes` (the compiled formatter, when it loaded) against
 the same call with the f-string reference `_kernels._triplet_bytes`. It
-checks that each pair agrees token for token, code for code, entry for
+checks that each pair agrees day array for day array, token for token,
+code for code, entry for
 entry, count for count, edge for edge and byte for byte, and prints one
 JSON line with the times, the peak RSS of the process, the kernel backend,
 the CPU count and the Python/numpy/scipy versions.
@@ -124,6 +129,48 @@ def report_tables(posts, views, groups, repeat):
     }
 
 
+def escape_every_other_text(path, out):
+    """Writes path's lines to out, every other one with its text's first
+    character as a \\u escape: the same posts, half of them on lines that
+    the compiled reader declines."""
+    with open(path, encoding="utf-8") as fh, open(out, "w", encoding="utf-8") as dst:
+        for i, line in enumerate(fh):
+            head, quote, text = line.partition('"text": "')
+            if i % 2 and text[:1] not in ("", '"'):
+                line = f"{head}{quote}\\u{ord(text[0]):04x}{text[1:]}"
+            dst.write(line)
+
+
+def day_state(days):
+    """Every day's arrays and post ids, and the four name tables."""
+    fields = ("post_id", "user", "tags", "n_tags", "urls", "n_urls", "tokens", "n_tokens")
+    corpus = next(iter(days.values())).corpus
+    return ({day: (dict(posts.ids), [getattr(posts, f).tolist() for f in fields])
+             for day, posts in days.items()},
+            [table.names for table in (corpus.users, corpus.hashtags, corpus.urls, corpus.tokens)])
+
+
+def records_layer(path, repeat):
+    """`read_posts` with the bound `_kernels.read_records` and with the
+    per-line reader, which `read_posts` takes when it is None, on the day and
+    on its copy by `escape_every_other_text`; `records_agree` compares every
+    day's arrays and the name tables. Returns the times and the days read."""
+    escaped = path.with_name("escaped.jsonl")
+    escape_every_other_text(path, escaped)
+    bound, times, states, first = _kernels.read_records, {}, [], None
+    for name, source in (("", path), ("escaped_", escaped)):
+        times[f"{name}read_posts_s"], days = best_time(lambda: read_posts(source), repeat)
+        _kernels.read_records = None
+        try:
+            times[f"reference_{name}read_posts_s"], reference = best_time(
+                lambda: read_posts(source), repeat)
+        finally:
+            _kernels.read_records = bound
+        states += [day_state(days), day_state(reference)]
+        first = first or days
+    return {**times, "records_agree": all(state == states[0] for state in states)}, first
+
+
 def text_codes(texts, repeat):
     """The texts coded in `TEXT_BATCH` batches by the bound
     `_kernels.code_texts` and by its reference; `text_codes_agree` compares
@@ -202,7 +249,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "day.jsonl"
         groups = write_paper_day(path, args.posts)
-        read_s, days = best_time(lambda: read_posts(path), args.repeat)
+        records, days = records_layer(path, args.repeat)
         ((day, coded),) = days.items()
         views_s, views = best_time(lambda: build_daily_views(coded, day), args.repeat)
         with open(path, encoding="utf-8") as fh:
@@ -218,7 +265,7 @@ def main():
     print(json.dumps({
         "posts": len(posts),
         "hashtags": len(views.hashtags),
-        "read_posts_s": read_s,
+        **records,
         "build_daily_views_s": views_s,
         "preprocess_text_s": tok_s,
         "brute_preprocess_text_s": brute_tok_s,

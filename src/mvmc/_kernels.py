@@ -1,6 +1,7 @@
 """The compiled kernels: the sweep, the aggregation and whole restarts of the
 modularity maximizer, the graph its restarts share, the k-NN graph of a view,
-the text of a view's .triplets file and the token codes of posts' texts.
+the text of a view's .triplets file, the token codes of posts' texts and
+the coded records of .jsonl lines.
 
 `move_pass` runs one sweep of local moves and `aggregate` one level of graph
 aggregation. Each has a reference implementation here: `_move_pass` in plain
@@ -64,16 +65,21 @@ pass's output by one space, then the runs of [A-Za-z0-9], lowercased.
 joined by spaces, flagged to be split on spaces only, so the Unicode rules
 stay in Python; `code_text_buffer` is the checked call on one buffer.
 
+The eighth, `read_records`, parses and codes a batch of .jsonl lines; its
+reference is `ingest.read_posts` line by line. It declines every line that
+is not plain (see the C source), and a second call codes the batch in line
+order with the fields that `ingest.parse_json_record` gives those lines.
+
 At import the C source is built with the local C compiler into a per-user
 cache and loaded through ctypes; `move_pass`, `aggregate`, `combined_graph`,
 `knn_edges`, `triplet_bytes` and `code_texts` are then checked wrappers
 around it. With no `cc` or `gcc` on PATH, when the build or load fails, or
 when the draw differs, they are `_move_pass`, `_aggregate`,
 `_combined_graph`, `_knn_edges`, `_triplet_bytes` and `_code_texts`, and
-`run_restarts`, `run_seeded`, `draw_order`, `format_triplets` and
-`code_text_buffer` are None; no switch chooses. `BACKEND` names the
-implementation that runs: "c" or "python". benchmarks/bench_kernels.py and
-benchmarks/bench_ingest.py compare the two.
+`run_restarts`, `run_seeded`, `draw_order`, `format_triplets`,
+`code_text_buffer` and `read_records` are None; no switch chooses. `BACKEND`
+names the implementation that runs: "c" or "python".
+benchmarks/bench_kernels.py and benchmarks/bench_ingest.py compare the two.
 """
 from __future__ import annotations
 
@@ -378,9 +384,14 @@ def _build_library() -> Path | None:
         root = os.path.join(os.path.expanduser("~"), ".cache")
     directory = Path(root) / "mvmc"
     try:
-        source = SOURCE.read_bytes()
-        digest = hashlib.sha256(source + "\0".join(CFLAGS).encode()).hexdigest()
-        library = directory / f"move_pass-{digest}.so"
+        # hashed in pieces: reading the whole source at every import raises
+        # the import's peak memory with the source's size
+        digest = hashlib.sha256()
+        with open(SOURCE, "rb") as fh:
+            for piece in iter(functools.partial(fh.read, 8192), b""):
+                digest.update(piece)
+        digest.update("\0".join(CFLAGS).encode())
+        library = directory / f"move_pass-{digest.hexdigest()}.so"
         directory.mkdir(mode=0o700, parents=True, exist_ok=True)
         info = directory.stat()
         if info.st_uid != os.getuid() or info.st_mode & 0o022:
@@ -399,7 +410,7 @@ def _build_library() -> Path | None:
         try:
             subprocess.run(
                 [compiler, *CFLAGS, "-x", "c", "-", "-o", tmp],
-                input=source, capture_output=True, check=True, timeout=120,
+                input=SOURCE.read_bytes(), capture_output=True, check=True, timeout=120,
             )
             os.replace(tmp, library)
         finally:
@@ -424,6 +435,7 @@ def _load_c_kernels():
         drawer, restarter = compiled.draw_order, compiled.run_restarts
         combiner, neighbours = compiled.combined_graph, compiled.knn_edges
         formatter, coder = compiled.format_triplets, compiled.code_texts
+        reader = compiled.read_records
     except (OSError, AttributeError):
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -447,6 +459,8 @@ def _load_c_kernels():
                           ptr, i64]
     coder.restype = i64
     coder.argtypes = [i64, ctypes.c_char_p, i64, ptr, ptr, i64, *[ptr] * 4, ctypes.POINTER(i64)]
+    reader.restype = i64
+    reader.argtypes = [i64, ptr, i64, ptr, i64, ptr, i64, *[ptr] * 10, i64, ptr]
 
     def c_move_pass(
         indptr,
@@ -690,7 +704,7 @@ def _load_c_kernels():
         marks it as tokens joined by spaces. Returns (codes, counts, names,
         name_at): int32 codes by first appearance, text after text, each
         text's int32 token count, and the distinct names as bytes, each
-        followed by a space, name t starting at name_at[t]. Offsets that fall
+        followed by a space, name t starting at int32 name_at[t]. Offsets that fall
         or do not run from 0 to len(text), or flags not one per text, raise
         ValueError."""
         if not isinstance(text, bytes):
@@ -700,7 +714,7 @@ def _load_c_kernels():
         ntexts = len(offsets) - 1
         room = max(len(text) + ntexts, 0)  # see code_texts in the C source
         codes, counts = np.empty(room // 2, np.int32), np.empty(max(ntexts, 0), np.int32)
-        names, name_at = np.empty(room, np.uint8), np.empty(room // 2 + 1, np.int64)
+        names, name_at = np.empty(room, np.uint8), np.empty(room // 2 + 1, np.int32)
         n_names = i64()
         total = coder(ntexts, text, len(text), offsets.ctypes.data, flags.ctypes.data,
                       len(flags), *(a.ctypes.data for a in (codes, counts, names, name_at)),
@@ -736,7 +750,7 @@ def _load_c_kernels():
         return None
     return (c_move_pass, c_aggregate, c_draw_order, c_run_seeded, c_run_restarts,
             c_combined_graph, c_knn_edges, c_format_triplets, c_triplet_bytes,
-            c_code_text_buffer, c_code_texts)
+            c_code_text_buffer, c_code_texts, reader)
 
 
 def _draws_match(draw_order):
@@ -789,9 +803,11 @@ def _in_place(a, dtype, shape, name):
 
 move_pass, aggregate, combined_graph = _move_pass, _aggregate, _combined_graph
 knn_edges, triplet_bytes, code_texts = _knn_edges, _triplet_bytes, _code_texts
-draw_order = run_seeded = run_restarts = format_triplets = code_text_buffer = None  # compiled only
+# compiled only
+draw_order = run_seeded = run_restarts = format_triplets = code_text_buffer = read_records = None
 BACKEND = "python"
 _compiled = _load_c_kernels()
 if _compiled is not None:
     (move_pass, aggregate, draw_order, run_seeded, run_restarts, combined_graph, knn_edges,
-     format_triplets, triplet_bytes, code_text_buffer, code_texts), BACKEND = _compiled, "c"
+     format_triplets, triplet_bytes, code_text_buffer, code_texts, read_records) = _compiled
+    BACKEND = "c"

@@ -1189,16 +1189,21 @@ static int64_t strip_markup(enum markup kind, char *s, int64_t n)
 }
 
 /* A batch's name table: names[name_at[t]..name_at[t + 1] - 1] is name t,
- * followed by a space; slots is an open-addressing table (cap slots, a power
- * of two) of the names' ids + 1 under the hash's high 32 bits, 0 when empty.
- * The table sits in one scratch block behind `work` bytes of text scratch. */
+ * followed by the byte sep; slots is an open-addressing table (cap slots, a
+ * power of two) of the names' ids + 1 under the hash's high 32 bits, 0 when
+ * empty. Where keys is not NULL, name t also has the key keys[t], and names
+ * of equal bytes under two keys are two names; otherwise every key is 0. The
+ * table sits in one scratch block behind `work` bytes of text scratch: its
+ * own allocation when limit is 0, or the caller's, of limit bytes. */
 struct name_table {
     char *block;
-    size_t work;
+    size_t work, limit;
     uint64_t *slots;
     int64_t cap, count;
     char *names;
-    int64_t *name_at;
+    int32_t *name_at;
+    int32_t *keys;
+    char sep;
 };
 
 #define FNV_OFFSET 0xcbf29ce484222325ULL  /* 64-bit FNV-1a */
@@ -1212,9 +1217,16 @@ static uint64_t name_hash(const char *s, int64_t len)
     return h;
 }
 
-/* The slot that holds the name s (len bytes) of hash h, or the empty slot
- * where it belongs. */
-static uint64_t *find_slot(const struct name_table *t, const char *s, int64_t len, uint64_t h)
+/* The hash of a name: its bytes' name_hash h and its key. */
+static uint64_t keyed(uint64_t h, int32_t key)
+{
+    return (h ^ (uint32_t)key) * FNV_PRIME;
+}
+
+/* The slot that holds the name s (len bytes) under key, of keyed hash h, or
+ * the empty slot where it belongs. */
+static uint64_t *find_slot(const struct name_table *t, int32_t key, const char *s, int64_t len,
+                           uint64_t h)
 {
     uint64_t mask = (uint64_t)t->cap - 1, tag = h >> 32 << 32;
     for (uint64_t i = h & mask;; i = (i + 1) & mask) {
@@ -1222,7 +1234,8 @@ static uint64_t *find_slot(const struct name_table *t, const char *s, int64_t le
         if (slot == 0)
             return &t->slots[i];
         int64_t id = (int64_t)(slot & 0xffffffffULL) - 1;
-        if ((slot & ~0xffffffffULL) == tag && t->name_at[id + 1] - 1 - t->name_at[id] == len
+        if ((slot & ~0xffffffffULL) == tag && (t->keys == NULL || t->keys[id] == key)
+            && t->name_at[id + 1] - 1 - t->name_at[id] == len
             && memcmp(t->names + t->name_at[id], s, (size_t)len) == 0)
             return &t->slots[i];
     }
@@ -1233,40 +1246,93 @@ static uint64_t *find_slot(const struct name_table *t, const char *s, int64_t le
  * still in place. */
 static int64_t resize_table(struct name_table *t, int64_t cap)
 {
-    char *block = realloc(t->block, t->work + (size_t)cap * sizeof(uint64_t));
-    if (block == NULL)
+    size_t size = t->work + (size_t)cap * sizeof(uint64_t);
+    if (t->limit == 0) {
+        char *block = realloc(t->block, size);
+        if (block == NULL)
+            return MOVE_PASS_NO_MEMORY;
+        t->block = block;
+    } else if (size > t->limit) {
         return MOVE_PASS_NO_MEMORY;
-    t->block = block;
-    t->slots = (uint64_t *)(block + t->work);
+    }
+    t->slots = (uint64_t *)(t->block + t->work);
     t->cap = cap;
     memset(t->slots, 0, (size_t)cap * sizeof(uint64_t));
     for (int64_t id = 0; id < t->count; id++) {
         const char *s = t->names + t->name_at[id];
         int64_t len = t->name_at[id + 1] - 1 - t->name_at[id];
-        uint64_t h = name_hash(s, len);
-        *find_slot(t, s, len, h) = (h >> 32 << 32) | (uint64_t)(id + 1);
+        int32_t key = t->keys == NULL ? 0 : t->keys[id];
+        uint64_t h = keyed(name_hash(s, len), key);
+        *find_slot(t, key, s, len, h) = (h >> 32 << 32) | (uint64_t)(id + 1);
     }
     return 0;
 }
 
-/* The code of the name s (len bytes, name_hash h), a new one if it is new: it is
- * then copied to the names, and the table doubles once it is half full. s is
- * read before the table grows, so it may point into the text scratch, which
- * then moves. Returns the code, or MOVE_PASS_NO_MEMORY. */
-static int64_t code_name(struct name_table *t, const char *s, int64_t len, uint64_t h)
+/* The code of the name s (len bytes, name_hash h) under key, a new one if it
+ * is new: it is then copied to the names, and the table doubles once it is
+ * half full. s is read before the table grows, so it may point into the text
+ * scratch, which then moves. Returns the code, or MOVE_PASS_NO_MEMORY. */
+static int64_t code_name(struct name_table *t, int32_t key, const char *s, int64_t len, uint64_t h)
 {
-    uint64_t *slot = find_slot(t, s, len, h);
+    h = keyed(h, key);
+    uint64_t *slot = find_slot(t, key, s, len, h);
     if (*slot != 0)
         return (int64_t)(*slot & 0xffffffffULL) - 1;
     int64_t id = t->count++;
     char *name = t->names + t->name_at[id];
     memcpy(name, s, (size_t)len);
-    name[len] = ' ';
-    t->name_at[id + 1] = t->name_at[id] + len + 1;
+    name[len] = t->sep;
+    t->name_at[id + 1] = t->name_at[id] + (int32_t)len + 1;
+    if (t->keys != NULL)
+        t->keys[id] = key;
     *slot = (h >> 32 << 32) | (uint64_t)(id + 1);
     if (2 * t->count > t->cap && resize_table(t, 2 * t->cap) != 0)
         return MOVE_PASS_NO_MEMORY;
     return id;
+}
+
+/* The tokens of the text s (n bytes) coded under key into codes. When split
+ * is 0 the text is ASCII and gets mvmc.ingest.preprocess_text, worked on in
+ * the text scratch, which must hold n bytes: the URL, hashtag, mention and
+ * retweet passes in that order (see match_at and strip_markup), then the runs
+ * of [A-Za-z0-9], lowercased. Otherwise it already holds its tokens,
+ * separated by spaces, and is only split on spaces. Returns the number of
+ * tokens, or MOVE_PASS_NO_MEMORY. */
+static int64_t code_tokens(struct name_table *t, int32_t key, const char *s, int64_t n, int split,
+                           int32_t *codes)
+{
+    if (!split) {
+        memcpy(t->block, s, (size_t)n);
+        for (enum markup kind = URL; kind <= RETWEET; kind++)
+            n = strip_markup(kind, t->block, n);
+    }
+    int64_t count = 0;
+    for (int64_t r = 0; r < n;) {
+        int64_t start = r;
+        uint64_t h = FNV_OFFSET;
+        const char *token = s;
+        if (!split) {
+            char *work = t->block;  /* it moves when the table grows */
+            for (; r < n && is_alnum((unsigned char)work[r]); r++) {
+                if (work[r] >= 'A')
+                    work[r] |= 0x20;  /* a letter, lowercased */
+                h = (h ^ (unsigned char)work[r]) * FNV_PRIME;
+            }
+            token = work;
+        } else {
+            for (; r < n && s[r] != ' '; r++)
+                h = (h ^ (unsigned char)s[r]) * FNV_PRIME;
+        }
+        if (r == start) {
+            r++;  /* a separator */
+            continue;
+        }
+        int64_t code = code_name(t, key, token + start, r - start, h);
+        if (code < 0)
+            return code;
+        codes[count++] = (int32_t)code;
+    }
+    return count;
 }
 
 /* room for 4,096 names before the first growth; a batch of 1,024 posts from
@@ -1275,11 +1341,8 @@ static int64_t code_name(struct name_table *t, const char *s, int64_t len, uint6
 
 /* The tokens of a batch of ntexts texts, coded by first appearance.
  *
- * Text i is text[at[i]..at[i + 1]). When split[i] is 0 it is ASCII and gets
- * mvmc.ingest.preprocess_text: the URL, hashtag, mention and retweet passes
- * in that order (see match_at and strip_markup), then the runs of
- * [A-Za-z0-9], lowercased. When split[i] is not 0 it already holds its
- * tokens, separated by spaces, and is only split on spaces.
+ * Text i is text[at[i]..at[i + 1]), tokenised by code_tokens: as an ASCII
+ * text when split[i] is 0, and split on spaces only otherwise.
  *
  * Outputs: codes receives every token's code, text after text, a code being
  * the token's rank among the batch's distinct tokens by first appearance;
@@ -1288,12 +1351,12 @@ static int64_t code_name(struct name_table *t, const char *s, int64_t len, uint6
  * name_at[*n_names] is the names' length. A text of L bytes holds at most
  * (L + 1) / 2 tokens of at most L + 1 bytes with their spaces, so codes and
  * name_at - 1 need (length + ntexts) / 2 slots and names length + ntexts
- * bytes. 32-bit codes limit a batch to 2**31 - 1 tokens.
+ * bytes, which 32-bit offsets limit to 2**31 - 1.
  *
  * Returns the number of tokens, or MOVE_PASS_BAD_INDEX when nflags is not
- * ntexts, the offsets fall or do not run from 0 to length, or the batch could
- * hold too many tokens, with the outputs untouched; or MOVE_PASS_NO_MEMORY
- * if scratch allocation fails.
+ * ntexts, the offsets fall or do not run from 0 to length, or the batch is
+ * too long, with the outputs untouched; or MOVE_PASS_NO_MEMORY if scratch
+ * allocation fails.
  */
 int64_t code_texts(
     int64_t ntexts,
@@ -1305,63 +1368,462 @@ int64_t code_texts(
     int32_t *codes,
     int32_t *counts,
     char *names,
-    int64_t *name_at,
+    int32_t *name_at,
     int64_t *n_names)
 {
-    if (ntexts < 0 || nflags != ntexts || at[0] != 0 || at[ntexts] != length
-        || (length + ntexts) / 2 > INT32_MAX)
+    if (ntexts < 0 || nflags != ntexts || !pieces_ok(ntexts, at, length) || at[ntexts] != length
+        || length + ntexts > INT32_MAX)
         return MOVE_PASS_BAD_INDEX;
     int64_t longest = 0;
-    for (int64_t i = 0; i < ntexts; i++) {
-        if (at[i] > at[i + 1])
-            return MOVE_PASS_BAD_INDEX;
+    for (int64_t i = 0; i < ntexts; i++)
         if (split[i] == 0 && at[i + 1] - at[i] > longest)
             longest = at[i + 1] - at[i];
-    }
-    struct name_table t = {NULL, ((size_t)longest + 7) / 8 * 8, NULL, 0, 0, names, name_at};
+    struct name_table t = {NULL, ((size_t)longest + 7) / 8 * 8, 0, NULL, 0, 0, names, name_at, NULL,
+                           ' '};
     name_at[0] = 0;
     if (resize_table(&t, FIRST_SLOTS) != 0)
         return MOVE_PASS_NO_MEMORY;
 
     int64_t total = 0;
     for (int64_t i = 0; i < ntexts; i++) {
-        int64_t n = at[i + 1] - at[i], before = total;
-        if (split[i] == 0) {
-            memcpy(t.block, text + at[i], (size_t)n);
-            for (enum markup kind = URL; kind <= RETWEET; kind++)
-                n = strip_markup(kind, t.block, n);
+        int64_t count = code_tokens(&t, 0, text + at[i], at[i + 1] - at[i], split[i], codes + total);
+        if (count < 0) {
+            free(t.block);
+            return count;
         }
-        for (int64_t r = 0; r < n;) {
-            int64_t start = r;
-            uint64_t h = FNV_OFFSET;
-            const char *s;
-            if (split[i]) {
-                s = text + at[i];
-                for (; r < n && s[r] != ' '; r++)
-                    h = (h ^ (unsigned char)s[r]) * FNV_PRIME;
-            } else {
-                char *work = t.block;  /* it moves when the table grows */
-                for (; r < n && is_alnum((unsigned char)work[r]); r++) {
-                    if (work[r] >= 'A')
-                        work[r] |= 0x20;  /* a letter, lowercased */
-                    h = (h ^ (unsigned char)work[r]) * FNV_PRIME;
-                }
-                s = work;
-            }
-            if (r == start) {
-                r++;  /* a separator */
-                continue;
-            }
-            int64_t code = code_name(&t, s + start, r - start, h);
-            if (code < 0) {
-                free(t.block);
-                return code;
-            }
-            codes[total++] = (int32_t)code;
-        }
-        counts[i] = (int32_t)(total - before);
+        counts[i] = (int32_t)count;
+        total += count;
     }
     free(t.block);
     *n_names = t.count;
     return total;
+}
+
+/* The fields of a post record; the first four are also the first four of a
+ * record's row in read_records. */
+enum field { POST_ID, USER_ID, HASHTAGS, URLS, TEXT, TIMESTAMP, NFIELDS };
+static const char *const FIELD_NAMES[NFIELDS] = {
+    "post_id", "user_id", "hashtags", "urls", "text", "timestamp"};
+
+/* One record as read_records codes it: the bytes of each field, the lists of
+ * hashtags and URLs as the inside of a JSON array of plain strings or as
+ * netstrings (see next_name); its UTC date as a proleptic Gregorian ordinal
+ * (0001-01-01 is 1); and whether its text holds tokens separated by spaces
+ * (see code_tokens). */
+struct record {
+    const char *s[NFIELDS];
+    int64_t n[NFIELDS];
+    int32_t day;
+    int split, netstrings;
+};
+
+static int is_json_space(char c)
+{
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+static int64_t skip_json_space(const char *s, int64_t i, int64_t n)
+{
+    while (i < n && is_json_space(s[i]))
+        i++;
+    return i;
+}
+
+/* The end, past its closing quote, of the plain string that opens at s[i]:
+ * one of printable ASCII bytes and no backslash; -1 if there is none. */
+static int64_t plain_string(const char *s, int64_t i, int64_t n)
+{
+    if (i >= n || s[i] != '"')
+        return -1;
+    for (i++; i < n; i++) {
+        unsigned char c = (unsigned char)s[i];
+        if (c == '"')
+            return i + 1;
+        if (c == '\\' || c < 0x20 || c >= 0x80)
+            return -1;
+    }
+    return -1;
+}
+
+/* The end, past its ']', of the JSON array of plain strings that opens at
+ * s[i], none of them empty if nonempty is set; -1 if there is none. */
+static int64_t plain_array(const char *s, int64_t i, int64_t n, int nonempty)
+{
+    if (i >= n || s[i] != '[')
+        return -1;
+    i = skip_json_space(s, i + 1, n);
+    if (i < n && s[i] == ']')
+        return i + 1;
+    for (;;) {
+        int64_t end = plain_string(s, i, n);
+        if (end < 0 || (nonempty && end == i + 2))
+            return -1;
+        i = skip_json_space(s, end, n);
+        if (i < n && s[i] == ']')
+            return i + 1;
+        if (i == n || s[i] != ',')
+            return -1;
+        i = skip_json_space(s, i + 1, n);
+    }
+}
+
+/* The value of the len decimal digits at s, or -1 if one is not a digit. */
+static int64_t digits(const char *s, int len)
+{
+    int64_t v = 0;
+    for (int k = 0; k < len; k++) {
+        if (s[k] < '0' || s[k] > '9')
+            return -1;
+        v = 10 * v + (s[k] - '0');
+    }
+    return v;
+}
+
+static int64_t days_before_year(int64_t year)
+{
+    int64_t y = year - 1;
+    return 365 * y + y / 4 - y / 100 + y / 400;
+}
+
+/* The ordinal of the UTC date of a timestamp in the narrow ISO 8601 grammar
+ *
+ *     YYYY-MM-DD [("T" | " ") hh:mm [:ss [.f]] ["Z" | ("+" | "-") hh:mm]]
+ *
+ * where f is 1 to 6 digits and a time with no zone is in UTC, with the
+ * ranges that datetime.fromisoformat checks (a real day of the month, hours
+ * below 24, minutes and seconds below 60); 0 for any other string and for a
+ * UTC year outside 2..9998. Every timestamp it takes, mvmc.ingest's
+ * _parse_timestamp takes too, and gives the same UTC date. */
+static int32_t utc_day(const char *s, int64_t n)
+{
+    static const int before[13] = {0, 0, 31, 59, 90, 120, 151, 181, 212, 243, 273, 304, 334};
+    if (n < 10 || s[4] != '-' || s[7] != '-')
+        return 0;
+    int64_t year = digits(s, 4), month = digits(s + 5, 2), day = digits(s + 8, 2);
+    int leap = year % 4 == 0 && (year % 100 != 0 || year % 400 == 0);
+    if (year < 0 || month < 1 || month > 12 || day < 1
+        || day > (month == 2 ? 28 + leap : 30 + ((month + month / 8) & 1)))
+        return 0;
+    int64_t minutes = 0;  /* of the UTC time past the local date's midnight */
+    if (n > 10) {
+        int64_t i = 16, hh = -1, mm = -1;
+        if (n >= 16 && (s[10] == 'T' || s[10] == ' ') && s[13] == ':') {
+            hh = digits(s + 11, 2);
+            mm = digits(s + 14, 2);
+        }
+        if (hh < 0 || hh > 23 || mm < 0 || mm > 59)
+            return 0;
+        if (i < n && s[i] == ':') {
+            int64_t ss = n - i >= 3 ? digits(s + i + 1, 2) : -1;
+            if (ss < 0 || ss > 59)
+                return 0;
+            i += 3;
+            if (i < n && s[i] == '.') {
+                int64_t j = i + 1;
+                while (j < n && j - i <= 6 && s[j] >= '0' && s[j] <= '9')
+                    j++;
+                if (j == i + 1)
+                    return 0;
+                i = j;
+            }
+        }
+        minutes = 60 * hh + mm;
+        if (i < n && s[i] == 'Z') {
+            i++;
+        } else if (i < n && (s[i] == '+' || s[i] == '-')) {
+            int64_t oh = n - i == 6 && s[i + 3] == ':' ? digits(s + i + 1, 2) : -1;
+            int64_t om = oh < 0 ? -1 : digits(s + i + 4, 2);
+            if (oh > 23 || om < 0 || om > 59)
+                return 0;
+            minutes -= (s[i] == '+' ? 1 : -1) * (60 * oh + om);
+            i += 6;
+        }
+        if (i != n)
+            return 0;
+    }
+    int64_t ordinal = days_before_year(year) + before[month] + (month > 2 && leap) + day
+                      + (minutes >= 24 * 60) - (minutes < 0);
+    return ordinal > 365 && ordinal <= days_before_year(9999) ? (int32_t)ordinal : 0;
+}
+
+/* The line s (n bytes) as a record, if it is one the fast path takes: one
+ * JSON object, with JSON whitespace between tokens, whose keys are among
+ * FIELD_NAMES, none twice, post_id, user_id and timestamp among them; whose
+ * values are plain strings, or for hashtags and urls arrays of them, no
+ * hashtag empty; and whose timestamp utc_day takes. Returns 1 with r filled,
+ * or 0 to decline the line. */
+static int parse_json(const char *s, int64_t n, struct record *r)
+{
+    unsigned seen = 0;
+    int64_t i = skip_json_space(s, 0, n);
+    if (i == n || s[i] != '{')
+        return 0;
+    i = skip_json_space(s, i + 1, n);
+    for (;;) {
+        int64_t end = plain_string(s, i, n), f = 0;
+        if (end < 0)
+            return 0;
+        while (f < NFIELDS && ((int64_t)strlen(FIELD_NAMES[f]) != end - i - 2
+                               || memcmp(FIELD_NAMES[f], s + i + 1, (size_t)(end - i - 2)) != 0))
+            f++;
+        if (f == NFIELDS || seen & (1u << f))
+            return 0;
+        seen |= 1u << f;
+        i = skip_json_space(s, end, n);
+        if (i == n || s[i] != ':')
+            return 0;
+        i = skip_json_space(s, i + 1, n);
+        end = f == HASHTAGS || f == URLS ? plain_array(s, i, n, f == HASHTAGS) : plain_string(s, i, n);
+        if (end < 0)
+            return 0;
+        r->s[f] = s + i + 1;  /* inside the quotes or brackets */
+        r->n[f] = end - i - 2;
+        i = skip_json_space(s, end, n);
+        if (i < n && s[i] == '}')
+            break;
+        if (i == n || s[i] != ',')
+            return 0;
+        i = skip_json_space(s, i + 1, n);
+    }
+    const unsigned needed = 1u << POST_ID | 1u << USER_ID | 1u << TIMESTAMP;
+    if (skip_json_space(s, i + 1, n) != n || (seen & needed) != needed)
+        return 0;
+    r->day = utc_day(r->s[TIMESTAMP], r->n[TIMESTAMP]);
+    return r->day > 0;
+}
+
+/* The decimal number and ':' at s[*i..n), *i moved past them; -1 if there
+ * are none. */
+static int64_t read_number(const char *s, int64_t *i, int64_t n)
+{
+    int64_t v = 0, j = *i;
+    for (; j < n && s[j] >= '0' && s[j] <= '9' && v < INT32_MAX; j++)
+        v = 10 * v + (s[j] - '0');
+    if (j == *i || j == n || s[j] != ':')
+        return -1;
+    *i = j + 1;
+    return v;
+}
+
+/* The netstring (a length, ':' and that many bytes) at s[*i..n): its bytes
+ * at *out and *i moved past them. Returns the length, or -1 if there is none. */
+static int64_t read_netstring(const char *s, int64_t *i, int64_t n, const char **out)
+{
+    int64_t len = read_number(s, i, n);
+    if (len < 0 || len > n - *i)
+        return -1;
+    *out = s + *i;
+    *i += len;
+    return len;
+}
+
+/* A side record s (n bytes): the day's ordinal, the split flag and the
+ * numbers of hashtags and URLs, each as a decimal number and ':', then the
+ * post_id, the user_id, each hashtag, each URL and the text as netstrings.
+ * Returns 1 with r filled, or 0 if s is not one. */
+static int parse_side(const char *s, int64_t n, struct record *r)
+{
+    int64_t i = 0, head[4];  /* indexed like the fields: HASHTAGS and URLS */
+    for (int k = 0; k < 4; k++)
+        if ((head[k] = read_number(s, &i, n)) < 0)
+            return 0;
+    if (head[0] == 0 || head[1] > 1)
+        return 0;
+    r->day = (int32_t)head[0];
+    r->split = (int)head[1];
+    r->netstrings = 1;
+    for (int f = POST_ID; f <= TEXT; f++) {
+        int list = f == HASHTAGS || f == URLS;
+        int64_t start = i;
+        for (int64_t k = list ? head[f] : 1; k > 0; k--)
+            if ((r->n[f] = read_netstring(s, &i, n, &r->s[f])) < 0)
+                return 0;
+        if (list) {
+            r->s[f] = s + start;
+            r->n[f] = i - start;
+        }
+    }
+    return i == n;
+}
+
+/* The next name of a record's list l (n bytes) from *i on: its bytes at
+ * *name, and *i moved past it. Returns its length, or -1 at the list's end. */
+static int64_t next_name(const char *l, int64_t n, int64_t *i, int netstrings, const char **name)
+{
+    if (netstrings)
+        return *i < n ? read_netstring(l, i, n, name) : -1;
+    const char *open = memchr(l + *i, '"', (size_t)(n - *i));
+    if (open == NULL)
+        return -1;
+    const char *close = memchr(open + 1, '"', (size_t)(l + n - open - 1));
+    *name = open + 1;
+    *i = close + 1 - l;
+    return close - open - 1;
+}
+
+/* read_records' keys of the names of the corpus tables; a post id's key is
+ * minus its day's ordinal. */
+enum { USER_KEY, HASHTAG_KEY, URL_KEY, TOKEN_KEY };
+#define ROW_FIELDS 5  /* a record's row: post id, user, hashtags, URLs, tokens */
+_Static_assert(TEXT + 1 == ROW_FIELDS, "a row ends with the text's tokens");
+#define RECORD_SLOTS 8192  /* mvmc._kernels.RECORD_SLOTS */
+
+/* Codes the record r into its row (ROW_FIELDS) and its hashtags, URLs and
+ * tokens into lists[0], lists[1] and lists[2] from used[0], used[1] and
+ * used[2] on, moving those past them. Returns 0, or MOVE_PASS_NO_MEMORY. */
+static int64_t code_record(struct name_table *t, const struct record *r, int32_t *row,
+                           int32_t *const lists[3], int64_t used[3])
+{
+    int64_t code, len;
+    for (int f = POST_ID; f <= USER_ID; f++) {
+        code = code_name(t, f == POST_ID ? -r->day : USER_KEY, r->s[f], r->n[f],
+                         name_hash(r->s[f], r->n[f]));
+        if (code < 0)
+            return code;
+        row[f] = (int32_t)code;
+    }
+    for (int f = HASHTAGS; f <= URLS; f++) {
+        int32_t *list = lists[f - HASHTAGS] + used[f - HASHTAGS];
+        int64_t count = 0;
+        const char *name;
+        for (int64_t i = 0; (len = next_name(r->s[f], r->n[f], &i, r->netstrings, &name)) >= 0;) {
+            if (f == URLS && len == 0)
+                continue;  /* an empty URL is dropped */
+            code = code_name(t, f == HASHTAGS ? HASHTAG_KEY : URL_KEY, name, len, name_hash(name, len));
+            if (code < 0)
+                return code;
+            int64_t k = 0;  /* a hashtag repeated in a post counts once */
+            while (f == HASHTAGS && k < count && list[k] != code)
+                k++;
+            if (f == URLS || k == count)
+                list[count++] = (int32_t)code;
+        }
+        row[f] = (int32_t)count;
+        used[f - HASHTAGS] += count;
+    }
+    code = code_tokens(t, TOKEN_KEY, r->s[TEXT], r->n[TEXT], r->split, lists[2] + used[2]);
+    if (code < 0)
+        return code;
+    row[TEXT] = (int32_t)code;
+    used[2] += code;
+    return 0;
+}
+
+/* A batch of JSONL lines read into records and coded by first appearance.
+ *
+ * Line i is text[at[i]..at[i + 1]). A blank line (only bytes that
+ * str.isspace accepts) is skipped. A line parse_json takes is a record. Any
+ * other line is declined: it takes the next side record, side[side_at[j]..
+ * side_at[j + 1]) for its j-th declined line, when there is one (an empty one
+ * skips the line), and is marked declined otherwise. A side record holds the
+ * fields of a line that the caller parsed itself; see parse_side.
+ *
+ * Each record is coded in line order: its post id under minus its day's
+ * ordinal, so that post ids are coded within their day, its user, its
+ * distinct hashtags and its non-empty URLs in order, and its text's tokens
+ * (see code_tokens), under the keys USER_KEY to TOKEN_KEY. A code is the
+ * name's rank among the batch's distinct (key, name) pairs by first
+ * appearance.
+ *
+ * Outputs: day (nlines) receives each line's day ordinal, 0 for a skipped
+ * line and -1 for a declined one; rows (nlines x ROW_FIELDS) each record's
+ * post id and user codes and its numbers of hashtags, URLs and tokens (zero
+ * for other lines); tags, urls and tokens the codes of the records'
+ * hashtags, URLs and tokens, record after record; names the distinct names,
+ * each followed by a newline, name t starting at name_at[t] and having the
+ * key keys[t]; counts the numbers of hashtag, URL and token codes and of
+ * names. A name with its newline takes no more bytes than it comes from, and
+ * so do two tokens or three hashtags or URLs; so with B = length +
+ * side_length, tags and urls need B / 3 slots, tokens B / 2, names B bytes,
+ * name_at and keys B / 2 + 2 * nlines + 1 slots, and 32-bit offsets limit B
+ * to less than 2**31. The name table works in scratch, of scratch_size
+ * bytes: the longest line or side record rounded up to 8 bytes, and 8 bytes
+ * for each of its slots, RECORD_SLOTS and more while they are half full.
+ *
+ * Returns the number of lines marked declined: past the first of them no
+ * record is coded, so the outputs but day hold the batch only when it is 0,
+ * and counts are then all 0. Or returns MOVE_PASS_BAD_INDEX when the offsets
+ * fall or run past their text, the batch is too long, a side record is
+ * malformed or there are more side records than declined lines; or
+ * MOVE_PASS_NO_MEMORY when the scratch is too small.
+ */
+int64_t read_records(
+    int64_t nlines,
+    const char *text,
+    int64_t length,
+    const int64_t *at,
+    int64_t nside,
+    const char *side,
+    int64_t side_length,
+    const int64_t *side_at,
+    int32_t *day,
+    int32_t *rows,
+    int32_t *tags,
+    int32_t *urls,
+    int32_t *tokens,
+    char *names,
+    int32_t *name_at,
+    int32_t *keys,
+    char *scratch,
+    int64_t scratch_size,
+    int64_t *counts)
+{
+    if (nlines < 0 || !pieces_ok(nlines, at, length) || !pieces_ok(nside, side_at, side_length)
+        || length + side_length >= INT32_MAX || scratch_size <= 0)
+        return MOVE_PASS_BAD_INDEX;
+    int64_t longest = 0;  /* a text to tokenise is shorter than its record */
+    for (int64_t i = 0; i < nlines; i++)
+        if (at[i + 1] - at[i] > longest)
+            longest = at[i + 1] - at[i];
+    for (int64_t j = 0; j < nside; j++)
+        if (side_at[j + 1] - side_at[j] > longest)
+            longest = side_at[j + 1] - side_at[j];
+    struct name_table t = {scratch, ((size_t)longest + 7) / 8 * 8, (size_t)scratch_size, NULL, 0, 0,
+                           names, name_at, keys, '\n'};
+    name_at[0] = 0;
+    if (resize_table(&t, RECORD_SLOTS) != 0)
+        return MOVE_PASS_NO_MEMORY;
+
+    int32_t *const lists[3] = {tags, urls, tokens};
+    int64_t used[3] = {0, 0, 0}, next = 0, status = 0, declined = 0;
+    for (int64_t i = 0; i < nlines && status == 0; i++) {
+        const char *s = text + at[i];
+        int64_t n = at[i + 1] - at[i], k = 0;
+        struct record r = {{NULL}, {0}, 0, 0, 0};
+        memset(rows + ROW_FIELDS * i, 0, ROW_FIELDS * sizeof *rows);
+        day[i] = 0;
+        while (k < n && is_space((unsigned char)s[k]))
+            k++;
+        if (k == n)
+            continue;
+        if (!parse_json(s, n, &r)) {
+            if (next == nside) {
+                day[i] = -1;
+                declined++;
+                continue;
+            }
+            s = side + side_at[next];
+            n = side_at[next + 1] - side_at[next];
+            next++;
+            if (n == 0)
+                continue;
+            memset(&r, 0, sizeof r);
+            if (!parse_side(s, n, &r)) {
+                status = MOVE_PASS_BAD_INDEX;
+                break;
+            }
+        }
+        if (declined == 0)  /* its codes would be wrong past a declined line */
+            status = code_record(&t, &r, rows + ROW_FIELDS * i, lists, used);
+        day[i] = r.day;
+    }
+    if (status == 0 && next != nside)
+        status = MOVE_PASS_BAD_INDEX;
+    if (status < 0)
+        return status;
+    memcpy(counts, used, sizeof used);
+    counts[3] = t.count;
+    if (declined > 0)
+        memset(counts, 0, 4 * sizeof *counts);
+    return declined;
 }

@@ -4,7 +4,10 @@ Views per day: accompanying text tokens, posting users, co-occurring URLs,
 and hashtag co-occurrence. Hashtags used in fewer than 3 distinct posts are
 dropped; hashtag matching is case-sensitive. Posts are coded as they are
 read, their texts in batches of `TEXT_BATCH` by `_kernels.code_texts`, which
-gives each text the tokens of `preprocess_text`.
+gives each text the tokens of `preprocess_text`. With the compiled kernels, a
+.jsonl file is read in batches of about `READ_BATCH` bytes of lines, each
+parsed and coded by one call of `_kernels.read_records` (see
+`_read_batches`).
 """
 from __future__ import annotations
 
@@ -25,6 +28,9 @@ MIN_POSTS_PER_HASHTAG = 3
 # posts whose texts are coded in one call: larger batches read a little
 # faster but raise the reader's peak memory
 TEXT_BATCH = 1024
+# bytes of .jsonl lines that one call of the compiled reader takes
+READ_BATCH = 1 << 17
+RECORD_SLOTS = 8192  # the first slots of read_records' name table
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _HASHTAG_RE = re.compile(r"#\S+")
@@ -197,6 +203,20 @@ def _check_utf8(line: str) -> None:
         raise RecordError(f"not valid UTF-8 at column {exc.start + 1}") from None
 
 
+def _parse_line(parse, lineno: int, line: str, on_error):
+    """The record of a line, or None for a blank line and for a malformed one
+    or one that is not valid UTF-8, which goes to on_error."""
+    if not line.strip():
+        return None
+    try:
+        _check_utf8(line)
+        return parse(line)
+    except (RecordError, json.JSONDecodeError) as exc:
+        if on_error is not None:
+            on_error(lineno, str(exc))
+        return None
+
+
 class _Names(dict):
     """A name table: each new name gets the next int code."""
 
@@ -287,29 +307,183 @@ def group_by_day(records) -> dict[date, CorpusDay]:
     return dict(sorted(days.items()))
 
 
+def _mapped(*arrays):
+    """New arrays of the given (shape, dtype)s in one anonymous memory map,
+    each starting at a multiple of 8 bytes. Neither glibc's heap nor its
+    mmap threshold sees them, and a page counts in the RSS once written."""
+    import mmap  # only a compiled .jsonl read needs it
+
+    sizes = [(int(np.prod(shape)) * np.dtype(dtype).itemsize + 7) // 8 * 8
+             for shape, dtype in arrays]
+    region = mmap.mmap(-1, max(sum(sizes), 1))
+    starts = np.cumsum([0, *sizes]).tolist()
+    return [np.frombuffer(region, dtype, int(np.prod(shape)), start).reshape(shape)
+            for (shape, dtype), start in zip(arrays, starts)]
+
+
+def _record_reader():
+    """A function read(text, at, side=b"", side_at=(0,)) that runs
+    `_kernels.read_records` on one batch of JSONL lines, keeping its outputs
+    and scratch from call to call in one `_mapped` region, which it replaces
+    by a larger one when a batch needs more room.
+
+    Line i is text[at[i]:at[i + 1]] of the bytes-like `text`, and the j-th
+    line that the routine declines takes side record j,
+    side[side_at[j]:side_at[j + 1]] (see read_records in the C source).
+    Returns (day, rows, tags, urls, tokens, names, keys), views that the next
+    call overwrites but for the names: each line's int32 day ordinal (0 for a
+    skipped line, -1 for a declined one); an int32 row per line of its post
+    id and user codes and its numbers of hashtags, URLs and tokens; the int32
+    codes of the records' hashtags, URLs and tokens, record after record; and
+    the names of the codes, as a list, with their int32 keys. While a line
+    is declined, only the days are filled in. Offsets that fall or run past
+    their text, or a side record too many or malformed, raise ValueError."""
+    room = lines = -1
+    out = addresses = []
+
+    def read(text, at, side=b"", side_at=(0,)):
+        nonlocal room, lines, out, addresses
+        at = _kernels._input(at, np.int64, (len(at),), "line offsets")
+        side_at = _kernels._input(side_at, np.int64, (len(side_at),), "side offsets")
+        nlines, size = len(at) - 1, len(text) + len(side)
+        if size > room or nlines > lines:  # see read_records for the sizes
+            room, lines = max(size, room), max(nlines, lines)
+            slots = room // 2 + 2 * lines + 1
+            out = _mapped((lines, np.int32), ((lines, 5), np.int32), (room // 3, np.int32),
+                          (room // 3, np.int32), (room // 2, np.int32), (room, np.uint8),
+                          (slots, np.int32), (slots, np.int32),
+                          (room + 8 + 32 * (slots + RECORD_SLOTS), np.uint8), (4, np.int64))
+            addresses = [a.ctypes.data for a in out]
+        declined = _kernels.read_records(
+            nlines, np.frombuffer(text, np.uint8).ctypes.data, len(text), at.ctypes.data,
+            len(side_at) - 1, np.frombuffer(side, np.uint8).ctypes.data, len(side),
+            side_at.ctypes.data, *addresses[:-1], len(out[-2]), addresses[-1])
+        _kernels._check_status("read_records", declined)
+        day, rows, tags, urls, tokens, names, name_at, keys, _scratch, counts = out
+        n_tags, n_urls, n_tokens, n = counts.tolist()
+        view = memoryview(names)
+        listed = str(view[:name_at[n]], "utf-8", "surrogatepass").split("\n")[:-1]
+        if len(listed) != n:  # a side record's post id holds a line break
+            bounds = name_at[:n + 1].tolist()
+            listed = [str(view[a:b - 1], "utf-8", "surrogatepass")
+                      for a, b in zip(bounds, bounds[1:])]
+        return (day[:nlines], rows[:nlines], tags[:n_tags], urls[:n_urls], tokens[:n_tokens],
+                listed, keys[:n])
+
+    return read
+
+
+def _side_record(line: str, lineno: int, on_error) -> bytes:
+    """A line that the compiled reader declined, parsed by `parse_json_record`,
+    as the side record that the reader codes in its place (see read_records
+    in _move_pass.c); b"" for a blank or malformed line. A non-ASCII text
+    goes as its `preprocess_text` tokens joined by spaces."""
+    record = _parse_line(parse_json_record, lineno, line, on_error)
+    if record is None:
+        return b""
+    post_id, timestamp, user_id, text, hashtags, urls = record
+    split = not text.isascii()
+    fields = (post_id, user_id, *hashtags, *urls,
+              " ".join(preprocess_text(text)) if split else text)
+    head = f"{timestamp.toordinal()}:{split:d}:{len(hashtags)}:{len(urls)}:"
+    joined = head + "".join([f"{len(f)}:{f}" for f in fields])
+    if joined.isascii():  # then a length in characters is one in bytes
+        return joined.encode()
+    return head.encode() + b"".join(
+        [b"%d:%s" % (len(f), f) for f in (f.encode("utf-8", "surrogatepass") for f in fields)])
+
+
+def _post_codes(ids: dict, keys: list) -> np.ndarray:
+    """The int32 codes of a batch's distinct post ids in a day's table, new
+    ones coded in order, as `CorpusDay.add` codes them."""
+    return np.fromiter((ids.setdefault(k, len(ids)) for k in keys), np.int32, len(keys))
+
+
+def _add_records(corpus: PostCorpus, days: dict, line_day, rows, tags, urls, tokens, names,
+                 keys) -> None:
+    """Give the names of a batch that `_record_reader` coded their codes in
+    the corpus's tables, or in their day's post ids, in the batch's
+    first-appearance order, and append its records to their days, a run of
+    records of one day at a time."""
+    names, code = np.array(names, dtype=object), np.empty(len(keys), np.int32)
+    taken = line_day > 0
+    line_day, rows = line_day[taken], rows[taken]
+    ordinals = set(line_day.tolist())
+    for ordinal in ordinals:
+        if date.fromordinal(ordinal) not in days:
+            days[date.fromordinal(ordinal)] = CorpusDay(corpus)
+    for key, table in enumerate((corpus.users, corpus.hashtags, corpus.urls, corpus.tokens)):
+        pick = np.flatnonzero(keys == key)
+        code[pick] = np.fromiter(map(table.__getitem__, names[pick]), np.int32, len(pick))
+    for ordinal in ordinals:
+        pick = np.flatnonzero(keys == -ordinal)
+        code[pick] = _post_codes(days[date.fromordinal(ordinal)].ids, names[pick].tolist())
+    # where each record's hashtags, URLs and tokens start in their lists
+    at = np.zeros((len(rows) + 1, 3), np.int64)
+    np.cumsum(rows[:, 2:], axis=0, out=at[1:])
+    runs = np.flatnonzero(np.diff(line_day, prepend=0)).tolist()  # where each day's run starts
+    for a, b in zip(runs, [*runs[1:], len(rows)]):
+        day, (tag, url, token), (tag_end, url_end, token_end) = (
+            days[date.fromordinal(int(line_day[a]))], at[a], at[b])
+        for field, values in (
+                ("post_id", code[rows[a:b, 0]]), ("user", code[rows[a:b, 1]]),
+                ("tags", code[tags[tag:tag_end]]), ("n_tags", rows[a:b, 2].copy()),
+                ("urls", code[urls[url:url_end]]), ("n_urls", rows[a:b, 3].copy()),
+                ("tokens", code[tokens[token:token_end]]), ("n_tokens", rows[a:b, 4].copy())):
+            getattr(day, field).frombytes(memoryview(values).cast("B"))
+
+
+def _read_batches(fh, on_error) -> dict[date, CorpusDay]:
+    """`group_by_day` of the lines of the .jsonl file `fh`: one call
+    of the compiled reader per batch of at most `READ_BATCH` bytes (or of one
+    longer line), and a second when it declines a line, with the record that
+    `parse_json_record` makes of each declined line. The batch's bytes and
+    the reader's outputs are allocated once."""
+    corpus, days = PostCorpus(), {}
+    read, lineno = _record_reader(), 1  # lineno: the batch's first line
+
+    def code_batch(text, at):
+        """Code the lines text[at[i]:at[i + 1]]; returns their number."""
+        batch = read(text, at)
+        side = [_side_record(str(text[at[i]:at[i + 1]], "utf-8", "surrogatepass"),
+                             lineno + i, on_error) for i in np.flatnonzero(batch[0] < 0).tolist()]
+        if side:
+            batch = read(text, at, b"".join(side), np.cumsum([0, *map(len, side)]))
+        _add_records(corpus, days, *batch)
+        return len(at) - 1
+
+    text, at = memoryview(_mapped(((READ_BATCH,), np.uint8))[0]), [0]
+    for line in fh:
+        data = line.encode("utf-8", "surrogatepass")  # exact, lone surrogates included
+        end = at[-1] + len(data)
+        if end > READ_BATCH:
+            if len(at) > 1:
+                lineno += code_batch(text, at)
+            at, end = [0], len(data)
+            if end > READ_BATCH:  # a longer line is a batch of its own
+                lineno += code_batch(data, [0, end])
+                continue
+        text[at[-1]:end] = data
+        at.append(end)
+    if len(at) > 1:
+        code_batch(text, at)
+    return dict(sorted(days.items()))
+
+
 def read_posts(path, on_error=None) -> dict[date, CorpusDay]:
     """Read a UTF-8 .jsonl or .tsv corpus, coding each post as it is read,
     into `group_by_day`'s days; malformed lines, and lines that are not valid
-    UTF-8, go to on_error and are skipped."""
-    parse = parse_tsv_record if str(path).endswith(".tsv") else parse_json_record
-
-    def records():
-        # surrogateescape keeps undecodable bytes as lone surrogates, so one
-        # bad line is reported on its own instead of failing the whole read
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    _check_utf8(line)
-                    record = parse(line)
-                except (RecordError, json.JSONDecodeError) as exc:
-                    if on_error is not None:
-                        on_error(lineno, str(exc))
-                    continue
-                yield record
-
-    return group_by_day(records())
+    UTF-8, go to on_error and are skipped. A .jsonl file goes through the
+    compiled reader when it loaded, and line by line otherwise."""
+    tsv = str(path).endswith(".tsv")
+    parse = parse_tsv_record if tsv else parse_json_record
+    # surrogateescape keeps undecodable bytes as lone surrogates, so one bad
+    # line is reported on its own instead of failing the whole read
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        if not tsv and _kernels.read_records is not None:
+            return _read_batches(fh, on_error)
+        return group_by_day(filter(None, (_parse_line(parse, lineno, line, on_error)
+                                          for lineno, line in enumerate(fh, 1))))
 
 
 def _first(codes: np.ndarray, names: list, order=None) -> tuple[tuple, np.ndarray]:

@@ -38,8 +38,8 @@ def test_ingest_benchmark_agrees_with_the_oracles_on_a_small_day():
     for section in ("knn", "triplets"):
         flags |= {f"{section}.{view}.agree": layer["agree"]
                   for view, layer in result[section].items()}
-    assert len(flags) == 12 and all(flags.values()), flags
-    assert flags["text_codes_agree"]
+    assert len(flags) == 13 and all(flags.values()), flags
+    assert flags["text_codes_agree"] and flags["records_agree"]
 
 
 def test_kernel_benchmark_agrees_with_the_references_on_a_small_graph():

@@ -485,9 +485,11 @@ def test_pipeline_tokenises_each_post_once(tmp_path, runner, corpus, monkeypatch
                      "health masks vaccine", "user_a1") for i in range(2, 6)]
     )
     posts_text = corpus.read_text() + churn
-    # each text reaches the batch coder once, with the bound coder (the
-    # compiled one, when it loaded) and with its Python reference alike
-    outputs = []
+    # on the per-line reader each text reaches the batch coder once, with the
+    # bound coder (the compiled one, when it loaded) and with its Python
+    # reference alike; the compiled reader codes the texts itself
+    outputs, reader = [], _kernels.read_records
+    monkeypatch.setattr(_kernels, "read_records", None)
     for name, coder in (("churn", _kernels.code_texts), ("reference", _kernels._code_texts)):
         calls = []
         monkeypatch.setattr(_kernels, "code_texts",
@@ -497,6 +499,12 @@ def test_pipeline_tokenises_each_post_once(tmp_path, runner, corpus, monkeypatch
         assert len(calls) == len(posts_text.splitlines())
         outputs.append(tree_bytes(out))
     assert outputs[1] == outputs[0]
+    if reader is not None:
+        calls.clear()
+        monkeypatch.setattr(_kernels, "read_records", reader)
+        result, out = run_pipeline_on(tmp_path, runner, "compiled", posts_text)
+        assert result.exit_code == 0, result.output
+        assert calls == [] and tree_bytes(out) == outputs[0]
     out = tmp_path / "churn"
 
     meta_rows = (out / "meta_clusters.tsv").read_text().splitlines()
@@ -1095,8 +1103,8 @@ print("scipy.sparse" in loaded())
 @pytest.mark.skipif(mvmc._kernels.BACKEND != "c", reason="the compiled kernel did not load")
 def test_pipeline_without_a_compiler_writes_the_compiled_bytes(tmp_path, runner, corpus):
     """A run with no compiler on PATH and an empty build cache uses the Python
-    references, the text coder's included, and every artifact it writes is
-    the compiled run's."""
+    references, the text coder's and the line-by-line reader included, and
+    every artifact it writes is the compiled run's."""
     for backend in ("c", "python"):
         (tmp_path / f"{backend}.yaml").write_text(
             f"input: {corpus}\noutput_dir: {tmp_path / backend}\nmeta_k: 2\n")
@@ -1106,12 +1114,13 @@ def test_pipeline_without_a_compiler_writes_the_compiled_bytes(tmp_path, runner,
            "PATH": str(tmp_path / "bin"), "XDG_CACHE_HOME": str(tmp_path / "cache")}
     proc = subprocess.run(
         [sys.executable, "-c", "from mvmc import _kernels; from mvmc.cli import main;"
-         " print(_kernels.BACKEND, _kernels.code_texts is _kernels._code_texts); main()",
+         " print(_kernels.BACKEND, _kernels.code_texts is _kernels._code_texts,"
+         " _kernels.read_records); main()",
          "pipeline", str(tmp_path / "python.yaml")],
         env=env, capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "python True"
+    assert proc.stdout.splitlines()[0] == "python True None"
     compiled = tree_bytes(tmp_path / "c")
     assert "reports/period_0_tokens.tsv" in compiled
     assert tree_bytes(tmp_path / "python") == compiled

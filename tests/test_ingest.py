@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter, namedtuple
 from datetime import date, datetime, timezone
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from oracles import brute_daily_views, brute_group_by_day, brute_preprocess_text, brute_record
 
-from mvmc import _kernels, build_daily_views, preprocess_text
+from mvmc import _kernels, build_daily_views, ingest, preprocess_text
 from mvmc.ingest import (
     MIN_POSTS_PER_HASHTAG,
     TEXT_BATCH,
@@ -20,6 +21,7 @@ from mvmc.ingest import (
     parse_tsv_record,
     read_posts,
 )
+from mvmc.ingest import _parse_timestamp
 
 DAY = date(2020, 3, 1)
 
@@ -749,3 +751,186 @@ def test_read_posts_codes_text_batches_as_post_by_post(tmp_path):
     corpus = next(iter(days.values())).corpus
     assert {table: getattr(corpus, table).names for table in want_tables} == want_tables
     assert not all(name.isascii() for name in want_tables["tokens"])
+
+
+DAY_FIELDS = ("post_id", "user", "tags", "n_tags", "urls", "n_urls", "tokens", "n_tokens")
+
+
+def read_state(path, monkeypatch, reader, batch=ingest.READ_BATCH):
+    """Every CorpusDay array and post id table, the four name tables and the
+    warnings of `read_posts` on path, with `_kernels.read_records` set to
+    reader and `ingest.READ_BATCH` to batch."""
+    monkeypatch.setattr(_kernels, "read_records", reader)
+    monkeypatch.setattr(ingest, "READ_BATCH", batch)
+    warnings = []
+    days = read_posts(path, on_error=lambda lineno, message: warnings.append((lineno, message)))
+    corpus = next(iter(days.values())).corpus
+    return ({day: {"ids": list(posts.ids), **{f: getattr(posts, f).tolist() for f in DAY_FIELDS}}
+             for day, posts in days.items()},
+            {table: getattr(corpus, table).names for table in ("users", "hashtags", "urls", "tokens")},
+            warnings)
+
+
+# one line per reason the compiled reader declines a line: a non-ASCII byte,
+# a \u or \" escape, a control byte, an extra, a duplicate or a missing key, a
+# number, bool or null id, a nested value and an empty hashtag
+DECLINED = [
+    '{"post_id": "d1", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u1", "text": "café ΣΑΣ"}',
+    '{"post_id": "d2", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u\\u00e9", "text": "\\u0041b"}',
+    '{"post_id": "d3", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u1", "text": "say \\"hi\\""}',
+    '{"post_id": "d4", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u1", "text": "a\\tb\\nc"}',
+    '{"post_id": "d5", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u1", "text": "raw\x01byte"}',
+    '{"post_id": "d6", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u2", "lang": "en"}',
+    '{"post_id": "d7", "post_id": "d8", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u2"}',
+    '{"post_id": 7, "timestamp": "2020-03-01T10:00:00Z", "user_id": 3.5, "text": 1e3}',
+    '{"post_id": "d9", "timestamp": "2020-03-01T10:00:00Z", "user_id": true}',
+    '{"post_id": null, "timestamp": "2020-03-01T10:00:00Z", "user_id": "u1"}',
+    '{"post_id": "d10", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u1", "meta": {"a": [1]}}',
+    '{"post_id": "d11", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u1", "urls": [["x"]]}',
+    '{"post_id": "d12", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u1", "hashtags": ["", "#a"]}',
+    '{"post_id": "d13", "timestamp": "2020-03-01T10:00:00Z", "text": "no user"}',
+    '{"post_id": "d\\n14", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u1"}',
+    '{"post_id": "d15", "timestamp": "2020-03-01T10:00:00Z", "user_id": "\\ud800"}',
+]
+# every timestamp form: the compiled reader's grammar, with offsets that cross
+# midnight, a new year and a leap day, forms only Python takes, and bad ones
+STAMP_FORMS = [
+    "2020-03-01", "2020-03-01T05:06", "2020-03-01T05:06:07", "2020-03-01 05:06:07",
+    "2020-03-01T05:06:07.5", "2020-03-01T05:06:07.123456", "2020-03-01T05:06:07Z",
+    "2020-03-01T05:06:07+00:00", "2020-03-01T05:06:07-00:00", "2020-03-02T01:00:00+05:30",
+    "2020-03-01T20:00:00-08:00", "2021-01-01T02:00:00+05:00", "2020-12-31T22:00:00-03:00",
+    "2020-02-29T23:30:00-01:00", "2020-03-01T00:30:00+01:00", "2020-03-01T05:06+23:59",
+    "20200301", "2020-03-01T05", "2020-03-01T05:06:07+0530", "2020-03-01T05:06:07.1234567",
+    "2020-03-01T05:06:07+05:30:15", "2021-02-29T00:00:00", "2020-03-01T24:00", "noon",
+]
+# blank lines, one of them not ASCII, and malformed ones, one of them not UTF-8
+BLANK = ["", "   ", "\t", "　"]
+MALFORMED = ["{not json", "[1, 2]", "\udcff{}"]
+
+
+def reader_lines(rng, n):
+    """n ordinary lines the compiled reader takes, on interleaved days, with
+    DECLINED, a post with each of STAMP_FORMS, BLANK and MALFORMED among
+    them; and the indices of the blank and malformed ones."""
+    words = ["stay", "Home", "masks", "RT", "#x", "@who", "www.a.b", "http://u/1", "N5", "42"]
+    keys = ["post_id", "timestamp", "user_id", "text", "hashtags", "urls"]
+    lines = []
+    for i in range(n):
+        record = {
+            "post_id": f"p{rng.integers(n // 2)}",
+            "timestamp": f"2020-03-0{rng.integers(1, 4)}T{rng.integers(24):02d}:10:00+00:00",
+            "user_id": f"u{rng.integers(40)}",
+            "text": " ".join(words[j] for j in rng.integers(len(words), size=rng.integers(8))),
+            "hashtags": [f"#t{j}" for j in rng.integers(30, size=rng.integers(4))],
+            "urls": [f"http://x/{j}" if j else "" for j in rng.integers(6, size=rng.integers(3))],
+        }
+        order = [*keys[:3], *(k for k in keys[3:] if rng.random() < 0.8)]
+        rng.shuffle(order)
+        space = [", ", ",", " ,\t"][i % 3]
+        lines.append("{" + space.join(f'"{k}":{" " * (i % 2)}{json.dumps(record[k])}'
+                                      for k in order) + "}")
+    stamped = [json.dumps({"post_id": f"s{i}", "timestamp": stamp, "user_id": "u1",
+                           "text": "stamp", "hashtags": ["#s"]})
+               for i, stamp in enumerate(STAMP_FORMS)]
+    special = DECLINED + stamped + BLANK + MALFORMED
+    for line, at in zip(special, rng.choice(n, size=len(special), replace=False)):
+        lines.insert(int(at), line)
+    odd = {line for line in BLANK + MALFORMED}
+    return lines, [i for i, line in enumerate(lines) if line in odd]
+
+
+@requires_c
+def test_compiled_reader_matches_the_per_line_reader_and_the_oracle(tmp_path, monkeypatch):
+    """A seeded file of ordinary lines, the lines the compiled reader
+    declines, every timestamp form, blank and malformed lines, and \\n, \\r\\n
+    and \\r line endings, read with batches whose boundaries fall on blank
+    and malformed lines and with batches shorter than a line: every day's
+    arrays, the name tables and the warnings are the per-line reader's, and
+    the days and tables are `brute_group_by_day`'s."""
+    rng = np.random.default_rng(53)
+    lines, odd = reader_lines(rng, 3000)
+    ends = ["\n", "\r\n", "\r"]
+    path = tmp_path / "posts.jsonl"
+    path.write_bytes(b"".join(line.encode("utf-8", "surrogateescape") + ends[i % 3].encode()
+                              for i, line in enumerate(lines)))
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        sizes = [len(line.encode("utf-8", "surrogatepass")) for line in fh]
+    assert len(sizes) == len(lines)
+    offsets = np.cumsum([0, *sizes]).tolist()
+    # a batch ends just before, or just after, a blank or malformed line
+    batches = {offsets[i] + sizes[i] * after for i in odd[::3] for after in (0, 1)}
+    sides, side_record, reader = [], ingest._side_record, _kernels.read_records
+    monkeypatch.setattr(ingest, "_side_record",
+                        lambda *args: sides.append(side_record(*args)) or sides[-1])
+    want = read_state(path, monkeypatch, None)
+    assert sides == []
+    for batch in [ingest.READ_BATCH, 64, *sorted(batches)]:
+        assert read_state(path, monkeypatch, reader, batch) == want, batch
+        # the declined lines that hold a record: DECLINED's and the stamps
+        # in forms that only Python takes
+        assert sum(map(bool, sides)) == 15
+        sides.clear()
+
+    days, tables, warnings = want
+    records = [parse_json_record(line) for i, line in enumerate(lines)
+               if i + 1 not in {lineno for lineno, _ in warnings} and line.strip()]
+    want_days, want_tables = brute_group_by_day(records)
+    assert {day: {f: fields[f] for f in want_days[day]} for day, fields in days.items()} == want_days
+    assert tables == want_tables
+    assert len(warnings) == 12 and [ln for ln, _ in warnings] == sorted(ln for ln, _ in warnings)
+    assert {date(2020, 2, 29), date(2020, 12, 31), date(2021, 1, 1)} <= set(days)
+
+
+@requires_c
+def test_compiled_timestamps_match_parse_timestamp():
+    """Over a sweep of the compiled reader's timestamp grammar and its near
+    misses, every timestamp the routine takes gets the UTC date that
+    `_parse_timestamp` gives it, and it takes every one of the grammar that
+    Python takes with a UTC year in 2..9998."""
+    grammar = re.compile(r"\d{4}-\d\d-\d\d([T ]\d\d:\d\d(:\d\d(\.\d{1,6})?)?(Z|[+-]\d\d:\d\d)?)?")
+    years = ["0000", "0001", "0002", "1900", "2000", "2020", "2021", "2100", "9998", "9999", "2o20"]
+    dates = [f"{y}-{m}-{d}" for y in years for m in ["00", "01", "02", "03", "12", "13", "1"]
+             for d in ["00", "01", "28", "29", "30", "31", "32"]]
+    times = ["", "00:00", "23:59", "24:00", "12:60", "05:06:07", "05:06:60", "23:59:59.9",
+             "00:00:00.123456", "00:00:00.1234567", "00:00:00.", "05", "0506", "5:06"]
+    zones = ["", "Z", "+00:00", "-00:00", "+05:30", "-08:00", "+23:59", "-23:59", "+24:00",
+             "+05", "+0530", "+05:30:15", "z", "+5:30"]
+    stamps = [d + sep + t + z for d in ["2020-02-29", "2020-12-31", "2021-01-01", "0002-01-01",
+                                         "9998-12-31", "2021-02-28"]
+              for sep in "T t" for t in times for z in zones if t or not (sep + z).strip()]
+    stamps += [d + tail for d in dates for tail in ["", "T00:30+01:00", "T23:30-01:00", " 12:00Z"]]
+    lines = [json.dumps({"post_id": "p", "timestamp": s, "user_id": "u"}).encode() for s in stamps]
+    at = np.cumsum([0, *map(len, lines)])
+    day = ingest._record_reader()(b"".join(lines), at)[0]
+    taken = covered = 0
+    for stamp, got in zip(stamps, day.tolist()):
+        try:
+            want = _parse_timestamp(stamp).date()
+        except (ValueError, OverflowError):
+            want = None
+        if got > 0:
+            assert want is not None and got == want.toordinal(), stamp
+            taken += 1
+        elif want is not None and 2 <= want.year <= 9998 and grammar.fullmatch(stamp):
+            raise AssertionError(f"declined {stamp!r}")
+        covered += want is not None and got < 0
+    assert taken > 900 and covered > 1000, (taken, covered)
+
+
+@requires_c
+@pytest.mark.parametrize("case", ["falling offsets", "offsets past the text",
+                                  "a side record too many", "a malformed side record"])
+def test_record_reader_rejects_bad_arguments(case):
+    line = b'{"post_id": "p", "timestamp": "2020-03-01", "user_id": "u"}\n'
+    text, at, side, side_at = line * 2, [0, len(line), 2 * len(line)], b"", [0]
+    if case == "falling offsets":
+        at = [0, 2 * len(line), len(line)]
+    elif case == "offsets past the text":
+        at = [0, len(line), 2 * len(line) + 1]
+    elif case == "a side record too many":
+        side, side_at = b"", [0, 0]
+    else:  # a declined line whose side record lacks its hashtag and text
+        side = b"737485:0:1:0:2:p11:u"
+        text, at, side_at = b"x\n", [0, 2], [0, len(side)]
+    with pytest.raises(ValueError):
+        ingest._record_reader()(text, at, side, side_at)
