@@ -66,9 +66,11 @@ joined by spaces, flagged to be split on spaces only, so the Unicode rules
 stay in Python; `code_text_buffer` is the checked call on one buffer.
 
 The eighth, `read_records`, parses and codes a batch of .jsonl lines; its
-reference is `ingest.read_posts` line by line. It declines every line that
-is not plain (see the C source), and a second call codes the batch in line
-order with the fields that `ingest.parse_json_record` gives those lines.
+reference is `ingest.read_posts` line by line. It takes only plain lines
+(see parse_json in the C source); the caller parses the lines it declines
+with `ingest.parse_json_record` and a second call codes the batch with
+their fields in line order. Its name tables last from batch to batch of one
+read, in a state of READER_SLOTS int64s, so each code is the corpus's.
 
 At import the C source is built with the local C compiler into a per-user
 cache and loaded through ctypes; `move_pass`, `aggregate`, `combined_graph`,
@@ -104,6 +106,7 @@ MAX_LEVELS = 100  # rounds of a restart, and coarsening levels of a round
 # the load-time check of the compiled draw against Generator.permutation
 DRAW_CHECK_SEED, DRAW_CHECK_SIZES = 20200803, (1, 2, 17, 1000)
 STATE_SLOTS = 6  # uint64 slots of a PCG64 state row; see `_state_row`
+READER_SLOTS, READER_OUTPUTS = 64, 10  # read_records' state and outputs
 _LOW64 = (1 << 64) - 1
 
 
@@ -460,7 +463,7 @@ def _load_c_kernels():
     coder.restype = i64
     coder.argtypes = [i64, ctypes.c_char_p, i64, ptr, ptr, i64, *[ptr] * 4, ctypes.POINTER(i64)]
     reader.restype = i64
-    reader.argtypes = [i64, ptr, i64, ptr, i64, ptr, i64, *[ptr] * 10, i64, ptr]
+    reader.argtypes = [i64, ptr, i64, ptr, i64, ptr, i64, ptr, ptr]
 
     def c_move_pass(
         indptr,
@@ -746,11 +749,34 @@ def _load_c_kernels():
         codes, counts, names, _name_at = c_code_text_buffer(text, offsets, flags)
         return codes, counts, names.decode("utf-8").split(" ")[:-1]
 
+    def c_read_records(state, text=None, at=(0,), side=b"", side_at=(0,)):
+        """read_records on the lines text[at[i]:at[i + 1]] of the bytes-like
+        text, the j-th declined line taking the side record
+        side[side_at[j]:side_at[j + 1]], with the read's state (READER_SLOTS
+        int64 zeros before its first batch); with no text it frees the state.
+        Returns the number of declined lines and copies of the outputs: days,
+        rows, tags, urls, tokens, ids, id_at, names, name_at and keys, int32
+        arrays but for the bytes of ids and names. Offsets that fall or run past their text,
+        and side records that do not fit the declined lines, raise
+        ValueError."""
+        state = _in_place(state, np.int64, (READER_SLOTS,), "state")
+        if text is None:
+            return reader(-1, None, 0, None, 0, None, 0, None, state.ctypes.data)
+        at, side_at = (_input(a, np.int64, (len(a),), "offsets") for a in (at, side_at))
+        declined = reader(len(at) - 1, np.frombuffer(text, np.uint8).ctypes.data, len(text),
+                          at.ctypes.data, len(side_at) - 1, np.frombuffer(side, np.uint8).ctypes.data,
+                          len(side), side_at.ctypes.data, state.ctypes.data)
+        _check_status("read_records", declined)
+        out = state[:2 * READER_OUTPUTS].tolist()
+        return declined, [ctypes.string_at(a, n) if k in (5, 7)  # ids, names
+                          else np.frombuffer(ctypes.string_at(a, 4 * n), np.int32)
+                          for k, (a, n) in enumerate(zip(out[::2], out[1::2]))]
+
     if not _draws_match(c_draw_order):
         return None
     return (c_move_pass, c_aggregate, c_draw_order, c_run_seeded, c_run_restarts,
             c_combined_graph, c_knn_edges, c_format_triplets, c_triplet_bytes,
-            c_code_text_buffer, c_code_texts, reader)
+            c_code_text_buffer, c_code_texts, c_read_records)
 
 
 def _draws_match(draw_order):

@@ -37,6 +37,11 @@
  * mvmc.ingest.preprocess_text and a dict of names. ASCII texts are
  * tokenised here; the caller tokenises the others and passes their tokens.
  *
+ * read_records: a batch of JSONL lines parsed and coded, record for record
+ * what mvmc.ingest.read_posts gets line by line. It takes only plain lines
+ * (see parse_json) and codes the others from the fields that the caller
+ * parsed; its name tables last from batch to batch of one read.
+ *
  * Arrays are C-contiguous; deg, comm_tot and agg_deg are row-major
  * (rows, nviews). The caller checks shapes and dtypes; this file checks every
  * index it reads from an array before using it.
@@ -1188,23 +1193,42 @@ static int64_t strip_markup(enum markup kind, char *s, int64_t n)
     }
 }
 
-/* A batch's name table: names[name_at[t]..name_at[t + 1] - 1] is name t,
- * followed by the byte sep; slots is an open-addressing table (cap slots, a
- * power of two) of the names' ids + 1 under the hash's high 32 bits, 0 when
- * empty. Where keys is not NULL, name t also has the key keys[t], and names
- * of equal bytes under two keys are two names; otherwise every key is 0. The
- * table sits in one scratch block behind `work` bytes of text scratch: its
- * own allocation when limit is 0, or the caller's, of limit bytes. */
+/* A name table: names[name_at[t]..name_at[t + 1] - 1] is name t, followed by
+ * the byte sep; slots is an open-addressing table (cap slots, a power of two)
+ * of the names' ids + 1 under the hash's high 32 bits, 0 when empty. Where
+ * keys is not NULL, name t has the key keys[t] and the code codes[t], its
+ * rank among its key's names (next[key] is the next one), and names of equal
+ * bytes under two keys are two names; otherwise every key is 0 and a name's
+ * code is its id.
+ *
+ * code_texts' table lives for one call, and its names are the caller's, with
+ * room enough. read_records' table lives from call to call and its arrays
+ * grow (see grow): room[0] bytes of names and room[1], room[2] and room[3]
+ * slots of name_at, keys and codes. */
 struct name_table {
-    char *block;
-    size_t work, limit;
     uint64_t *slots;
     int64_t cap, count;
     char *names;
-    int32_t *name_at;
-    int32_t *keys;
+    int32_t *name_at, *keys, *codes, next[4];
+    size_t room[4];
     char sep;
 };
+
+/* Makes the block *p, of *room items of size bytes, hold need items: if it
+ * is smaller, realloc makes it hold times * need items. Returns 0, or
+ * MOVE_PASS_NO_MEMORY. */
+static int64_t grow(void *p, size_t *room, size_t need, size_t size, size_t times)
+{
+    void **block = p;
+    if (need <= *room)
+        return 0;
+    void *bigger = realloc(*block, times * need * size);
+    if (bigger == NULL)
+        return MOVE_PASS_NO_MEMORY;
+    *block = bigger;
+    *room = times * need;
+    return 0;
+}
 
 #define FNV_OFFSET 0xcbf29ce484222325ULL  /* 64-bit FNV-1a */
 #define FNV_PRIME 0x100000001b3ULL
@@ -1241,84 +1265,108 @@ static uint64_t *find_slot(const struct name_table *t, int32_t key, const char *
     }
 }
 
-/* Grow the block to hold cap slots (the text scratch keeps its bytes) and
- * put every name back. Returns 0, or MOVE_PASS_NO_MEMORY with the old block
- * still in place. */
+/* The slot of name id, or the empty slot where it belongs, and its keyed
+ * hash at *h. */
+static uint64_t *slot_of(const struct name_table *t, int64_t id, uint64_t *h)
+{
+    const char *s = t->names + t->name_at[id];
+    int64_t len = t->name_at[id + 1] - 1 - t->name_at[id];
+    int32_t key = t->keys == NULL ? 0 : t->keys[id];
+    *h = keyed(name_hash(s, len), key);
+    return find_slot(t, key, s, len, *h);
+}
+
+/* Makes the table cap slots, a power of two, and puts its names back in id
+ * order. Returns 0, or MOVE_PASS_NO_MEMORY. */
 static int64_t resize_table(struct name_table *t, int64_t cap)
 {
-    size_t size = t->work + (size_t)cap * sizeof(uint64_t);
-    if (t->limit == 0) {
-        char *block = realloc(t->block, size);
-        if (block == NULL)
-            return MOVE_PASS_NO_MEMORY;
-        t->block = block;
-    } else if (size > t->limit) {
+    size_t size = (size_t)cap * sizeof(uint64_t);
+    uint64_t *slots = realloc(t->slots, size);
+    if (slots == NULL)
         return MOVE_PASS_NO_MEMORY;
-    }
-    t->slots = (uint64_t *)(t->block + t->work);
+    t->slots = slots;
+    memset(t->slots, 0, size);
     t->cap = cap;
-    memset(t->slots, 0, (size_t)cap * sizeof(uint64_t));
     for (int64_t id = 0; id < t->count; id++) {
-        const char *s = t->names + t->name_at[id];
-        int64_t len = t->name_at[id + 1] - 1 - t->name_at[id];
-        int32_t key = t->keys == NULL ? 0 : t->keys[id];
-        uint64_t h = keyed(name_hash(s, len), key);
-        *find_slot(t, key, s, len, h) = (h >> 32 << 32) | (uint64_t)(id + 1);
+        uint64_t h, *slot = slot_of(t, id, &h);
+        *slot = (h >> 32 << 32) | (uint64_t)(id + 1);
     }
     return 0;
 }
 
+/* Drops the names from id count on, last first, and their codes. A name's
+ * probe ran only over slots that older names held, and the table put its
+ * names back in id order when it grew, so the older names stay found. */
+static void truncate_table(struct name_table *t, int64_t count)
+{
+    for (int64_t id = t->count - 1; id >= count; id--) {
+        uint64_t h;
+        *slot_of(t, id, &h) = 0;
+        if (t->keys != NULL)
+            t->next[t->keys[id]]--;
+    }
+    t->count = count;
+}
+
 /* The code of the name s (len bytes, name_hash h) under key, a new one if it
  * is new: it is then copied to the names, and the table doubles once it is
- * half full. s is read before the table grows, so it may point into the text
- * scratch, which then moves. Returns the code, or MOVE_PASS_NO_MEMORY. */
+ * half full. Returns the code, or MOVE_PASS_NO_MEMORY. */
 static int64_t code_name(struct name_table *t, int32_t key, const char *s, int64_t len, uint64_t h)
 {
     h = keyed(h, key);
     uint64_t *slot = find_slot(t, key, s, len, h);
+    int64_t id = (int64_t)(*slot & 0xffffffffULL) - 1;
     if (*slot != 0)
-        return (int64_t)(*slot & 0xffffffffULL) - 1;
-    int64_t id = t->count++;
+        return t->keys == NULL ? id : t->codes[id];
+    id = t->count;
+    size_t end = (size_t)t->name_at[id] + (size_t)len + 1, ids = (size_t)id + 2;
+    if (t->keys != NULL
+        && (end > INT32_MAX || grow(&t->names, &t->room[0], end, 1, 2) != 0
+            || grow(&t->name_at, &t->room[1], ids, sizeof(int32_t), 2) != 0
+            || grow(&t->keys, &t->room[2], ids, sizeof(int32_t), 2) != 0
+            || grow(&t->codes, &t->room[3], ids, sizeof(int32_t), 2) != 0))
+        return MOVE_PASS_NO_MEMORY;
     char *name = t->names + t->name_at[id];
     memcpy(name, s, (size_t)len);
     name[len] = t->sep;
-    t->name_at[id + 1] = t->name_at[id] + (int32_t)len + 1;
-    if (t->keys != NULL)
-        t->keys[id] = key;
+    t->name_at[id + 1] = (int32_t)end;
     *slot = (h >> 32 << 32) | (uint64_t)(id + 1);
+    t->count++;
+    if (t->keys != NULL) {
+        t->keys[id] = key;
+        t->codes[id] = t->next[key]++;
+    }
     if (2 * t->count > t->cap && resize_table(t, 2 * t->cap) != 0)
         return MOVE_PASS_NO_MEMORY;
-    return id;
+    return t->keys == NULL ? id : t->codes[id];
 }
 
 /* The tokens of the text s (n bytes) coded under key into codes. When split
  * is 0 the text is ASCII and gets mvmc.ingest.preprocess_text, worked on in
- * the text scratch, which must hold n bytes: the URL, hashtag, mention and
- * retweet passes in that order (see match_at and strip_markup), then the runs
- * of [A-Za-z0-9], lowercased. Otherwise it already holds its tokens,
- * separated by spaces, and is only split on spaces. Returns the number of
- * tokens, or MOVE_PASS_NO_MEMORY. */
+ * work, which must hold n bytes: the URL, hashtag, mention and retweet
+ * passes in that order (see match_at and strip_markup), then the runs of
+ * [A-Za-z0-9], lowercased. Otherwise it already holds its tokens, separated
+ * by spaces, and is only split on spaces. Returns the number of tokens, or
+ * MOVE_PASS_NO_MEMORY. */
 static int64_t code_tokens(struct name_table *t, int32_t key, const char *s, int64_t n, int split,
-                           int32_t *codes)
+                           char *work, int32_t *codes)
 {
     if (!split) {
-        memcpy(t->block, s, (size_t)n);
+        memcpy(work, s, (size_t)n);
         for (enum markup kind = URL; kind <= RETWEET; kind++)
-            n = strip_markup(kind, t->block, n);
+            n = strip_markup(kind, work, n);
+        s = work;
     }
     int64_t count = 0;
     for (int64_t r = 0; r < n;) {
         int64_t start = r;
         uint64_t h = FNV_OFFSET;
-        const char *token = s;
         if (!split) {
-            char *work = t->block;  /* it moves when the table grows */
             for (; r < n && is_alnum((unsigned char)work[r]); r++) {
                 if (work[r] >= 'A')
                     work[r] |= 0x20;  /* a letter, lowercased */
                 h = (h ^ (unsigned char)work[r]) * FNV_PRIME;
             }
-            token = work;
         } else {
             for (; r < n && s[r] != ' '; r++)
                 h = (h ^ (unsigned char)s[r]) * FNV_PRIME;
@@ -1327,7 +1375,7 @@ static int64_t code_tokens(struct name_table *t, int32_t key, const char *s, int
             r++;  /* a separator */
             continue;
         }
-        int64_t code = code_name(t, key, token + start, r - start, h);
+        int64_t code = code_name(t, key, s + start, r - start, h);
         if (code < 0)
             return code;
         codes[count++] = (int32_t)code;
@@ -1346,8 +1394,8 @@ static int64_t code_tokens(struct name_table *t, int32_t key, const char *s, int
  *
  * Outputs: codes receives every token's code, text after text, a code being
  * the token's rank among the batch's distinct tokens by first appearance;
- * counts (ntexts) each text's number of tokens; names the distinct tokens,
- * each followed by a space, token t starting at byte name_at[t], and
+ * counts[i] is text i's number of tokens; names[name_at[t]..name_at[t + 1] - 1]
+ * is token t, followed by a space, and *n_names is the number of names, so
  * name_at[*n_names] is the names' length. A text of L bytes holds at most
  * (L + 1) / 2 tokens of at most L + 1 bytes with their spaces, so codes and
  * name_at - 1 need (length + ntexts) / 2 slots and names length + ntexts
@@ -1378,29 +1426,24 @@ int64_t code_texts(
     for (int64_t i = 0; i < ntexts; i++)
         if (split[i] == 0 && at[i + 1] - at[i] > longest)
             longest = at[i + 1] - at[i];
-    struct name_table t = {NULL, ((size_t)longest + 7) / 8 * 8, 0, NULL, 0, 0, names, name_at, NULL,
-                           ' '};
+    struct name_table t = {.names = names, .name_at = name_at, .sep = ' '};
+    char *work = malloc((size_t)longest + 1);
     name_at[0] = 0;
-    if (resize_table(&t, FIRST_SLOTS) != 0)
-        return MOVE_PASS_NO_MEMORY;
-
-    int64_t total = 0;
-    for (int64_t i = 0; i < ntexts; i++) {
-        int64_t count = code_tokens(&t, 0, text + at[i], at[i + 1] - at[i], split[i], codes + total);
-        if (count < 0) {
-            free(t.block);
-            return count;
-        }
+    int64_t total = work == NULL ? MOVE_PASS_NO_MEMORY : resize_table(&t, FIRST_SLOTS);
+    for (int64_t i = 0; i < ntexts && total >= 0; i++) {
+        int64_t count = code_tokens(&t, 0, text + at[i], at[i + 1] - at[i], split[i], work,
+                                    codes + total);
         counts[i] = (int32_t)count;
-        total += count;
+        total = count < 0 ? count : total + count;
     }
-    free(t.block);
+    free(work);
+    free(t.slots);
     *n_names = t.count;
     return total;
 }
 
-/* The fields of a post record; the first four are also the first four of a
- * record's row in read_records. */
+/* The fields of a post record; a record's row in read_records runs from
+ * USER_ID to TEXT. */
 enum field { POST_ID, USER_ID, HASHTAGS, URLS, TEXT, TIMESTAMP, NFIELDS };
 static const char *const FIELD_NAMES[NFIELDS] = {
     "post_id", "user_id", "hashtags", "urls", "text", "timestamp"};
@@ -1661,27 +1704,27 @@ static int64_t next_name(const char *l, int64_t n, int64_t *i, int netstrings, c
     return close - open - 1;
 }
 
-/* read_records' keys of the names of the corpus tables; a post id's key is
- * minus its day's ordinal. */
+/* read_records' keys of the names of the corpus tables. */
 enum { USER_KEY, HASHTAG_KEY, URL_KEY, TOKEN_KEY };
-#define ROW_FIELDS 5  /* a record's row: post id, user, hashtags, URLs, tokens */
-_Static_assert(TEXT + 1 == ROW_FIELDS, "a row ends with the text's tokens");
-#define RECORD_SLOTS 8192  /* mvmc._kernels.RECORD_SLOTS */
+#define ROW_FIELDS 4  /* a record's row: user, hashtags, URLs, tokens */
+_Static_assert(TEXT - USER_ID + 1 == ROW_FIELDS, "a row runs from the user to the tokens");
+#define RECORD_SLOTS 8192  /* the first slots of read_records' table */
 
-/* Codes the record r into its row (ROW_FIELDS) and its hashtags, URLs and
- * tokens into lists[0], lists[1] and lists[2] from used[0], used[1] and
- * used[2] on, moving those past them. Returns 0, or MOVE_PASS_NO_MEMORY. */
-static int64_t code_record(struct name_table *t, const struct record *r, int32_t *row,
-                           int32_t *const lists[3], int64_t used[3])
+/* Codes the record r: its post id, followed by a newline, into ids from
+ * used[3] on, its row (ROW_FIELDS) and its hashtags, URLs and tokens into
+ * lists[0], lists[1] and lists[2] from used[0], used[1] and used[2] on,
+ * moving used past them. Returns 0, or MOVE_PASS_NO_MEMORY. */
+static int64_t code_record(struct name_table *t, const struct record *r, char *work, int32_t *row,
+                           int32_t *const lists[3], char *ids, int64_t used[4])
 {
-    int64_t code, len;
-    for (int f = POST_ID; f <= USER_ID; f++) {
-        code = code_name(t, f == POST_ID ? -r->day : USER_KEY, r->s[f], r->n[f],
-                         name_hash(r->s[f], r->n[f]));
-        if (code < 0)
-            return code;
-        row[f] = (int32_t)code;
-    }
+    memcpy(ids + used[3], r->s[POST_ID], (size_t)r->n[POST_ID]);
+    used[3] += r->n[POST_ID] + 1;
+    ids[used[3] - 1] = '\n';
+    int64_t len, code = code_name(t, USER_KEY, r->s[USER_ID], r->n[USER_ID],
+                                  name_hash(r->s[USER_ID], r->n[USER_ID]));
+    if (code < 0)
+        return code;
+    row[0] = (int32_t)code;
     for (int f = HASHTAGS; f <= URLS; f++) {
         int32_t *list = lists[f - HASHTAGS] + used[f - HASHTAGS];
         int64_t count = 0;
@@ -1698,18 +1741,51 @@ static int64_t code_record(struct name_table *t, const struct record *r, int32_t
             if (f == URLS || k == count)
                 list[count++] = (int32_t)code;
         }
-        row[f] = (int32_t)count;
+        row[f - USER_ID] = (int32_t)count;
         used[f - HASHTAGS] += count;
     }
-    code = code_tokens(t, TOKEN_KEY, r->s[TEXT], r->n[TEXT], r->split, lists[2] + used[2]);
+    code = code_tokens(t, TOKEN_KEY, r->s[TEXT], r->n[TEXT], r->split, work, lists[2] + used[2]);
     if (code < 0)
         return code;
-    row[TEXT] = (int32_t)code;
+    row[TEXT - USER_ID] = (int32_t)code;
     used[2] += code;
     return 0;
 }
 
-/* A batch of JSONL lines read into records and coded by first appearance.
+/* read_records' outputs, in the order of the (address, count) pairs that
+ * open its state, and its buffers, the first NBUFFERS of them and work. */
+enum output { DAYS, ROWS, TAGS, URL_CODES, TOKENS, IDS, ID_AT, NBUFFERS, NAMES = NBUFFERS,
+              NAME_AT, KEYS, NOUTPUTS };
+
+/* read_records' state from call to call of one read, in the caller's
+ * READER_SLOTS int64 slots, all 0 before the first call. */
+struct reader {
+    int64_t out[2 * NOUTPUTS];  /* (address, count) of each output */
+    struct name_table t;        /* every user, hashtag, URL and token so far */
+    void *buffer[NBUFFERS + 1];
+    size_t room[NBUFFERS + 1];
+};
+#define READER_SLOTS 64  /* mvmc._kernels.READER_SLOTS */
+_Static_assert(sizeof(struct reader) <= READER_SLOTS * sizeof(int64_t), "the state fits its slots");
+
+/* the bytes of an item of each buffer */
+static const size_t ITEM_SIZE[NBUFFERS + 1] = {4, 4, 4, 4, 4, 1, 4, 1};
+
+static void free_reader(struct reader *rd)
+{
+    struct name_table *t = &rd->t;
+    for (int k = 0; k <= NBUFFERS; k++)
+        free(rd->buffer[k]);
+    free(t->slots);
+    free(t->names);
+    free(t->name_at);
+    free(t->keys);
+    free(t->codes);
+    memset(rd, 0, sizeof *rd);
+}
+
+/* The lines of a batch of JSONL lines read into records and coded, one call
+ * per batch of a read.
  *
  * Line i is text[at[i]..at[i + 1]). A blank line (only bytes that
  * str.isspace accepts) is skipped. A line parse_json takes is a record. Any
@@ -1718,34 +1794,29 @@ static int64_t code_record(struct name_table *t, const struct record *r, int32_t
  * skips the line), and is marked declined otherwise. A side record holds the
  * fields of a line that the caller parsed itself; see parse_side.
  *
- * Each record is coded in line order: its post id under minus its day's
- * ordinal, so that post ids are coded within their day, its user, its
- * distinct hashtags and its non-empty URLs in order, and its text's tokens
- * (see code_tokens), under the keys USER_KEY to TOKEN_KEY. A code is the
- * name's rank among the batch's distinct (key, name) pairs by first
- * appearance.
+ * Each record is coded in line order: its user, its distinct hashtags and
+ * its non-empty URLs in order, and its text's tokens (see code_tokens), under
+ * the keys USER_KEY to TOKEN_KEY. A code is the name's rank among the read's
+ * distinct names of its key by first appearance: state holds the names of
+ * the read's earlier batches.
  *
- * Outputs: day (nlines) receives each line's day ordinal, 0 for a skipped
- * line and -1 for a declined one; rows (nlines x ROW_FIELDS) each record's
- * post id and user codes and its numbers of hashtags, URLs and tokens (zero
- * for other lines); tags, urls and tokens the codes of the records'
- * hashtags, URLs and tokens, record after record; names the distinct names,
- * each followed by a newline, name t starting at name_at[t] and having the
- * key keys[t]; counts the numbers of hashtag, URL and token codes and of
- * names. A name with its newline takes no more bytes than it comes from, and
- * so do two tokens or three hashtags or URLs; so with B = length +
- * side_length, tags and urls need B / 3 slots, tokens B / 2, names B bytes,
- * name_at and keys B / 2 + 2 * nlines + 1 slots, and 32-bit offsets limit B
- * to less than 2**31. The name table works in scratch, of scratch_size
- * bytes: the longest line or side record rounded up to 8 bytes, and 8 bytes
- * for each of its slots, RECORD_SLOTS and more while they are half full.
+ * Outputs, each an (address, count) pair in state->out and valid until the
+ * next call: DAYS, each line's UTC day as a proleptic Gregorian ordinal
+ * (0001-01-01 is 1), 0 for a skipped line and -1 for a declined one; ROWS,
+ * each record's user code and numbers of hashtags, URLs and tokens; TAGS,
+ * URL_CODES and TOKENS, the codes of the records' hashtags, URLs and tokens,
+ * record after record; IDS, the records' post ids, each followed by a
+ * newline, the i-th from ID_AT[i] on; and NAMES, the batch's new names, each
+ * followed by a newline, the t-th from NAME_AT[t] - NAME_AT[0] on, under the
+ * key KEYS[t]. All are int32 but the bytes of IDS and NAMES.
  *
- * Returns the number of lines marked declined: past the first of them no
- * record is coded, so the outputs but day hold the batch only when it is 0,
- * and counts are then all 0. Or returns MOVE_PASS_BAD_INDEX when the offsets
- * fall or run past their text, the batch is too long, a side record is
- * malformed or there are more side records than declined lines; or
- * MOVE_PASS_NO_MEMORY when the scratch is too small.
+ * Returns the number of lines marked declined. Past the first of them no
+ * record is coded, and when it is not 0 the batch adds no name to the state
+ * and the outputs but DAYS are empty. Or returns MOVE_PASS_BAD_INDEX when
+ * the offsets fall or run past their text, the batch is 2**31 bytes or
+ * longer, a side record is malformed or there are more side records than
+ * declined lines; or MOVE_PASS_NO_MEMORY. A call with nlines < 0 frees the
+ * state and returns 0.
  */
 int64_t read_records(
     int64_t nlines,
@@ -1756,41 +1827,40 @@ int64_t read_records(
     const char *side,
     int64_t side_length,
     const int64_t *side_at,
-    int32_t *day,
-    int32_t *rows,
-    int32_t *tags,
-    int32_t *urls,
-    int32_t *tokens,
-    char *names,
-    int32_t *name_at,
-    int32_t *keys,
-    char *scratch,
-    int64_t scratch_size,
-    int64_t *counts)
+    int64_t *state)
 {
-    if (nlines < 0 || !pieces_ok(nlines, at, length) || !pieces_ok(nside, side_at, side_length)
-        || length + side_length >= INT32_MAX || scratch_size <= 0)
+    struct reader *rd = (struct reader *)state;
+    struct name_table *t = &rd->t;
+    if (nlines < 0) {
+        free_reader(rd);
+        return 0;
+    }
+    if (!pieces_ok(nlines, at, length) || !pieces_ok(nside, side_at, side_length)
+        || at[nlines] + side_at[nside] >= INT32_MAX)
         return MOVE_PASS_BAD_INDEX;
-    int64_t longest = 0;  /* a text to tokenise is shorter than its record */
-    for (int64_t i = 0; i < nlines; i++)
-        if (at[i + 1] - at[i] > longest)
-            longest = at[i + 1] - at[i];
-    for (int64_t j = 0; j < nside; j++)
-        if (side_at[j + 1] - side_at[j] > longest)
-            longest = side_at[j + 1] - side_at[j];
-    struct name_table t = {scratch, ((size_t)longest + 7) / 8 * 8, (size_t)scratch_size, NULL, 0, 0,
-                           names, name_at, keys, '\n'};
-    name_at[0] = 0;
-    if (resize_table(&t, RECORD_SLOTS) != 0)
+    const size_t lines = (size_t)nlines + 1;
+    if (grow(&rd->buffer[DAYS], &rd->room[DAYS], lines, sizeof(int32_t), 1) != 0
+        || grow(&rd->buffer[ROWS], &rd->room[ROWS], ROW_FIELDS * lines, sizeof(int32_t), 1) != 0
+        || grow(&rd->buffer[ID_AT], &rd->room[ID_AT], lines, sizeof(int32_t), 1) != 0)
         return MOVE_PASS_NO_MEMORY;
+    if (t->cap == 0) {
+        t->sep = '\n';
+        if (grow(&t->name_at, &t->room[1], 2, sizeof(int32_t), 2) != 0
+            || grow(&t->keys, &t->room[2], 2, sizeof(int32_t), 2) != 0
+            || grow(&t->codes, &t->room[3], 2, sizeof(int32_t), 2) != 0
+            || resize_table(t, RECORD_SLOTS) != 0)
+            return MOVE_PASS_NO_MEMORY;
+        t->name_at[0] = 0;
+    }
 
-    int32_t *const lists[3] = {tags, urls, tokens};
-    int64_t used[3] = {0, 0, 0}, next = 0, status = 0, declined = 0;
+    int32_t *day = rd->buffer[DAYS], *rows = rd->buffer[ROWS], *id_at = rd->buffer[ID_AT];
+    int64_t used[4] = {0, 0, 0, 0}, records = 0, next = 0, status = 0, declined = 0;
+    int64_t before = t->count;
+    id_at[0] = 0;
     for (int64_t i = 0; i < nlines && status == 0; i++) {
         const char *s = text + at[i];
         int64_t n = at[i + 1] - at[i], k = 0;
         struct record r = {{NULL}, {0}, 0, 0, 0};
-        memset(rows + ROW_FIELDS * i, 0, ROW_FIELDS * sizeof *rows);
         day[i] = 0;
         while (k < n && is_space((unsigned char)s[k]))
             k++;
@@ -1813,17 +1883,39 @@ int64_t read_records(
                 break;
             }
         }
-        if (declined == 0)  /* its codes would be wrong past a declined line */
-            status = code_record(&t, &r, rows + ROW_FIELDS * i, lists, used);
         day[i] = r.day;
+        if (declined > 0)  /* its codes would be wrong past a declined line */
+            continue;
+        /* a name or a post id with its newline takes no more bytes than it
+         * comes from, and so do two tokens or three hashtags or URLs; the
+         * text scratch takes the whole record */
+        const size_t m = (size_t)n, need[NBUFFERS + 1 - TAGS] = {
+            used[0] + m / 3 + 1, used[1] + m / 3 + 1, used[2] + m / 2 + 1, used[3] + m + 1, 0, m};
+        for (int k = TAGS; k <= NBUFFERS && status == 0; k++)
+            status = grow(&rd->buffer[k], &rd->room[k], need[k - TAGS], ITEM_SIZE[k], 2);
+        int32_t *const lists[3] = {rd->buffer[TAGS], rd->buffer[URL_CODES], rd->buffer[TOKENS]};
+        if (status == 0)
+            status = code_record(t, &r, rd->buffer[NBUFFERS], rows + ROW_FIELDS * records, lists,
+                                 rd->buffer[IDS], used);
+        id_at[++records] = (int32_t)used[3];
     }
     if (status == 0 && next != nside)
         status = MOVE_PASS_BAD_INDEX;
-    if (status < 0)
-        return status;
-    memcpy(counts, used, sizeof used);
-    counts[3] = t.count;
-    if (declined > 0)
-        memset(counts, 0, 4 * sizeof *counts);
-    return declined;
+    if (status < 0 || declined > 0) {
+        truncate_table(t, before);
+        records = used[0] = used[1] = used[2] = used[3] = 0;
+    }
+    const int64_t count[NBUFFERS] = {nlines, ROW_FIELDS * records, used[0], used[1], used[2],
+                                     used[3], records + 1};
+    for (int k = 0; k < NBUFFERS; k++) {
+        rd->out[2 * k] = (int64_t)(intptr_t)rd->buffer[k];
+        rd->out[2 * k + 1] = count[k];
+    }
+    rd->out[2 * NAMES] = (int64_t)(intptr_t)(t->names + t->name_at[before]);
+    rd->out[2 * NAMES + 1] = t->name_at[t->count] - t->name_at[before];
+    rd->out[2 * NAME_AT] = (int64_t)(intptr_t)(t->name_at + before);
+    rd->out[2 * NAME_AT + 1] = t->count - before + 1;
+    rd->out[2 * KEYS] = (int64_t)(intptr_t)(t->keys + before);
+    rd->out[2 * KEYS + 1] = t->count - before;
+    return status < 0 ? status : declined;
 }

@@ -30,7 +30,6 @@ MIN_POSTS_PER_HASHTAG = 3
 TEXT_BATCH = 1024
 # bytes of .jsonl lines that one call of the compiled reader takes
 READ_BATCH = 1 << 17
-RECORD_SLOTS = 8192  # the first slots of read_records' name table
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
 _HASHTAG_RE = re.compile(r"#\S+")
@@ -307,72 +306,6 @@ def group_by_day(records) -> dict[date, CorpusDay]:
     return dict(sorted(days.items()))
 
 
-def _mapped(*arrays):
-    """New arrays of the given (shape, dtype)s in one anonymous memory map,
-    each starting at a multiple of 8 bytes. Neither glibc's heap nor its
-    mmap threshold sees them, and a page counts in the RSS once written."""
-    import mmap  # only a compiled .jsonl read needs it
-
-    sizes = [(int(np.prod(shape)) * np.dtype(dtype).itemsize + 7) // 8 * 8
-             for shape, dtype in arrays]
-    region = mmap.mmap(-1, max(sum(sizes), 1))
-    starts = np.cumsum([0, *sizes]).tolist()
-    return [np.frombuffer(region, dtype, int(np.prod(shape)), start).reshape(shape)
-            for (shape, dtype), start in zip(arrays, starts)]
-
-
-def _record_reader():
-    """A function read(text, at, side=b"", side_at=(0,)) that runs
-    `_kernels.read_records` on one batch of JSONL lines, keeping its outputs
-    and scratch from call to call in one `_mapped` region, which it replaces
-    by a larger one when a batch needs more room.
-
-    Line i is text[at[i]:at[i + 1]] of the bytes-like `text`, and the j-th
-    line that the routine declines takes side record j,
-    side[side_at[j]:side_at[j + 1]] (see read_records in the C source).
-    Returns (day, rows, tags, urls, tokens, names, keys), views that the next
-    call overwrites but for the names: each line's int32 day ordinal (0 for a
-    skipped line, -1 for a declined one); an int32 row per line of its post
-    id and user codes and its numbers of hashtags, URLs and tokens; the int32
-    codes of the records' hashtags, URLs and tokens, record after record; and
-    the names of the codes, as a list, with their int32 keys. While a line
-    is declined, only the days are filled in. Offsets that fall or run past
-    their text, or a side record too many or malformed, raise ValueError."""
-    room = lines = -1
-    out = addresses = []
-
-    def read(text, at, side=b"", side_at=(0,)):
-        nonlocal room, lines, out, addresses
-        at = _kernels._input(at, np.int64, (len(at),), "line offsets")
-        side_at = _kernels._input(side_at, np.int64, (len(side_at),), "side offsets")
-        nlines, size = len(at) - 1, len(text) + len(side)
-        if size > room or nlines > lines:  # see read_records for the sizes
-            room, lines = max(size, room), max(nlines, lines)
-            slots = room // 2 + 2 * lines + 1
-            out = _mapped((lines, np.int32), ((lines, 5), np.int32), (room // 3, np.int32),
-                          (room // 3, np.int32), (room // 2, np.int32), (room, np.uint8),
-                          (slots, np.int32), (slots, np.int32),
-                          (room + 8 + 32 * (slots + RECORD_SLOTS), np.uint8), (4, np.int64))
-            addresses = [a.ctypes.data for a in out]
-        declined = _kernels.read_records(
-            nlines, np.frombuffer(text, np.uint8).ctypes.data, len(text), at.ctypes.data,
-            len(side_at) - 1, np.frombuffer(side, np.uint8).ctypes.data, len(side),
-            side_at.ctypes.data, *addresses[:-1], len(out[-2]), addresses[-1])
-        _kernels._check_status("read_records", declined)
-        day, rows, tags, urls, tokens, names, name_at, keys, _scratch, counts = out
-        n_tags, n_urls, n_tokens, n = counts.tolist()
-        view = memoryview(names)
-        listed = str(view[:name_at[n]], "utf-8", "surrogatepass").split("\n")[:-1]
-        if len(listed) != n:  # a side record's post id holds a line break
-            bounds = name_at[:n + 1].tolist()
-            listed = [str(view[a:b - 1], "utf-8", "surrogatepass")
-                      for a, b in zip(bounds, bounds[1:])]
-        return (day[:nlines], rows[:nlines], tags[:n_tags], urls[:n_urls], tokens[:n_tokens],
-                listed, keys[:n])
-
-    return read
-
-
 def _side_record(line: str, lineno: int, on_error) -> bytes:
     """A line that the compiled reader declined, parsed by `parse_json_record`,
     as the side record that the reader codes in its place (see read_records
@@ -393,80 +326,78 @@ def _side_record(line: str, lineno: int, on_error) -> bytes:
         [b"%d:%s" % (len(f), f) for f in (f.encode("utf-8", "surrogatepass") for f in fields)])
 
 
-def _post_codes(ids: dict, keys: list) -> np.ndarray:
-    """The int32 codes of a batch's distinct post ids in a day's table, new
-    ones coded in order, as `CorpusDay.add` codes them."""
-    return np.fromiter((ids.setdefault(k, len(ids)) for k in keys), np.int32, len(keys))
+def _strings(data, at) -> list:
+    """The strings in data (UTF-8 with lone surrogates passed), each followed
+    by a newline, string i from at[i] - at[0] on."""
+    strings = str(data, "utf-8", "surrogatepass").split("\n")[:-1]
+    if len(strings) == len(at) - 1:
+        return strings
+    at = (at - at[0]).tolist()  # a side record's string holds a newline
+    return [str(data[a:b - 1], "utf-8", "surrogatepass") for a, b in zip(at, at[1:])]
 
 
-def _add_records(corpus: PostCorpus, days: dict, line_day, rows, tags, urls, tokens, names,
-                 keys) -> None:
-    """Give the names of a batch that `_record_reader` coded their codes in
-    the corpus's tables, or in their day's post ids, in the batch's
-    first-appearance order, and append its records to their days, a run of
-    records of one day at a time."""
-    names, code = np.array(names, dtype=object), np.empty(len(keys), np.int32)
-    taken = line_day > 0
-    line_day, rows = line_day[taken], rows[taken]
-    ordinals = set(line_day.tolist())
-    for ordinal in ordinals:
-        if date.fromordinal(ordinal) not in days:
-            days[date.fromordinal(ordinal)] = CorpusDay(corpus)
-    for key, table in enumerate((corpus.users, corpus.hashtags, corpus.urls, corpus.tokens)):
-        pick = np.flatnonzero(keys == key)
-        code[pick] = np.fromiter(map(table.__getitem__, names[pick]), np.int32, len(pick))
-    for ordinal in ordinals:
-        pick = np.flatnonzero(keys == -ordinal)
-        code[pick] = _post_codes(days[date.fromordinal(ordinal)].ids, names[pick].tolist())
-    # where each record's hashtags, URLs and tokens start in their lists
-    at = np.zeros((len(rows) + 1, 3), np.int64)
-    np.cumsum(rows[:, 2:], axis=0, out=at[1:])
-    runs = np.flatnonzero(np.diff(line_day, prepend=0)).tolist()  # where each day's run starts
+def _add_batch(corpus: PostCorpus, days: dict, line_day, rows, tags, urls, tokens, ids, id_at,
+               names, name_at, keys) -> None:
+    """Add a batch that `_kernels.read_records` coded: its new names, which
+    take the next codes of their tables, as the reader gave them, and its
+    records, a run of records of one day at a time."""
+    tables = (corpus.users, corpus.hashtags, corpus.urls, corpus.tokens)
+    for key, name in zip(keys.tolist(), _strings(names, name_at)):
+        tables[key][name]  # a new name: the table gives it the next code
+    ids, line_day, rows = _strings(ids, id_at), line_day[line_day > 0], rows.reshape(-1, 4)
+    at = np.zeros((len(rows) + 1, 3), np.int64)  # where each record's lists start
+    np.cumsum(rows[:, 1:], axis=0, out=at[1:])
+    runs = np.flatnonzero(np.diff(line_day, prepend=0)).tolist()
     for a, b in zip(runs, [*runs[1:], len(rows)]):
-        day, (tag, url, token), (tag_end, url_end, token_end) = (
-            days[date.fromordinal(int(line_day[a]))], at[a], at[b])
-        for field, values in (
-                ("post_id", code[rows[a:b, 0]]), ("user", code[rows[a:b, 1]]),
-                ("tags", code[tags[tag:tag_end]]), ("n_tags", rows[a:b, 2].copy()),
-                ("urls", code[urls[url:url_end]]), ("n_urls", rows[a:b, 3].copy()),
-                ("tokens", code[tokens[token:token_end]]), ("n_tokens", rows[a:b, 4].copy())):
-            getattr(day, field).frombytes(memoryview(values).cast("B"))
+        day = date.fromordinal(int(line_day[a]))
+        if day not in days:
+            days[day] = CorpusDay(corpus)
+        posts, (tag, url, token), (tag_end, url_end, token_end) = days[day], at[a], at[b]
+        posts.post_id.extend(posts.ids.setdefault(k, len(posts.ids)) for k in ids[a:b])
+        for field, values in (("user", rows[a:b, 0]), ("n_tags", rows[a:b, 1]),
+                              ("n_urls", rows[a:b, 2]), ("n_tokens", rows[a:b, 3]),
+                              ("tags", tags[tag:tag_end]), ("urls", urls[url:url_end]),
+                              ("tokens", tokens[token:token_end])):
+            getattr(posts, field).frombytes(values.tobytes())
 
 
 def _read_batches(fh, on_error) -> dict[date, CorpusDay]:
-    """`group_by_day` of the lines of the .jsonl file `fh`: one call
-    of the compiled reader per batch of at most `READ_BATCH` bytes (or of one
-    longer line), and a second when it declines a line, with the record that
-    `parse_json_record` makes of each declined line. The batch's bytes and
-    the reader's outputs are allocated once."""
-    corpus, days = PostCorpus(), {}
-    read, lineno = _record_reader(), 1  # lineno: the batch's first line
+    """`group_by_day` of the lines of the .jsonl file `fh`: one call of
+    `_kernels.read_records` per batch of at most `READ_BATCH` bytes of lines
+    (or of one longer line), and a second when it declines lines, with their
+    `_side_record`s. The batch's buffer and the reader's state last from
+    batch to batch."""
+    corpus, days, state = PostCorpus(), {}, np.zeros(_kernels.READER_SLOTS, np.int64)
+    text, at, lineno = bytearray(READ_BATCH), [0], 1  # lineno: the batch's first line
 
-    def code_batch(text, at):
-        """Code the lines text[at[i]:at[i + 1]]; returns their number."""
-        batch = read(text, at)
-        side = [_side_record(str(text[at[i]:at[i + 1]], "utf-8", "surrogatepass"),
-                             lineno + i, on_error) for i in np.flatnonzero(batch[0] < 0).tolist()]
-        if side:
-            batch = read(text, at, b"".join(side), np.cumsum([0, *map(len, side)]))
-        _add_records(corpus, days, *batch)
-        return len(at) - 1
+    def code(data, at):
+        nonlocal lineno
+        declined, out = _kernels.read_records(state, data, at)
+        if declined:
+            side = [_side_record(str(data[at[i]:at[i + 1]], "utf-8", "surrogatepass"),
+                                 lineno + i, on_error) for i in np.flatnonzero(out[0] < 0).tolist()]
+            _, out = _kernels.read_records(state, data, at, b"".join(side),
+                                           np.cumsum([0, *map(len, side)]))
+        _add_batch(corpus, days, *out)
+        lineno += len(at) - 1
 
-    text, at = memoryview(_mapped(((READ_BATCH,), np.uint8))[0]), [0]
-    for line in fh:
-        data = line.encode("utf-8", "surrogatepass")  # exact, lone surrogates included
-        end = at[-1] + len(data)
-        if end > READ_BATCH:
-            if len(at) > 1:
-                lineno += code_batch(text, at)
-            at, end = [0], len(data)
-            if end > READ_BATCH:  # a longer line is a batch of its own
-                lineno += code_batch(data, [0, end])
-                continue
-        text[at[-1]:end] = data
-        at.append(end)
-    if len(at) > 1:
-        code_batch(text, at)
+    try:
+        for line in fh:
+            data = line.encode("utf-8", "surrogatepass")  # exact, lone surrogates included
+            end = at[-1] + len(data)
+            if end > len(text):
+                if len(at) > 1:
+                    code(text, at)
+                at, end = [0], len(data)
+                if end > len(text):  # a longer line is a batch of its own
+                    code(data, [0, end])
+                    continue
+            text[at[-1]:end] = data
+            at.append(end)
+        if len(at) > 1:
+            code(text, at)
+    finally:
+        _kernels.read_records(state)  # frees its memory
     return dict(sorted(days.items()))
 
 

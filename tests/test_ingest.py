@@ -901,7 +901,9 @@ def test_compiled_timestamps_match_parse_timestamp():
     stamps += [d + tail for d in dates for tail in ["", "T00:30+01:00", "T23:30-01:00", " 12:00Z"]]
     lines = [json.dumps({"post_id": "p", "timestamp": s, "user_id": "u"}).encode() for s in stamps]
     at = np.cumsum([0, *map(len, lines)])
-    day = ingest._record_reader()(b"".join(lines), at)[0]
+    state = np.zeros(_kernels.READER_SLOTS, np.int64)
+    day = _kernels.read_records(state, b"".join(lines), at)[1][0].copy()
+    _kernels.read_records(state)
     taken = covered = 0
     for stamp, got in zip(stamps, day.tolist()):
         try:
@@ -932,5 +934,7 @@ def test_record_reader_rejects_bad_arguments(case):
     else:  # a declined line whose side record lacks its hashtag and text
         side = b"737485:0:1:0:2:p11:u"
         text, at, side_at = b"x\n", [0, 2], [0, len(side)]
+    state = np.zeros(_kernels.READER_SLOTS, np.int64)
     with pytest.raises(ValueError):
-        ingest._record_reader()(text, at, side, side_at)
+        _kernels.read_records(state, text, at, side, side_at)
+    _kernels.read_records(state)
