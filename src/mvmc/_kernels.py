@@ -756,16 +756,17 @@ def _load_c_kernels():
         int64 zeros before its first batch); with no text it frees the state.
         Returns the number of declined lines and copies of the outputs: days,
         rows, tags, urls, tokens, ids, id_at, names, name_at and keys, int32
-        arrays but for the bytes of ids and names. Offsets that fall or run past their text,
-        and side records that do not fit the declined lines, raise
-        ValueError."""
+        arrays but for the bytes of ids and names. Offsets that fall or run
+        past their text, and side records that do not fit the declined
+        lines, raise ValueError."""
         state = _in_place(state, np.int64, (READER_SLOTS,), "state")
         if text is None:
             return reader(-1, None, 0, None, 0, None, 0, None, state.ctypes.data)
         at, side_at = (_input(a, np.int64, (len(a),), "offsets") for a in (at, side_at))
         declined = reader(len(at) - 1, np.frombuffer(text, np.uint8).ctypes.data, len(text),
-                          at.ctypes.data, len(side_at) - 1, np.frombuffer(side, np.uint8).ctypes.data,
-                          len(side), side_at.ctypes.data, state.ctypes.data)
+                          at.ctypes.data, len(side_at) - 1,
+                          np.frombuffer(side, np.uint8).ctypes.data, len(side),
+                          side_at.ctypes.data, state.ctypes.data)
         _check_status("read_records", declined)
         out = state[:2 * READER_OUTPUTS].tolist()
         return declined, [ctypes.string_at(a, n) if k in (5, 7)  # ids, names

@@ -1383,8 +1383,8 @@ static int64_t code_tokens(struct name_table *t, int32_t key, const char *s, int
     return count;
 }
 
-/* room for 4,096 names before the first growth; a batch of 1,024 posts from
- * bench/corpus.py's generator holds about 2,200 */
+/* a name table's first slots: room for 4,096 names before the first growth;
+ * a batch of 1,024 posts from bench/corpus.py's generator holds about 2,200 */
 #define FIRST_SLOTS 8192
 
 /* The tokens of a batch of ntexts texts, coded by first appearance.
@@ -1708,7 +1708,6 @@ static int64_t next_name(const char *l, int64_t n, int64_t *i, int netstrings, c
 enum { USER_KEY, HASHTAG_KEY, URL_KEY, TOKEN_KEY };
 #define ROW_FIELDS 4  /* a record's row: user, hashtags, URLs, tokens */
 _Static_assert(TEXT - USER_ID + 1 == ROW_FIELDS, "a row runs from the user to the tokens");
-#define RECORD_SLOTS 8192  /* the first slots of read_records' table */
 
 /* Codes the record r: its post id, followed by a newline, into ids from
  * used[3] on, its row (ROW_FIELDS) and its hashtags, URLs and tokens into
@@ -1848,7 +1847,7 @@ int64_t read_records(
         if (grow(&t->name_at, &t->room[1], 2, sizeof(int32_t), 2) != 0
             || grow(&t->keys, &t->room[2], 2, sizeof(int32_t), 2) != 0
             || grow(&t->codes, &t->room[3], 2, sizeof(int32_t), 2) != 0
-            || resize_table(t, RECORD_SLOTS) != 0)
+            || resize_table(t, FIRST_SLOTS) != 0)
             return MOVE_PASS_NO_MEMORY;
         t->name_at[0] = 0;
     }

@@ -920,6 +920,34 @@ def test_compiled_timestamps_match_parse_timestamp():
 
 
 @requires_c
+def test_record_reader_keeps_its_names_from_batch_to_batch():
+    """A batch's codes continue the read's earlier batches and it reports
+    only its new names; a batch that declines a line adds no name until the
+    call that codes it with the line's side record."""
+    def lines(*records):
+        data = [json_line(post_id=p, user_id=u, hashtags=[h], text=t).encode()
+                for p, u, h, t in records]
+        return b"".join(data), np.cumsum([0, *map(len, data)])
+
+    state = np.zeros(_kernels.READER_SLOTS, np.int64)
+    try:
+        text, at = lines(("1", "u", "#a", "x y"), ("2", "v", "#a", "y"))
+        _, out = _kernels.read_records(state, text, at)
+        assert out[1].tolist() == [0, 1, 0, 2, 1, 1, 0, 1] and out[4].tolist() == [0, 1, 1]
+        assert out[7] == b"u\n#a\nx\ny\nv\n" and out[9].tolist() == [0, 1, 3, 3, 0]
+        text, at = lines(("3", "w", "#b", "z y"), ("4", "v", "#a", "é x"))
+        declined, out = _kernels.read_records(state, text, at)
+        assert declined == 1 and out[0].tolist() == [737485, -1] and out[7] == b""
+        side = ingest._side_record(str(text[at[1]:], "utf-8"), 2, None)
+        _, out = _kernels.read_records(state, text, at, side, [0, len(side)])
+        assert out[1].tolist() == [2, 1, 0, 2, 1, 1, 0, 2] and out[2].tolist() == [1, 0]
+        assert out[4].tolist() == [2, 1, 3, 0] and out[5] == b"3\n4\n"
+        assert out[7] == b"w\n#b\nz\n\xc3\xa9\n" and out[9].tolist() == [0, 1, 3, 3]
+    finally:
+        _kernels.read_records(state)
+
+
+@requires_c
 @pytest.mark.parametrize("case", ["falling offsets", "offsets past the text",
                                   "a side record too many", "a malformed side record"])
 def test_record_reader_rejects_bad_arguments(case):
