@@ -9,28 +9,25 @@ hashtags, `--posts` posts of 20 words, seed 7), writes it as a .jsonl file and
 times, best of `--repeat`: `read_posts` on that file, which codes each post
 as it reads it, and `build_daily_views` on the coded day. It times
 `read_posts` with `_kernels.read_records` (the compiled reader, when it
-loaded) against the per-line reference, on that file and on a copy with a
+loaded) against the per-line reference, on that file, on a copy with a
 `\\u` escape in every other line's text, the lines the compiled reader
-declines. Then it parses
-the file into record tuples with `parse_json_record` and times
-`preprocess_text` against the per-character reference
-`brute_preprocess_text`, and the views against the dict-of-tuples reference
-`brute_daily_views`, both from `tests/oracles.py`. It times the texts coded
-in `TEXT_BATCH` batches by `_kernels.code_texts` (the compiled coder, when
-it loaded) against its reference `_kernels._code_texts`. It times the period
-report tables of the day, `analytics.usage_tables` on the day's codes with
-the planted groups of its registry as clusters, against the per-post
-reference `brute_usage_tables`. For each of the day's four views it then
-times `tfidf`, and `knn_graph` on the weighted view with `_kernels.knn_edges`
-(the compiled routine, when it loaded) against the same call with the scipy
-reference `_kernels._knn_edges`, and `write_triplets` of the view with
-`_kernels.triplet_bytes` (the compiled formatter, when it loaded) against
-the same call with the f-string reference `_kernels._triplet_bytes`. It
-checks that each pair agrees day array for day array, token for token,
-code for code, entry for
-entry, count for count, edge for edge and byte for byte, and prints one
-JSON line with the times, the peak RSS of the process, the kernel backend,
-the CPU count and the Python/numpy/scipy versions.
+declines, and on the same posts written as .tsv. Then it parses the file
+into record tuples with `parse_json_record` and times `preprocess_text`
+against the per-character reference `brute_preprocess_text`, and the views
+against the dict-of-tuples reference `brute_daily_views`, both from
+`tests/oracles.py`. It times the period report tables of the day,
+`analytics.usage_tables` on the day's codes with the planted groups of its
+registry as clusters, against the per-post reference `brute_usage_tables`.
+For each of the day's four views it then times `tfidf`, and `knn_graph` on
+the weighted view with `_kernels.knn_edges` (the compiled routine, when it
+loaded) against the same call with the scipy reference `_kernels._knn_edges`,
+and `write_triplets` of the view with `_kernels.triplet_bytes` (the compiled
+formatter, when it loaded) against the same call with the f-string reference
+`_kernels._triplet_bytes`. It checks that each pair agrees day array for day
+array, token for token, entry for entry, count for count, edge for edge and
+byte for byte, and prints one JSON line with the times, the peak RSS of the
+process, the kernel backend, the CPU count and the Python/numpy/scipy
+versions.
 """
 import argparse
 import importlib.util
@@ -49,13 +46,7 @@ import scipy
 
 from mvmc import _kernels
 from mvmc.analytics import usage_tables
-from mvmc.ingest import (
-    TEXT_BATCH,
-    build_daily_views,
-    parse_json_record,
-    preprocess_text,
-    read_posts,
-)
+from mvmc.ingest import build_daily_views, parse_json_record, preprocess_text, read_posts
 from mvmc.views import knn_graph, tfidf
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -141,6 +132,15 @@ def escape_every_other_text(path, out):
             dst.write(line)
 
 
+def write_tsv(path, out):
+    """Writes path's posts to out as .tsv lines."""
+    with open(path, encoding="utf-8") as fh, open(out, "w", encoding="utf-8") as dst:
+        for record in map(json.loads, fh):
+            dst.write("\t".join([record["post_id"], record["timestamp"], record["user_id"],
+                                 record["text"], ",".join(record["hashtags"]),
+                                 ",".join(record["urls"])]) + "\n")
+
+
 def day_state(days):
     """Every day's arrays and post ids, and the four name tables."""
     fields = ("post_id", "user", "tags", "n_tags", "urls", "n_urls", "tokens", "n_tokens")
@@ -152,13 +152,15 @@ def day_state(days):
 
 def records_layer(path, repeat):
     """`read_posts` with the bound `_kernels.read_records` and with the
-    per-line reader, which `read_posts` takes when it is None, on the day and
-    on its copy by `escape_every_other_text`; `records_agree` compares every
-    day's arrays and the name tables. Returns the times and the days read."""
-    escaped = path.with_name("escaped.jsonl")
+    per-line reader, which `read_posts` takes when it is None, on the day, on
+    its copy by `escape_every_other_text` and on its .tsv copy;
+    `records_agree` compares every day's arrays and the name tables. Returns
+    the times and the days read."""
+    escaped, tsv = path.with_name("escaped.jsonl"), path.with_name("day.tsv")
     escape_every_other_text(path, escaped)
+    write_tsv(path, tsv)
     bound, times, states, first = _kernels.read_records, {}, [], None
-    for name, source in (("", path), ("escaped_", escaped)):
+    for name, source in (("", path), ("escaped_", escaped), ("tsv_", tsv)):
         times[f"{name}read_posts_s"], days = best_time(lambda: read_posts(source), repeat)
         _kernels.read_records = None
         try:
@@ -169,23 +171,6 @@ def records_layer(path, repeat):
         states += [day_state(days), day_state(reference)]
         first = first or days
     return {**times, "records_agree": all(state == states[0] for state in states)}, first
-
-
-def text_codes(texts, repeat):
-    """The texts coded in `TEXT_BATCH` batches by the bound
-    `_kernels.code_texts` and by its reference; `text_codes_agree` compares
-    their codes, counts and names."""
-    batches = [texts[i:i + TEXT_BATCH] for i in range(0, len(texts), TEXT_BATCH)]
-    code_s, coded = best_time(lambda: list(map(_kernels.code_texts, batches)), repeat)
-    reference_s, reference = best_time(lambda: list(map(_kernels._code_texts, batches)), repeat)
-    return {
-        "code_texts_s": code_s,
-        "reference_code_texts_s": reference_s,
-        "text_codes_agree": all(
-            a[2] == b[2] and all(np.array_equal(x, y) and x.dtype == y.dtype
-                                 for x, y in zip(a[:2], b[:2]))
-            for a, b in zip(coded, reference)),
-    }
 
 
 def knn_layer(views, repeat):
@@ -271,7 +256,6 @@ def main():
         "brute_preprocess_text_s": brute_tok_s,
         "brute_daily_views_s": brute_views_s,
         "tokens_agree": tokens == brute_tokens,
-        **text_codes(texts, args.repeat),
         "views_agree": same_views(views, reference),
         **report_tables(posts, views, groups, args.repeat),
         "knn": knn_layer(views, args.repeat),

@@ -1,7 +1,7 @@
 """The compiled kernels: the sweep, the aggregation and whole restarts of the
 modularity maximizer, the graph its restarts share, the k-NN graph of a view,
-the text of a view's .triplets file, the token codes of posts' texts and
-the coded records of .jsonl lines.
+the text of a view's .triplets file and the coded records of .jsonl and
+.tsv lines.
 
 `move_pass` runs one sweep of local moves and `aggregate` one level of graph
 aggregation. Each has a reference implementation here: `_move_pass` in plain
@@ -53,34 +53,27 @@ followed by a newline. The routine copies the three pieces of each entry in
 CSR order into a buffer of the exact size, so both give the same bytes by
 construction.
 
-The seventh, `code_texts`, tokenises a batch of texts and codes the tokens;
-its reference `_code_texts` is `ingest.preprocess_text` and a dict of
-names. Both return int32 codes in first-appearance order within the batch,
-text after text, each text's int32 token count and the names of the codes.
-The compiled routine takes one buffer with int64 offsets and a flag per
-text. It tokenises an unflagged (ASCII) text itself: the four passes of
-`preprocess_text` in its order, each replacing every match in the previous
-pass's output by one space, then the runs of [A-Za-z0-9], lowercased.
-`code_texts` passes each non-ASCII text as its `preprocess_text` tokens
-joined by spaces, flagged to be split on spaces only, so the Unicode rules
-stay in Python; `code_text_buffer` is the checked call on one buffer.
-
-The eighth, `read_records`, parses and codes a batch of .jsonl lines; its
-reference is `ingest.read_posts` line by line. It takes only plain lines
-(see parse_json in the C source); the caller parses the lines it declines
-with `ingest.parse_json_record` and a second call codes the batch with
-their fields in line order. Its name tables last from batch to batch of one
-read, in a state of READER_SLOTS int64s, so each code is the corpus's.
+The seventh, `read_records`, parses and codes a batch of .jsonl or .tsv
+lines; its reference is `ingest.read_posts` line by line. It takes only
+plain lines (see parse_json and parse_tsv in the C source); the caller
+parses the lines it declines with `ingest.parse_json_record` or
+`ingest.parse_tsv_record` and a second call codes the batch with their
+fields in line order. It tokenises an ASCII text itself: the four passes of
+`ingest.preprocess_text` in its order, each replacing every match in the
+previous pass's output by one space, then the runs of [A-Za-z0-9],
+lowercased. A declined line's non-ASCII text comes as its `preprocess_text`
+tokens joined by spaces, so the Unicode rules stay in Python. Its name
+tables last from batch to batch of one read, in a state of READER_SLOTS
+int64s, so each code is the corpus's.
 
 At import the C source is built with the local C compiler into a per-user
 cache and loaded through ctypes; `move_pass`, `aggregate`, `combined_graph`,
-`knn_edges`, `triplet_bytes` and `code_texts` are then checked wrappers
-around it. With no `cc` or `gcc` on PATH, when the build or load fails, or
-when the draw differs, they are `_move_pass`, `_aggregate`,
-`_combined_graph`, `_knn_edges`, `_triplet_bytes` and `_code_texts`, and
-`run_restarts`, `run_seeded`, `draw_order`, `format_triplets`,
-`code_text_buffer` and `read_records` are None; no switch chooses. `BACKEND`
-names the implementation that runs: "c" or "python".
+`knn_edges` and `triplet_bytes` are then checked wrappers around it. With no
+`cc` or `gcc` on PATH, when the build or load fails, or when the draw
+differs, they are `_move_pass`, `_aggregate`, `_combined_graph`,
+`_knn_edges` and `_triplet_bytes`, and `run_restarts`, `run_seeded`,
+`draw_order`, `format_triplets` and `read_records` are None; no switch
+chooses. `BACKEND` names the implementation that runs: "c" or "python".
 benchmarks/bench_kernels.py and benchmarks/bench_ingest.py compare the two.
 """
 from __future__ import annotations
@@ -346,21 +339,6 @@ def _triplet_bytes(indptr, indices, data, row_names, col_names):
     ).encode("utf-8")
 
 
-def _code_texts(texts):
-    """The `ingest.preprocess_text` tokens of `texts`, coded by first
-    appearance: (int32 codes, text after text; each text's int32 token count;
-    the names of the codes, as a list)."""
-    from .ingest import preprocess_text  # ingest imports this module
-
-    table = {}
-    codes, counts = [], []
-    for text in texts:
-        tokens = preprocess_text(text)
-        codes += [table.setdefault(token, len(table)) for token in tokens]
-        counts.append(len(tokens))
-    return np.array(codes, np.int32), np.array(counts, np.int32), list(table)
-
-
 def _pieces(strings, end):
     """The UTF-8 text of `strings`, each followed by the character `end`,
     which none of them may hold, and the int64 offsets where each one's piece
@@ -426,9 +404,9 @@ def _build_library() -> Path | None:
 
 def _load_c_kernels():
     """Wrappers (move_pass, aggregate, draw_order, run_seeded, run_restarts,
-    combined_graph, knn_edges, format_triplets, triplet_bytes,
-    code_text_buffer, code_texts) around the compiled routines, or None when
-    they are unavailable or the compiled draw differs from numpy's."""
+    combined_graph, knn_edges, format_triplets, triplet_bytes, read_records)
+    around the compiled routines, or None when they are unavailable or the
+    compiled draw differs from numpy's."""
     library = _build_library()
     if library is None:
         return None
@@ -437,8 +415,7 @@ def _load_c_kernels():
         kernel, aggregator = compiled.move_pass, compiled.aggregate
         drawer, restarter = compiled.draw_order, compiled.run_restarts
         combiner, neighbours = compiled.combined_graph, compiled.knn_edges
-        formatter, coder = compiled.format_triplets, compiled.code_texts
-        reader = compiled.read_records
+        formatter, reader = compiled.format_triplets, compiled.read_records
     except (OSError, AttributeError):
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
@@ -460,10 +437,8 @@ def _load_c_kernels():
     formatter.restype = i64
     formatter.argtypes = [i64, i64, i64, i64, ptr, ptr, ptr, *[ctypes.c_char_p, ptr, i64] * 3,
                           ptr, i64]
-    coder.restype = i64
-    coder.argtypes = [i64, ctypes.c_char_p, i64, ptr, ptr, i64, *[ptr] * 4, ctypes.POINTER(i64)]
     reader.restype = i64
-    reader.argtypes = [i64, ptr, i64, ptr, i64, ptr, i64, ptr, ptr]
+    reader.argtypes = [i64, ptr, i64, ptr, i64, i64, ptr, i64, ptr, ptr]
 
     def c_move_pass(
         indptr,
@@ -701,59 +676,12 @@ def _load_c_kernels():
         out = np.empty(int(size), np.uint8)
         return c_format_triplets(indptr, indices, codes, *tables, out).data
 
-    def c_code_text_buffer(text, offsets, flags):
-        """The compiled routine on one buffer: text i is
-        text[offsets[i]:offsets[i + 1]] of the bytes `text`, and flags[i] set
-        marks it as tokens joined by spaces. Returns (codes, counts, names,
-        name_at): int32 codes by first appearance, text after text, each
-        text's int32 token count, and the distinct names as bytes, each
-        followed by a space, name t starting at int32 name_at[t]. Offsets that fall
-        or do not run from 0 to len(text), or flags not one per text, raise
-        ValueError."""
-        if not isinstance(text, bytes):
-            raise ValueError("text must be bytes")
-        offsets = _input(offsets, np.int64, (len(offsets),), "offsets")
-        flags = _input(flags, np.uint8, (len(flags),), "flags")
-        ntexts = len(offsets) - 1
-        room = max(len(text) + ntexts, 0)  # see code_texts in the C source
-        codes, counts = np.empty(room // 2, np.int32), np.empty(max(ntexts, 0), np.int32)
-        names, name_at = np.empty(room, np.uint8), np.empty(room // 2 + 1, np.int32)
-        n_names = i64()
-        total = coder(ntexts, text, len(text), offsets.ctypes.data, flags.ctypes.data,
-                      len(flags), *(a.ctypes.data for a in (codes, counts, names, name_at)),
-                      ctypes.byref(n_names))
-        _check_status("code_texts", total)
-        name_at = name_at[:n_names.value + 1]
-        return codes[:total], counts, names[:name_at[-1]].tobytes(), name_at
-
-    def c_code_texts(texts):
-        """`_code_texts` run by the compiled routine; same argument and
-        result. An all-ASCII batch is passed as it is. Otherwise each
-        non-ASCII text goes as its `preprocess_text` tokens joined by spaces,
-        flagged to be split only: tokens are runs of letters and numbers, so
-        they hold no space and encode to UTF-8."""
-        from .ingest import preprocess_text  # ingest imports this module
-
-        n = len(texts)
-        joined = "".join(texts)
-        if joined.isascii():
-            text, flags = joined.encode("ascii"), np.zeros(n, np.uint8)
-            sizes = np.fromiter(map(len, texts), np.int64, n)
-        else:
-            flags = np.fromiter((not t.isascii() for t in texts), np.uint8, n)
-            pieces = [" ".join(preprocess_text(t)).encode("utf-8") if split else t.encode("ascii")
-                      for t, split in zip(texts, flags.tolist())]
-            text, sizes = b"".join(pieces), np.fromiter(map(len, pieces), np.int64, n)
-        offsets = np.zeros(n + 1, np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        codes, counts, names, _name_at = c_code_text_buffer(text, offsets, flags)
-        return codes, counts, names.decode("utf-8").split(" ")[:-1]
-
-    def c_read_records(state, text=None, at=(0,), side=b"", side_at=(0,)):
+    def c_read_records(state, text=None, at=(0,), side=b"", side_at=(0,), tsv=False):
         """read_records on the lines text[at[i]:at[i + 1]] of the bytes-like
-        text, the j-th declined line taking the side record
-        side[side_at[j]:side_at[j + 1]], with the read's state (READER_SLOTS
-        int64 zeros before its first batch); with no text it frees the state.
+        text, .tsv lines if tsv is set and .jsonl lines otherwise, the j-th
+        declined line taking the side record side[side_at[j]:side_at[j + 1]],
+        with the read's state (READER_SLOTS int64 zeros before its first
+        batch); with no text it frees the state.
         Returns the number of declined lines and copies of the outputs: days,
         rows, tags, urls, tokens, ids, id_at, names, name_at and keys, int32
         arrays but for the bytes of ids and names. Offsets that fall or run
@@ -761,10 +689,10 @@ def _load_c_kernels():
         lines, raise ValueError."""
         state = _in_place(state, np.int64, (READER_SLOTS,), "state")
         if text is None:
-            return reader(-1, None, 0, None, 0, None, 0, None, state.ctypes.data)
+            return reader(-1, None, 0, None, 0, 0, None, 0, None, state.ctypes.data)
         at, side_at = (_input(a, np.int64, (len(a),), "offsets") for a in (at, side_at))
         declined = reader(len(at) - 1, np.frombuffer(text, np.uint8).ctypes.data, len(text),
-                          at.ctypes.data, len(side_at) - 1,
+                          at.ctypes.data, bool(tsv), len(side_at) - 1,
                           np.frombuffer(side, np.uint8).ctypes.data, len(side),
                           side_at.ctypes.data, state.ctypes.data)
         _check_status("read_records", declined)
@@ -776,8 +704,7 @@ def _load_c_kernels():
     if not _draws_match(c_draw_order):
         return None
     return (c_move_pass, c_aggregate, c_draw_order, c_run_seeded, c_run_restarts,
-            c_combined_graph, c_knn_edges, c_format_triplets, c_triplet_bytes,
-            c_code_text_buffer, c_code_texts, c_read_records)
+            c_combined_graph, c_knn_edges, c_format_triplets, c_triplet_bytes, c_read_records)
 
 
 def _draws_match(draw_order):
@@ -829,12 +756,12 @@ def _in_place(a, dtype, shape, name):
 
 
 move_pass, aggregate, combined_graph = _move_pass, _aggregate, _combined_graph
-knn_edges, triplet_bytes, code_texts = _knn_edges, _triplet_bytes, _code_texts
+knn_edges, triplet_bytes = _knn_edges, _triplet_bytes
 # compiled only
-draw_order = run_seeded = run_restarts = format_triplets = code_text_buffer = read_records = None
+draw_order = run_seeded = run_restarts = format_triplets = read_records = None
 BACKEND = "python"
 _compiled = _load_c_kernels()
 if _compiled is not None:
     (move_pass, aggregate, draw_order, run_seeded, run_restarts, combined_graph, knn_edges,
-     format_triplets, triplet_bytes, code_text_buffer, code_texts, read_records) = _compiled
+     format_triplets, triplet_bytes, read_records) = _compiled
     BACKEND = "c"

@@ -32,15 +32,11 @@
  * it copies pieces of text that the caller has already formatted, the row
  * name, the column name and the value of each entry, in CSR order.
  *
- * code_texts: a batch of posts' texts tokenised and coded, token for token
- * what the reference mvmc._kernels._code_texts gets from
- * mvmc.ingest.preprocess_text and a dict of names. ASCII texts are
- * tokenised here; the caller tokenises the others and passes their tokens.
- *
- * read_records: a batch of JSONL lines parsed and coded, record for record
- * what mvmc.ingest.read_posts gets line by line. It takes only plain lines
- * (see parse_json) and codes the others from the fields that the caller
- * parsed; its name tables last from batch to batch of one read.
+ * read_records: a batch of .jsonl or .tsv lines parsed and coded, record for
+ * record what mvmc.ingest.read_posts gets line by line, texts tokenised as
+ * mvmc.ingest.preprocess_text tokenises them. It takes only plain lines (see
+ * parse_json and parse_tsv) and codes the others from the fields that the
+ * caller parsed; its name tables last from batch to batch of one read.
  *
  * Arrays are C-contiguous; deg, comm_tot and agg_deg are row-major
  * (rows, nviews). The caller checks shapes and dtypes; this file checks every
@@ -1194,24 +1190,19 @@ static int64_t strip_markup(enum markup kind, char *s, int64_t n)
 }
 
 /* A name table: names[name_at[t]..name_at[t + 1] - 1] is name t, followed by
- * the byte sep; slots is an open-addressing table (cap slots, a power of two)
- * of the names' ids + 1 under the hash's high 32 bits, 0 when empty. Where
- * keys is not NULL, name t has the key keys[t] and the code codes[t], its
- * rank among its key's names (next[key] is the next one), and names of equal
- * bytes under two keys are two names; otherwise every key is 0 and a name's
- * code is its id.
- *
- * code_texts' table lives for one call, and its names are the caller's, with
- * room enough. read_records' table lives from call to call and its arrays
- * grow (see grow): room[0] bytes of names and room[1], room[2] and room[3]
- * slots of name_at, keys and codes. */
+ * a newline; slots is an open-addressing table (cap slots, a power of two) of
+ * the names' ids + 1 under the hash's high 32 bits, 0 when empty. Name t has
+ * the key keys[t] and the code codes[t], its rank among its key's names
+ * (next[key] is the next one), and names of equal bytes under two keys are
+ * two names. The table lives from call to call of read_records and its
+ * arrays grow (see grow): room[0] bytes of names and room[1], room[2] and
+ * room[3] slots of name_at, keys and codes. */
 struct name_table {
     uint64_t *slots;
     int64_t cap, count;
     char *names;
     int32_t *name_at, *keys, *codes, next[4];
     size_t room[4];
-    char sep;
 };
 
 /* Makes the block *p, of *room items of size bytes, hold need items: if it
@@ -1258,7 +1249,7 @@ static uint64_t *find_slot(const struct name_table *t, int32_t key, const char *
         if (slot == 0)
             return &t->slots[i];
         int64_t id = (int64_t)(slot & 0xffffffffULL) - 1;
-        if ((slot & ~0xffffffffULL) == tag && (t->keys == NULL || t->keys[id] == key)
+        if ((slot & ~0xffffffffULL) == tag && t->keys[id] == key
             && t->name_at[id + 1] - 1 - t->name_at[id] == len
             && memcmp(t->names + t->name_at[id], s, (size_t)len) == 0)
             return &t->slots[i];
@@ -1271,9 +1262,8 @@ static uint64_t *slot_of(const struct name_table *t, int64_t id, uint64_t *h)
 {
     const char *s = t->names + t->name_at[id];
     int64_t len = t->name_at[id + 1] - 1 - t->name_at[id];
-    int32_t key = t->keys == NULL ? 0 : t->keys[id];
-    *h = keyed(name_hash(s, len), key);
-    return find_slot(t, key, s, len, *h);
+    *h = keyed(name_hash(s, len), t->keys[id]);
+    return find_slot(t, t->keys[id], s, len, *h);
 }
 
 /* Makes the table cap slots, a power of two, and puts its names back in id
@@ -1302,8 +1292,7 @@ static void truncate_table(struct name_table *t, int64_t count)
     for (int64_t id = t->count - 1; id >= count; id--) {
         uint64_t h;
         *slot_of(t, id, &h) = 0;
-        if (t->keys != NULL)
-            t->next[t->keys[id]]--;
+        t->next[t->keys[id]]--;
     }
     t->count = count;
 }
@@ -1317,28 +1306,25 @@ static int64_t code_name(struct name_table *t, int32_t key, const char *s, int64
     uint64_t *slot = find_slot(t, key, s, len, h);
     int64_t id = (int64_t)(*slot & 0xffffffffULL) - 1;
     if (*slot != 0)
-        return t->keys == NULL ? id : t->codes[id];
+        return t->codes[id];
     id = t->count;
     size_t end = (size_t)t->name_at[id] + (size_t)len + 1, ids = (size_t)id + 2;
-    if (t->keys != NULL
-        && (end > INT32_MAX || grow(&t->names, &t->room[0], end, 1, 2) != 0
-            || grow(&t->name_at, &t->room[1], ids, sizeof(int32_t), 2) != 0
-            || grow(&t->keys, &t->room[2], ids, sizeof(int32_t), 2) != 0
-            || grow(&t->codes, &t->room[3], ids, sizeof(int32_t), 2) != 0))
+    if (end > INT32_MAX || grow(&t->names, &t->room[0], end, 1, 2) != 0
+        || grow(&t->name_at, &t->room[1], ids, sizeof(int32_t), 2) != 0
+        || grow(&t->keys, &t->room[2], ids, sizeof(int32_t), 2) != 0
+        || grow(&t->codes, &t->room[3], ids, sizeof(int32_t), 2) != 0)
         return MOVE_PASS_NO_MEMORY;
     char *name = t->names + t->name_at[id];
     memcpy(name, s, (size_t)len);
-    name[len] = t->sep;
+    name[len] = '\n';
     t->name_at[id + 1] = (int32_t)end;
     *slot = (h >> 32 << 32) | (uint64_t)(id + 1);
     t->count++;
-    if (t->keys != NULL) {
-        t->keys[id] = key;
-        t->codes[id] = t->next[key]++;
-    }
+    t->keys[id] = key;
+    t->codes[id] = t->next[key]++;
     if (2 * t->count > t->cap && resize_table(t, 2 * t->cap) != 0)
         return MOVE_PASS_NO_MEMORY;
-    return t->keys == NULL ? id : t->codes[id];
+    return t->codes[id];
 }
 
 /* The tokens of the text s (n bytes) coded under key into codes. When split
@@ -1383,64 +1369,9 @@ static int64_t code_tokens(struct name_table *t, int32_t key, const char *s, int
     return count;
 }
 
-/* a name table's first slots: room for 4,096 names before the first growth;
- * a batch of 1,024 posts from bench/corpus.py's generator holds about 2,200 */
+/* the first slots of read_records' name table: room for 4,096 names before
+ * its first growth */
 #define FIRST_SLOTS 8192
-
-/* The tokens of a batch of ntexts texts, coded by first appearance.
- *
- * Text i is text[at[i]..at[i + 1]), tokenised by code_tokens: as an ASCII
- * text when split[i] is 0, and split on spaces only otherwise.
- *
- * Outputs: codes receives every token's code, text after text, a code being
- * the token's rank among the batch's distinct tokens by first appearance;
- * counts[i] is text i's number of tokens; names[name_at[t]..name_at[t + 1] - 1]
- * is token t, followed by a space, and *n_names is the number of names, so
- * name_at[*n_names] is the names' length. A text of L bytes holds at most
- * (L + 1) / 2 tokens of at most L + 1 bytes with their spaces, so codes and
- * name_at - 1 need (length + ntexts) / 2 slots and names length + ntexts
- * bytes, which 32-bit offsets limit to 2**31 - 1.
- *
- * Returns the number of tokens, or MOVE_PASS_BAD_INDEX when nflags is not
- * ntexts, the offsets fall or do not run from 0 to length, or the batch is
- * too long, with the outputs untouched; or MOVE_PASS_NO_MEMORY if scratch
- * allocation fails.
- */
-int64_t code_texts(
-    int64_t ntexts,
-    const char *text,
-    int64_t length,
-    const int64_t *at,
-    const uint8_t *split,
-    int64_t nflags,
-    int32_t *codes,
-    int32_t *counts,
-    char *names,
-    int32_t *name_at,
-    int64_t *n_names)
-{
-    if (ntexts < 0 || nflags != ntexts || !pieces_ok(ntexts, at, length) || at[ntexts] != length
-        || length + ntexts > INT32_MAX)
-        return MOVE_PASS_BAD_INDEX;
-    int64_t longest = 0;
-    for (int64_t i = 0; i < ntexts; i++)
-        if (split[i] == 0 && at[i + 1] - at[i] > longest)
-            longest = at[i + 1] - at[i];
-    struct name_table t = {.names = names, .name_at = name_at, .sep = ' '};
-    char *work = malloc((size_t)longest + 1);
-    name_at[0] = 0;
-    int64_t total = work == NULL ? MOVE_PASS_NO_MEMORY : resize_table(&t, FIRST_SLOTS);
-    for (int64_t i = 0; i < ntexts && total >= 0; i++) {
-        int64_t count = code_tokens(&t, 0, text + at[i], at[i + 1] - at[i], split[i], work,
-                                    codes + total);
-        counts[i] = (int32_t)count;
-        total = count < 0 ? count : total + count;
-    }
-    free(work);
-    free(t.slots);
-    *n_names = t.count;
-    return total;
-}
 
 /* The fields of a post record; a record's row in read_records runs from
  * USER_ID to TEXT. */
@@ -1448,16 +1379,19 @@ enum field { POST_ID, USER_ID, HASHTAGS, URLS, TEXT, TIMESTAMP, NFIELDS };
 static const char *const FIELD_NAMES[NFIELDS] = {
     "post_id", "user_id", "hashtags", "urls", "text", "timestamp"};
 
+/* The forms of a record's lists of hashtags and URLs (see next_name). */
+enum list_form { JSON_ARRAY, NETSTRINGS, COMMAS };
+
 /* One record as read_records codes it: the bytes of each field, the lists of
- * hashtags and URLs as the inside of a JSON array of plain strings or as
- * netstrings (see next_name); its UTC date as a proleptic Gregorian ordinal
- * (0001-01-01 is 1); and whether its text holds tokens separated by spaces
- * (see code_tokens). */
+ * hashtags and URLs in the form `lists`; its UTC date as a proleptic
+ * Gregorian ordinal (0001-01-01 is 1); and whether its text holds tokens
+ * separated by spaces (see code_tokens). */
 struct record {
     const char *s[NFIELDS];
     int64_t n[NFIELDS];
     int32_t day;
-    int split, netstrings;
+    int split;
+    enum list_form lists;
 };
 
 static int is_json_space(char c)
@@ -1635,6 +1569,37 @@ static int parse_json(const char *s, int64_t n, struct record *r)
     return r->day > 0;
 }
 
+/* The line s (n bytes) as a record, if it is one the fast path takes: after
+ * one trailing newline is dropped, six fields separated by tabs, post_id,
+ * timestamp, user_id, text, hashtags and urls, the last two comma-separated
+ * lists; no other byte outside 0x20-0x7f, as in a plain string; and a
+ * timestamp that utc_day takes. Returns 1 with r filled, or 0 to decline the
+ * line. */
+static int parse_tsv(const char *s, int64_t n, struct record *r)
+{
+    static const enum field order[NFIELDS] = {POST_ID, TIMESTAMP, USER_ID, TEXT, HASHTAGS, URLS};
+    if (n > 0 && s[n - 1] == '\n')
+        n--;
+    int64_t start = 0, f = 0;
+    for (int64_t i = 0; i <= n; i++) {
+        unsigned char c = i < n ? (unsigned char)s[i] : '\t';
+        if (c == '\t') {
+            if (f == NFIELDS)
+                return 0;
+            r->s[order[f]] = s + start;
+            r->n[order[f++]] = i - start;
+            start = i + 1;
+        } else if (c < 0x20 || c >= 0x80) {
+            return 0;
+        }
+    }
+    if (f != NFIELDS)
+        return 0;
+    r->lists = COMMAS;
+    r->day = utc_day(r->s[TIMESTAMP], r->n[TIMESTAMP]);
+    return r->day > 0;
+}
+
 /* The decimal number and ':' at s[*i..n), *i moved past them; -1 if there
  * are none. */
 static int64_t read_number(const char *s, int64_t *i, int64_t n)
@@ -1674,7 +1639,7 @@ static int parse_side(const char *s, int64_t n, struct record *r)
         return 0;
     r->day = (int32_t)head[0];
     r->split = (int)head[1];
-    r->netstrings = 1;
+    r->lists = NETSTRINGS;
     for (int f = POST_ID; f <= TEXT; f++) {
         int list = f == HASHTAGS || f == URLS;
         int64_t start = i;
@@ -1690,11 +1655,25 @@ static int parse_side(const char *s, int64_t n, struct record *r)
 }
 
 /* The next name of a record's list l (n bytes) from *i on: its bytes at
- * *name, and *i moved past it. Returns its length, or -1 at the list's end. */
-static int64_t next_name(const char *l, int64_t n, int64_t *i, int netstrings, const char **name)
+ * *name, and *i moved past it. Returns its length, or -1 at the list's end.
+ * The list is the inside of a JSON array of plain strings, netstrings, or
+ * names separated by commas, whose empty ones are skipped. */
+static int64_t next_name(const char *l, int64_t n, int64_t *i, enum list_form form,
+                         const char **name)
 {
-    if (netstrings)
+    if (form == NETSTRINGS)
         return *i < n ? read_netstring(l, i, n, name) : -1;
+    if (form == COMMAS) {
+        while (*i < n && l[*i] == ',')
+            (*i)++;
+        if (*i == n)
+            return -1;
+        const char *comma = memchr(l + *i, ',', (size_t)(n - *i));
+        int64_t end = comma == NULL ? n : comma - l, len = end - *i;
+        *name = l + *i;
+        *i = end;
+        return len;
+    }
     const char *open = memchr(l + *i, '"', (size_t)(n - *i));
     if (open == NULL)
         return -1;
@@ -1728,7 +1707,7 @@ static int64_t code_record(struct name_table *t, const struct record *r, char *w
         int32_t *list = lists[f - HASHTAGS] + used[f - HASHTAGS];
         int64_t count = 0;
         const char *name;
-        for (int64_t i = 0; (len = next_name(r->s[f], r->n[f], &i, r->netstrings, &name)) >= 0;) {
+        for (int64_t i = 0; (len = next_name(r->s[f], r->n[f], &i, r->lists, &name)) >= 0;) {
             if (f == URLS && len == 0)
                 continue;  /* an empty URL is dropped */
             code = code_name(t, f == HASHTAGS ? HASHTAG_KEY : URL_KEY, name, len, name_hash(name, len));
@@ -1783,15 +1762,16 @@ static void free_reader(struct reader *rd)
     memset(rd, 0, sizeof *rd);
 }
 
-/* The lines of a batch of JSONL lines read into records and coded, one call
- * per batch of a read.
+/* The lines of a batch of .jsonl lines, or of .tsv lines when tsv is not 0,
+ * read into records and coded, one call per batch of a read.
  *
  * Line i is text[at[i]..at[i + 1]). A blank line (only bytes that
- * str.isspace accepts) is skipped. A line parse_json takes is a record. Any
- * other line is declined: it takes the next side record, side[side_at[j]..
- * side_at[j + 1]) for its j-th declined line, when there is one (an empty one
- * skips the line), and is marked declined otherwise. A side record holds the
- * fields of a line that the caller parsed itself; see parse_side.
+ * str.isspace accepts) is skipped. A line parse_json takes, or parse_tsv for
+ * .tsv lines, is a record. Any other line is declined: it takes the next
+ * side record, side[side_at[j]..side_at[j + 1]) for its j-th declined line,
+ * when there is one (an empty one skips the line), and is marked declined
+ * otherwise. A side record holds the fields of a line that the caller parsed
+ * itself; see parse_side.
  *
  * Each record is coded in line order: its user, its distinct hashtags and
  * its non-empty URLs in order, and its text's tokens (see code_tokens), under
@@ -1822,6 +1802,7 @@ int64_t read_records(
     const char *text,
     int64_t length,
     const int64_t *at,
+    int64_t tsv,
     int64_t nside,
     const char *side,
     int64_t side_length,
@@ -1843,7 +1824,6 @@ int64_t read_records(
         || grow(&rd->buffer[ID_AT], &rd->room[ID_AT], lines, sizeof(int32_t), 1) != 0)
         return MOVE_PASS_NO_MEMORY;
     if (t->cap == 0) {
-        t->sep = '\n';
         if (grow(&t->name_at, &t->room[1], 2, sizeof(int32_t), 2) != 0
             || grow(&t->keys, &t->room[2], 2, sizeof(int32_t), 2) != 0
             || grow(&t->codes, &t->room[3], 2, sizeof(int32_t), 2) != 0
@@ -1865,7 +1845,7 @@ int64_t read_records(
             k++;
         if (k == n)
             continue;
-        if (!parse_json(s, n, &r)) {
+        if (!(tsv ? parse_tsv(s, n, &r) : parse_json(s, n, &r))) {
             if (next == nside) {
                 day[i] = -1;
                 declined++;
@@ -1886,10 +1866,11 @@ int64_t read_records(
         if (declined > 0)  /* its codes would be wrong past a declined line */
             continue;
         /* a name or a post id with its newline takes no more bytes than it
-         * comes from, and so do two tokens or three hashtags or URLs; the
-         * text scratch takes the whole record */
+         * comes from, and so do two tokens, hashtags or URLs (a comma-separated
+         * list's names take two bytes each); the text scratch takes the whole
+         * record */
         const size_t m = (size_t)n, need[NBUFFERS + 1 - TAGS] = {
-            used[0] + m / 3 + 1, used[1] + m / 3 + 1, used[2] + m / 2 + 1, used[3] + m + 1, 0, m};
+            used[0] + m / 2 + 1, used[1] + m / 2 + 1, used[2] + m / 2 + 1, used[3] + m + 1, 0, m};
         for (int k = TAGS; k <= NBUFFERS && status == 0; k++)
             status = grow(&rd->buffer[k], &rd->room[k], need[k - TAGS], ITEM_SIZE[k], 2);
         int32_t *const lists[3] = {rd->buffer[TAGS], rd->buffer[URL_CODES], rd->buffer[TOKENS]};

@@ -3,11 +3,11 @@
 Views per day: accompanying text tokens, posting users, co-occurring URLs,
 and hashtag co-occurrence. Hashtags used in fewer than 3 distinct posts are
 dropped; hashtag matching is case-sensitive. Posts are coded as they are
-read, their texts in batches of `TEXT_BATCH` by `_kernels.code_texts`, which
-gives each text the tokens of `preprocess_text`. With the compiled kernels, a
-.jsonl file is read in batches of about `READ_BATCH` bytes of lines, each
-parsed and coded by one call of `_kernels.read_records` (see
-`_read_batches`).
+read, each text as its `preprocess_text` tokens. With the compiled kernels, a
+.jsonl or .tsv file is read in batches of about `READ_BATCH` bytes of lines,
+each parsed and coded by one call of `_kernels.read_records` (see
+`_read_batches`); without them, `group_by_day` codes the parsed lines one
+by one.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ import re
 from array import array
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
-from itertools import groupby
 from urllib.parse import urlparse
 
 import numpy as np
@@ -25,10 +24,7 @@ from . import _kernels
 from .views import _SEPARATOR_RE, ViewMatrix
 
 MIN_POSTS_PER_HASHTAG = 3
-# posts whose texts are coded in one call: larger batches read a little
-# faster but raise the reader's peak memory
-TEXT_BATCH = 1024
-# bytes of .jsonl lines that one call of the compiled reader takes
+# bytes of lines that one call of the compiled reader takes
 READ_BATCH = 1 << 17
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
@@ -254,9 +250,9 @@ class CorpusDay:
     def __len__(self) -> int:
         return len(self.user)
 
-    def add(self, post_id, user_id, hashtags, urls) -> None:
-        """Code one post but its text; a hashtag repeated in it counts once.
-        `_add_texts` appends the text's tokens later, in the same post order."""
+    def add(self, post_id, user_id, text, hashtags, urls) -> None:
+        """Code one post, its text as its `preprocess_text` tokens; a hashtag
+        repeated in it counts once."""
         corpus = self.corpus
         self.post_id.append(self.ids.setdefault(post_id, len(self.ids)))
         self.user.append(corpus.users[user_id])
@@ -266,52 +262,32 @@ class CorpusDay:
         self.n_tags.append(len(tags))
         self.urls.extend(map(corpus.urls.__getitem__, urls))
         self.n_urls.append(len(urls))
-
-
-def _add_texts(corpus: PostCorpus, days: list, texts: list) -> None:
-    """Code the texts of a batch of posts in read order, the post of
-    texts[i] being on days[i]: the batch's names take their corpus codes in
-    first-appearance order, so new tokens get the next codes as a post by
-    post coding would give them."""
-    codes, counts, names = _kernels.code_texts(texts)
-    codes = np.fromiter(map(corpus.tokens.__getitem__, names), np.int32, len(names)).take(codes)
-    ends = np.cumsum(counts).tolist()
-    post = token = 0
-    for day, run in groupby(days):  # runs of consecutive posts of one day
-        last = post + len(list(run))
-        day.tokens.frombytes(codes[token:ends[last - 1]].tobytes())
-        day.n_tokens.frombytes(counts[post:last].tobytes())
-        post, token = last, ends[last - 1]
+        tokens = preprocess_text(text)
+        self.tokens.extend(map(corpus.tokens.__getitem__, tokens))
+        self.n_tokens.append(len(tokens))
 
 
 def group_by_day(records) -> dict[date, CorpusDay]:
     """Checked record tuples (from `parse_json_record` or `parse_tsv_record`)
-    coded into one `PostCorpus`, as one `CorpusDay` per date in date order.
-    Each post is coded as it comes, but its text waits in a queue that
-    `_add_texts` codes every `TEXT_BATCH` posts and at the end."""
+    coded into one `PostCorpus`, each post as it comes, as one `CorpusDay`
+    per date in date order."""
     corpus = PostCorpus()
     days: dict[date, CorpusDay] = {}
-    queued, texts = [], []
     for post_id, timestamp, user_id, text, hashtags, urls in records:
         day = days.get(timestamp.date())
         if day is None:
             day = days[timestamp.date()] = CorpusDay(corpus)
-        day.add(post_id, user_id, hashtags, urls)
-        queued.append(day)
-        texts.append(text)
-        if len(texts) == TEXT_BATCH:
-            _add_texts(corpus, queued, texts)
-            queued, texts = [], []
-    _add_texts(corpus, queued, texts)
+        day.add(post_id, user_id, text, hashtags, urls)
     return dict(sorted(days.items()))
 
 
-def _side_record(line: str, lineno: int, on_error) -> bytes:
-    """A line that the compiled reader declined, parsed by `parse_json_record`,
-    as the side record that the reader codes in its place (see read_records
-    in _move_pass.c); b"" for a blank or malformed line. A non-ASCII text
-    goes as its `preprocess_text` tokens joined by spaces."""
-    record = _parse_line(parse_json_record, lineno, line, on_error)
+def _side_record(line: str, lineno: int, on_error, parse) -> bytes:
+    """A line that the compiled reader declined, parsed by `parse`
+    (`parse_json_record` or `parse_tsv_record`, the reader's format), as the
+    side record that the reader codes in its place (see read_records in
+    _move_pass.c); b"" for a blank or malformed line. A non-ASCII text goes
+    as its `preprocess_text` tokens joined by spaces."""
+    record = _parse_line(parse, lineno, line, on_error)
     if record is None:
         return b""
     post_id, timestamp, user_id, text, hashtags, urls = record
@@ -361,8 +337,9 @@ def _add_batch(corpus: PostCorpus, days: dict, line_day, rows, tags, urls, token
             getattr(posts, field).frombytes(values.tobytes())
 
 
-def _read_batches(fh, on_error) -> dict[date, CorpusDay]:
-    """`group_by_day` of the lines of the .jsonl file `fh`: one call of
+def _read_batches(fh, tsv: bool, parse, on_error) -> dict[date, CorpusDay]:
+    """`group_by_day` of the lines of the .jsonl file `fh`, or of the .tsv
+    file if `tsv`, whose lines `parse` parses: one call of
     `_kernels.read_records` per batch of at most `READ_BATCH` bytes of lines
     (or of one longer line), and a second when it declines lines, with their
     `_side_record`s. The batch's buffer and the reader's state last from
@@ -372,12 +349,13 @@ def _read_batches(fh, on_error) -> dict[date, CorpusDay]:
 
     def code(data, at):
         nonlocal lineno
-        declined, out = _kernels.read_records(state, data, at)
+        declined, out = _kernels.read_records(state, data, at, tsv=tsv)
         if declined:
             side = [_side_record(str(data[at[i]:at[i + 1]], "utf-8", "surrogatepass"),
-                                 lineno + i, on_error) for i in np.flatnonzero(out[0] < 0).tolist()]
+                                 lineno + i, on_error, parse)
+                    for i in np.flatnonzero(out[0] < 0).tolist()]
             _, out = _kernels.read_records(state, data, at, b"".join(side),
-                                           np.cumsum([0, *map(len, side)]))
+                                           np.cumsum([0, *map(len, side)]), tsv=tsv)
         _add_batch(corpus, days, *out)
         lineno += len(at) - 1
 
@@ -404,15 +382,15 @@ def _read_batches(fh, on_error) -> dict[date, CorpusDay]:
 def read_posts(path, on_error=None) -> dict[date, CorpusDay]:
     """Read a UTF-8 .jsonl or .tsv corpus, coding each post as it is read,
     into `group_by_day`'s days; malformed lines, and lines that are not valid
-    UTF-8, go to on_error and are skipped. A .jsonl file goes through the
-    compiled reader when it loaded, and line by line otherwise."""
+    UTF-8, go to on_error and are skipped. The file goes through the compiled
+    reader when it loaded, and line by line otherwise."""
     tsv = str(path).endswith(".tsv")
     parse = parse_tsv_record if tsv else parse_json_record
     # surrogateescape keeps undecodable bytes as lone surrogates, so one bad
     # line is reported on its own instead of failing the whole read
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        if not tsv and _kernels.read_records is not None:
-            return _read_batches(fh, on_error)
+        if _kernels.read_records is not None:
+            return _read_batches(fh, tsv, parse, on_error)
         return group_by_day(filter(None, (_parse_line(parse, lineno, line, on_error)
                                           for lineno, line in enumerate(fh, 1))))
 

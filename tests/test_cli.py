@@ -10,7 +10,7 @@ import pytest
 from click.testing import CliRunner
 
 import mvmc
-from mvmc import _kernels, cli, compare
+from mvmc import _kernels, cli, compare, ingest
 from mvmc.cli import main
 from mvmc.compare import (
     DUMMY_LABEL,
@@ -485,27 +485,21 @@ def test_pipeline_tokenises_each_post_once(tmp_path, runner, corpus, monkeypatch
                      "health masks vaccine", "user_a1") for i in range(2, 6)]
     )
     posts_text = corpus.read_text() + churn
-    # on the per-line reader each text reaches the batch coder once, with the
-    # bound coder (the compiled one, when it loaded) and with its Python
-    # reference alike; the compiled reader codes the texts itself
-    outputs, reader = [], _kernels.read_records
+    # on the per-line reader each text reaches `preprocess_text` once; the
+    # compiled reader tokenises the (ASCII) texts itself
+    calls, reader, tokenise = [], _kernels.read_records, ingest.preprocess_text
+    monkeypatch.setattr(ingest, "preprocess_text",
+                        lambda text: calls.append(text) or tokenise(text))
     monkeypatch.setattr(_kernels, "read_records", None)
-    for name, coder in (("churn", _kernels.code_texts), ("reference", _kernels._code_texts)):
-        calls = []
-        monkeypatch.setattr(_kernels, "code_texts",
-                            lambda texts, coder=coder: calls.extend(texts) or coder(texts))
-        result, out = run_pipeline_on(tmp_path, runner, name, posts_text)
-        assert result.exit_code == 0, result.output
-        assert len(calls) == len(posts_text.splitlines())
-        outputs.append(tree_bytes(out))
-    assert outputs[1] == outputs[0]
+    result, out = run_pipeline_on(tmp_path, runner, "churn", posts_text)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == len(posts_text.splitlines())
     if reader is not None:
         calls.clear()
         monkeypatch.setattr(_kernels, "read_records", reader)
-        result, out = run_pipeline_on(tmp_path, runner, "compiled", posts_text)
+        result, compiled = run_pipeline_on(tmp_path, runner, "compiled", posts_text)
         assert result.exit_code == 0, result.output
-        assert calls == [] and tree_bytes(out) == outputs[0]
-    out = tmp_path / "churn"
+        assert calls == [] and tree_bytes(compiled) == tree_bytes(out)
 
     meta_rows = (out / "meta_clusters.tsv").read_text().splitlines()
     meta = dict(line.split("\t") for line in meta_rows)
@@ -1103,24 +1097,31 @@ print("scipy.sparse" in loaded())
 @pytest.mark.skipif(mvmc._kernels.BACKEND != "c", reason="the compiled kernel did not load")
 def test_pipeline_without_a_compiler_writes_the_compiled_bytes(tmp_path, runner, corpus):
     """A run with no compiler on PATH and an empty build cache uses the Python
-    references, the text coder's and the line-by-line reader included, and
-    every artifact it writes is the compiled run's."""
-    for backend in ("c", "python"):
-        (tmp_path / f"{backend}.yaml").write_text(
-            f"input: {corpus}\noutput_dir: {tmp_path / backend}\nmeta_k: 2\n")
-    invoke_ok(runner, "pipeline", tmp_path / "c.yaml")
+    references, the line-by-line reader included, and every artifact it
+    writes is the compiled run's, from the .jsonl corpus and from its .tsv
+    copy."""
+    tsv = tmp_path / "posts.tsv"
+    tsv.write_text("".join(
+        "\t".join([r["post_id"], r["timestamp"], r["user_id"], r["text"],
+                   ",".join(r["hashtags"]), ",".join(r["urls"])]) + "\n"
+        for r in map(json.loads, corpus.read_text().splitlines())))
     (tmp_path / "bin").mkdir()
     env = {**os.environ, "PYTHONPATH": str(Path(mvmc.__file__).parents[1]),
            "PATH": str(tmp_path / "bin"), "XDG_CACHE_HOME": str(tmp_path / "cache")}
-    proc = subprocess.run(
-        [sys.executable, "-c", "from mvmc import _kernels; from mvmc.cli import main;"
-         " print(_kernels.BACKEND, _kernels.code_texts is _kernels._code_texts,"
-         " _kernels.read_records); main()",
-         "pipeline", str(tmp_path / "python.yaml")],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[0] == "python True None"
-    compiled = tree_bytes(tmp_path / "c")
-    assert "reports/period_0_tokens.tsv" in compiled
-    assert tree_bytes(tmp_path / "python") == compiled
+    for posts in (corpus, tsv):
+        out = tmp_path / posts.suffix[1:]
+        for backend in ("c", "python"):
+            (tmp_path / f"{backend}.yaml").write_text(
+                f"input: {posts}\noutput_dir: {out / backend}\nmeta_k: 2\n")
+        invoke_ok(runner, "pipeline", tmp_path / "c.yaml")
+        proc = subprocess.run(
+            [sys.executable, "-c", "from mvmc import _kernels; from mvmc.cli import main;"
+             " print(_kernels.BACKEND, _kernels.read_records); main()",
+             "pipeline", str(tmp_path / "python.yaml")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == "python None"
+        compiled = tree_bytes(out / "c")
+        assert "reports/period_0_tokens.tsv" in compiled
+        assert tree_bytes(out / "python") == compiled

@@ -10,7 +10,6 @@ from oracles import brute_daily_views, brute_group_by_day, brute_preprocess_text
 from mvmc import _kernels, build_daily_views, ingest, preprocess_text
 from mvmc.ingest import (
     MIN_POSTS_PER_HASHTAG,
-    TEXT_BATCH,
     RecordError,
     VIEW_NAMES,
     CorpusDay,
@@ -634,91 +633,42 @@ def text_batches(rng, total):
         yield kind, texts
 
 
-def test_code_texts_match_the_references():
-    """The bound text coder (the compiled one, when it loaded) gives what its
-    Python reference gives, code for code, and the tokens of each text are
-    `brute_preprocess_text`'s, on 100,000 seeded texts."""
+def test_read_posts_gives_each_text_the_reference_tokens(tmp_path):
+    """100,000 seeded texts read through `read_posts` as .jsonl, and as .tsv
+    where a text holds no tab or line break: each post's tokens are
+    `brute_preprocess_text`'s, on the lines the compiled reader (when it
+    loaded) takes and on those it declines."""
     rng = np.random.default_rng(29)
-    seen, count = Counter(), 0
-    for kind, texts in text_batches(rng, 100_000):
-        (codes, counts, names), want = _kernels.code_texts(texts), _kernels._code_texts(texts)
-        assert codes.dtype == counts.dtype == np.int32
-        assert codes.tolist() == want[0].tolist() and counts.tolist() == want[1].tolist()
-        assert names == want[2]
-        ends = np.cumsum(counts)
-        tokens = [[names[c] for c in codes[lo:hi]] for lo, hi in zip(ends - counts, ends)]
-        assert tokens == [brute_preprocess_text(t) for t in texts], kind
-        count += len(texts)
+    seen, texts = Counter(), []
+    for kind, batch in text_batches(rng, 100_000):
+        texts += batch
         seen[kind] += 1
-        seen["empty text"] += "" in texts
-        seen["markup only"] += any(t and not tok for t, tok in zip(texts, tokens))
-        seen["non-ASCII token"] += any(not name.isascii() for name in names)
-    assert count == 100_000
-    assert len(seen) == 6 and min(seen.values()) > 0, seen
-
-
-def coder_args():
-    """code_text_buffer inputs, as a list: the text of three texts (the
-    second empty), their offsets and flags."""
-    text = b"RT @a: Stay home #x"
-    return [text, np.array([0, 11, 11, len(text)]), np.zeros(3, np.uint8)]
-
-
-def with_entry(position, value):
-    def spoil(a):
-        a = a.copy()
-        a[position] = value
-        return a
-    return spoil
-
-
-BAD_CODER_ARGUMENTS = {
-    "an offset that falls": (1, with_entry(2, 5)),
-    "offsets not from 0": (1, with_entry(0, 1)),
-    "offsets past the text": (1, with_entry(-1, 20)),
-    "offsets short of the text": (1, with_entry(-1, 18)),
-    "no offsets": (1, lambda a: a[:0]),
-    "flags one short": (2, lambda a: a[:-1]),
-    "flags one too many": (2, lambda a: np.append(a, a[:1])),
-    "offsets as float": (1, lambda a: a.astype(float)),
-    "text as str": (0, bytes.decode),
-}
-
-
-@requires_c
-@pytest.mark.parametrize("case", sorted(BAD_CODER_ARGUMENTS))
-def test_c_code_text_buffer_rejects_bad_arguments(case):
-    position, spoil = BAD_CODER_ARGUMENTS[case]
-    args = coder_args()
-    args[position] = spoil(args[position])
-    with pytest.raises(ValueError):
-        _kernels.code_text_buffer(*args)
-
-
-@requires_c
-def test_c_code_text_buffer_splits_flagged_texts_on_spaces_only():
-    text, offsets, flags = coder_args()
-    tokens = " ".join(["σασ", "x_y", "#z", "stay"]).encode()
-    codes, counts, names, name_at = _kernels.code_text_buffer(
-        text + tokens, np.append(offsets, len(text + tokens)), np.array([0, 0, 0, 1], np.uint8))
-    # "RT @a: Stay", "", " home #x" and the flagged tokens
-    assert codes.tolist() == [0, 1, 2, 3, 4, 0] and counts.tolist() == [1, 0, 1, 4]
-    assert names == "stay home σασ x_y #z ".encode()
-    assert name_at.tolist() == [0, 5, 10, 17, 21, 24]
+    want = [tuple(brute_preprocess_text(t)) for t in texts]
+    in_tsv = [i for i, t in enumerate(texts) if not re.search("[\t\n\r]", t)]
+    for suffix, rows in ((".jsonl", range(len(texts))), (".tsv", in_tsv)):
+        path = tmp_path / f"posts{suffix}"
+        path.write_text("".join(record_line(post(f"p{i}", [], text=texts[i]), suffix)
+                                for i in rows), encoding="utf-8")
+        got = [tokens for _id, _user, tokens, _tags, _urls in read_back(read_posts(path))]
+        assert got == [want[i] for i in rows], suffix
+    seen["empty text"] += "" in texts
+    seen["markup only"] += any(t and not tokens for t, tokens in zip(texts, want))
+    seen["non-ASCII token"] += any(not token.isascii() for tokens in want for token in tokens)
+    seen["not in the .tsv copy"] += len(texts) - len(in_tsv)
+    assert len(seen) == 7 and min(seen.values()) > 0, seen
 
 
 def test_read_posts_codes_text_batches_as_post_by_post(tmp_path):
-    """More than two batches of posts on interleaved dates, with ASCII and
-    non-ASCII texts, tokens that recur across batches and malformed lines,
-    one of them on a batch boundary: every day's arrays and the four name
-    tables are those of coding post by post, and the warnings come in line
-    order."""
+    """More than two read batches of posts on interleaved dates, with ASCII
+    and non-ASCII texts, tokens that recur across batches and malformed
+    lines: every day's arrays and the four name tables are those of coding
+    post by post, and the warnings come in line order."""
     rng = np.random.default_rng(31)
     words = ["stay", "Home", "masks", "RT", "#x", "@who", "www.a.b", "ΣΑΣ", "café", "N°5", "42"]
-    bad = {TEXT_BATCH: "{not json", TEXT_BATCH + 7: '{"post_id": "p", "timestamp": 5}',
-           2 * TEXT_BATCH + 40: ""}
+    posts = 1024
+    bad = {posts: "{not json", posts + 7: '{"post_id": "p", "timestamp": 5}', 2 * posts + 40: ""}
     lines = []
-    for i in range(2 * TEXT_BATCH + 300):
+    for i in range(2 * posts + 300):
         text = " ".join(words[j] for j in rng.integers(len(words), size=rng.integers(6)))
         if i % 97 == 0:
             text += f" only{i // 97}"  # a token new to its batch ...
@@ -734,6 +684,7 @@ def test_read_posts_codes_text_batches_as_post_by_post(tmp_path):
         lines.insert(at, line + "\n")
     path = tmp_path / "posts.jsonl"
     path.write_text("".join(lines))
+    assert path.stat().st_size > 2 * ingest.READ_BATCH
 
     warnings = []
     days = read_posts(path, on_error=lambda lineno, message: warnings.append(lineno))
@@ -745,7 +696,7 @@ def test_read_posts_codes_text_batches_as_post_by_post(tmp_path):
         except (RecordError, json.JSONDecodeError):
             pass
     want_days, want_tables = brute_group_by_day(records)
-    assert len(records) > 2 * TEXT_BATCH and list(days) == list(want_days)
+    assert len(records) > 2 * posts and list(days) == list(want_days)
     for day, want in zip(days.values(), want_days.values()):
         assert {field: getattr(day, field).tolist() for field in want} == want
     corpus = next(iter(days.values())).corpus
@@ -839,20 +790,64 @@ def reader_lines(rng, n):
     return lines, [i for i, line in enumerate(lines) if line in odd]
 
 
-@requires_c
-def test_compiled_reader_matches_the_per_line_reader_and_the_oracle(tmp_path, monkeypatch):
-    """A seeded file of ordinary lines, the lines the compiled reader
-    declines, every timestamp form, blank and malformed lines, and \\n, \\r\\n
-    and \\r line endings, read with batches whose boundaries fall on blank
-    and malformed lines and with batches shorter than a line: every day's
-    arrays, the name tables and the warnings are the per-line reader's, and
-    the days and tables are `brute_group_by_day`'s."""
-    rng = np.random.default_rng(53)
-    lines, odd = reader_lines(rng, 3000)
-    ends = ["\n", "\r\n", "\r"]
-    path = tmp_path / "posts.jsonl"
-    path.write_bytes(b"".join(line.encode("utf-8", "surrogateescape") + ends[i % 3].encode()
-                              for i, line in enumerate(lines)))
+# one .tsv line per reason the compiled reader declines a line that holds a
+# record: a non-ASCII byte in the text and in the names, and control bytes
+# in the text and in a user id
+DECLINED_TSV = [
+    "d1\t2020-03-01T10:00:00Z\tu1\tcafé ΣΑΣ\t#a\t",
+    "d2\t2020-03-01T10:00:00Z\tué\tx\t#é,#a\thttp://é/1",
+    "d3\t2020-03-01T10:00:00Z\tu1\traw\x01byte\x0bvt\x00\t#a\t",
+    "d4\t2020-03-01T10:00:00Z\tu\x1c1\tx\t#a\t",
+]
+# blank .tsv lines, one of them not ASCII, and malformed ones: 5 and 7
+# fields, a JSON line and a line that is not UTF-8
+BLANK_TSV = ["", "   ", "\t\t\t\t\t", "　"]
+MALFORMED_TSV = ["m1\t2020-03-01\tu1\tx\t#a", "m2\t2020-03-01\tu1\tx\t#a\t\textra",
+                 '{"post_id": "m3", "timestamp": "2020-03-01", "user_id": "u1"}',
+                 "\udcff\t2020-03-01\tu1\tx\t#a\t"]
+
+
+def tsv_reader_lines(rng, n):
+    """n ordinary .tsv lines the compiled reader takes, on interleaved days,
+    with empty and repeated list items, a backslash and a DEL byte, and with
+    DECLINED_TSV, a post with each of STAMP_FORMS, BLANK_TSV and
+    MALFORMED_TSV among them; and the indices of the blank and malformed
+    ones."""
+    words = ["stay", "Home", "masks", "RT", "#x", "@who", "www.a.b", "http://u/1", "N5", "42",
+             "a\\b", "x\x7fy", '{"q":1}']
+    lines = []
+    for _ in range(n):
+        lines.append("\t".join([
+            f"p{rng.integers(n // 2)}",
+            f"2020-03-0{rng.integers(1, 4)}T{rng.integers(24):02d}:10:00+00:00",
+            f"u{rng.integers(40)}",
+            " ".join(words[j] for j in rng.integers(len(words), size=rng.integers(8))),
+            ",".join(f"#t{j}" if j else "" for j in rng.integers(12, size=rng.integers(5))),
+            ",".join(f"http://x/{j}" if j else "" for j in rng.integers(6, size=rng.integers(3))),
+        ]))
+    stamped = [f"s{i}\t{stamp}\tu1\tstamp\t#s\t" for i, stamp in enumerate(STAMP_FORMS)]
+    special = DECLINED_TSV + stamped + BLANK_TSV + MALFORMED_TSV
+    for line, at in zip(special, rng.choice(n, size=len(special), replace=False)):
+        lines.insert(int(at), line)
+    odd = set(BLANK_TSV + MALFORMED_TSV)
+    return lines, [i for i, line in enumerate(lines) if line in odd]
+
+
+def check_compiled_reader(tmp_path, monkeypatch, lines, odd, suffix):
+    """Writes `lines` to a `suffix` file, ending them in \\n, \\r\\n and \\r in
+    turn, and reads it line by line and with the compiled reader, in batches
+    whose boundaries fall just before and just after the lines `odd`
+    indexes and in batches shorter than a line. Every compiled read gives
+    the per-line reader's day arrays, name tables and warnings, and those
+    are `brute_group_by_day`'s. Returns them, and the number of side records
+    that held a record, the same in every compiled read."""
+    ends = [("\n", "\r\n", "\r")[i % 3] for i in range(len(lines))]
+    for i, line in enumerate(lines[1:]):
+        if not line and ends[i] == "\r":  # it and an empty line's \n would end one line
+            ends[i] = "\n"
+    path = tmp_path / f"posts{suffix}"
+    path.write_bytes(b"".join(line.encode("utf-8", "surrogateescape") + end.encode()
+                              for line, end in zip(lines, ends)))
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         sizes = [len(line.encode("utf-8", "surrogatepass")) for line in fh]
     assert len(sizes) == len(lines)
@@ -864,20 +859,56 @@ def test_compiled_reader_matches_the_per_line_reader_and_the_oracle(tmp_path, mo
                         lambda *args: sides.append(side_record(*args)) or sides[-1])
     want = read_state(path, monkeypatch, None)
     assert sides == []
+    taken = set()
     for batch in [ingest.READ_BATCH, 64, *sorted(batches)]:
         assert read_state(path, monkeypatch, reader, batch) == want, batch
-        # the declined lines that hold a record: DECLINED's and the stamps
-        # in forms that only Python takes
-        assert sum(map(bool, sides)) == 15
+        taken.add(sum(map(bool, sides)))
         sides.clear()
 
     days, tables, warnings = want
-    records = [parse_json_record(line) for i, line in enumerate(lines)
+    parse = parse_tsv_record if suffix == ".tsv" else parse_json_record
+    records = [parse(line) for i, line in enumerate(lines)
                if i + 1 not in {lineno for lineno, _ in warnings} and line.strip()]
     want_days, want_tables = brute_group_by_day(records)
     assert {day: {f: fields[f] for f in want_days[day]} for day, fields in days.items()} == want_days
     assert tables == want_tables
-    assert len(warnings) == 12 and [ln for ln, _ in warnings] == sorted(ln for ln, _ in warnings)
+    assert [ln for ln, _ in warnings] == sorted(ln for ln, _ in warnings)
+    assert len(taken) == 1
+    return want, taken.pop()
+
+
+@requires_c
+def test_compiled_reader_matches_the_per_line_reader_and_the_oracle(tmp_path, monkeypatch):
+    """A seeded .jsonl file of ordinary lines, the lines the compiled reader
+    declines, every timestamp form, blank and malformed lines, and \\n, \\r\\n
+    and \\r line endings, read with batches whose boundaries fall on blank
+    and malformed lines and with batches shorter than a line: every day's
+    arrays, the name tables and the warnings are the per-line reader's, and
+    the days and tables are `brute_group_by_day`'s."""
+    lines, odd = reader_lines(np.random.default_rng(53), 3000)
+    (days, _tables, warnings), taken = check_compiled_reader(
+        tmp_path, monkeypatch, lines, odd, ".jsonl")
+    # the declined lines that hold a record: DECLINED's and the stamps in
+    # forms that only Python takes
+    assert taken == 15 and len(warnings) == 12
+    assert {date(2020, 2, 29), date(2020, 12, 31), date(2021, 1, 1)} <= set(days)
+
+
+@requires_c
+def test_compiled_tsv_reader_matches_the_per_line_reader_and_the_oracle(tmp_path, monkeypatch):
+    """The same as a seeded .tsv file: ordinary lines with empty and
+    repeated list items, the lines the compiled reader declines, every
+    timestamp form, blank lines, lines of 5 and 7 fields, a JSON line and a
+    line that is not UTF-8."""
+    lines, odd = tsv_reader_lines(np.random.default_rng(59), 3000)
+    (days, tables, warnings), taken = check_compiled_reader(
+        tmp_path, monkeypatch, lines, odd, ".tsv")
+    # the declined lines that hold a record: DECLINED_TSV's and the stamps
+    # in forms that only Python takes; the warnings: MALFORMED_TSV's and the
+    # bad stamps'
+    assert taken == 9 and len(warnings) == 7
+    assert "expected 6 TSV fields, got 1" in {message for _, message in warnings}
+    assert "" not in tables["hashtags"] and "" not in tables["urls"]
     assert {date(2020, 2, 29), date(2020, 12, 31), date(2021, 1, 1)} <= set(days)
 
 
@@ -938,7 +969,7 @@ def test_record_reader_keeps_its_names_from_batch_to_batch():
         text, at = lines(("3", "w", "#b", "z y"), ("4", "v", "#a", "é x"))
         declined, out = _kernels.read_records(state, text, at)
         assert declined == 1 and out[0].tolist() == [737485, -1] and out[7] == b""
-        side = ingest._side_record(str(text[at[1]:], "utf-8"), 2, None)
+        side = ingest._side_record(str(text[at[1]:], "utf-8"), 2, None, parse_json_record)
         _, out = _kernels.read_records(state, text, at, side, [0, len(side)])
         assert out[1].tolist() == [2, 1, 0, 2, 1, 1, 0, 2] and out[2].tolist() == [1, 0]
         assert out[4].tolist() == [2, 1, 3, 0] and out[5] == b"3\n4\n"

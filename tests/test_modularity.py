@@ -782,6 +782,8 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
 
 
 SCRATCH_CHECK = """
+import json
+
 import numpy as np
 from scipy import sparse
 from mvmc import ViewGraph, _kernels, maximize, modularity
@@ -858,14 +860,30 @@ for counts, _k in views + [(sparse.csr_matrix([[0.1 + 0.2, 5e-324], [1e16, 0.0]]
             tuple(f"c{j}😀" for j in range(cols)))
     assert _kernels.triplet_bytes(*args) == _kernels._triplet_bytes(*args), counts.shape
 
-# text batches: none, empty texts, 20,000 distinct names in one text and
-# across texts (the name table grows from 8,192 slots to 65,536), markup,
-# and ASCII next to non-ASCII
+# one batch of the record reader per format, holding 20,000 distinct
+# tokens (its name table grows from 8,192 slots to 65,536), a declined line
+# and markup, against the tokens of preprocess_text
+from mvmc.ingest import _side_record, parse_json_record, parse_tsv_record, preprocess_text
+
 words = [f"w{i}x" for i in range(20000)]
-for texts in ([], ["", ""], [" ".join(words)], words, [" ".join(words[::-1])] * 2,
-              ["RT @a: #b www.c.d http://e RT", "Σ café", "awww.x @uhttp://x", "\\x00\\x7f"]):
-    got, want = _kernels.code_texts(texts), _kernels._code_texts(texts)
-    assert [a.tolist() for a in got[:2]] == [a.tolist() for a in want[:2]] and got[2] == want[2]
+texts = [" ".join(words[:10000]), *words[10000:], "RT @a: #b www.c.d http://e RT", "Σ café",
+         "awww.x @uhttp://x", "", " ".join(words[::-1])]
+for tsv, parse in ((False, parse_json_record), (True, parse_tsv_record)):
+    lines = [(f"p{i}\\t2020-03-01\\tu\\t{t}\\t#a,#b\\t\\n" if tsv else json.dumps(
+        {"post_id": f"p{i}", "timestamp": "2020-03-01", "user_id": "u", "text": t}) + "\\n")
+        .encode() for i, t in enumerate(texts)]
+    text, at = b"".join(lines), np.cumsum([0, *map(len, lines)])
+    state = np.zeros(_kernels.READER_SLOTS, np.int64)
+    declined, out = _kernels.read_records(state, text, at, tsv=tsv)
+    assert declined == 1
+    side = _side_record(str(lines[-4], "utf-8"), 1, None, parse)
+    _, out = _kernels.read_records(state, text, at, side, [0, len(side)], tsv=tsv)
+    names = out[7].decode().split("\\n")[:-1]
+    tokens = [name for name, key in zip(names, out[9].tolist()) if key == 3]
+    counts = out[1].reshape(-1, 4)[:, 3]
+    got = np.split(np.array(tokens, object)[out[4]], np.cumsum(counts)[:-1])
+    assert [g.tolist() for g in got] == [preprocess_text(t) for t in texts]
+    _kernels.read_records(state)
 print("ok")
 """
 
@@ -873,7 +891,7 @@ print("ok")
 @requires_c
 @pytest.mark.parametrize("perturb", ["165", "63"])
 def test_compiled_scratch_is_written_before_it_is_read(perturb):
-    """The compiled routines (the text coder's growing name table included)
+    """The compiled routines (the record reader's growing name table included)
     against their Python references at the sizes their carved scratch must
     handle, in a process where glibc fills each allocation with a non-zero
     byte (MALLOC_PERTURB_), so a scratch slot read before it is written
@@ -981,51 +999,51 @@ def run_without_compiler(tmp_path, code):
     ).stdout.splitlines()
 
 
-# texts for the text coder: markup, an empty text, non-ASCII tokens
-TEXTS = ["RT @who: Stay home #covid https://x.co now!", "", "ΣΑΣ café home", "awww.x now"]
-
-
 def test_without_compiler_falls_back_to_python(tmp_path):
-    """Without a compiler a partition and a batch's text codes are the ones
-    this process finds, and nothing is built or cached."""
+    """Without a compiler a partition is the one this process finds, there
+    is no record reader, and nothing is built or cached."""
     code = (
         "from mvmc import _kernels, maximize;"
         "from mvmc.synth import planted_partition_views;"
         "g, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5);"
         "print(_kernels.BACKEND, *maximize(g, seed=1).labels);"
-        f"print(*_kernels.code_texts({TEXTS!r})[0])"
+        "print(_kernels.read_records)"
     )
     out = run_without_compiler(tmp_path, code)
     assert out[0].split()[0] == "python"
     graphs, _ = planted_partition_views(48, 3, 0.3, 0.06, 2, 1, 5)
     assert [int(x) for x in out[0].split()[1:]] == maximize(graphs, seed=1).labels.tolist()
-    assert [int(x) for x in out[1].split()] == _kernels.code_texts(TEXTS)[0].tolist()
+    assert out[1] == "None"
     assert list(tmp_path.iterdir()) == [tmp_path / "bin"]
 
 
 FALLBACK_CHECK = """
 from scipy import sparse
 from mvmc import ViewGraph, ViewMatrix, _kernels, knn_graph, maximize, modularity
+from mvmc.ingest import group_by_day, parse_tsv_record
 
 print(_kernels.BACKEND, _kernels.move_pass is _kernels._move_pass,
       _kernels.aggregate is _kernels._aggregate, _kernels.knn_edges is _kernels._knn_edges,
       _kernels.combined_graph is _kernels._combined_graph, _kernels.run_restarts,
       _kernels.run_seeded, _kernels.draw_order, modularity.run_restarts is modularity._restarts,
-      _kernels.code_texts is _kernels._code_texts, _kernels.code_text_buffer)
+      _kernels.triplet_bytes is _kernels._triplet_bytes, _kernels.read_records)
 g = ViewGraph.from_edges(6, [(0, 1, 1), (1, 2, 1), (0, 2, 1), (3, 4, 1), (4, 5, 1), (3, 5, 1)])
 print(maximize([g], seed=0).n_clusters)
 m = ViewMatrix.from_matrix(sparse.csr_matrix([[1., 0.], [1., 0.], [0., 1.]]),
                            ("a", "b", "c"), ("x", "y"))
 print(knn_graph(m, k=1).edge_count)
-codes, counts, names = _kernels.code_texts(["RT @who: Stay HOME #x", "", "home ΣΑΣ"])
-print(codes.tolist(), counts.tolist(), names)
+texts = ["RT @who: Stay HOME #x", "", "home ΣΑΣ"]
+(day,) = group_by_day([parse_tsv_record(f"p{i}\\t2020-03-01\\tu\\t{text}\\t\\t")
+                       for i, text in enumerate(texts)]).values()
+print(day.tokens.tolist(), day.n_tokens.tolist(), day.corpus.tokens.names)
 """
 
 
 def test_env_flag_selects_fallback(tmp_path):
     """An environment with no compiler on PATH selects the fallback: every
     kernel is its Python reference, and the Python routes still cluster two
-    triangles apart, build a one-edge k-NN graph and code a batch of texts."""
+    triangles apart, build a one-edge k-NN graph and code the texts of a
+    batch of posts."""
     out = run_without_compiler(tmp_path, FALLBACK_CHECK)
     assert out[0].split() == ["python", "True", "True", "True", "True", "None", "None", "None",
                               "True", "True", "None"]
