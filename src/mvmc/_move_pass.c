@@ -1148,9 +1148,6 @@ static int64_t match_at(enum markup kind, const char *s, int64_t r, int64_t n)
 static int64_t next_marker(enum markup kind, const char *s, int64_t r, int64_t n)
 {
     if (kind == URL) {
-        /* every URL match holds a colon or a dot */
-        if (r == 0 && !memchr(s, ':', (size_t)n) && !memchr(s, '.', (size_t)n))
-            return n;
         while (r < n && s[r] != 'h' && s[r] != 'w')
             r++;
         return r;

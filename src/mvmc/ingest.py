@@ -4,7 +4,7 @@ Views per day: accompanying text tokens, posting users, co-occurring URLs,
 and hashtag co-occurrence. Hashtags used in fewer than 3 distinct posts are
 dropped; hashtag matching is case-sensitive. Posts are coded as they are
 read, each text as its `preprocess_text` tokens. With the compiled kernels, a
-.jsonl or .tsv file is read in batches of about `READ_BATCH` bytes of lines,
+.jsonl or .tsv file is read in batches of lines from `readlines(READ_BATCH)`,
 each parsed and coded by one call of `_kernels.read_records` (see
 `_read_batches`); without them, `group_by_day` codes the parsed lines one
 by one.
@@ -24,7 +24,8 @@ from . import _kernels
 from .views import _SEPARATOR_RE, ViewMatrix
 
 MIN_POSTS_PER_HASHTAG = 3
-# bytes of lines that one call of the compiled reader takes
+# the size hint, in characters, of the `readlines` batch of lines that one
+# call of the compiled reader takes
 READ_BATCH = 1 << 17
 
 _URL_RE = re.compile(r"(?:https?://|www\.)\S+")
@@ -33,9 +34,6 @@ _MENTION_RE = re.compile(r"@\w+")
 _RT_RE = re.compile(r"\bRT\b")
 # maximal runs of letters (L*) and numbers (N*): \w without the underscore
 _WORD_RE = re.compile(r"[^\W_]+")
-# over ASCII, `_WORD_RE` matches runs of [A-Za-z0-9]: this table lowers those
-# characters and turns every other one into a space, so `split` finds the runs
-_ASCII_WORDS = {c: chr(c).lower() if chr(c).isalnum() else " " for c in range(128)}
 
 
 class RecordError(ValueError):
@@ -105,8 +103,6 @@ def preprocess_text(raw: str) -> list[str]:
         text = _MENTION_RE.sub(" ", text)
     if "RT" in text:
         text = _RT_RE.sub(" ", text)
-    if text.isascii():
-        return text.translate(_ASCII_WORDS).split()
     return [
         tok.lower() if "Σ" not in tok else "".join(map(str.lower, tok))
         for tok in _WORD_RE.findall(text)
@@ -256,8 +252,7 @@ class CorpusDay:
         corpus = self.corpus
         self.post_id.append(self.ids.setdefault(post_id, len(self.ids)))
         self.user.append(corpus.users[user_id])
-        # a post with one hashtag has no repeat to drop
-        tags = hashtags if len(hashtags) < 2 else dict.fromkeys(hashtags)
+        tags = dict.fromkeys(hashtags)
         self.tags.extend(map(corpus.hashtags.__getitem__, tags))
         self.n_tags.append(len(tags))
         self.urls.extend(map(corpus.urls.__getitem__, urls))
@@ -294,11 +289,8 @@ def _side_record(line: str, lineno: int, on_error, parse) -> bytes:
     split = not text.isascii()
     fields = (post_id, user_id, *hashtags, *urls,
               " ".join(preprocess_text(text)) if split else text)
-    head = f"{timestamp.toordinal()}:{split:d}:{len(hashtags)}:{len(urls)}:"
-    joined = head + "".join([f"{len(f)}:{f}" for f in fields])
-    if joined.isascii():  # then a length in characters is one in bytes
-        return joined.encode()
-    return head.encode() + b"".join(
+    head = f"{timestamp.toordinal()}:{split:d}:{len(hashtags)}:{len(urls)}:".encode()
+    return head + b"".join(
         [b"%d:%s" % (len(f), f) for f in (f.encode("utf-8", "surrogatepass") for f in fields)])
 
 
@@ -340,40 +332,25 @@ def _add_batch(corpus: PostCorpus, days: dict, line_day, rows, tags, urls, token
 def _read_batches(fh, tsv: bool, parse, on_error) -> dict[date, CorpusDay]:
     """`group_by_day` of the lines of the .jsonl file `fh`, or of the .tsv
     file if `tsv`, whose lines `parse` parses: one call of
-    `_kernels.read_records` per batch of at most `READ_BATCH` bytes of lines
-    (or of one longer line), and a second when it declines lines, with their
-    `_side_record`s. The batch's buffer and the reader's state last from
-    batch to batch."""
+    `_kernels.read_records` per batch of `fh.readlines(READ_BATCH)`, and a
+    second when it declines lines, with their `_side_record`s. The reader's
+    state lasts from batch to batch."""
     corpus, days, state = PostCorpus(), {}, np.zeros(_kernels.READER_SLOTS, np.int64)
-    text, at, lineno = bytearray(READ_BATCH), [0], 1  # lineno: the batch's first line
-
-    def code(data, at):
-        nonlocal lineno
-        declined, out = _kernels.read_records(state, data, at, tsv=tsv)
-        if declined:
-            side = [_side_record(str(data[at[i]:at[i + 1]], "utf-8", "surrogatepass"),
-                                 lineno + i, on_error, parse)
-                    for i in np.flatnonzero(out[0] < 0).tolist()]
-            _, out = _kernels.read_records(state, data, at, b"".join(side),
-                                           np.cumsum([0, *map(len, side)]), tsv=tsv)
-        _add_batch(corpus, days, *out)
-        lineno += len(at) - 1
-
+    lineno = 1  # the batch's first line
     try:
-        for line in fh:
-            data = line.encode("utf-8", "surrogatepass")  # exact, lone surrogates included
-            end = at[-1] + len(data)
-            if end > len(text):
-                if len(at) > 1:
-                    code(text, at)
-                at, end = [0], len(data)
-                if end > len(text):  # a longer line is a batch of its own
-                    code(data, [0, end])
-                    continue
-            text[at[-1]:end] = data
-            at.append(end)
-        if len(at) > 1:
-            code(text, at)
+        while lines := fh.readlines(READ_BATCH):
+            data = "".join(lines).encode("utf-8", "surrogatepass")  # lone surrogates kept
+            ends = np.frombuffer(data, np.uint8) == ord("\n")
+            ends[-1] = True  # the file's last line may lack its newline
+            at = np.concatenate([[0], np.flatnonzero(ends) + 1])
+            declined, out = _kernels.read_records(state, data, at, tsv=tsv)
+            if declined:
+                side = [_side_record(lines[i], lineno + i, on_error, parse)
+                        for i in np.flatnonzero(out[0] < 0).tolist()]
+                _, out = _kernels.read_records(state, data, at, b"".join(side),
+                                               np.cumsum([0, *map(len, side)]), tsv=tsv)
+            _add_batch(corpus, days, *out)
+            lineno += len(lines)
     finally:
         _kernels.read_records(state)  # frees its memory
     return dict(sorted(days.items()))

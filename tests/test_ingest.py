@@ -757,6 +757,11 @@ STAMP_FORMS = [
 # blank lines, one of them not ASCII, and malformed ones, one of them not UTF-8
 BLANK = ["", "   ", "\t", "　"]
 MALFORMED = ["{not json", "[1, 2]", "\udcff{}"]
+# last lines written without a line end: a plain, a declined and a malformed one
+UNTERMINATED = [
+    '{"post_id": "e1", "timestamp": "2020-03-01T10:00:00Z", "user_id": "u1", "urls": ["http://e/1"]}',
+    DECLINED[0], MALFORMED[0],
+]
 
 
 def reader_lines(rng, n):
@@ -805,6 +810,8 @@ BLANK_TSV = ["", "   ", "\t\t\t\t\t", "　"]
 MALFORMED_TSV = ["m1\t2020-03-01\tu1\tx\t#a", "m2\t2020-03-01\tu1\tx\t#a\t\textra",
                  '{"post_id": "m3", "timestamp": "2020-03-01", "user_id": "u1"}',
                  "\udcff\t2020-03-01\tu1\tx\t#a\t"]
+UNTERMINATED_TSV = ["e1\t2020-03-01T10:00:00Z\tu1\tend\t#e\thttp://e/1", DECLINED_TSV[0],
+                    MALFORMED_TSV[0]]
 
 
 def tsv_reader_lines(rng, n):
@@ -833,37 +840,54 @@ def tsv_reader_lines(rng, n):
     return lines, [i for i, line in enumerate(lines) if line in odd]
 
 
-def check_compiled_reader(tmp_path, monkeypatch, lines, odd, suffix):
+def check_compiled_reader(tmp_path, monkeypatch, lines, odd, suffix, unterminated):
     """Writes `lines` to a `suffix` file, ending them in \\n, \\r\\n and \\r in
     turn, and reads it line by line and with the compiled reader, in batches
-    whose boundaries fall just before and just after the lines `odd`
-    indexes and in batches shorter than a line. Every compiled read gives
+    whose first one ends just before or just after a line that `odd`
+    indexes, and in batches shorter than a line. Every compiled read gives
     the per-line reader's day arrays, name tables and warnings, and those
-    are `brute_group_by_day`'s. Returns them, and the number of side records
-    that held a record, the same in every compiled read."""
+    are `brute_group_by_day`'s. Then the compiled reads match the per-line
+    one on three files of the first 200 lines and one of `unterminated` (a
+    plain, a declined and a malformed line) with no line end, and only the
+    malformed one is not read, with a warning at its own line number.
+    Returns the first file's reads, and the number of side records that
+    held a record, the same in every compiled read."""
     ends = [("\n", "\r\n", "\r")[i % 3] for i in range(len(lines))]
     for i, line in enumerate(lines[1:]):
         if not line and ends[i] == "\r":  # it and an empty line's \n would end one line
             ends[i] = "\n"
+    encoded = [line.encode("utf-8", "surrogateescape") + end.encode()
+               for line, end in zip(lines, ends)]
     path = tmp_path / f"posts{suffix}"
-    path.write_bytes(b"".join(line.encode("utf-8", "surrogateescape") + end.encode()
-                              for line, end in zip(lines, ends)))
+    path.write_bytes(b"".join(encoded))
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        sizes = [len(line.encode("utf-8", "surrogatepass")) for line in fh]
+        sizes = [len(line) for line in fh]
     assert len(sizes) == len(lines)
     offsets = np.cumsum([0, *sizes]).tolist()
-    # a batch ends just before, or just after, a blank or malformed line
-    batches = {offsets[i] + sizes[i] * after for i in odd[::3] for after in (0, 1)}
+    # `readlines(hint)` ends a batch after the line that takes its characters
+    # past hint: each hint's first batch ends just before, or just after, a
+    # blank or malformed line
+    hints = {offsets[i + after] - 1: i + after
+             for i in odd[::3] for after in (0, 1) if offsets[i + after] > 1}
     sides, side_record, reader = [], ingest._side_record, _kernels.read_records
     monkeypatch.setattr(ingest, "_side_record",
                         lambda *args: sides.append(side_record(*args)) or sides[-1])
+    batches = []  # the number of lines of each compiled call
+
+    def counted(state, text=None, at=(0,), *args, **kwargs):
+        if text is not None:
+            batches.append(len(at) - 1)
+        return reader(state, text, at, *args, **kwargs)
+
     want = read_state(path, monkeypatch, None)
     assert sides == []
     taken = set()
-    for batch in [ingest.READ_BATCH, 64, *sorted(batches)]:
-        assert read_state(path, monkeypatch, reader, batch) == want, batch
+    for batch, first in [(ingest.READ_BATCH, None), (64, None), *sorted(hints.items())]:
+        assert read_state(path, monkeypatch, counted, batch) == want, batch
+        assert first in (None, batches[0]), (batch, first, batches[0])
         taken.add(sum(map(bool, sides)))
         sides.clear()
+        batches.clear()
 
     days, tables, warnings = want
     parse = parse_tsv_record if suffix == ".tsv" else parse_json_record
@@ -874,6 +898,21 @@ def check_compiled_reader(tmp_path, monkeypatch, lines, odd, suffix):
     assert tables == want_tables
     assert [ln for ln, _ in warnings] == sorted(ln for ln, _ in warnings)
     assert len(taken) == 1
+
+    # the last line of a file may lack its line end
+    head = 200
+    path.write_bytes(b"".join(encoded[:head]))
+    head_days, _tables, head_warnings = read_state(path, monkeypatch, None)
+    n_head = sum(len(posts["user"]) for posts in head_days.values())
+    for kind, last in zip(("plain", "declined", "malformed"), unterminated):
+        path.write_bytes(b"".join(encoded[:head]) + last.encode())
+        got = read_state(path, monkeypatch, None)
+        for batch in (ingest.READ_BATCH, 64):
+            assert read_state(path, monkeypatch, reader, batch) == got, (kind, batch)
+        n_posts = sum(len(posts["user"]) for posts in got[0].values())
+        assert n_posts == n_head + (kind != "malformed"), kind
+        assert [ln for ln, _ in got[2]] == [ln for ln, _ in head_warnings] + (
+            [head + 1] if kind == "malformed" else [])
     return want, taken.pop()
 
 
@@ -884,10 +923,11 @@ def test_compiled_reader_matches_the_per_line_reader_and_the_oracle(tmp_path, mo
     and \\r line endings, read with batches whose boundaries fall on blank
     and malformed lines and with batches shorter than a line: every day's
     arrays, the name tables and the warnings are the per-line reader's, and
-    the days and tables are `brute_group_by_day`'s."""
+    the days and tables are `brute_group_by_day`'s. So are those of files
+    whose last line, plain, declined or malformed, has no line end."""
     lines, odd = reader_lines(np.random.default_rng(53), 3000)
     (days, _tables, warnings), taken = check_compiled_reader(
-        tmp_path, monkeypatch, lines, odd, ".jsonl")
+        tmp_path, monkeypatch, lines, odd, ".jsonl", UNTERMINATED)
     # the declined lines that hold a record: DECLINED's and the stamps in
     # forms that only Python takes
     assert taken == 15 and len(warnings) == 12
@@ -902,7 +942,7 @@ def test_compiled_tsv_reader_matches_the_per_line_reader_and_the_oracle(tmp_path
     line that is not UTF-8."""
     lines, odd = tsv_reader_lines(np.random.default_rng(59), 3000)
     (days, tables, warnings), taken = check_compiled_reader(
-        tmp_path, monkeypatch, lines, odd, ".tsv")
+        tmp_path, monkeypatch, lines, odd, ".tsv", UNTERMINATED_TSV)
     # the declined lines that hold a record: DECLINED_TSV's and the stamps
     # in forms that only Python takes; the warnings: MALFORMED_TSV's and the
     # bad stamps'
